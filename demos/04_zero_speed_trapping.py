@@ -15,9 +15,7 @@ from rwre.hypercube import fractional_moment
 law = TrapTransient(d=1)
 W = 200
 scales = [2_000, 20_000, 200_000]
-env = criteria.MultiSeedEnvironment(
-    law, np.array([rng.derive_key(42, "env", i) for i in range(W)],
-                  dtype=np.uint64))
+env = criteria.MultiSeedEnvironment(law, rng.derive_keys(42, "env", n=W))
 keys = walk.walk_keys(43, W)
 res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), scales[-1],
                            keys, checkpoints=scales[:-1])

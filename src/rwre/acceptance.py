@@ -76,8 +76,7 @@ def crit2_zero_speed(seed: int, outdir: str) -> CriterionResult:
     t0 = time.time()
     law = TrapTransient(1)
     W, scales = 200, [10_000, 100_000, 1_000_000]
-    env_seeds = np.array([rng.derive_key(seed, "c2_env", i) for i in range(W)],
-                         dtype=np.uint64)
+    env_seeds = rng.derive_keys(seed, "c2_env", n=W)
     env = criteria.MultiSeedEnvironment(law, env_seeds)
     keys = walk.walk_keys(rng.derive_key(seed, "c2_walks"), W)
     res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), scales[-1],
@@ -111,7 +110,7 @@ def crit3_exact_identities(seed: int, outdir: str) -> CriterionResult:
     passed = True
     for name, mk in IDENTITY_LAWS:
         law = mk()
-        seeds = [rng.derive_key(seed, "c3", name, i) for i in range(1000)]
+        seeds = rng.derive_keys(seed, "c3", name, n=1000)
         ana = hypercube.analyze_batch(law, seeds, cube, 2)
         viol = ana.check_identities(tol)
         worst[name] = viol
@@ -247,7 +246,7 @@ def crit8_discrimination(seed: int, outdir: str) -> CriterionResult:
 def crit9_trap_tail(seed: int, outdir: str) -> CriterionResult:
     t0 = time.time()
     law = TrapSym(2)
-    seeds = [rng.derive_key(seed, "c9", i) for i in range(10_000)]
+    seeds = rng.derive_keys(seed, "c9", n=10_000)
     ana = hypercube.analyze_batch(law, seeds, UnitHypercube((0, 0)), 1)
     samples = ana.mean_exit[:, 0]              # quenched E_0[T_exit]
     # The trapped-orientation event has probability 4^-4 = 1/256, so only

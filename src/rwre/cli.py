@@ -229,7 +229,7 @@ def cmd_hypercube(args) -> int:
     law = _resolve_law(config)
     seed = int(config["seed"])
     cube = UnitHypercube((0,) * law.dim)
-    seeds = [rng.derive_key(seed, "hc", i) for i in range(int(config["replicates"]))]
+    seeds = rng.derive_keys(seed, "hc", n=int(config["replicates"])).tolist()
     ana = hypercube.analyze_batch(law, seeds, cube, int(config["moments"]))
     out = config.get("out", "hypercube.csv")
     m = 1 << law.dim
@@ -316,7 +316,7 @@ def cmd_paths(args) -> int:
 
 def cmd_acceptance(args) -> int:
     from . import acceptance
-    config = load_config(args, {"out_dir": "acceptance_out"})
+    config = load_config(args, {"out_dir": "acceptance_out", "seed": 42})
     results, summary_path = acceptance.run_all(int(config["seed"]),
                                                str(config["out_dir"]))
     for r in results:
@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("acceptance", help="run the full acceptance suite")
     sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=int, help="master seed (default 42)")
     sp.add_argument("--out-dir", dest="out_dir")
     sp.set_defaults(func=cmd_acceptance)
     return p

@@ -386,12 +386,8 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def _replicate_seeds(master_seed: int, n: int, salt: str) -> list[int]:
-    return [rng.derive_key(master_seed, salt, i) for i in range(n)]
-
-
 def _origin_samples(law, replicates: int, master_seed: int, salt: str) -> np.ndarray:
-    seeds = _replicate_seeds(master_seed, replicates, salt)
+    seeds = rng.derive_keys(master_seed, salt, n=replicates)
     return transitions_for_seeds(law, seeds, np.zeros(law.dim, dtype=np.int64))
 
 
@@ -498,11 +494,11 @@ def corner_q_samples(law, replicates: int, master_seed: int,
     """(R, 2^d) samples of the max one-step exit probability per corner."""
     D = law.dim
     cube = UnitHypercube((0,) * D)
-    seeds = _replicate_seeds(master_seed, replicates, salt)
+    seeds = rng.derive_keys(master_seed, salt, n=replicates)
+    P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
     out = np.empty((replicates, 1 << D))
-    for j, corner in enumerate(cube.corners):
-        P = transitions_for_seeds(law, seeds, np.asarray(corner, dtype=np.int64))
-        out[:, j] = P[:, cube.exit_directions(j)].max(axis=1)
+    for j in range(1 << D):
+        out[:, j] = P[:, j, cube.exit_directions(j)].max(axis=1)
     return out
 
 
@@ -559,10 +555,10 @@ def check_kalpha(law, alpha: float, gammas, policy, replicates: int,
         ests.append(Estimate(f"inv_moment_Q_corner_{j}^gamma",
                              float(np.mean(y)), n=replicates))
 
-    seeds = _replicate_seeds(master_seed, replicates, "kalpha_mmh")
+    seeds = rng.derive_keys(master_seed, "kalpha_mmh", n=replicates)
     products = np.empty(replicates)
     mark_sums = np.empty(replicates)
-    for r, seed in enumerate(seeds):
+    for r, seed in enumerate(seeds.tolist()):
         env = Environment(law, seed)
         mmh = discover(env, policy)
         mark_sums[r] = mark_sum(mmh, gammas)
@@ -642,9 +638,9 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
             raise ValueError(f"u={u} too small: floor(eta log u) < 1")
     if policy is None:
         policy = EprimePolicy()
-    seeds = _replicate_seeds(master_seed, replicates, "attainability")
+    seeds = rng.derive_keys(master_seed, "attainability", n=replicates)
     maxpi: dict[float, list[float]] = {u: [] for u in u_grid}
-    for seed in seeds:
+    for seed in seeds.tolist():
         env = Environment(law, seed)
         mmh = discover(env, policy)
         for u in u_grid:
@@ -671,22 +667,19 @@ class MultiSeedEnvironment:
         self.law = law
         self.seeds = np.asarray(seeds, dtype=np.uint64)
         self.dim = law.dim
-        self._tag = rng.string_tag(law.tag)
+        self._bases = rng.base_keys(self.seeds, rng.string_tag(law.tag))
 
     def transitions_batch(self, X: np.ndarray, idx=None) -> np.ndarray:
         X = np.asarray(X, dtype=np.int64)
         n = X.shape[0]
-        seeds = self.seeds[idx] if idx is not None else self.seeds[:n]
-        h = rng.mix64_np(seeds.copy())
-        h = rng._fold_np(h, np.full(n, self._tag, dtype=np.uint64))
-        for j in range(X.shape[1]):
-            h = rng._fold_np(h, X[:, j].astype(np.uint64))
         nv = self.law.nvars
         if nv == 0:
             return self.law.pvecs_from_uniforms(np.empty((n, 0)))
+        bases = self._bases[idx] if idx is not None else self._bases[:n]
+        keys = rng.site_keys_from_base(bases, X)
         U = np.empty((n, nv))
         for j in range(nv):
-            U[:, j] = rng.stream_uniforms(h, j)
+            U[:, j] = rng.stream_uniforms(keys, j)
         return normalize_rows(self.law.pvecs_from_uniforms(U))
 
 
@@ -711,7 +704,9 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     the smallest estimate of P[exit with x.ell < L] and compares it to
     L^-M.  The astronomically large threshold scale of the exact statement
     is not desk-reachable; only the decay shape over the given grid is
-    being checked, which the report flags.
+    being checked, which the report flags.  Grid points where no run
+    resolved are never chosen; an L where none resolved makes the verdict
+    "insufficient-data".
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -720,14 +715,14 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     R = rotation_onto_e1(ell)
     points: list[BoxExitPoint] = []
     verdict_ok = True
+    unresolved = False
     for L in L_grid:
-        best: BoxExitPoint | None = None
+        grid: list[BoxExitPoint] = []
         for fp in Lp_factors:
             for ft in Lt_factors:
                 Lp = fp * L
                 Lt = min(ft * L, 72.0 * L ** 3)
-                seeds = np.array(_replicate_seeds(
-                    master_seed, replicates, f"pm:{L}:{fp}:{ft}"), dtype=np.uint64)
+                seeds = rng.derive_keys(master_seed, f"pm:{L}:{fp}:{ft}", n=replicates)
                 env = MultiSeedEnvironment(law, seeds)
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
 
@@ -744,18 +739,27 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 p = float(bad.sum() / n_resolved) if n_resolved else float("nan")
                 hi = p + 1.96 * np.sqrt(max(p * (1 - p), 1e-12) / n_resolved) \
                     if n_resolved else float("nan")
-                pt = BoxExitPoint(L, Lp, Lt, p, float(hi), n_resolved,
-                                  res.censored())
-                if best is None or pt.estimate < best.estimate:
-                    best = pt
+                grid.append(BoxExitPoint(L, Lp, Lt, p, float(hi), n_resolved,
+                                         res.censored()))
+        # a point without resolved runs has a NaN estimate and never wins
+        resolved = [pt for pt in grid if pt.n]
+        if not resolved:
+            unresolved = True
+            points.append(grid[0])
+            continue
+        best = min(resolved, key=lambda pt: pt.estimate)
         points.append(best)
         if not (best.estimate <= L ** (-M)):
             verdict_ok = False
     ests = [Estimate(f"backtrack_exit_L={p.L}", p.estimate, ci_high=p.ci_high,
                      n=p.n, censored=p.censored) for p in points]
+    if unresolved:
+        verdict = "insufficient-data"
+    else:
+        verdict = "satisfied-empirically" if verdict_ok else "violated-empirically"
     return CriterionReport(
         "P_M", {"M": M, "L_grid": list(L_grid), "replicates": replicates},
-        ests, "satisfied-empirically" if verdict_ok else "violated-empirically",
+        ests, verdict,
         {"note": "exact threshold scale (2/3)3^{29d} not desk-reachable; "
                  "decay shape checked on the given grid",
          "points": [p.__dict__ for p in points]})

@@ -358,19 +358,26 @@ class Environment:
 
 
 def transitions_for_seeds(law, seeds, x) -> np.ndarray:
-    """One site's transition vector under many master seeds (replicates)."""
-    seeds = list(seeds)
+    """Transition vectors at the same sites under many master seeds.
+
+    ``x`` is one site (dim,) or several (m, dim); the result has shape
+    (R, 2 dim) or (R, m, 2 dim) for R seeds, row r being what
+    ``Environment(law, seeds[r])`` returns at those sites.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
     x = np.asarray(x, dtype=np.int64)
+    sites = x.reshape(-1, x.shape[-1])
+    n = len(seeds) * len(sites)
+    shape = (len(seeds),) + x.shape[:-1] + (2 * law.dim,)
     nv = law.nvars
-    n = len(seeds)
     if nv == 0:
-        return law.pvecs_from_uniforms(np.empty((n, 0)))
-    tag = rng.string_tag(law.tag)
-    keys = np.array([rng.site_key(s, tag, x) for s in seeds], dtype=np.uint64)
+        return law.pvecs_from_uniforms(np.empty((n, 0))).reshape(shape)
+    bases = np.repeat(rng.base_keys(seeds, rng.string_tag(law.tag)), len(sites))
+    keys = rng.site_keys_from_base(bases, np.tile(sites, (len(seeds), 1)))
     U = np.empty((n, nv))
     for j in range(nv):
         U[:, j] = rng.stream_uniforms(keys, j)
-    return normalize_rows(law.pvecs_from_uniforms(U))
+    return normalize_rows(law.pvecs_from_uniforms(U)).reshape(shape)
 
 
 @dataclass

@@ -66,9 +66,7 @@ def quenched(env: Environment, cube: UnitHypercube) -> QuenchedHypercube:
 
 def quenched_batch(law, seeds, cube: UnitHypercube) -> np.ndarray:
     """(R, m, 2d) transition tensor: one cube per replicate master seed."""
-    corners = cube.corners
-    rows = [transitions_for_seeds(law, seeds, c) for c in corners]
-    return np.stack(rows, axis=1)
+    return transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
 
 
 def _interior_matrix(d: int, trans: np.ndarray) -> np.ndarray:
@@ -273,8 +271,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
     D = law.dim
     if cube is None:
         cube = UnitHypercube((0,) * D)
-    seeds = [rng.derive_key(master_seed, "fractional_moment", i)
-             for i in range(replicates)]
+    seeds = rng.derive_keys(master_seed, "fractional_moment", n=replicates)
     censored = 0
     if float(alpha).is_integer():
         order = int(alpha)
@@ -289,7 +286,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
             off = Xp - lo
             return np.all((off >= 0) & (off <= 1), axis=1)
 
-        for r, seed in enumerate(seeds):
+        for r, seed in enumerate(seeds.tolist()):
             env = Environment(law, seed)
             best = 0.0
             for j, corner in enumerate(cube.corners):
@@ -329,8 +326,7 @@ def simulate_cube_exits(qh: QuenchedHypercube, start_corner: int, runs: int,
     report exit_corner -1 and exit_time = horizon.
     """
     cum, nxt = cube_chain_tables(qh)
-    keys = np.array([rng.derive_key(master_seed, "cube_walk", i)
-                     for i in range(runs)], dtype=np.uint64)
+    keys = rng.derive_keys(master_seed, "cube_walk", n=runs)
     state = np.full(runs, start_corner, dtype=np.int64)
     alive = np.arange(runs)
     exit_times = np.full(runs, horizon, dtype=np.int64)

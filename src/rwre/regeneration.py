@@ -130,40 +130,6 @@ def extract_from_levels(l: np.ndarray, a: float, margin: int,
     return times, flags
 
 
-def extract_reference(l: np.ndarray, a: float, margin: int,
-                      tol: float = LEVEL_TOL) -> tuple[list[int], list[bool]]:
-    """Literal step-by-step recursion; quadratic, used as a test oracle."""
-    l = np.asarray(l, dtype=float)
-    n = len(l) - 1
-    times: list[int] = []
-    flags: list[bool] = []
-    base = 0
-    while True:
-        M = float(l[base])  # M_0 of the shifted walk
-        tau = None
-        while True:
-            S = None
-            for m in range(base, n + 1):
-                if l[m] > M + a + tol:
-                    S = m
-                    break
-            if S is None:
-                return times, flags
-            R = None
-            for m in range(S + 1, n + 1):
-                if l[m] < l[S] - tol:
-                    R = m
-                    break
-            if R is None:
-                tau = S
-                break
-            M = float(l[base:R + 1].max())
-        times.append(tau)
-        flags.append(not (n - tau >= margin))
-        base = tau
-    return times, flags
-
-
 def extract(traj: Trajectory, params: RegenParams,
             positions: np.ndarray | None = None) -> RegenerationRecord:
     """Extract the regeneration record of one trajectory.

@@ -8,9 +8,17 @@ without storing any environment state.  A scalar (python int) and a
 vectorized (numpy uint64) implementation are provided; they agree bit for
 bit and are cross-checked in the tests.
 
+Many keys at once are derived in one vector pass, never by a Python loop
+over the scalar functions: :func:`derive_keys` folds the scalar prefix once
+and then every index, :func:`base_keys` folds a tag onto many master seeds,
+and :func:`site_keys_from_base` chains coordinates onto a scalar base or a
+per-row base array.  Each equals its scalar counterpart bit for bit.
+
 Note: numpy uint64 *array* arithmetic wraps silently, which is exactly
 what we want; only scalar numpy ops would warn, and the scalar paths here
-use plain python ints instead.
+use plain python ints instead.  So a key taken out of a vector result and
+passed to a scalar path (``derive_key``, ``Environment(law, seed)``, a CSV
+column) must first become a python int: ``keys.tolist()`` or ``int(k)``.
 """
 
 from __future__ import annotations
@@ -72,9 +80,21 @@ def derive_key(master: int, *words: int | str) -> int:
     return h
 
 
+def derive_keys(master: int, *words: int | str, n: int) -> np.ndarray:
+    """``[derive_key(master, *words, i) for i in range(n)]`` as a uint64 array."""
+    h = np.full(n, derive_key(master, *words), dtype=np.uint64)
+    return _fold_np(h, np.arange(n, dtype=np.uint64))
+
+
 def base_key(master: int, tag: int) -> int:
     """Master seed and law tag folded once; site keys chain coordinates on."""
     return fold(mix64(master & MASK64), tag)
+
+
+def base_keys(masters: np.ndarray, tag: int) -> np.ndarray:
+    """Vectorized :func:`base_key` over a uint64 array of master seeds."""
+    h = mix64_np(np.asarray(masters, dtype=np.uint64))
+    return _fold_np(h, np.uint64(tag))
 
 
 def site_key(master: int, tag: int, coords) -> int:
@@ -85,13 +105,17 @@ def site_key(master: int, tag: int, coords) -> int:
     return h
 
 
-def site_keys_from_base(base: int, coords: np.ndarray) -> np.ndarray:
-    """Vectorized site keys for an (N, d) int array, given a folded base."""
+def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
+    """Vectorized site keys for an (N, d) int array, given a folded base.
+
+    ``base`` is one key (python int) shared by every row, or a uint64 array
+    of N per-row keys, e.g. from :func:`base_keys`.
+    """
     coords = np.asarray(coords)
     if coords.ndim == 1:
         coords = coords[None, :]
     signed = coords.astype(np.int64, copy=False)
-    h = np.full(coords.shape[0], base & MASK64, dtype=np.uint64)
+    h = np.full(coords.shape[0], base, dtype=np.uint64)
     for j in range(coords.shape[1]):
         h = _fold_np(h, signed[:, j].astype(np.uint64))
     return h

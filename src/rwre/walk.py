@@ -134,8 +134,7 @@ def run(env: Environment, start: Site, stop: StopSpec, walk_seed: int) -> Trajec
 
 def walk_keys(master_seed: int, n: int, salt: str = "walk") -> np.ndarray:
     """Derive n independent walk-stream keys from a master seed."""
-    return np.array([rng.derive_key(master_seed, salt, i) for i in range(n)],
-                    dtype=np.uint64)
+    return rng.derive_keys(master_seed, salt, n=n)
 
 
 def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,

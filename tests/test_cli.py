@@ -140,6 +140,25 @@ def test_acceptance_subcommand_wiring(tmp_path, monkeypatch, capsys):
     assert "PASS  1 stub" in out
 
 
+def test_acceptance_seed_precedence(tmp_path, monkeypatch):
+    # flag > config > default 42
+    from rwre import acceptance as acc
+    seen = []
+
+    def stub(seed, outdir):
+        seen.append(seed)
+        return [], str(tmp_path / "summary.json")
+
+    monkeypatch.setattr(acc, "run_all", stub)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 7}))
+    base = ["acceptance", "--out-dir", str(tmp_path)]
+    assert run(base + ["--config", str(path)]) == 0
+    assert run(base + ["--config", str(path), "--seed", "9"]) == 0
+    assert run(base) == 0
+    assert seen == [7, 9, 42]
+
+
 def test_parallel_map_respects_threads(monkeypatch):
     monkeypatch.setenv("RWRE_THREADS", "4")
     assert cli.n_threads() == 4

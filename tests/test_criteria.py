@@ -275,6 +275,15 @@ def test_polynomial_condition_grid_caps():
         assert p["Ltilde"] <= 72_000.0
 
 
+def test_polynomial_condition_unresolved_is_insufficient_data():
+    # the forward walk needs 8 steps to leave the box: with a budget of 4
+    # no run resolves, and NaN estimates must not read as a violation
+    rep = cr.polynomial_condition(FORWARD, np.array([1.0, 0.0]), 2.0,
+                                  [8.0], 4, 50, 21)
+    assert rep.verdict == "insufficient-data"
+    assert rep.estimates[0].n == 0 and np.isnan(rep.estimates[0].value)
+
+
 def test_polynomial_condition_symmetric_violated():
     rep = cr.polynomial_condition(UniformDrift(2), np.array([1.0, 0.0]), 2.0,
                                   [16.0], 30_000, 600, 5)

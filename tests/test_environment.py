@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwre import rng, stats
+from rwre.criteria import MultiSeedEnvironment
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift,
                               ellipticity_profile, normalize_rows,
@@ -175,11 +176,24 @@ def test_table_mixture_recovers_weights():
 
 
 def test_transitions_for_seeds_matches_environments():
-    law = Expl(2, 0.25)
-    seeds = [11, 22, 33]
-    batch = transitions_for_seeds(law, seeds, np.array([2, -3]))
-    for s, row in zip(seeds, batch):
-        assert np.array_equal(Environment(law, s).transitions_at((2, -3)), row)
+    # per-seed fields (one site, several sites, and MultiSeedEnvironment
+    # after compaction) must equal the rows of one Environment per seed
+    seeds = [11, 22, 33, 2 ** 64 - 1]
+    sites = np.array([[0, 0], [1, 0], [-7, 4]])
+    many = rng.derive_keys(5, "multi", n=50)
+    idx = np.random.RandomState(3).permutation(50)[:30]     # shuffled survivors
+    X = _sites(30, 2, seed=4)
+    for law in ALL_LAWS:
+        batch = transitions_for_seeds(law, seeds, np.array([2, -3]))
+        for s, row in zip(seeds, batch):
+            assert np.array_equal(Environment(law, s).transitions_at((2, -3)), row)
+        cube = transitions_for_seeds(law, np.array(seeds, dtype=np.uint64), sites)
+        assert cube.shape == (len(seeds), len(sites), 4)
+        for s, rows in zip(seeds, cube):
+            assert np.array_equal(Environment(law, s).transitions_batch(sites), rows)
+        P = MultiSeedEnvironment(law, many).transitions_batch(X, idx)
+        for x, p, w in zip(X, P, idx.tolist()):
+            assert np.array_equal(Environment(law, int(many[w])).transitions_at(x), p)
 
 
 # --- ellipticity profile ------------------------------------------------------

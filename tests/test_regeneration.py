@@ -1,10 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwre import regeneration as rg, walk
 from rwre.environment import Environment, Expl, TableMixture, UniformDrift
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
+
+
+def extract_reference(l, a, margin, tol=rg.LEVEL_TOL):
+    """Literal step-by-step ladder recursion; quadratic, the oracle for
+    :func:`rwre.regeneration.extract_from_levels`."""
+    l = np.asarray(l, dtype=float)
+    n = len(l) - 1
+    times: list[int] = []
+    flags: list[bool] = []
+    base = 0
+    while True:
+        M = float(l[base])  # M_0 of the shifted walk
+        while True:
+            S = None
+            for m in range(base, n + 1):
+                if l[m] > M + a + tol:
+                    S = m
+                    break
+            if S is None:
+                return times, flags
+            R = None
+            for m in range(S + 1, n + 1):
+                if l[m] < l[S] - tol:
+                    R = m
+                    break
+            if R is None:
+                break
+            M = float(l[base:R + 1].max())
+        times.append(S)
+        flags.append(not (n - S >= margin))
+        base = S
 
 
 def _forward_trajectory(n=40):
@@ -51,7 +83,22 @@ def test_fast_matches_reference_on_random_walks():
         l = np.concatenate([[0.0], np.cumsum(steps * scale)])
         a = rs.uniform(1.1, 4.5)
         W = rs.randint(0, n)
-        assert rg.extract_from_levels(l, a, W) == rg.extract_reference(l, a, W)
+        assert rg.extract_from_levels(l, a, W) == extract_reference(l, a, W)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(st.sampled_from([1, 1, 0, -1]), min_size=40, max_size=300),
+       scale=st.sampled_from([1.0, 1 / np.sqrt(2)]),
+       ticks=st.integers(1, 6), tie=st.booleans(),
+       a_off=st.floats(0.05, 0.95), margin=st.integers(0, 220))
+def test_fast_matches_reference_on_lattice_levels(steps, scale, ticks, tie,
+                                                  a_off, margin):
+    # levels of a lattice walk projected on e1 (scale 1) or on a diagonal
+    # (scale 1/sqrt 2); with tie, a is a whole number of level spacings so
+    # ladder thresholds land on reachable levels up to rounding
+    l = np.concatenate([[0.0], np.cumsum(np.asarray(steps) * scale)])
+    a = ticks * scale if tie else (ticks + a_off) * scale
+    assert rg.extract_from_levels(l, a, margin) == extract_reference(l, a, margin)
 
 
 def test_extraction_handles_projected_lattice_levels():

@@ -16,6 +16,21 @@ def test_site_keys_scalar_vector_agree():
     kv = rng.site_keys(42, 7, coords)
     for row, k in zip(coords, kv):
         assert rng.site_key(42, 7, tuple(row)) == int(k)
+    # per-row bases: one master seed per row, negative coordinates included
+    masters = [0, 42, 2 ** 64 - 1, 12345]
+    kv = rng.site_keys_from_base(rng.base_keys(masters, 7), coords)
+    for m, row, k in zip(masters, coords, kv):
+        assert rng.site_key(m, 7, tuple(row)) == int(k)
+
+
+def test_derive_keys_scalar_vector_agree():
+    for master in (0, 42, 2 ** 64 - 1):
+        for words in (("walk",), (7,), ("c3", "uniform"), (5, 9)):
+            for n in (0, 1, 1000):
+                keys = rng.derive_keys(master, *words, n=n)
+                assert keys.dtype == np.uint64 and keys.shape == (n,)
+                assert keys.tolist() == [rng.derive_key(master, *words, i)
+                                         for i in range(n)]
 
 
 def test_keys_distinct_for_distinct_sites():
