@@ -39,8 +39,6 @@ print(f"\nrenewal velocity  . (e1+e2) = {float(ren.v @ ell0):.4f}")
 print(f"direct  X_n/n     . (e1+e2) = {float(direct.v @ ell0):.4f}")
 print(f"target 1 - 2 eps            = {1 - 2 * eps:.4f}")
 
-radii = rg.regeneration_radii(records[0],
-                              walk.Trajectory((0, 0), res.steps[0], n,
-                                              "budget").positions())
+radii = rg.regeneration_radii(records[0], walk.positions((0, 0), res.steps[0]))
 print(f"\nregeneration radii (L1 span per block): "
       f"mean {radii.mean():.2f}, max {radii.max()}")

@@ -8,14 +8,14 @@ scale.  (Reduced scale here; the acceptance suite runs n up to 10^6.)
 
 import numpy as np
 
-from rwre import criteria, rng, walk
-from rwre.environment import TrapTransient
+from rwre import rng, walk
+from rwre.environment import Environment, TrapTransient
 from rwre.hypercube import fractional_moment
 
 law = TrapTransient(d=1)
 W = 200
 scales = [2_000, 20_000, 200_000]
-env = criteria.MultiSeedEnvironment(law, rng.derive_keys(42, "env", n=W))
+env = Environment(law, rng.derive_keys(42, "env", n=W))  # one field per walker
 keys = walk.walk_keys(43, W)
 res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), scales[-1],
                            keys, checkpoints=scales[:-1])

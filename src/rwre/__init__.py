@@ -15,8 +15,8 @@ from .lattice import (Direction, DirectionBasis, Slab, SlabBox, TiltedBox,
                       canonical_basis, hypercubes_containing, project,
                       trap_collar)
 from .regeneration import (RegenParams, RegenerationRecord, direct_velocity,
-                           extract, regeneration_radii, renewal_velocity)
-from .walk import StopSpec, Trajectory, hit_before_return, run
+                           regeneration_radii, renewal_velocity)
+from .walk import hit_before_return
 
 __all__ = [
     "__version__",
@@ -26,7 +26,7 @@ __all__ = [
     "Environment", "UniformDrift", "Expl", "TrapSym", "TrapTransient",
     "Dirichlet", "TableMixture", "sample_expl_T", "sample_trap_T",
     "ellipticity_profile",
-    "StopSpec", "Trajectory", "run", "hit_before_return",
-    "RegenParams", "RegenerationRecord", "extract", "renewal_velocity",
+    "hit_before_return",
+    "RegenParams", "RegenerationRecord", "renewal_velocity",
     "direct_velocity", "regeneration_radii",
 ]

@@ -77,7 +77,7 @@ def crit2_zero_speed(seed: int, outdir: str) -> CriterionResult:
     law = TrapTransient(1)
     W, scales = 200, [10_000, 100_000, 1_000_000]
     env_seeds = rng.derive_keys(seed, "c2_env", n=W)
-    env = criteria.MultiSeedEnvironment(law, env_seeds)
+    env = Environment(law, env_seeds)
     keys = walk.walk_keys(rng.derive_key(seed, "c2_walks"), W)
     res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), scales[-1],
                                keys, checkpoints=scales[:-1])

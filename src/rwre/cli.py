@@ -5,9 +5,7 @@ Configuration is a JSON tree (see ``--config``); every flag overrides the
 corresponding config entry.  The master seed is mandatory (never the
 clock), outputs are CSV (tabular) and JSON (reports), and every output
 file embeds the config hash and tool version, so identical configs yield
-byte-identical artifacts.  RWRE_THREADS caps the worker pool used by
-replicate loops (default 1; parallel merges are ordered, so results do
-not depend on scheduling).
+byte-identical artifacts.
 
 Exit codes: 0 completed, 2 parameter/usage error, 3 insufficient data.
 """
@@ -17,9 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -118,23 +114,6 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RWRE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map preserving order; threads only when RWRE_THREADS > 1."""
-    items = list(items)
-    nt = n_threads()
-    if nt <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=nt) as pool:
-        return list(pool.map(fn, items))
-
-
 def load_config(args, defaults: dict) -> dict:
     config = dict(defaults)
     if getattr(args, "config", None):
@@ -176,9 +155,8 @@ def cmd_walk(args) -> int:
               [[w] + [int(c) for c in res.final[w]] for w in range(len(keys))],
               config)
     if config.get("dump_trajectory"):
-        traj = walk.Trajectory((0,) * law.dim, res.steps[0],
-                               int(config["steps"]), "budget")
-        walk.trajectory_to_csv(traj, str(out) + ".traj.csv")
+        walk.trajectory_to_csv(walk.positions((0,) * law.dim, res.steps[0]),
+                               str(out) + ".traj.csv")
     print(f"walk: {config['walks']} walks x {config['steps']} steps -> {out}")
     return EXIT_OK
 
@@ -194,25 +172,18 @@ def cmd_regen(args) -> int:
     ell = ell / np.linalg.norm(ell)
     config["ell"] = [float(v) for v in ell]
     keys = walk.walk_keys(rng.derive_key(seed, "regen_walks"), walks)
-
-    def one(w):
-        res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64),
-                                   nsteps, keys[w:w + 1], record_steps=True)
-        rec = regeneration.extract_from_steps(res.steps[0], (0,) * law.dim,
-                                              regeneration.RegenParams(tuple(ell),
-                                              a=config.get("a")), nsteps)
-        return rec, res.final[0]
-
-    results = parallel_map(one, range(walks))
-    records = [r for r, _ in results]
-    finals = np.array([f for _, f in results])
+    res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64), nsteps,
+                               keys, record_steps=True)
+    params = regeneration.RegenParams(tuple(ell), a=config.get("a"))
+    records = [regeneration.extract_from_steps(row, (0,) * law.dim, params, nsteps)
+               for row in res.steps]
     out = config.get("out", "regenerations.csv")
     regeneration.records_to_csv(records, out)
     ren = regeneration.renewal_velocity(records)
     if not ren.ok:
         print(f"regen: insufficient data ({ren.reason})", file=sys.stderr)
         return EXIT_NODATA
-    direct = regeneration.direct_velocity(finals, nsteps)
+    direct = regeneration.direct_velocity(res.final, nsteps)
     report = {"renewal_velocity": ren.v, "renewal_ci": [ren.ci_low, ren.ci_high],
               "direct_velocity": direct.v,
               "direct_ci": [direct.ci_low, direct.ci_high],

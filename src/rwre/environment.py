@@ -5,7 +5,8 @@ directions (+e_1..+e_d then -e_1..-e_d) as a pure function of the master
 seed, the law and the site coordinates.  Laws consume a fixed number of
 per-site uniforms from a counter-based stream, so environments are never
 stored: any site can be re-evaluated bit-identically at any time, from any
-worker.
+worker.  The master seed is one seed (the quenched field) or an array of
+per-walker seeds (the annealed law); both go through the same keyed field.
 
 Concrete laws:
 
@@ -320,20 +321,26 @@ class TableMixture:
 
 @dataclass(frozen=True)
 class Environment:
-    """An i.i.d. environment: (master_seed, law, site) -> transition vector."""
+    """An i.i.d. random field: (master_seed, law, site) -> transition vector.
+
+    ``master_seed`` is one seed, a quenched field shared by every walker, or
+    a uint64 array of per-walker seeds, the annealed law in which each
+    walker reads its own field.  The two differ only in whether the folded
+    base key is one key or one per walker.
+    """
 
     law: object
-    master_seed: int
+    master_seed: int | np.ndarray
 
     def __post_init__(self):
         tag = rng.string_tag(self.law.tag)
-        object.__setattr__(self, "_base", rng.base_key(self.master_seed, tag))
+        if np.ndim(self.master_seed):
+            base = rng.base_keys(self.master_seed, tag)
+        else:
+            base = rng.base_key(self.master_seed, tag)
+        object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_nvars", self.law.nvars)
         object.__setattr__(self, "dim", self.law.dim)
-
-    @property
-    def tag_int(self) -> int:
-        return rng.string_tag(self.law.tag)
 
     def transitions_at(self, x) -> np.ndarray:
         return self.transitions_batch(np.asarray(x, dtype=np.int64)[None, :])[0]
@@ -341,16 +348,20 @@ class Environment:
     def transitions_batch(self, X: np.ndarray, idx=None) -> np.ndarray:
         """Transition vectors for an (N, dim) array of sites.
 
-        ``idx`` (walker identities) is accepted for interface compatibility
-        with per-walker-seed environments and ignored here: one
-        environment is one quenched field.
+        With per-walker seeds, row i reads the field of walker ``idx[i]``,
+        or of walker i when ``idx`` is None; walk engines that compact
+        finished walkers pass the surviving walker indices.  A single field
+        ignores ``idx``.
         """
         X = np.asarray(X, dtype=np.int64)
         n = X.shape[0]
         nv = self._nvars
         if nv == 0:
             return self.law.pvecs_from_uniforms(np.empty((n, 0)))
-        keys = rng.site_keys_from_base(self._base, X)
+        base = self._base
+        if isinstance(base, np.ndarray):
+            base = base[idx] if idx is not None else base[:n]
+        keys = rng.site_keys_from_base(base, X)
         U = np.empty((n, nv))
         for j in range(nv):
             U[:, j] = rng.stream_uniforms(keys, j)
@@ -367,17 +378,10 @@ def transitions_for_seeds(law, seeds, x) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     x = np.asarray(x, dtype=np.int64)
     sites = x.reshape(-1, x.shape[-1])
-    n = len(seeds) * len(sites)
-    shape = (len(seeds),) + x.shape[:-1] + (2 * law.dim,)
-    nv = law.nvars
-    if nv == 0:
-        return law.pvecs_from_uniforms(np.empty((n, 0))).reshape(shape)
-    bases = np.repeat(rng.base_keys(seeds, rng.string_tag(law.tag)), len(sites))
-    keys = rng.site_keys_from_base(bases, np.tile(sites, (len(seeds), 1)))
-    U = np.empty((n, nv))
-    for j in range(nv):
-        U[:, j] = rng.stream_uniforms(keys, j)
-    return normalize_rows(law.pvecs_from_uniforms(U)).reshape(shape)
+    walkers = np.repeat(np.arange(len(seeds)), len(sites))
+    P = Environment(law, seeds).transitions_batch(np.tile(sites, (len(seeds), 1)),
+                                                  walkers)
+    return P.reshape((len(seeds),) + x.shape[:-1] + (2 * law.dim,))
 
 
 @dataclass

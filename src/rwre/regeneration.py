@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .walk import Trajectory
+from . import walk
 
 LEVEL_TOL = 1e-9
 
@@ -130,31 +130,20 @@ def extract_from_levels(l: np.ndarray, a: float, margin: int,
     return times, flags
 
 
-def extract(traj: Trajectory, params: RegenParams,
-            positions: np.ndarray | None = None) -> RegenerationRecord:
-    """Extract the regeneration record of one trajectory.
+def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
+                       horizon: int) -> RegenerationRecord:
+    """Extract the regeneration record of one recorded step-index row.
 
     An empty record is a valid outcome for short or backtracking walks.
     """
-    if positions is None:
-        positions = traj.positions()
+    positions = walk.positions(start, np.asarray(steps, dtype=np.uint8))
     d = positions.shape[1]
     a = params.resolved_a(d)
-    margin = params.resolved_margin(traj.horizon)
+    margin = params.resolved_margin(horizon)
     l = positions @ np.asarray(params.ell, dtype=float)
     times, flags = extract_from_levels(l, a, margin, params.level_tol)
     t = np.asarray(times, dtype=np.int64)
-    return RegenerationRecord(t, positions[t] if len(t) else
-                              np.empty((0, d), dtype=np.int64),
-                              np.asarray(flags, dtype=bool))
-
-
-def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
-                       horizon: int) -> RegenerationRecord:
-    """Extraction straight from a recorded step-index row (batch runs)."""
-    traj = Trajectory(tuple(int(c) for c in np.atleast_1d(start)),
-                      np.asarray(steps, dtype=np.uint8), horizon, "budget")
-    return extract(traj, params)
+    return RegenerationRecord(t, positions[t], np.asarray(flags, dtype=bool))
 
 
 def regeneration_radii(record: RegenerationRecord,

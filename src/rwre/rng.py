@@ -121,11 +121,6 @@ def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     return h
 
 
-def site_keys(master: int, tag: int, coords: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`site_key` for an (N, d) int array of sites."""
-    return site_keys_from_base(base_key(master, tag), coords)
-
-
 def stream_uniform(key: int, index: int) -> float:
     """The ``index``-th uniform in (0, 1] of the stream with the given key."""
     v = mix64((key + (index + 1) * GOLDEN) & MASK64)

@@ -1,5 +1,5 @@
 """Shared estimators: Hill tail index, moment verdicts, KS / chi-square,
-batch means and the two-scale CLT diagnostic."""
+batch means and exact binomial confidence intervals."""
 
 from __future__ import annotations
 
@@ -96,6 +96,19 @@ def batch_means_ci(series, n_batches: int = 32) -> tuple[float, float]:
     return float(x.mean()), float(tq * se)
 
 
+def binomial_ci(k: int, n: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) 95% interval for a proportion of k in n.
+
+    It keeps a positive width at k = 0 and k = n, where a normal-theory
+    interval collapses to a point; both bounds are NaN when n == 0.
+    """
+    if n == 0:
+        return float("nan"), float("nan")
+    lo = sps.beta.ppf(0.025, k, n - k + 1) if k > 0 else 0.0
+    hi = sps.beta.ppf(0.975, k + 1, n - k) if k < n else 1.0
+    return float(lo), float(hi)
+
+
 def ks_two_sample(a, b, level: float = 0.01) -> tuple[float, float]:
     """Two-sample KS statistic and its critical value at the given level."""
     a = np.sort(np.asarray(a, dtype=float))
@@ -146,53 +159,3 @@ def chi_square_geometric(counts, q: float,
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(probs) - 1
     return stat, dof, float(sps.chi2.sf(stat, dof))
-
-
-@dataclass
-class CLTDiagnostic:
-    ok: bool
-    reason: str = ""
-    covariance: np.ndarray | None = None       # at the base scale
-    covariance_4n: np.ndarray | None = None
-    scale_ratio: np.ndarray | None = None      # entrywise cov_4n / cov_n
-    skew: np.ndarray | None = None
-    kurtosis: np.ndarray | None = None
-    psd: bool = False
-    scale_stable: np.ndarray | None = None     # |ratio - 1| within tolerance
-    marginals_normal: np.ndarray | None = None
-
-
-def _rescaled_cov(finals: np.ndarray, vhat: np.ndarray, n: int) -> tuple:
-    Y = (np.asarray(finals, dtype=float) - n * vhat) / np.sqrt(n)
-    cov = np.cov(Y.T, ddof=1)
-    cov = np.atleast_2d(cov)
-    sd = Y.std(axis=0, ddof=1)
-    z = (Y - Y.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
-    skew = (z ** 3).mean(axis=0)
-    kurt = (z ** 4).mean(axis=0)
-    return cov, skew, kurt
-
-
-def clt_diagnostic(finals_n: np.ndarray, finals_4n: np.ndarray, vhat,
-                   n: int, ratio_tol: float = 0.35) -> CLTDiagnostic:
-    """Covariance of (X_n - n vhat)/sqrt(n) at scales n and 4n.
-
-    Scale stability of the rescaled covariance and near-Gaussian marginal
-    shape are the checkable finite-size signatures of the CLT.
-    """
-    finals_n = np.asarray(finals_n, dtype=float)
-    finals_4n = np.asarray(finals_4n, dtype=float)
-    if len(finals_n) < 200 or len(finals_4n) < 200:
-        return CLTDiagnostic(False, "need at least 200 walks per scale")
-    vhat = np.asarray(vhat, dtype=float)
-    cov1, skew, kurt = _rescaled_cov(finals_n, vhat, n)
-    cov4, _, _ = _rescaled_cov(finals_4n, vhat, 4 * n)
-    eigmin = float(np.linalg.eigvalsh((cov1 + cov1.T) / 2).min())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(np.abs(cov1) > 1e-12, cov4 / cov1, np.nan)
-    diag = np.arange(cov1.shape[0])
-    stable = np.abs(ratio[diag, diag] - 1.0) < ratio_tol
-    se_kurt = np.sqrt(24.0 / len(finals_n))
-    normal = (np.abs(skew) < 0.5) & (np.abs(kurt - 3.0) < 3 * se_kurt + 0.5)
-    return CLTDiagnostic(True, "", cov1, cov4, ratio, skew, kurt,
-                         eigmin >= -1e-10, stable, normal)

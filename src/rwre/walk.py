@@ -1,16 +1,18 @@
-"""Quenched walk simulation with hitting/exit instrumentation.
+"""Quenched and annealed walk simulation with hitting/exit instrumentation.
 
-Two engines share the same stepping rule (inverse-CDF over the canonical
-direction order, one walk-stream uniform per step):
+Walks are stepped in lockstep with numpy, W at a time, by two engines that
+share one stepping rule (:func:`_step_batch`: inverse-CDF over the
+canonical direction order, one walk-stream uniform per step):
 
-* :func:`run` -- a single instrumented trajectory, with per-site caching
-  of the quenched transition vectors.
-* :func:`run_fixed_batch` / :func:`run_until_batch` -- many walks stepped
-  in lockstep with numpy; this is what every heavy experiment uses.
+* :func:`run_fixed_batch` -- every walk takes exactly n steps, with
+  optional position checkpoints and recorded step-index rows;
+* :func:`run_until_batch` -- walks run until they leave a region, hit a
+  target set or exhaust the budget; stopped walks are compacted away.
 
-Budget exhaustion is a normal, flagged outcome everywhere ("censored"),
-never an error: the heavy-tailed quantities this package estimates make
-unresolved runs informative.
+A single walk is a batch of width one, and :func:`positions` turns a
+recorded row into its path.  Budget exhaustion is a normal, flagged
+outcome everywhere ("censored"), never an error: the heavy-tailed
+quantities this package estimates make unresolved runs informative.
 """
 
 from __future__ import annotations
@@ -19,117 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, stats
 from .environment import Environment
 from .lattice import Site, step_vectors
 
 
-@dataclass(frozen=True)
-class StopCondition:
-    kind: str                      # 'hit' or 'exit'
-    sites: frozenset | None = None
-    predicate: object = None       # membership test for 'exit', target test for 'hit'
-
-    def triggered(self, site: Site) -> bool:
-        if self.kind == "hit":
-            if self.sites is not None:
-                return site in self.sites
-            return bool(self.predicate(site))
-        inside = site in self.sites if self.sites is not None else bool(self.predicate(site))
-        return not inside
-
-
-@dataclass(frozen=True)
-class StopSpec:
-    """Stop at the first satisfied condition, or when the budget runs out."""
-
-    conditions: tuple[StopCondition, ...]
-    horizon: int
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-
-    @classmethod
-    def hit(cls, targets, horizon: int) -> "StopSpec":
-        return cls((StopCondition("hit", sites=frozenset(targets)),), horizon)
-
-    @classmethod
-    def exit_of(cls, region, horizon: int) -> "StopSpec":
-        if callable(region):
-            cond = StopCondition("exit", predicate=region)
-        else:
-            cond = StopCondition("exit", sites=frozenset(region))
-        return cls((cond,), horizon)
-
-    @classmethod
-    def first_of(cls, specs) -> "StopSpec":
-        conds = tuple(c for s in specs for c in s.conditions)
-        return cls(conds, min(s.horizon for s in specs))
-
-
-@dataclass
-class Trajectory:
-    start: Site
-    steps: np.ndarray           # canonical direction indices, uint8
-    horizon: int
-    terminated_by: str          # 'hit' | 'exited' | 'budget'
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def positions(self) -> np.ndarray:
-        """(n+1, d) positions, including the start."""
-        d = len(self.start)
-        sv = step_vectors(d)
-        out = np.empty((len(self.steps) + 1, d), dtype=np.int64)
-        out[0] = self.start
-        if len(self.steps):
-            np.cumsum(sv[self.steps], axis=0, out=out[1:])
-            out[1:] += np.asarray(self.start, dtype=np.int64)
-        return out
-
-    def final(self) -> Site:
-        return tuple(int(c) for c in self.positions()[-1])
-
-    def projections(self, ell) -> np.ndarray:
-        return self.positions() @ np.asarray(ell, dtype=float)
-
-
-def _sample_dir(pvec: np.ndarray, u: float) -> int:
-    cum = np.cumsum(pvec)
-    return min(int(np.searchsorted(cum, u, side="left")), len(pvec) - 1)
-
-
-def run(env: Environment, start: Site, stop: StopSpec, walk_seed: int) -> Trajectory:
-    """One quenched trajectory; deterministic in (env, walk_seed)."""
-    d = env.dim
-    key = rng.derive_key(walk_seed, "walk")
-    sv = step_vectors(d)
-    cache: dict[Site, np.ndarray] = {}
-    pos = tuple(int(c) for c in start)
-    steps = []
-    term = "budget"
-    hit0 = next((c for c in stop.conditions if c.triggered(pos)), None)
-    if hit0 is not None and hit0.kind != "hit":
-        # already outside the region: exit time 0
-        return Trajectory(pos, np.empty(0, dtype=np.uint8), stop.horizon, "exited")
-    if hit0 is not None:
-        return Trajectory(pos, np.empty(0, dtype=np.uint8), stop.horizon, "hit")
-    for t in range(stop.horizon):
-        p = cache.get(pos)
-        if p is None:
-            p = env.transitions_at(pos)
-            cache[pos] = p
-        j = _sample_dir(p, rng.stream_uniform(key, t))
-        steps.append(j)
-        pos = tuple(int(pos[i] + sv[j, i]) for i in range(d))
-        cond = next((c for c in stop.conditions if c.triggered(pos)), None)
-        if cond is not None:
-            term = "hit" if cond.kind == "hit" else "exited"
-            break
-    return Trajectory(tuple(int(c) for c in start),
-                      np.asarray(steps, dtype=np.uint8), stop.horizon, term)
+def positions(start, steps: np.ndarray) -> np.ndarray:
+    """(n+1, d) positions of a recorded step-index row, the start included."""
+    start = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    out = np.empty((len(steps) + 1, len(start)), dtype=np.int64)
+    out[0] = start
+    np.cumsum(step_vectors(len(start))[steps], axis=0, out=out[1:])
+    out[1:] += start
+    return out
 
 
 def walk_keys(master_seed: int, n: int, salt: str = "walk") -> np.ndarray:
@@ -298,13 +202,12 @@ def hit_before_return(env: Environment, x: Site, targets, forbidden: Site,
     n_cen = int(np.sum(res.status == STATUS_BUDGET))
     n = n_hit + n_ret
     p = n_hit / n if n else float("nan")
-    half = 1.96 * float(np.sqrt(p * (1 - p) / n)) if n else float("nan")
-    return HitBeforeReturnEstimate(p, p - half, p + half, n_hit, n_ret, n_cen)
+    lo, hi = stats.binomial_ci(n_hit, n)
+    return HitBeforeReturnEstimate(p, lo, hi, n_hit, n_ret, n_cen)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Dump a trajectory as CSV with columns step,x_1,...,x_d."""
-    pos = traj.positions()
+def trajectory_to_csv(pos: np.ndarray, path) -> None:
+    """Dump (n+1, d) positions as CSV with columns step,x_1,...,x_d."""
     d = pos.shape[1]
     with open(path, "w", encoding="utf-8") as f:
         f.write("step," + ",".join(f"x_{i + 1}" for i in range(d)) + "\n")

@@ -157,11 +157,3 @@ def test_acceptance_seed_precedence(tmp_path, monkeypatch):
     assert run(base + ["--config", str(path), "--seed", "9"]) == 0
     assert run(base) == 0
     assert seen == [7, 9, 42]
-
-
-def test_parallel_map_respects_threads(monkeypatch):
-    monkeypatch.setenv("RWRE_THREADS", "4")
-    assert cli.n_threads() == 4
-    assert cli.parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
-    monkeypatch.setenv("RWRE_THREADS", "bogus")
-    assert cli.n_threads() == 1

@@ -265,6 +265,9 @@ def test_polynomial_condition_deterministic_forward():
                                   [8.0], 2000, 400, 21)
     assert rep.verdict == "satisfied-empirically"
     assert rep.estimates[0].value == 0.0
+    # 0 bad exits in 400 bounds the probability by the exact 95% limit
+    assert rep.estimates[0].n == 400
+    assert rep.estimates[0].ci_high == pytest.approx(1 - 0.025 ** (1 / 400), rel=1e-9)
 
 
 def test_polynomial_condition_grid_caps():
@@ -337,6 +340,8 @@ def test_tilted_box_exit_deterministic_forward():
     env = Environment(FORWARD, 1)
     est = cr.tilted_box_exit(env, (0, 0), 0.6, 8.0, (1.0, 0.0), 1000, 500, 3)
     assert est.p_hat == 1.0 and est.n_censored == 0
+    assert est.ci_high == 1.0
+    assert est.ci_low == pytest.approx(0.025 ** (1 / 500), rel=1e-9)
 
 
 def test_tilted_box_exit_budget_zero_all_censored():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rwre import rng, stats
-from rwre.criteria import MultiSeedEnvironment
+from rwre import rng, stats, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift,
                               ellipticity_profile, normalize_rows,
@@ -122,7 +121,7 @@ def test_expl_i0_marginal_and_inverse_T():
     env = Environment(law, 555)
     n = 40_000
     X = _sites(n, 2, seed=9)
-    keys = rng.site_keys(555, rng.string_tag(law.tag), X)
+    keys = rng.site_keys_from_base(rng.base_key(555, rng.string_tag(law.tag)), X)
     U0 = rng.stream_uniforms(keys, 0)
     U1 = rng.stream_uniforms(keys, 1)
     T = sample_expl_T(U0, 2)
@@ -176,7 +175,7 @@ def test_table_mixture_recovers_weights():
 
 
 def test_transitions_for_seeds_matches_environments():
-    # per-seed fields (one site, several sites, and MultiSeedEnvironment
+    # per-seed fields (one site, several sites, and a per-walker Environment
     # after compaction) must equal the rows of one Environment per seed
     seeds = [11, 22, 33, 2 ** 64 - 1]
     sites = np.array([[0, 0], [1, 0], [-7, 4]])
@@ -191,9 +190,36 @@ def test_transitions_for_seeds_matches_environments():
         assert cube.shape == (len(seeds), len(sites), 4)
         for s, rows in zip(seeds, cube):
             assert np.array_equal(Environment(law, s).transitions_batch(sites), rows)
-        P = MultiSeedEnvironment(law, many).transitions_batch(X, idx)
+        P = Environment(law, many).transitions_batch(X, idx)
         for x, p, w in zip(X, P, idx.tolist()):
             assert np.array_equal(Environment(law, int(many[w])).transitions_at(x), p)
+
+
+def test_walker_batch_steps_match_single_walks():
+    # W walkers on per-walker fields step exactly like W single walks, in
+    # the fixed-length engine and in the stopping engine, whose compaction
+    # of stopped walkers re-indexes the surviving walkers' fields
+    W, n = 12, 200
+    seeds = rng.derive_keys(6, "walkers", n=W)
+    keys = walk.walk_keys(7, W)
+    start = np.zeros(2, dtype=np.int64)
+
+    def inside(X):
+        return np.abs(X).max(axis=1) < 3
+
+    for law in ALL_LAWS:
+        env = Environment(law, seeds)
+        fixed = walk.run_fixed_batch(env, start, n, keys, record_steps=True)
+        until = walk.run_until_batch(env, start, keys, n, inside=inside)
+        assert len(set(until.steps_taken.tolist())) > 1
+        for w, s in enumerate(seeds.tolist()):
+            one = Environment(law, s)
+            f1 = walk.run_fixed_batch(one, start, n, keys[w:w + 1], record_steps=True)
+            assert np.array_equal(f1.steps[0], fixed.steps[w])
+            u1 = walk.run_until_batch(one, start, keys[w:w + 1], n, inside=inside)
+            assert u1.status[0] == until.status[w]
+            assert u1.steps_taken[0] == until.steps_taken[w]
+            assert np.array_equal(u1.final[0], until.final[w])
 
 
 # --- ellipticity profile ------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Cross-module statistical invariants: regeneration tail indices, the
-trap-to-regeneration tail dominance, and the two-scale CLT diagnostic."""
+"""Cross-module statistical invariants: regeneration tail indices and the
+trap-to-regeneration tail dominance."""
 
 import numpy as np
 
-from rwre import criteria, regeneration as rg, rng, stats, walk
+from rwre import regeneration as rg, rng, stats, walk
 from rwre.environment import Environment, Expl, TrapTransient, UniformDrift
 
 
@@ -40,7 +40,7 @@ def test_trap_tail_dominates_regeneration_tail():
     walks, nsteps = 400, 20_000
     env_seeds = np.array([rng.derive_key(master, "env", i)
                           for i in range(walks)], dtype=np.uint64)
-    env = criteria.MultiSeedEnvironment(law, env_seeds)
+    env = Environment(law, env_seeds)
     keys = walk.walk_keys(master + 1, walks)
     res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), nsteps, keys,
                                record_steps=True)
@@ -67,7 +67,7 @@ def test_trap_tail_dominates_regeneration_tail():
     for ci, corner in enumerate(corners):
         seeds2 = np.array([rng.derive_key(master, "exit", ci, i)
                            for i in range(30_000)], dtype=np.uint64)
-        env2 = criteria.MultiSeedEnvironment(law, seeds2)
+        env2 = Environment(law, seeds2)
         k2 = walk.walk_keys(master + 2 + ci, 30_000)
 
         def inside(X):
@@ -84,17 +84,3 @@ def test_trap_tail_dominates_regeneration_tail():
         assert s2 > 0
         ratios.append(s1 / s2)
     assert min(ratios) > 0
-
-
-def test_clt_scale_stability_on_ballistic_example():
-    law = Expl(2, 0.2)
-    n = 2000
-    env = Environment(law, 314)
-    k1 = walk.walk_keys(1, 300)
-    k2 = walk.walk_keys(2, 300)
-    f1 = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), n, k1).final
-    f4 = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), 4 * n, k2).final
-    vhat = f4.mean(axis=0) / (4 * n)
-    diag = stats.clt_diagnostic(f1, f4, vhat, n)
-    assert diag.ok and diag.psd
-    assert diag.scale_stable.all()

@@ -39,14 +39,16 @@ def extract_reference(l, a, margin, tol=rg.LEVEL_TOL):
         base = S
 
 
-def _forward_trajectory(n=40):
+def _forward_steps(n=40):
+    """The recorded step row of n steps of the deterministic forward walk."""
     env = Environment(FORWARD, 0)
-    return walk.run(env, (0, 0), walk.StopSpec.hit({(n, 0)}, n), 1)
+    return walk.run_fixed_batch(env, np.array([0, 0]), n, walk.walk_keys(1, 1),
+                                record_steps=True).steps[0]
 
 
 def test_deterministic_forward_walk_spacing():
-    traj = _forward_trajectory(40)
-    rec = rg.extract(traj, rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4))
+    rec = rg.extract_from_steps(_forward_steps(40), (0, 0),
+                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4), 40)
     assert rec.times[0] == 4                       # first level above a=3
     assert np.all(np.diff(rec.times) == 4)
     assert np.all(rec.positions[:, 1] == 0)
@@ -148,9 +150,10 @@ def test_velocity_insufficient_data():
 
 
 def test_regeneration_radii_forward_walk():
-    traj = _forward_trajectory(40)
-    rec = rg.extract(traj, rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4))
-    radii = rg.regeneration_radii(rec, traj.positions())
+    steps = _forward_steps(40)
+    rec = rg.extract_from_steps(steps, (0, 0),
+                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4), 40)
+    radii = rg.regeneration_radii(rec, walk.positions((0, 0), steps))
     assert np.all(radii == 4)
     assert np.all(radii >= 1)
 
@@ -176,9 +179,8 @@ def test_radius_tail_decays_exponentially():
     for w in range(400):
         rec = rg.extract_from_steps(res.steps[w], (0, 0), params, n)
         if rec.n_certified() >= 1:
-            radii.append(rg.regeneration_radii(rec,
-                         walk.Trajectory((0, 0), res.steps[w], n,
-                                         "budget").positions())[0])
+            radii.append(rg.regeneration_radii(
+                rec, walk.positions((0, 0), res.steps[w]))[0])
     radii = np.asarray(radii, dtype=float)
     ts = np.arange(int(np.quantile(radii, 0.5)), int(np.quantile(radii, 0.98)))
     surv = np.array([np.mean(radii > t) for t in ts])
@@ -194,8 +196,8 @@ def test_radius_tail_decays_exponentially():
 
 
 def test_records_to_csv(tmp_path):
-    traj = _forward_trajectory(20)
-    rec = rg.extract(traj, rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=2))
+    rec = rg.extract_from_steps(_forward_steps(20), (0, 0),
+                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=2), 20)
     path = tmp_path / "regen.csv"
     rg.records_to_csv([rec, rec], path)
     lines = path.read_text().strip().splitlines()

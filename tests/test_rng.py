@@ -13,7 +13,7 @@ def test_scalar_vector_mix_agree():
 
 def test_site_keys_scalar_vector_agree():
     coords = np.array([[0, 0], [3, -5], [-5, 3], [1000000, -999999]])
-    kv = rng.site_keys(42, 7, coords)
+    kv = rng.site_keys_from_base(rng.base_key(42, 7), coords)
     for row, k in zip(coords, kv):
         assert rng.site_key(42, 7, tuple(row)) == int(k)
     # per-row bases: one master seed per row, negative coordinates included
@@ -35,7 +35,7 @@ def test_derive_keys_scalar_vector_agree():
 
 def test_keys_distinct_for_distinct_sites():
     coords = np.array([[i, j] for i in range(-20, 20) for j in range(-20, 20)])
-    keys = rng.site_keys(9, 1, coords)
+    keys = rng.site_keys_from_base(rng.base_key(9, 1), coords)
     assert len(set(int(k) for k in keys)) == len(coords)
 
 

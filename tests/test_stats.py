@@ -102,35 +102,12 @@ def test_chi_square_geometric():
     assert stats.chi_square_geometric(np.array([1, 2]), 1.0)[2] == 0.0
 
 
-def test_clt_diagnostic_deterministic_walk():
-    finals = np.tile([10, 0], (300, 1))
-    diag = stats.clt_diagnostic(finals, np.tile([40, 0], (300, 1)),
-                                np.array([1.0, 0.0]), 10)
-    assert diag.ok and diag.psd
-    assert np.allclose(diag.covariance, 0.0)
-
-
-def test_clt_diagnostic_simple_symmetric():
-    rs = np.random.RandomState(8)
+def test_binomial_ci_exact_bounds():
+    # Clopper-Pearson: the k = 0 and k = n ends have closed forms
     n = 400
-    W = 3000
-
-    def simulate(steps):
-        dirs = rs.randint(0, 4, size=(W, steps))
-        dx = np.where(dirs == 0, 1, np.where(dirs == 2, -1, 0)).sum(axis=1)
-        dy = np.where(dirs == 1, 1, np.where(dirs == 3, -1, 0)).sum(axis=1)
-        return np.stack([dx, dy], axis=1)
-
-    diag = stats.clt_diagnostic(simulate(n), simulate(4 * n),
-                                np.zeros(2), n)
-    assert diag.ok and diag.psd
-    # each axis moves with probability 1/2: variance 1/2 per step
-    assert np.allclose(np.diag(diag.covariance), 0.5, atol=0.06)
-    assert diag.scale_stable.all()
-    assert diag.marginals_normal.all()
-
-
-def test_clt_diagnostic_insufficient():
-    d = stats.clt_diagnostic(np.zeros((10, 2)), np.zeros((10, 2)),
-                             np.zeros(2), 5)
-    assert not d.ok and "200" in d.reason
+    assert stats.binomial_ci(0, n) == (0.0, pytest.approx(1 - 0.025 ** (1 / n)))
+    assert stats.binomial_ci(n, n) == (pytest.approx(0.025 ** (1 / n)), 1.0)
+    lo, hi = stats.binomial_ci(5, 10)
+    assert lo == pytest.approx(0.18709, abs=1e-5)
+    assert hi == pytest.approx(0.81291, abs=1e-5)
+    assert all(np.isnan(stats.binomial_ci(0, 0)))

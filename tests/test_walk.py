@@ -9,32 +9,47 @@ from rwre.lattice import UnitHypercube
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
 
+def _at(*targets):
+    """Vectorised membership test of (N, d) positions in a target set."""
+    T = np.array(targets, dtype=np.int64)
+    return lambda X: (X[:, None, :] == T[None, :, :]).all(axis=2).any(axis=1)
+
+
 def test_deterministic_drift_hits_target():
     env = Environment(FORWARD, 0)
-    traj = walk.run(env, (0, 0), walk.StopSpec.hit({(5, 0)}, 100), 7)
-    assert len(traj) == 5 and traj.terminated_by == "hit"
-    assert traj.final() == (5, 0)
-    assert np.array_equal(traj.positions()[:, 0], np.arange(6))
+    res = walk.run_until_batch(env, np.array([0, 0]), walk.walk_keys(7, 1), 100,
+                               hit=_at((5, 0)))
+    assert res.status[0] == walk.STATUS_HIT and res.steps_taken[0] == 5
+    assert res.final[0].tolist() == [5, 0]
+    fixed = walk.run_fixed_batch(env, np.array([0, 0]), 5, walk.walk_keys(7, 1),
+                                 record_steps=True)
+    assert np.array_equal(walk.positions((0, 0), fixed.steps[0])[:, 0], np.arange(6))
 
 
 def test_horizon_validation_and_budget():
-    with pytest.raises(ValueError):
-        walk.StopSpec.hit({(1, 0)}, 0)
     env = Environment(FORWARD, 0)
-    traj = walk.run(env, (0, 0), walk.StopSpec.hit({(9, 9)}, 1), 7)
-    assert len(traj) == 1 and traj.terminated_by == "budget"
+    keys = walk.walk_keys(7, 1)
+    with pytest.raises(ValueError):
+        walk.run_until_batch(env, np.array([0, 0]), keys, 0, hit=_at((1, 0)))
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 1, hit=_at((9, 9)))
+    assert res.status[0] == walk.STATUS_BUDGET and res.steps_taken[0] == 1
+    assert res.censored() == 1
 
 
 def test_exit_time_zero_when_starting_outside():
     env = Environment(FORWARD, 0)
-    square = set(UnitHypercube((0, 0)).corners)
-    traj = walk.run(env, (5, 5), walk.StopSpec.exit_of(square, 10), 3)
-    assert len(traj) == 0 and traj.terminated_by == "exited"
+
+    def square(X):
+        return np.all((X >= 0) & (X <= 1), axis=1)
+
+    res = walk.run_until_batch(env, np.array([5, 5]), walk.walk_keys(3, 1), 10,
+                               inside=square)
+    assert res.status[0] == walk.STATUS_EXITED and res.steps_taken[0] == 0
+    assert res.final[0].tolist() == [5, 5]
 
 
 def test_uniform_square_mean_exit_is_two():
     env = Environment(UniformDrift(2), 42)
-    square = set(UnitHypercube((0, 0)).corners)
 
     def inside(X):
         return np.all((X >= 0) & (X <= 1), axis=1)
@@ -46,30 +61,34 @@ def test_uniform_square_mean_exit_is_two():
     # geometric(1/2): mean 2, var 2
     assert abs(m - 2.0) < 4 * np.sqrt(2.0 / len(keys))
     assert not inside(res.final).any()
-    # single-walk runner agrees with the batch semantics
-    traj = walk.run(env, (0, 0), walk.StopSpec.exit_of(square, 1000), 11)
-    assert traj.terminated_by == "exited" and not inside(traj.positions()[-1:])[0]
+    # a single walk (W=1) stops exactly where its row of the batch stopped
+    one = walk.run_until_batch(env, np.array([0, 0]), keys[:1], 1000, inside=inside)
+    assert one.status[0] == walk.STATUS_EXITED == res.status[0]
+    assert one.steps_taken[0] == res.steps_taken[0]
+    assert np.array_equal(one.final[0], res.final[0])
 
 
 def test_first_of_stops_at_earliest_condition():
     env = Environment(FORWARD, 0)
-    spec = walk.StopSpec.first_of([walk.StopSpec.hit({(2, 0)}, 50),
-                                   walk.StopSpec.exit_of(lambda s: s[0] < 7, 50)])
-    traj = walk.run(env, (0, 0), spec, 1)
-    assert traj.terminated_by == "hit" and traj.final() == (2, 0)
-    spec2 = walk.StopSpec.first_of([walk.StopSpec.hit({(99, 0)}, 50),
-                                    walk.StopSpec.exit_of(lambda s: s[0] < 3, 50)])
-    traj2 = walk.run(env, (0, 0), spec2, 1)
-    assert traj2.terminated_by == "exited" and traj2.final() == (3, 0)
+    keys = walk.walk_keys(1, 1)
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 50, hit=_at((2, 0)),
+                               inside=lambda X: X[:, 0] < 7)
+    assert res.status[0] == walk.STATUS_HIT and res.final[0].tolist() == [2, 0]
+    res2 = walk.run_until_batch(env, np.array([0, 0]), keys, 50, hit=_at((99, 0)),
+                                inside=lambda X: X[:, 0] < 3)
+    assert res2.status[0] == walk.STATUS_EXITED and res2.final[0].tolist() == [3, 0]
 
 
 def test_reproducibility_identical_trajectories():
     env = Environment(Expl(2, 0.25), 12)
-    s1 = walk.run(env, (0, 0), walk.StopSpec.hit({(50, 50)}, 5000), 9)
-    s2 = walk.run(env, (0, 0), walk.StopSpec.hit({(50, 50)}, 5000), 9)
-    assert np.array_equal(s1.steps, s2.steps)
-    s3 = walk.run(env, (0, 0), walk.StopSpec.hit({(50, 50)}, 5000), 10)
-    assert not np.array_equal(s1.steps, s3.steps)
+
+    def steps(master):
+        return walk.run_fixed_batch(env, np.array([0, 0]), 2000,
+                                    walk.walk_keys(master, 1), record_steps=True).steps[0]
+
+    s1, s2, s3 = steps(9), steps(9), steps(10)
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, s3)
 
 
 def test_expl_projected_increments():
@@ -91,6 +110,9 @@ def test_hit_before_return_certain_step():
     env = Environment(FORWARD, 0)
     est = walk.hit_before_return(env, (0, 0), {(1, 0)}, (0, 0), 100, 500, 5)
     assert est.p_hat == 1.0 and est.n_censored == 0
+    # 500 of 500 still leaves an exact interval of positive width
+    assert est.ci_high == 1.0
+    assert est.ci_low == pytest.approx(0.025 ** (1 / 500), rel=1e-9)
 
 
 def test_hit_before_return_matches_exact_escape():
@@ -111,6 +133,9 @@ def test_hit_before_return_unreachable_target():
     env = Environment(law1, 3)
     est = walk.hit_before_return(env, (0,), {(-2,)}, (-1,), 5000, 2000, 9)
     assert est.n_hit == 0 and est.p_hat == 0.0
+    n = est.n_returned
+    assert est.ci_low == 0.0
+    assert est.ci_high == pytest.approx(1 - 0.025 ** (1 / n), rel=1e-9)
 
 
 def test_hit_before_return_rejects_start_in_target():
@@ -136,9 +161,10 @@ def test_mc_exit_matches_exact_mean_exit():
 
 def test_trajectory_csv(tmp_path):
     env = Environment(FORWARD, 0)
-    traj = walk.run(env, (0, 0), walk.StopSpec.hit({(3, 0)}, 10), 1)
+    res = walk.run_fixed_batch(env, np.array([0, 0]), 3, walk.walk_keys(1, 1),
+                               record_steps=True)
     path = tmp_path / "traj.csv"
-    walk.trajectory_to_csv(traj, path)
+    walk.trajectory_to_csv(walk.positions((0, 0), res.steps[0]), path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,x_1,x_2"
     assert lines[1] == "0,0,0" and lines[-1] == "3,3,0"
