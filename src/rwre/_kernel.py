@@ -1,0 +1,367 @@
+"""Compiled stepping loop of the walk engines for the closed-form laws.
+
+One C function fuses site keying, the site uniforms, the law's transition
+vector, ``normalize_rows`` and the inverse-CDF choice for ``UniformDrift``,
+``Expl``, ``TrapSym`` and ``TrapTransient``, with one shared field or one
+field per walker.  It is compiled with the system ``gcc`` on first use,
+cached under ``$XDG_CACHE_HOME/rwre`` (default ``~/.cache/rwre``, else the
+temporary directory) in a file named after the source's SHA-256, and loaded
+with ``ctypes``.  Without a compiler, or when the build or load fails, a
+warning is issued once and the engines step with numpy.
+
+The step sequences equal those of ``walk._step_batch`` by construction.
+Integer hashing and the uniforms are exact; the transition vectors are
+evaluated in numpy's order with its scalar-power fast paths, so they can
+differ from numpy's only through ``pow`` and the row sum, by a few ulps.
+A step is handed back to numpy whenever such a difference could matter:
+when a walk uniform lies within ``GUARD_MARGIN`` of one of its row's
+cumulative sums, or a row is near or beyond what ``normalize_rows``
+rejects.  The kernel then moves no walker at that step.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import pathlib
+import shutil
+import subprocess
+import tempfile
+import warnings
+
+import numpy as np
+
+from .environment import (PROB_SUM_TOL, Expl, TrapSym, TrapTransient,
+                          UniformDrift)
+
+# Cumulative sums differ from numpy's by a few ulps (~1e-15); a walk uniform
+# this much farther away is decided alike by both, and a nearer one falls
+# on about 2^-37 of row-steps.
+GUARD_MARGIN = 2.0 ** -40
+MAX_DIRS = 64
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n" + r"""
+#include <math.h>
+#include <stdint.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP_SYM = 2, TRAP_TRANSIENT = 3 };
+
+typedef struct {
+    int32_t law, d, dim, nvars;
+    double param;          /* Expl: eps; trap laws: the exponent of U_0 */
+    double sum_tol;        /* normalize_rows' bound on |sum - 1| */
+    double cum[MAX_DIRS];  /* UniformDrift: numpy's cumulative row */
+    const uint64_t *base;  /* base keys: one shared, or one per walker */
+    int64_t nbase;
+    int32_t per_walker;
+} field_t;
+
+static inline uint64_t mix64(uint64_t z)
+{
+    z ^= z >> 30;
+    z *= 0xBF58476D1CE4E5B9ULL;
+    z ^= z >> 27;
+    z *= 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static inline uint64_t fold(uint64_t h, uint64_t w)
+{
+    return mix64((h ^ w) + GOLDEN);
+}
+
+static inline double uniform(uint64_t key, int64_t index)
+{
+    uint64_t v = mix64(key + ((uint64_t)index + 1) * GOLDEN);
+    return (double)((v >> 11) + 1) * 0x1p-53;
+}
+
+/* numpy's array ** scalar: these exponents bypass pow */
+static inline double power(double u, double e)
+{
+    if (e == 2.0) return u * u;
+    if (e == 0.5) return sqrt(u);
+    if (e == 1.0) return u;
+    if (e == -1.0) return 1.0 / u;
+    return pow(u, e);
+}
+
+static inline int max1(int a)
+{
+    return a > 1 ? a : 1;
+}
+
+/* Unnormalized transition vector of one site, evaluated in numpy's order.
+   Returns 0 when an entry obtained by a subtraction lies within margin of
+   zero, where numpy's sign check could decide otherwise. */
+static int pvec(const field_t *f, const double *U, double *p, double margin)
+{
+    int d = f->d;
+    int j;
+    switch (f->law) {
+    case EXPL: {
+        double T = (double)(2 * d + 1) * power(U[0], -6.0 * d);
+        double invT = 1.0 / T;
+        int i0 = (int)(U[1] * 2.0 * (double)d);
+        int pos_has;
+        double po, ne;
+        if (i0 > 2 * d - 1) i0 = 2 * d - 1;
+        pos_has = i0 < d;
+        po = (1.0 - f->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
+        ne = (f->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
+        for (j = 0; j < d; j++) {
+            p[j] = po;
+            p[d + j] = ne;
+        }
+        p[i0] = invT;
+        for (j = 0; j < 2 * d; j++)
+            if (j != i0 && p[j] < margin) return 0;
+        return 1;
+    }
+    case TRAP_SYM: {
+        double T = 0.5 * power(U[0], f->param);
+        double hard = T / (double)d, easy = (1.0 - T) / (double)d;
+        for (j = 0; j < d; j++) {
+            int plus = U[1 + j] <= 0.5;
+            p[j] = plus ? hard : easy;
+            p[d + j] = plus ? easy : hard;
+        }
+        return 1;
+    }
+    default: { /* TRAP_TRANSIENT on Z^{d+1} */
+        int D = d + 1;
+        double T = 0.5 * power(U[0], f->param);
+        double C = (double)d + 3.0 * T;
+        double hard = T / C, easy = (1.0 - T) / C;
+        for (j = 0; j < d; j++) {
+            int plus = U[1 + j] <= 0.5;
+            p[j] = plus ? hard : easy;
+            p[D + j] = plus ? easy : hard;
+        }
+        p[d] = 2.0 * T / C;
+        p[D + d] = T / C;
+        return 1;
+    }
+    }
+}
+
+/* Step index of a walker at site x with walk uniform u, or -1 when numpy
+   must take this step. */
+static int choose(const field_t *f, uint64_t base, const int64_t *x,
+                  double u, double margin)
+{
+    int K = 2 * f->dim;
+    double p[MAX_DIRS], cum[MAX_DIRS];
+    const double *c = f->cum;
+    int j, k = 0;
+    if (f->law != UNIFORM_DRIFT) {
+        double U[MAX_DIRS + 1];
+        double s = 0.0, acc = 0.0;
+        uint64_t h = base;
+        for (j = 0; j < f->dim; j++)
+            h = fold(h, (uint64_t)x[j]);
+        for (j = 0; j < f->nvars; j++)
+            U[j] = uniform(h, j);
+        if (!pvec(f, U, p, margin)) return -1;
+        for (j = 0; j < K; j++)
+            s += p[j];
+        /* these laws' rows sum to 1 within ulps: a row anywhere near
+           normalize_rows' bound goes to numpy, which decides it */
+        if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return -1;
+        for (j = 0; j < K; j++) {
+            acc = j ? acc + p[j] / s : p[j] / s;
+            cum[j] = acc;
+        }
+        c = cum;
+    }
+    for (j = 0; j < K; j++) {
+        if (fabs(u - c[j]) < margin) return -1;
+        k += c[j] < u;
+    }
+    return k < K ? k : K - 1;
+}
+
+/* Step rows walkers from step t0 for up to n steps.  Returns the number of
+   steps taken (step t0 + return value, if < n, moved no walker and is
+   numpy's), or -1 for a walker index outside the field's base keys. */
+int64_t rwre_steps(const field_t *f, const int64_t *walkers,
+                   const uint64_t *keys, int64_t rows, int64_t *pos,
+                   int64_t t0, int64_t n, uint8_t *choice, double margin)
+{
+    int dim = f->dim;
+    int64_t i, k;
+    for (k = 0; k < n; k++) {
+        int64_t t = t0 + k;
+        for (i = 0; i < rows; i++) {
+            uint64_t b = f->base[0];
+            int c;
+            if (f->per_walker) {
+                int64_t w = walkers ? walkers[i] : i;
+                if (w < 0 || w >= f->nbase) return -1;
+                b = f->base[w];
+            }
+            c = choose(f, b, pos + i * dim, uniform(keys[i], t), margin);
+            if (c < 0) return k;
+            choice[i] = (uint8_t)c;
+        }
+        for (i = 0; i < rows; i++) {
+            int c = choice[i];
+            pos[i * dim + c % dim] += c < dim ? 1 : -1;
+        }
+    }
+    return n;
+}
+"""
+
+# law type -> (the kernel's law code, the law's parameter in the kernel)
+_LAWS = {UniformDrift: (0, lambda law: 0.0),
+         Expl: (1, lambda law: law.eps),
+         TrapSym: (2, lambda law: 1.0 / law._texp),
+         TrapTransient: (3, lambda law: float(1 << law.d))}
+
+
+class _Field(ctypes.Structure):
+    _fields_ = [("law", ctypes.c_int32), ("d", ctypes.c_int32),
+                ("dim", ctypes.c_int32), ("nvars", ctypes.c_int32),
+                ("param", ctypes.c_double), ("sum_tol", ctypes.c_double),
+                ("cum", ctypes.c_double * MAX_DIRS),
+                ("base", ctypes.c_void_p), ("nbase", ctypes.c_int64),
+                ("per_walker", ctypes.c_int32)]
+
+
+class Plan:
+    """An environment's field in the kernel's layout, with what it points to."""
+
+    def __init__(self, fn, env, code: int, param: float):
+        self.fn = fn
+        self.dim = env.dim
+        self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
+        self.field = _Field(law=code, d=env.law.d, dim=env.dim,
+                            nvars=env.law.nvars, param=param,
+                            sum_tol=PROB_SUM_TOL, base=self.base.ctypes.data,
+                            nbase=len(self.base),
+                            per_walker=int(np.ndim(env.master_seed) > 0))
+        if code == 0:
+            P = env.transitions_batch(np.zeros((1, env.dim), dtype=np.int64))
+            self.field.cum[:2 * env.dim] = np.cumsum(P, axis=1)[0].tolist()
+        self.address = ctypes.addressof(self.field)
+
+
+def plan(env) -> Plan | None:
+    """The kernel's view of ``env``, or None when numpy must step it."""
+    entry = _LAWS.get(type(env.law))
+    if entry is None or 2 * env.dim > MAX_DIRS:
+        return None
+    fn = _function()
+    if fn is None:
+        return None
+    code, param = entry
+    return Plan(fn, env, code, param(env.law))
+
+
+def _check(a: np.ndarray, dtype, shape, name: str) -> None:
+    if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
+                         f"array of shape {shape}")
+
+
+def step(plan: Plan, pos: np.ndarray, keys: np.ndarray, t0: int, n: int,
+         walkers: np.ndarray | None = None) -> int:
+    """Step the rows of ``pos`` in place from step ``t0`` for up to ``n`` steps.
+
+    Row i walks with walk key ``keys[i]`` on the field of walker
+    ``walkers[i]`` (or i).  Returns the number of steps taken; fewer than
+    ``n`` means step ``t0 + done`` moved no walker and must be taken by
+    ``walk._step_batch``.
+    """
+    rows = len(pos)
+    _check(pos, np.int64, (rows, plan.dim), "pos")
+    _check(keys, np.uint64, (rows,), "keys")
+    if walkers is not None:
+        _check(walkers, np.int64, (rows,), "walkers")
+    choice = np.empty(rows, dtype=np.uint8)
+    done = plan.fn(plan.address,
+                   None if walkers is None else walkers.ctypes.data,
+                   keys.ctypes.data, rows, pos.ctypes.data, t0, n,
+                   choice.ctypes.data, GUARD_MARGIN)
+    if done < 0:
+        raise IndexError("walker index outside the environment's seeds")
+    return done
+
+
+_FN = None      # the loaded kernel; False once building or loading failed
+
+
+def _function():
+    global _FN
+    if _FN is None:
+        try:
+            _FN = _load(_cached_build())
+        except OSError as exc:
+            warnings.warn(f"rwre: compiled step kernel unavailable ({exc}); "
+                          "walks step with numpy", RuntimeWarning, stacklevel=4)
+            _FN = False
+    return _FN or None
+
+
+def _compiler() -> str | None:
+    return shutil.which("gcc")
+
+
+def _cache_dir() -> pathlib.Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    for path in (pathlib.Path(root) / "rwre",
+                 pathlib.Path(tempfile.gettempdir()) / "rwre"):
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            continue
+        if os.access(path, os.W_OK):
+            return path
+    raise OSError("no writable cache directory")
+
+
+def _cached_build() -> pathlib.Path:
+    tag = hashlib.sha256((SOURCE + " ".join(CFLAGS)).encode()).hexdigest()
+    path = _cache_dir() / f"kernel-{tag}.so"
+    if not path.exists():
+        build(path)
+    return path
+
+
+def build(path, flags=CFLAGS) -> pathlib.Path:
+    """Compile ``SOURCE`` into the shared library ``path``.
+
+    The library is built in a temporary directory beside ``path`` and
+    moved into place, so processes building at once do not collide.
+    """
+    cc = _compiler()
+    if cc is None:
+        raise FileNotFoundError("no gcc on PATH")
+    path = pathlib.Path(path)
+    with tempfile.TemporaryDirectory(dir=path.parent, prefix=".build-") as tmp:
+        src = os.path.join(tmp, "kernel.c")
+        out = os.path.join(tmp, "kernel.so")
+        with open(src, "w", encoding="utf-8") as f:
+            f.write(SOURCE)
+        try:
+            subprocess.run([cc, *flags, "-o", out, src, "-lm"], check=True,
+                           capture_output=True, text=True)
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"{cc} failed: {exc.stderr.strip()[-500:]}") from exc
+        os.replace(out, path)
+    return path
+
+
+def _load(path):
+    fn = ctypes.CDLL(str(path)).rwre_steps
+    ptr = ctypes.c_void_p
+    fn.argtypes = [ptr, ptr, ptr, ctypes.c_int64, ptr, ctypes.c_int64,
+                   ctypes.c_int64, ptr, ctypes.c_double]
+    fn.restype = ctypes.c_int64
+    return fn

@@ -7,7 +7,8 @@ clock), outputs are CSV (tabular) and JSON (reports), and every output
 file embeds the config hash and tool version, so identical configs yield
 byte-identical artifacts.
 
-Exit codes: 0 completed, 2 parameter/usage error, 3 insufficient data.
+Exit codes: 0 completed, 2 parameter/usage error, 3 insufficient data,
+4 degenerate environment (a corner set with no escape route).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .environment import (Dirichlet, Environment, Expl, TableMixture,
                           TrapSym, TrapTransient, UniformDrift)
 from .lattice import UnitHypercube
 
-EXIT_OK, EXIT_PARAM, EXIT_NODATA = 0, 2, 3
+EXIT_OK, EXIT_PARAM, EXIT_NODATA, EXIT_DEGENERATE = 0, 2, 3, 4
 
 
 class ParameterError(ValueError):
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
         return EXIT_PARAM if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except hypercube.DegenerateEnvironmentError as exc:
+        print(f"degenerate environment: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except (ParameterError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAM

@@ -6,7 +6,15 @@ seed, the law and the site coordinates.  Laws consume a fixed number of
 per-site uniforms from a counter-based stream, so environments are never
 stored: any site can be re-evaluated bit-identically at any time, from any
 worker.  The master seed is one seed (the quenched field) or an array of
-per-walker seeds (the annealed law); both go through the same keyed field.
+per-walker seeds (the annealed law); both go through the same keyed field,
+and environments compare and hash by law and seed values.
+
+``Environment.transitions_batch`` is the reference evaluation of the field.
+The walk engines step the four closed-form laws in the compiled loop of
+:mod:`rwre._kernel`, which evaluates each law's transition vector in the
+same order as its ``pvecs_from_uniforms`` below: a change to one of those
+formulas must be mirrored there, and ``tests/test_kernel.py`` fails until
+it is.
 
 Concrete laws:
 
@@ -319,14 +327,15 @@ class TableMixture:
         return table[idx]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Environment:
     """An i.i.d. random field: (master_seed, law, site) -> transition vector.
 
     ``master_seed`` is one seed, a quenched field shared by every walker, or
     a uint64 array of per-walker seeds, the annealed law in which each
     walker reads its own field.  The two differ only in whether the folded
-    base key is one key or one per walker.
+    base key is one key or one per walker.  Environments compare and hash
+    by law and seed values.
     """
 
     law: object
@@ -341,6 +350,19 @@ class Environment:
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_nvars", self.law.nvars)
         object.__setattr__(self, "dim", self.law.dim)
+
+    def __eq__(self, other):
+        if not isinstance(other, Environment):
+            return NotImplemented
+        a, b = self.master_seed, other.master_seed
+        return (self.law == other.law and np.ndim(a) == np.ndim(b)
+                and bool(np.array_equal(a, b)))
+
+    def __hash__(self):
+        seed = self.master_seed
+        if np.ndim(seed):
+            seed = np.asarray(seed, dtype=np.uint64).tobytes()
+        return hash((self.law, seed))
 
     def transitions_at(self, x) -> np.ndarray:
         return self.transitions_batch(np.asarray(x, dtype=np.int64)[None, :])[0]
@@ -404,6 +426,8 @@ def ellipticity_profile(env: Environment, samples: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if np.ndim(env.master_seed):
+        raise ValueError("ellipticity_profile needs one field, not per-walker seeds")
     d = env.dim
     key = rng.derive_key(env.master_seed, "ellipticity_profile")
     u = rng.stream_uniform_block(key, samples * d)

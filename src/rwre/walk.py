@@ -9,6 +9,15 @@ canonical direction order, one walk-stream uniform per step):
 * :func:`run_until_batch` -- walks run until they leave a region, hit a
   target set or exhaust the budget; stopped walks are compacted away.
 
+For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
+are taken by the compiled loop in :mod:`rwre._kernel`, once per segment
+between checkpoints or once per stopping step, with step sequences equal
+to :func:`_step_batch`'s by construction; it hands back to
+:func:`_step_batch` any step it cannot decide exactly.  Other laws, hosts
+without a compiler and recorded runs step with numpy.  Both engines
+validate their batch (keys, start rows, dimension, length, per-walker
+seeds) before the first step.
+
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
 outcome everywhere ("censored"), never an error: the heavy-tailed
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, stats
+from . import _kernel, rng, stats
 from .environment import Environment
 from .lattice import Site, step_vectors
 
@@ -52,6 +61,42 @@ def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,
     return idx
 
 
+def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (W, d) start positions and W walk keys of a batch."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    if keys.ndim != 1:
+        raise ValueError("keys must be a 1-D array of walk keys")
+    pos = np.array(starts, dtype=np.int64)
+    if pos.ndim == 1:
+        pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
+    if pos.shape != (len(keys), env.dim):
+        raise ValueError(f"starts must have shape ({len(keys)}, {env.dim}) "
+                         f"for {len(keys)} walk keys, got {pos.shape}")
+    if np.ndim(env.master_seed) and len(env.master_seed) < len(keys):
+        raise ValueError(f"{len(keys)} walkers but only {len(env.master_seed)} "
+                         "per-walker seeds")
+    return pos, keys
+
+
+def _advance(env: Environment, plan, pos: np.ndarray, keys: np.ndarray,
+             t: int, stop: int, sv: np.ndarray, live=None, rec=None) -> None:
+    """Step every row of pos in place from step t to step stop.
+
+    The compiled kernel takes every step it can decide exactly; a step it
+    hands back, and every step of a law it does not cover (plan None), is
+    taken by :func:`_step_batch`.
+    """
+    while t < stop:
+        if plan is not None:
+            t += _kernel.step(plan, pos, keys, t, stop - t, live)
+            if t == stop:
+                break
+        choice = _step_batch(env, pos, keys, t, sv, live)
+        if rec is not None:
+            rec[:, t] = choice
+        t += 1
+
+
 @dataclass
 class FixedBatchResult:
     final: np.ndarray                       # (W, d)
@@ -62,22 +107,30 @@ class FixedBatchResult:
 def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
                     keys: np.ndarray, checkpoints=None,
                     record_steps: bool = False) -> FixedBatchResult:
-    """Step W walks for exactly nsteps; optionally snapshot and record."""
-    pos = np.array(starts, dtype=np.int64)
-    if pos.ndim == 1:
-        pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
-    W = pos.shape[0]
+    """Step W walks for exactly nsteps; optionally snapshot and record.
+
+    ``checkpoints`` are step counts in [1, nsteps] at which positions are
+    snapshot; larger ones are ignored.
+    """
+    if nsteps < 0:
+        raise ValueError("nsteps must be >= 0")
+    pos, keys = _batch(env, starts, keys)
+    marks = sorted(m for m in set(checkpoints or []) if m <= nsteps)
+    if marks and marks[0] < 1:
+        raise ValueError("checkpoints must be >= 1")
+    rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
+    # Recorded runs step with numpy for now: with the kernel, the benchmark's
+    # ballistic_cli pass (rwre regen) ends within one interval of its
+    # host-speed sampler, which then has nothing to rescale the pass by.
+    plan = None if record_steps else _kernel.plan(env)
     sv = step_vectors(env.dim)
-    marks = sorted(set(checkpoints or []))
     snaps: dict[int, np.ndarray] = {}
-    rec = np.empty((W, nsteps), dtype=np.uint8) if record_steps else None
-    for t in range(nsteps):
-        idx = _step_batch(env, pos, keys, t, sv)
-        if rec is not None:
-            rec[:, t] = idx
-        if marks and (t + 1) == marks[0]:
-            snaps[t + 1] = pos.copy()
-            marks.pop(0)
+    t = 0
+    for mark in marks:
+        _advance(env, plan, pos, keys, t, mark, sv, rec=rec)
+        snaps[mark] = pos.copy()
+        t = mark
+    _advance(env, plan, pos, keys, t, nsteps, sv, rec=rec)
     return FixedBatchResult(pos, snaps, rec)
 
 
@@ -108,10 +161,9 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    pos = np.array(starts, dtype=np.int64)
-    if pos.ndim == 1:
-        pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
+    pos, ckeys = _batch(env, starts, keys)
     W = pos.shape[0]
+    plan = _kernel.plan(env)
     sv = step_vectors(env.dim)
     status = np.zeros(W, dtype=np.uint8)
     final = pos.copy()
@@ -120,9 +172,8 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     target = (np.asarray(count_visits_to, dtype=np.int64)
               if count_visits_to is not None else None)
 
-    live = np.arange(W)
+    live = np.arange(W, dtype=np.int64)
     cur = pos
-    ckeys = np.asarray(keys, dtype=np.uint64)
 
     def settle(mask: np.ndarray, code: int, t: int):
         nonlocal live, cur, ckeys
@@ -149,7 +200,7 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     for t in range(horizon):
         if not len(live):
             break
-        _step_batch(env, cur, ckeys, t, sv, idx=live)
+        _advance(env, plan, cur, ckeys, t, t + 1, sv, live=live)
         if visits is not None:
             at = np.all(cur == target, axis=1)
             if at.any():

@@ -81,6 +81,18 @@ def test_hypercube_subcommand(tmp_path):
     assert float(cells[10]) == 2.0   # mean exit of the uniform law
 
 
+def test_degenerate_environment_exit_code(tmp_path, capsys):
+    # two deterministic corners pointing at each other: no escape route
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"law": {"kind": "table_mixture",
+                                       "entries": [[1, [1, 0]], [1, [0, 1]]]},
+                               "replicates": 20, "seed": 1,
+                               "out": str(tmp_path / "hc.csv")}))
+    assert run(["hypercube", "--config", str(cfg)]) == cli.EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate environment:") and "parameter error" not in err
+
+
 def test_criteria_subcommand(tmp_path):
     out = tmp_path / "kt.json"
     assert run(["criteria", "--criterion", "ktilde1", "--law", "expl",

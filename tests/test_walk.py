@@ -36,6 +36,33 @@ def test_horizon_validation_and_budget():
     assert res.censored() == 1
 
 
+_ENV = Environment(Expl(2, 0.3), 1)
+_KEYS = walk.walk_keys(1, 4)
+
+
+@pytest.mark.parametrize("env, starts, keys, nsteps", [
+    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50),    # 4 starts, 1 key
+    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50),          # keys not 1-D
+    (_ENV, np.zeros((4, 3)), _KEYS, 50),                   # wrong dimension
+    (Environment(Expl(2, 0.3), rng.derive_keys(2, "w", n=3)),
+     np.zeros(2), _KEYS, 50),                              # 3 fields, 4 walkers
+    (_ENV, np.zeros(2), _KEYS, -3),                        # negative length
+], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps"])
+def test_engines_reject_malformed_batches(env, starts, keys, nsteps):
+    with pytest.raises(ValueError):
+        walk.run_fixed_batch(env, starts, nsteps, keys)
+    if nsteps >= 0:
+        with pytest.raises(ValueError):
+            walk.run_until_batch(env, starts, keys, nsteps)
+
+
+def test_checkpoints_before_the_first_step_are_rejected():
+    with pytest.raises(ValueError, match="checkpoints"):
+        walk.run_fixed_batch(_ENV, np.zeros(2), 10, _KEYS, checkpoints=[0, 5])
+    res = walk.run_fixed_batch(_ENV, np.zeros(2), 10, _KEYS, checkpoints=[5, 99])
+    assert list(res.checkpoints) == [5]
+
+
 def test_exit_time_zero_when_starting_outside():
     env = Environment(FORWARD, 0)
 
