@@ -32,10 +32,6 @@ class ParameterError(ValueError):
     pass
 
 
-class InsufficientData(RuntimeError):
-    pass
-
-
 def law_from_spec(spec: dict):
     """Build a site law from its tagged config record."""
     kind = spec.get("kind")
@@ -237,10 +233,7 @@ def cmd_criteria(args) -> int:
         if name == "ktilde1":
             params["exponent"] = float(config.get("exponent", 2.0))
         rep = criteria.moment_conditions(law, name, reps, seed, **params)
-        with open(out, "w", encoding="utf-8") as f:
-            doc = json.loads(rep.to_json())
-            doc.update({"version": __version__, "config_hash": config_hash(config)})
-            f.write(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(out, rep.to_dict(), config)
         print(f"criteria {name}: {rep.verdict} -> {out}")
         return EXIT_OK
     if name == "slab":
@@ -259,10 +252,7 @@ def cmd_criteria(args) -> int:
                                             config.get("L_grid", [8, 16]),
                                             int(config.get("walk_budget", 20000)),
                                             reps, seed)
-        with open(out, "w", encoding="utf-8") as f:
-            doc = json.loads(rep.to_json())
-            doc.update({"version": __version__, "config_hash": config_hash(config)})
-            f.write(json.dumps(doc, sort_keys=True) + "\n")
+        write_json(out, rep.to_dict(), config)
         print(f"criteria pm: {rep.verdict} -> {out}")
         return EXIT_OK
     raise ParameterError(f"unknown criterion {name!r}")
@@ -371,9 +361,6 @@ def main(argv=None) -> int:
     except (ParameterError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAM
-    except InsufficientData as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_NODATA
 
 
 if __name__ == "__main__":

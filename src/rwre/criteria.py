@@ -20,15 +20,16 @@ here "proves" an almost-sure or asymptotic statement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import stats as sps
 
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
 from .hypercube import analyze_transitions, escape_site_probs, quenched
-from .lattice import Site, TiltedBox, UnitHypercube, corner_offsets, step_vectors
+from .lattice import (Site, TiltedBox, UnitHypercube, rotation_onto_e1,
+                      step_vectors)
 from .walk import STATUS_EXITED, STATUS_HIT, run_until_batch, walk_keys
 
 
@@ -214,27 +215,6 @@ class EprimePolicy:
         meta["event_index"] = self._event_index(view, view.env.dim) + 1  # 1-based
 
 
-class FixedPolicy:
-    """Deterministic hypercube and constant marks (reads nothing)."""
-
-    def __init__(self, anchor: Site, marks):
-        self.anchor = tuple(int(c) for c in anchor)
-        if any(c not in (0, -1) for c in self.anchor):
-            raise ValueError("anchor must have coordinates in {0, -1} to contain 0")
-        self._marks = np.asarray(marks, dtype=float)
-
-    def choose_next(self, view: RecordingView, prefix) -> Site:
-        cube = UnitHypercube(self.anchor)
-        start_bits = cube.corner_index((0,) * len(self.anchor))
-        order = _fill_order(len(self.anchor), start_bits)
-        return cube.corners[order[len(prefix)]]
-
-    def marks(self, view: RecordingView, cube: UnitHypercube, x0: Site) -> np.ndarray:
-        if self._marks.shape != (1 << cube.d,):
-            raise ValueError("marks must cover the 2^d corner offsets")
-        return self._marks.copy()
-
-
 def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
     """Drive a policy through the four discovery rules, recording reads."""
     d = env.dim
@@ -371,19 +351,10 @@ class CriterionReport:
     verdict: str
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        payload = {"criterion": self.criterion, "params": self.params,
-                   "estimates": [e.to_dict() for e in self.estimates],
-                   "verdict": self.verdict, "details": self.details}
-        return json.dumps(payload, sort_keys=True, default=_json_default)
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
+    def to_dict(self) -> dict:
+        return {"criterion": self.criterion, "params": self.params,
+                "estimates": [e.to_dict() for e in self.estimates],
+                "verdict": self.verdict, "details": self.details}
 
 
 def _origin_samples(law, replicates: int, master_seed: int, salt: str) -> np.ndarray:
@@ -395,19 +366,20 @@ _SAMPLE_CAP = 1e300  # keeps astronomically heavy tails finite; biases the
                      # Hill index down, i.e. toward 'infinite', only there
 
 
-def negative_moment_probe(law, dir_index: int, exponent: float,
-                          replicates: int, master_seed: int) -> tuple[str, Estimate]:
-    """Verdict on E[p(0, e)^(-exponent)] for one canonical direction."""
+def negative_moment_probe(P: np.ndarray, dir_index: int,
+                          exponent: float) -> tuple[str, Estimate]:
+    """Verdict on E[p(0, e)^(-exponent)] for one canonical direction.
+
+    ``P`` holds the origin's transition vectors, one row per replicate.
+    """
     if exponent <= 0:
         raise ValueError("exponent must be positive")
-    P = _origin_samples(law, replicates, master_seed, "e0_probe")
     y = np.minimum(P[:, dir_index] ** (-exponent), _SAMPLE_CAP)
     verdict, est = stats.moment_verdict(y, 1.0)
     hill = est.to_dict() if est else {}
-    e = Estimate(f"inv_moment_p(e_{dir_index + 1})^{exponent}",
-                 float(np.mean(np.minimum(y, 1e300))),
+    e = Estimate(f"inv_moment_p(e_{dir_index + 1})^{exponent}", float(np.mean(y)),
                  hill.get("ci_low", float("nan")),
-                 hill.get("ci_high", float("nan")), replicates)
+                 hill.get("ci_high", float("nan")), len(P))
     return verdict, e
 
 
@@ -417,9 +389,10 @@ def check_e0(law, etas, replicates: int, master_seed: int) -> CriterionReport:
     etas = np.broadcast_to(np.asarray(etas, dtype=float), (2 * D,))
     if np.any(etas <= 0):
         raise ValueError("eta exponents must be positive")
+    P = _origin_samples(law, replicates, master_seed, "e0_probe")
     verdicts, ests = [], []
     for i in range(2 * D):
-        v, e = negative_moment_probe(law, i, float(etas[i]), replicates, master_seed)
+        v, e = negative_moment_probe(P, i, float(etas[i]))
         verdicts.append(v)
         ests.append(e)
     if all(v == "moment-appears-finite" for v in verdicts):
@@ -443,9 +416,10 @@ def eprime_probe(law, exponent: float | None, replicates: int,
     D = law.dim
     if exponent is None:
         exponent = 1.0 / (4 * D)
+    P = _origin_samples(law, replicates, master_seed, "e0_probe")
     verdicts, ests = [], []
     for i in range(2 * D):
-        v, e = negative_moment_probe(law, i, exponent, replicates, master_seed)
+        v, e = negative_moment_probe(P, i, exponent)
         verdicts.append(v)
         ests.append(e)
     if all(v == "moment-appears-infinite" for v in verdicts):
@@ -661,6 +635,23 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
 MultiSeedEnvironment = Environment
 
 
+def _box_inside(R: np.ndarray, L: float, Lp: float, Lt: float):
+    """Membership in R((-Lp, L) x (-Lt, Lt)^{d-1}) for (N, d) sites."""
+    def inside(X):
+        W = X @ R
+        return ((-Lp < W[:, 0]) & (W[:, 0] < L)
+                & (np.abs(W[:, 1:]).max(axis=1, initial=0.0) < Lt))
+    return inside
+
+
+def _slab_inside(ell: np.ndarray, b: float, L: float):
+    """Membership in the slab {-b L <= x.ell <= L} (bounds inclusive)."""
+    def inside(X):
+        t = X @ ell
+        return (-b * L <= t) & (t <= L)
+    return inside
+
+
 @dataclass
 class BoxExitPoint:
     L: float
@@ -688,7 +679,6 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    from .lattice import rotation_onto_e1
     ell = np.asarray(ell, dtype=float)
     R = rotation_onto_e1(ell)
     points: list[BoxExitPoint] = []
@@ -703,14 +693,9 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 seeds = rng.derive_keys(master_seed, f"pm:{L}:{fp}:{ft}", n=replicates)
                 env = Environment(law, seeds)
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
-
-                def inside(X, Lp=Lp, Lt=Lt):
-                    W = X @ R
-                    return ((-Lp < W[:, 0]) & (W[:, 0] < L)
-                            & (np.abs(W[:, 1:]).max(axis=1) < Lt))
-
                 res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
-                                      keys, walk_budget, inside=inside)
+                                      keys, walk_budget,
+                                      inside=_box_inside(R, L, Lp, Lt))
                 exited = res.status == STATUS_EXITED
                 n_resolved = int(exited.sum())
                 bad = exited & ((res.final @ ell) < L)
@@ -841,13 +826,9 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                 keys = walk_keys(rng.derive_key(master_seed, "slab_direct", r,
                                                 int(L * 64)),
                                  direct_runs)
-
-                def inside(X, L=float(L)):
-                    t = X @ ell
-                    return (-b * L <= t) & (t <= L)
-
                 res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
-                                      keys, walk_budget, inside=inside)
+                                      keys, walk_budget,
+                                      inside=_slab_inside(ell, b, float(L)))
                 exited = res.status == STATUS_EXITED
                 back = exited & ((res.final @ ell) < 0)
                 n_resolved = int(exited.sum())
@@ -886,7 +867,6 @@ def _fit_decay(Ls, est, lse, gamma: float) -> SlabFit | None:
     dof = max(len(x) - 2, 1)
     sigma2 = (w * resid ** 2).sum() / dof
     se_slope = float(np.sqrt(sigma2 / sxx))
-    from scipy import stats as sps
     tq = sps.t.ppf(0.975, dof)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = float(1.0 - (w * resid ** 2).sum() / ss_tot) if ss_tot > 0 else 1.0

@@ -92,10 +92,6 @@ class UniformDrift:
         return 0
 
     @property
-    def kappa(self) -> float:
-        return (1.0 - self.strength) / (2 * self.d)
-
-    @property
     def tag(self) -> str:
         return f"uniform_drift:d={self.d}:s={self.strength!r}:a={self.axis}"
 
@@ -116,15 +112,16 @@ class Expl:
     receives probability 1/T with T = (2d+1) U^{-6d}; the remaining mass
     splits so the positive directions carry 1 - eps total and the negative
     ones eps.  Requires eps in [1/(2d+1), 2d/(2d+1)] so that every entry is
-    nonnegative (the endpoints touch zero only on the null event T = 2d+1).
+    nonnegative (the endpoints touch zero only on the null event T = 2d+1),
+    and d >= 2: in d = 1 the row would sum to 1 - eps + 1/T or eps + 1/T.
     """
 
     d: int
     eps: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        if self.d < 2:
+            raise ValueError("d must be >= 2: in d = 1 the rows cannot sum to 1")
         lo = 1.0 / (2 * self.d + 1)
         hi = 2 * self.d / (2 * self.d + 1)
         if not (lo <= self.eps <= hi):

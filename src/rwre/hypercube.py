@@ -29,6 +29,7 @@ import numpy as np
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
 from .lattice import UnitHypercube
+from .walk import run_until_batch, walk_keys
 
 IDENTITY_TOL = 1e-10
 
@@ -54,9 +55,6 @@ class QuenchedHypercube:
 
     def interior_matrix(self) -> np.ndarray:
         return _interior_matrix(self.d, self.transitions[None])[0]
-
-    def exit_mass(self) -> np.ndarray:
-        return 1.0 - self.interior_matrix().sum(axis=1)
 
 
 def quenched(env: Environment, cube: UnitHypercube) -> QuenchedHypercube:
@@ -124,13 +122,6 @@ class ExitAnalysis:
     hit_before_exit: np.ndarray  # (R, m, m) P_{x0}[T_x < T_exit]
     moments: np.ndarray          # (R, order+1, m); row k is E_x[T^k]
     exit_mass: np.ndarray        # (R, m)
-
-    def one(self, r: int = 0) -> "ExitAnalysis":
-        sl = slice(r, r + 1)
-        return ExitAnalysis(self.d, self.Q[sl], self.Qtilde[sl],
-                            self.Qtilde_row[sl], self.mean_exit[sl],
-                            self.fundamental[sl], self.hit_before_exit[sl],
-                            self.moments[sl], self.exit_mass[sl])
 
     def check_identities(self, tol: float = IDENTITY_TOL) -> dict[str, float]:
         """Max violations of the exact identities; all should be <= tol.
@@ -278,7 +269,6 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
         ana = analyze_batch(law, seeds, cube, moment_order=max(order, 1))
         samples = ana.moments[:, order].max(axis=1)
     else:
-        from .walk import run_until_batch, walk_keys
         vals = np.empty(replicates)
         lo = np.asarray(cube.anchor, dtype=np.int64)
 

@@ -1,11 +1,10 @@
-"""Lattice geometry: direction bases, unit hypercubes, boxes and slabs.
+"""Lattice geometry: canonical steps, unit hypercubes, tilted boxes.
 
 Sites are tuples of python ints (hashable, exact); bulk math uses numpy.
-Directions are enumerated 1..2d with the convention that direction i+d is
-the negative of direction i.  The canonical enumeration (+e_1..+e_d then
--e_1..-e_d) is the frame in which environment laws are specified; bases
-ordered against an arbitrary unit vector ell are used by the regeneration
-machinery.
+Directions are enumerated with the convention that direction i+d is the
+negative of direction i.  The canonical enumeration (+e_1..+e_d then
+-e_1..-e_d) is the frame in which environment laws are specified.  The
+tilted-box predicates are vectorized over (N, d) arrays of sites.
 """
 
 from __future__ import annotations
@@ -17,70 +16,12 @@ import numpy as np
 Site = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Direction:
-    """One signed unit direction; ``index`` is its 1-based basis position."""
-
-    index: int
-    vector: Site
-
-    def __neg__(self) -> "Direction":
-        return Direction(self.index, tuple(-c for c in self.vector))
-
-
-@dataclass(frozen=True)
-class DirectionBasis:
-    """The 2d unit directions ordered by decreasing dot product with ell."""
-
-    ell: tuple[float, ...]
-    ordered: tuple[Direction, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.ordered) // 2
-
-    def vectors(self) -> np.ndarray:
-        return np.array([dir.vector for dir in self.ordered], dtype=np.int64)
-
-
 def _check_unit(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if not np.isfinite(norm) or abs(norm - 1.0) > tol:
         raise ValueError(f"expected a unit vector, got norm {norm!r}")
     return v
-
-
-def build_basis(ell, d: int | None = None) -> DirectionBasis:
-    """Order the 2d signed unit vectors against ell.
-
-    The first d entries have nonnegative, nonincreasing dot products with
-    ell and the first satisfies ordered[0].ell >= 1/sqrt(d).  Ties are
-    broken by smallest axis index, with the positive sign preferred when a
-    component of ell is exactly zero.
-    """
-    ell = _check_unit(ell)
-    if d is None:
-        d = len(ell)
-    if d < 1 or len(ell) != d:
-        raise ValueError("dimension mismatch between ell and d")
-    picks = []
-    for axis in range(d):
-        sign = 1 if ell[axis] >= 0.0 else -1
-        vec = tuple(sign if j == axis else 0 for j in range(d))
-        picks.append((abs(float(ell[axis])), axis, vec))
-    picks.sort(key=lambda t: (-t[0], t[1]))
-    ordered = [Direction(i + 1, vec) for i, (_, _, vec) in enumerate(picks)]
-    ordered += [Direction(i + d + 1, tuple(-c for c in dirn.vector))
-                for i, dirn in enumerate(ordered)]
-    return DirectionBasis(tuple(float(x) for x in ell), tuple(ordered))
-
-
-def canonical_basis(d: int) -> DirectionBasis:
-    """+e_1..+e_d then -e_1..-e_d (the frame environment laws live in)."""
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    return build_basis(e1, d)
 
 
 def step_vectors(d: int) -> np.ndarray:
@@ -113,9 +54,6 @@ class UnitHypercube:
         return [tuple(a[i] + off[i] for i in range(self.d))
                 for off in corner_offsets(self.d)]
 
-    def contains(self, site: Site) -> bool:
-        return all(0 <= site[i] - self.anchor[i] <= 1 for i in range(self.d))
-
     def corner_index(self, site: Site) -> int:
         """Bit index of a corner site (its offset pattern)."""
         j = 0
@@ -131,63 +69,6 @@ class UnitHypercube:
         d = self.d
         return [i if (corner_bits >> i) & 1 else d + i for i in range(d)]
 
-    def interior_directions(self, corner_bits: int) -> list[int]:
-        d = self.d
-        return [d + i if (corner_bits >> i) & 1 else i for i in range(d)]
-
-
-def hypercubes_containing(x: Site) -> list[UnitHypercube]:
-    """All 2^d unit hypercubes containing the site x."""
-    d = len(x)
-    return [UnitHypercube(tuple(x[i] - off[i] for i in range(d)))
-            for off in corner_offsets(d)]
-
-
-def neighbors(x: Site) -> list[Site]:
-    d = len(x)
-    out = []
-    for i in range(d):
-        for s in (1, -1):
-            out.append(tuple(x[j] + (s if j == i else 0) for j in range(d)))
-    return out
-
-
-def boundary(A) -> set[Site]:
-    """Sites outside A adjacent (L1 distance 1) to some site of A."""
-    A = set(A)
-    out = set()
-    for x in A:
-        for y in neighbors(x):
-            if y not in A:
-                out.add(y)
-    return out
-
-
-def boundary_towards(x: Site, A) -> set[Site]:
-    """The neighbors of x in A's exterior; x must belong to A."""
-    A = set(A)
-    if x not in A:
-        raise ValueError(f"{x} is not in the given set")
-    return {y for y in neighbors(x) if y not in A}
-
-
-def is_connected(sites) -> bool:
-    """BFS check of L1-adjacency connectivity."""
-    sites = set(sites)
-    if not sites:
-        return True
-    seen = set()
-    stack = [next(iter(sites))]
-    while stack:
-        x = stack.pop()
-        if x in seen:
-            continue
-        seen.add(x)
-        for y in neighbors(x):
-            if y in sites and y not in seen:
-                stack.append(y)
-    return seen == sites
-
 
 def projection_axis(vhat) -> tuple[int, int]:
     """Axis i0 maximizing |vhat . e_i| and the sign making the dot positive.
@@ -200,19 +81,6 @@ def projection_axis(vhat) -> tuple[int, int]:
     if vhat[i0] == 0.0:
         raise ValueError("degenerate direction: all components vanish")
     return i0, (1 if vhat[i0] > 0 else -1)
-
-
-def project(z, vhat) -> tuple[np.ndarray, np.ndarray]:
-    """Split z into its component along vhat and the rest.
-
-    P(z) = ((z . e_i0) / (vhat . e_i0)) vhat and Q(z) = z - P(z), where i0
-    is the axis nearest vhat; P(z) + Q(z) = z exactly.
-    """
-    vhat = _check_unit(vhat)
-    z = np.asarray(z, dtype=float)
-    i0, _ = projection_axis(vhat)
-    p = (z[i0] / vhat[i0]) * vhat
-    return p, z - p
 
 
 @dataclass(frozen=True)
@@ -235,9 +103,6 @@ class TiltedBox:
         object.__setattr__(self, "i0", i0)
         object.__setattr__(self, "sign", sign)
 
-    def _long_coord(self, y: Site) -> float:
-        return self.sign * (y[self.i0] - self.center[self.i0])
-
     def contains_batch(self, Y: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (N, d) array of sites."""
         v = np.asarray(self.vhat, dtype=float)
@@ -247,19 +112,13 @@ class TiltedBox:
         q = U - (U[:, self.i0] / v[self.i0])[:, None] * v
         return (-width < t) & (t < self.L) & (np.abs(q).max(axis=1) < width)
 
-    def contains(self, y: Site) -> bool:
-        return bool(self.contains_batch(np.asarray(y, dtype=float)[None, :])[0])
-
-    def is_front(self, y: Site) -> bool:
-        """Front-boundary test for an exit site.
+    def is_front_batch(self, Y: np.ndarray) -> np.ndarray:
+        """Front-boundary test for an (N, d) array of exit sites.
 
         Matches the displayed boundary ((y-x).e_i0 = L) whenever L is an
         integer; the >= form also classifies exits correctly at fractional
         L, where the long coordinate lands strictly beyond L.
         """
-        return (not self.contains(y)) and self._long_coord(y) >= self.L
-
-    def is_front_batch(self, Y: np.ndarray) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
         t = self.sign * (Y[:, self.i0] - self.center[self.i0])
         return ~self.contains_batch(Y) & (t >= self.L)
@@ -291,73 +150,3 @@ def rotation_onto_e1(ell) -> np.ndarray:
          + s * (np.outer(w, u) - np.outer(u, w))
          + (c - 1.0) * (np.outer(u, u) + np.outer(w, w)))
     return R
-
-
-@dataclass(frozen=True)
-class SlabBox:
-    """R((-Lp, L) x (-Ltilde, Ltilde)^{d-1}) intersected with Z^d."""
-
-    ell: tuple[float, ...]
-    L: float
-    Lp: float
-    Ltilde: float
-
-    def __post_init__(self):
-        if min(self.L, self.Lp, self.Ltilde) <= 0:
-            raise ValueError("L, Lp and Ltilde must be positive")
-        _check_unit(self.ell)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_onto_e1(self.ell)
-
-    def contains(self, y: Site) -> bool:
-        w = self.rotation.T @ np.asarray(y, dtype=float)
-        if not (-self.Lp < w[0] < self.L):
-            return False
-        return bool(np.max(np.abs(w[1:]), initial=0.0) < self.Ltilde)
-
-
-@dataclass(frozen=True)
-class Slab:
-    """The slab {x : -b L <= x . ell <= L} (bounds inclusive)."""
-
-    ell: tuple[float, ...]
-    b: float
-    L: float
-
-    def __post_init__(self):
-        if self.b <= 0 or self.L <= 0:
-            raise ValueError("b and L must be positive")
-        _check_unit(self.ell)
-
-    def contains(self, y: Site) -> bool:
-        t = float(np.dot(y, self.ell))
-        return -self.b * self.L <= t <= self.L
-
-
-def trap_collar(d: int) -> tuple[set[Site], set[Site]]:
-    """The ring A around the hypercube at d*e_1 and the approach segment B.
-
-    A is every site at L-infinity distance exactly 1 from the hypercube,
-    B = {0, e_1, ..., (d-1) e_1}.  For d >= 2, A union B is connected,
-    contains the hypercube's L1 boundary, and stays at positive e_1-level.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    anchor = tuple(d if i == 0 else 0 for i in range(d))
-    cube = set(UnitHypercube(anchor).corners)
-    ranges = [range(anchor[i] - 1, anchor[i] + 3) for i in range(d)]
-    box = set()
-
-    def rec(prefix, i):
-        if i == d:
-            box.add(tuple(prefix))
-            return
-        for v in ranges[i]:
-            rec(prefix + [v], i + 1)
-
-    rec([], 0)
-    A = box - cube
-    B = {tuple(k if i == 0 else 0 for i in range(d)) for k in range(d)}
-    return A, B

@@ -173,10 +173,6 @@ class VelocityEstimate:
     n_blocks: int = 0
     reason: str = ""
 
-    def project(self, direction) -> tuple[float, float, float]:
-        e = np.asarray(direction, dtype=float)
-        return (float(self.v @ e), float(self.ci_low @ e), float(self.ci_high @ e))
-
 
 def renewal_velocity(records, n_batches: int = 32) -> VelocityEstimate:
     """Pooled renewal estimate (sum of displacements) / (sum of times).

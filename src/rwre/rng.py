@@ -4,9 +4,10 @@ Every random quantity in this package is a pure function of a 64-bit key
 and a draw index.  Keys are built by chaining a SplitMix64-style avalanche
 finalizer over the master seed, a law/purpose tag and the signed lattice
 coordinates, so the same (seed, site) pair always yields the same variates
-without storing any environment state.  A scalar (python int) and a
-vectorized (numpy uint64) implementation are provided; they agree bit for
-bit and are cross-checked in the tests.
+without storing any environment state.  The finalizer and the key folds
+come in a scalar (python int) and a vectorized (numpy uint64) form that
+agree bit for bit; the tests cross-check the vector paths against scalar
+oracles of the site key and the stream uniform.
 
 Many keys at once are derived in one vector pass, never by a Python loop
 over the scalar functions: :func:`derive_keys` folds the scalar prefix once
@@ -97,14 +98,6 @@ def base_keys(masters: np.ndarray, tag: int) -> np.ndarray:
     return _fold_np(h, np.uint64(tag))
 
 
-def site_key(master: int, tag: int, coords) -> int:
-    """Key for one lattice site: chain the tag then each signed coordinate."""
-    h = base_key(master, tag)
-    for c in coords:
-        h = fold(h, int(c) & MASK64)
-    return h
-
-
 def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     """Vectorized site keys for an (N, d) int array, given a folded base.
 
@@ -119,12 +112,6 @@ def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     for j in range(coords.shape[1]):
         h = _fold_np(h, signed[:, j].astype(np.uint64))
     return h
-
-
-def stream_uniform(key: int, index: int) -> float:
-    """The ``index``-th uniform in (0, 1] of the stream with the given key."""
-    v = mix64((key + (index + 1) * GOLDEN) & MASK64)
-    return ((v >> 11) + 1) * _INV_2_53
 
 
 def stream_uniforms(keys: np.ndarray, index: int) -> np.ndarray:

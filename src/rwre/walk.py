@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel, rng, stats
+from . import _kernel, rng
 from .environment import Environment
 from .lattice import Site, step_vectors
 
@@ -150,12 +150,12 @@ class UntilBatchResult:
 
 def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
                     horizon: int, inside=None, hit=None,
-                    count_visits_to: Site | None = None,
-                    check_start: bool = True) -> UntilBatchResult:
+                    count_visits_to: Site | None = None) -> UntilBatchResult:
     """Run W walks until exiting a region / hitting targets / budget.
 
     ``inside`` and ``hit`` are vectorized predicates on (N, d) position
-    arrays.  Stopped walks are compacted away so the cost tracks the number
+    arrays; a walk that starts on a target or outside the region stops at
+    step 0.  Stopped walks are compacted away so the cost tracks the number
     of live walks.  ``count_visits_to`` counts time spent at one site
     (including the start when it matches).
     """
@@ -188,11 +188,10 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
         cur = cur[keep]
         ckeys = ckeys[keep]
 
-    if check_start:
-        if hit is not None:
-            settle(hit(cur), STATUS_HIT, 0)
-        if inside is not None and len(live):
-            settle(~inside(cur), STATUS_EXITED, 0)
+    if hit is not None:
+        settle(hit(cur), STATUS_HIT, 0)
+    if inside is not None and len(live):
+        settle(~inside(cur), STATUS_EXITED, 0)
 
     if visits is not None and len(live):
         visits[live[np.all(cur == target, axis=1)]] += 1
@@ -214,47 +213,6 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
         final[live] = cur
         steps_taken[live] = horizon
     return UntilBatchResult(status, final, steps_taken, visits)
-
-
-@dataclass
-class HitBeforeReturnEstimate:
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    n_hit: int
-    n_returned: int
-    n_censored: int
-
-
-def hit_before_return(env: Environment, x: Site, targets, forbidden: Site,
-                      horizon: int, runs: int, master_seed: int,
-                      ) -> HitBeforeReturnEstimate:
-    """Estimate P_x[T_targets < T_forbidden^+] by Monte Carlo.
-
-    Censored runs (budget exhausted before either event) are counted
-    separately; the point estimate conditions on resolved runs.
-    """
-    if x in set(targets):
-        raise ValueError("start must not already be in the target set")
-    targets = np.array(sorted(set(targets)), dtype=np.int64)
-    forb = np.asarray(forbidden, dtype=np.int64)
-
-    def hit_pred(P):
-        return (P[:, None, :] == targets[None, :, :]).all(axis=2).any(axis=1)
-
-    def not_returned(P):
-        return ~np.all(P == forb, axis=1)
-
-    keys = walk_keys(master_seed, runs, salt="hit_before_return")
-    res = run_until_batch(env, np.asarray(x), keys, horizon,
-                          inside=not_returned, hit=hit_pred, check_start=False)
-    n_hit = int(np.sum(res.status == STATUS_HIT))
-    n_ret = int(np.sum(res.status == STATUS_EXITED))
-    n_cen = int(np.sum(res.status == STATUS_BUDGET))
-    n = n_hit + n_ret
-    p = n_hit / n if n else float("nan")
-    lo, hi = stats.binomial_ci(n_hit, n)
-    return HitBeforeReturnEstimate(p, lo, hi, n_hit, n_ret, n_cen)
 
 
 def trajectory_to_csv(pos: np.ndarray, path) -> None:

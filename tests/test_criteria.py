@@ -3,12 +3,30 @@ import json
 import numpy as np
 import pytest
 
-from rwre import criteria as cr, rng
+from rwre import cli, criteria as cr, rng
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               UniformDrift)
 from rwre.lattice import UnitHypercube
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
+
+
+class FixedPolicy:
+    """Deterministic hypercube and constant marks (reads nothing)."""
+
+    def __init__(self, anchor, marks):
+        self.anchor = tuple(int(c) for c in anchor)
+        if any(c not in (0, -1) for c in self.anchor):
+            raise ValueError("anchor must have coordinates in {0, -1} to contain 0")
+        self._marks = np.asarray(marks, dtype=float)
+
+    def choose_next(self, view, prefix):
+        cube = UnitHypercube(self.anchor)
+        start_bits = cube.corner_index((0,) * len(self.anchor))
+        return cube.corners[cr._fill_order(cube.d, start_bits)[len(prefix)]]
+
+    def marks(self, view, cube, x0):
+        return self._marks.copy()
 
 
 # --- discovery and measurability ---------------------------------------------
@@ -45,12 +63,12 @@ def test_fixed_policy_and_marks():
     marks = np.zeros(4)
     marks[2] = 1.5
     env = Environment(UniformDrift(2), 9)
-    mmh = cr.discover(env, cr.FixedPolicy((0, -1), marks))
+    mmh = cr.discover(env, FixedPolicy((0, -1), marks))
     assert mmh.x0 == (0, -1)
     assert np.array_equal(mmh.marks, marks)
     assert cr.audit_measurability(mmh)
     with pytest.raises(ValueError):
-        cr.FixedPolicy((0, 2), marks)
+        FixedPolicy((0, 2), marks)
 
 
 class _CheatingPolicy:
@@ -131,7 +149,7 @@ def test_mark_sum_trivial_cases():
     eps = 0.5
     marks = np.zeros(4)
     marks[0] = 1 + eps
-    mmh2 = cr.discover(env, cr.FixedPolicy((0, 0), marks))
+    mmh2 = cr.discover(env, FixedPolicy((0, 0), marks))
     gammas = np.zeros(4)
     gammas[0] = 1 + eps
     assert cr.mark_sum(mmh2, gammas) == pytest.approx(1 + eps)
@@ -244,7 +262,7 @@ def test_kalpha_suff_cond_construction():
     marks = np.zeros(4)
     marks[0] = 2.0
     rep = cr.check_kalpha(Expl(2, 0.2), 1.0, gammas,
-                          cr.FixedPolicy((0, 0), marks), 2000, 17)
+                          FixedPolicy((0, 0), marks), 2000, 17)
     assert rep.verdict == "satisfied-empirically"
     assert rep.details["eps_hat"] == pytest.approx(1.0)
 
@@ -285,6 +303,14 @@ def test_polynomial_condition_unresolved_is_insufficient_data():
                                   [8.0], 4, 50, 21)
     assert rep.verdict == "insufficient-data"
     assert rep.estimates[0].n == 0 and np.isnan(rep.estimates[0].value)
+
+
+def test_polynomial_condition_runs_in_d1():
+    # the box has no transverse coordinates in d = 1
+    rep = cr.polynomial_condition(UniformDrift(1, 0.5), [1.0], 1.0, [4.0],
+                                  200, 50, 3)
+    assert rep.verdict == "satisfied-empirically"
+    assert all(p["n"] == 50 for p in rep.details["points"])
 
 
 def test_polynomial_condition_symmetric_violated():
@@ -354,16 +380,16 @@ def test_tilted_box_exit_matches_independent_oracle():
     env = Environment(UniformDrift(2), 44)
     beta, L, vhat = 0.6, 8.0, (1.0, 0.0)
     est = cr.tilted_box_exit(env, (0, 0), beta, L, vhat, 20_000, 4000, 5)
-    # independent scalar-python oracle walking the same quenched field
-    from rwre.lattice import TiltedBox
-    box = TiltedBox((0, 0), beta, L, vhat)
+    # independent scalar-python oracle walking the same quenched field; with
+    # vhat = e_1 the box is (-L^beta, L) x (-L^beta, L^beta) and its front
+    # is x_1 >= L
+    width = L ** beta
     hits = trials = 0
     for r in range(800):
-        key = rng.derive_key(991, "oracle", r)
+        us = rng.stream_uniform_block(rng.derive_key(991, "oracle", r), 20_000)
         pos = (0, 0)
-        for t in range(20_000):
+        for u in us:
             p = env.transitions_at(pos)
-            u = rng.stream_uniform(key, t)
             c = 0.0
             for j in range(4):
                 c += p[j]
@@ -371,9 +397,9 @@ def test_tilted_box_exit_matches_independent_oracle():
                     break
             step = [(1, 0), (0, 1), (-1, 0), (0, -1)][j]
             pos = (pos[0] + step[0], pos[1] + step[1])
-            if not box.contains(pos):
+            if not (-width < pos[0] < L and abs(pos[1]) < width):
                 trials += 1
-                hits += box.is_front(pos)
+                hits += pos[0] >= L
                 break
     p1, p2 = est.p_hat, hits / trials
     se = np.sqrt(p2 * (1 - p2) / trials) + np.sqrt(p1 * (1 - p1) / 4000)
@@ -389,9 +415,10 @@ def test_tilted_box_exit_validates_L():
 
 # --- reports ---------------------------------------------------------------------
 
-def test_criterion_report_json_round_trip():
+def test_criterion_report_json_round_trip(tmp_path):
     rep = cr.check_e0(UniformDrift(2), 0.5, 500, 3)
-    doc = json.loads(rep.to_json())
+    cli.write_json(tmp_path / "e0.json", rep.to_dict(), {"seed": 3})
+    doc = json.loads((tmp_path / "e0.json").read_text())
     assert doc["criterion"] == "E0"
     assert doc["verdict"] == rep.verdict
     assert {e["name"] for e in doc["estimates"]} == {e.name for e in rep.estimates}

@@ -59,6 +59,10 @@ def test_law_parameter_errors():
     with pytest.raises(ValueError):
         TableMixture(((1.0, (0.5, 0.2, 0.2, 0.2)),))  # bad sum
     Expl(2, 0.2)  # closed left endpoint is allowed (acceptance uses it)
+    # in d = 1 the rows would sum to 1 - eps + 1/T or eps + 1/T
+    for eps in (1 / 3, 0.5, 2 / 3):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            Expl(1, eps)
 
 
 def test_normalize_rows_rejects_drift_beyond_tolerance():

@@ -46,16 +46,16 @@ def test_exit_mass_and_interior_degree():
     qh = hc.quenched(env, CUBE2)
     P = qh.interior_matrix()
     assert np.all((P > 0).sum(axis=1) == 2)      # d interior neighbors
-    assert np.max(np.abs(P.sum(axis=1) + qh.exit_mass() - 1.0)) < 1e-12
+    exit_mass = hc.analyze_transitions(2, qh.transitions[None], 1).exit_mass[0]
+    assert np.max(np.abs(P.sum(axis=1) + exit_mass - 1.0)) < 1e-12
 
 
 def test_degenerate_environment_raises():
     # hand-built corner transitions with zero exit mass everywhere
     trans = np.zeros((1, 4, 4))
-    cube = CUBE2
     for j in range(4):
-        for i in range(2):
-            trans[0, j, cube.interior_directions(j)[i]] = 0.5
+        inward = [k for k in range(4) if k not in CUBE2.exit_directions(j)]
+        trans[0, j, inward] = 0.5
     with pytest.raises(hc.DegenerateEnvironmentError):
         hc.analyze_transitions(2, trans, 1)
 

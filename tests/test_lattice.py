@@ -1,64 +1,10 @@
 import numpy as np
 import pytest
 
-from rwre import lattice as lat
-
-
-# --- direction bases -------------------------------------------------------
-
-def test_basis_axis_aligned():
-    b = lat.build_basis([1.0, 0.0])
-    assert [d.vector for d in b.ordered] == [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    assert [d.index for d in b.ordered] == [1, 2, 3, 4]
-
-
-def test_basis_sorted_by_dot():
-    b = lat.build_basis([0.6, 0.8])
-    assert b.ordered[0].vector == (0, 1)   # dot 0.8
-    assert b.ordered[1].vector == (1, 0)   # dot 0.6
-
-
-def test_basis_tie_break_diagonal():
-    ell = np.array([1.0, -1.0]) / np.sqrt(2)
-    b = lat.build_basis(ell)
-    d0 = np.dot(b.ordered[0].vector, ell)
-    d1 = np.dot(b.ordered[1].vector, ell)
-    assert abs(d0 - 1 / np.sqrt(2)) < 1e-15 and abs(d1 - 1 / np.sqrt(2)) < 1e-15
-    assert b.ordered[0].vector == (1, 0) and b.ordered[1].vector == (0, -1)
-
-
-def test_basis_negation_pairing_and_first_dot():
-    rs = np.random.RandomState(1)
-    for _ in range(200):
-        d = rs.randint(1, 7)
-        v = rs.standard_normal(d)
-        v /= np.linalg.norm(v)
-        b = lat.build_basis(v)
-        dots = [np.dot(dirn.vector, v) for dirn in b.ordered[:d]]
-        assert dots[0] >= 1 / np.sqrt(d) - 1e-12
-        assert all(dots[i] >= dots[i + 1] - 1e-12 for i in range(d - 1))
-        assert dots[-1] >= -1e-12
-        for i in range(d):
-            assert b.ordered[d + i].vector == tuple(-c for c in b.ordered[i].vector)
-
-
-def test_basis_rejects_non_unit():
-    with pytest.raises(ValueError):
-        lat.build_basis([1.0, 1.0])
-    with pytest.raises(ValueError):
-        lat.build_basis([0.0, 0.0])
+from rwre import criteria as cr, lattice as lat
 
 
 # --- hypercubes ------------------------------------------------------------
-
-def test_hypercubes_containing_examples():
-    assert {h.anchor for h in lat.hypercubes_containing((0,))} == {(0,), (-1,)}
-    anchors = {h.anchor for h in lat.hypercubes_containing((0, 0))}
-    assert anchors == {(0, 0), (-1, 0), (0, -1), (-1, -1)}
-    cubes = lat.hypercubes_containing((1, 1, 1))
-    assert len(cubes) == 8
-    assert all(c.contains((1, 1, 1)) for c in cubes)
-
 
 def test_unit_hypercube_structure():
     cube = lat.UnitHypercube((0, 0, 0))
@@ -71,44 +17,22 @@ def test_unit_hypercube_structure():
     assert sorted(cube.exit_directions(j)) == sorted([0, 3 + 1, 2])
 
 
-def test_boundary_towards_examples():
-    square = set(lat.UnitHypercube((0, 0)).corners)
-    assert lat.boundary_towards((0, 0), square) == {(-1, 0), (0, -1)}
-    assert lat.boundary_towards((1, 1), square) == {(2, 1), (1, 2)}
-    cube3 = set(lat.UnitHypercube((0, 0, 0)).corners)
-    assert len(lat.boundary_towards((0, 0, 0), cube3)) == 3
-    with pytest.raises(ValueError):
-        lat.boundary_towards((5, 5), square)
-
-
 def test_boundary_partition_by_corner():
-    cube = lat.UnitHypercube((0, 0, 0))
-    full = lat.boundary(cube.corners)
-    per_corner = [lat.boundary_towards(c, set(cube.corners)) for c in cube.corners]
-    assert sum(len(s) for s in per_corner) == len(full) == 3 * 8
+    # every site at L1 distance 1 from the cube is reached by exactly one
+    # (corner, exit direction) pair: d exits per corner, d 2^d in all
+    for d in (1, 2, 3):
+        cube = lat.UnitHypercube((0,) * d)
+        corners = set(cube.corners)
+        sv = lat.step_vectors(d)
+        exits = [tuple(int(c) for c in np.add(x, sv[k])) for x in cube.corners
+                 for k in cube.exit_directions(cube.corner_index(x))]
+        outer = {tuple(int(c) for c in np.add(x, s)) for x in corners
+                 for s in sv} - corners
+        assert len(exits) == len(set(exits)) == d * (1 << d)
+        assert set(exits) == outer
 
 
 # --- projections -----------------------------------------------------------
-
-def test_project_axis_case():
-    p, q = lat.project([3, 2], [1.0, 0.0])
-    assert np.allclose(p, [3, 0]) and np.allclose(q, [0, 2])
-
-
-def test_project_diagonal_derived():
-    p, q = lat.project([2, 0], np.ones(2) / np.sqrt(2))
-    assert np.allclose(p, [2, 2], atol=1e-12)
-    assert np.allclose(q, [0, -2], atol=1e-12)
-
-
-def test_project_zero_component():
-    vhat = np.array([0.8, 0.6])
-    z = np.array([0, 5])
-    p, q = lat.project(z, vhat)
-    assert np.allclose(p + q, z)
-    p2, q2 = lat.project([0.0, 0.0], vhat)
-    assert np.allclose(p2, 0) and np.allclose(q2, 0)
-
 
 def test_projection_axis_lower_bound():
     rs = np.random.RandomState(3)
@@ -144,29 +68,33 @@ def test_rotation_orthogonal_and_maps_e1():
 
 
 def test_slab_box_membership():
-    ell = np.array([1.0, 0.0])
-    box = lat.SlabBox(tuple(ell), L=4.0, Lp=2.0, Ltilde=3.0)
-    assert box.contains((0, 0)) and box.contains((3, 2)) and box.contains((-1, -2))
-    assert not box.contains((4, 0))      # open at L
-    assert not box.contains((-2, 0))     # open at -Lp
-    assert not box.contains((0, 3))      # open at Ltilde
+    # the box predicate of the polynomial-condition probe, all bounds open
+    box = cr._box_inside(lat.rotation_onto_e1([1.0, 0.0]), L=4.0, Lp=2.0, Lt=3.0)
+    sites = np.array([(0, 0), (3, 2), (-1, -2), (4, 0), (-2, 0), (0, 3)])
+    assert box(sites).tolist() == [True, True, True, False, False, False]
+    # d = 1 has no transverse coordinates
+    line = cr._box_inside(lat.rotation_onto_e1([1.0]), L=4.0, Lp=2.0, Lt=3.0)
+    assert line(np.array([[-1], [3], [4], [-2]])).tolist() == [True, True,
+                                                               False, False]
 
 
 def test_slab_inclusive_bounds():
-    s = lat.Slab((1.0, 0.0), b=1.0, L=4.0)
-    assert s.contains((4, 9)) and s.contains((-4, 0))
-    assert not s.contains((5, 0)) and not s.contains((-5, 0))
+    # the slab predicate of the direct back-exit estimator
+    slab = cr._slab_inside(np.array([1.0, 0.0]), b=1.0, L=4.0)
+    sites = np.array([(4, 9), (-4, 0), (5, 0), (-5, 0)])
+    assert slab(sites).tolist() == [True, True, False, False]
 
 
 # --- tilted boxes ----------------------------------------------------------
 
 def test_tilted_box_axis_bounds_exact():
     box = lat.TiltedBox((0, 0), beta=0.5, L=9.0, vhat=(1.0, 0.0))
-    w = 3.0  # L^beta
-    assert box.contains((8, 0)) and not box.contains((9, 0))
-    assert not box.contains((-3, 0)) and box.contains((-2, 0))
-    assert box.contains((0, 2)) and not box.contains((0, 3))
-    assert box.is_front((9, 1)) and not box.is_front((-4, 0))
+    # width L^beta = 3, all bounds open
+    sites = np.array([(8, 0), (9, 0), (-3, 0), (-2, 0), (0, 2), (0, 3)])
+    assert box.contains_batch(sites).tolist() == [True, False, False, True,
+                                                  True, False]
+    exits = np.array([(9, 1), (-4, 0), (0, 3)])
+    assert box.is_front_batch(exits).tolist() == [True, False, False]
 
 
 def test_tilted_box_elem_geom_property():
@@ -181,7 +109,8 @@ def test_tilted_box_elem_geom_property():
         x1 = tuple(int(c) for c in rs.randint(-5, 5, size=d))
         box = lat.TiltedBox(x1, beta, L, tuple(v))
         x2 = tuple(int(c) for c in np.array(x1) + rs.randint(-int(L), int(L), size=d))
-        if box.contains(x2) and np.dot(np.array(x1) - np.array(x2), v) >= 0:
+        inside = box.contains_batch(np.array([x2]))[0]
+        if inside and np.dot(np.array(x1) - np.array(x2), v) >= 0:
             bound = (1 + np.sqrt(d)) * L ** beta
             assert np.max(np.abs(np.array(x1) - np.array(x2))) <= bound + 1e-9
 
@@ -193,43 +122,10 @@ def test_tilted_box_rejects_bad_params():
         lat.TiltedBox((0, 0), beta=0.5, L=-1.0, vhat=(1.0, 0.0))
 
 
-# --- trap collar -----------------------------------------------------------
-
-def _collar_oracle(d):
-    """Literal set-builder enumeration over a bounding box."""
-    anchor = tuple(d if i == 0 else 0 for i in range(d))
-    cube = set(lat.UnitHypercube(anchor).corners)
-    lo = np.array(anchor) - 2
-    hi = np.array(anchor) + 3
-    A = set()
-    for flat in np.ndindex(*(hi - lo + 1)):
-        z = tuple(int(v) for v in (np.array(flat) + lo))
-        if z in cube:
-            continue
-        if any(max(abs(z[i] - y[i]) for i in range(d)) == 1 for y in cube):
-            A.add(z)
-    return A
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_trap_collar_matches_enumeration(d):
-    A, B = lat.trap_collar(d)
-    assert A == _collar_oracle(d)
-    assert B == {tuple(k if i == 0 else 0 for i in range(d)) for k in range(d)}
-    anchor = tuple(d if i == 0 else 0 for i in range(d))
-    assert not (A & set(lat.UnitHypercube(anchor).corners))
-
-
-def test_trap_collar_d2_shape():
-    A, B = lat.trap_collar(2)
-    assert len(A) == 12 and B == {(0, 0), (1, 0)}
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_trap_collar_connectivity_and_levels(d):
-    A, B = lat.trap_collar(d)
-    assert lat.is_connected(A | B)
-    anchor = tuple(d if i == 0 else 0 for i in range(d))
-    assert lat.boundary(lat.UnitHypercube(anchor).corners) <= A
-    # with ell = e_1 every collar site sits at a strictly positive level
-    assert all(z[0] > 0 for z in A)
+def test_basis_rejects_non_unit():
+    # directions must be unit vectors
+    for vhat in ((1.0, 1.0), (0.0, 0.0)):
+        with pytest.raises(ValueError):
+            lat.TiltedBox((0, 0), beta=0.5, L=4.0, vhat=vhat)
+        with pytest.raises(ValueError):
+            lat.rotation_onto_e1(vhat)

@@ -4,7 +4,7 @@ import pytest
 from rwre import rng, walk
 from rwre.environment import Environment, Expl, TableMixture, UniformDrift
 from rwre.hypercube import analyze
-from rwre.lattice import UnitHypercube
+from rwre.lattice import UnitHypercube, step_vectors
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -133,42 +133,34 @@ def test_expl_projected_increments():
     assert abs(c) < 4 / np.sqrt(len(s))
 
 
-def test_hit_before_return_certain_step():
-    env = Environment(FORWARD, 0)
-    est = walk.hit_before_return(env, (0, 0), {(1, 0)}, (0, 0), 100, 500, 5)
-    assert est.p_hat == 1.0 and est.n_censored == 0
-    # 500 of 500 still leaves an exact interval of positive width
-    assert est.ci_high == 1.0
-    assert est.ci_low == pytest.approx(0.025 ** (1 / 500), rel=1e-9)
-
-
 def test_hit_before_return_matches_exact_escape():
+    # uniform walk on the unit square: escape from the origin before return
+    # is Qtilde_row = 6/7 = 1/2 + 1/2 P_{e_1}[T_exterior < T_0]
     env = Environment(UniformDrift(2), 17)
     cube = UnitHypercube((0, 0))
-    targets = set()
-    for c in cube.corners:
-        from rwre.lattice import boundary_towards
-        targets |= boundary_towards(c, set(cube.corners))
-    est = walk.hit_before_return(env, (0, 0), targets, (0, 0), 2000, 40_000, 23)
-    want = 6.0 / 7.0
-    se = np.sqrt(want * (1 - want) / 40_000)
-    assert abs(est.p_hat - want) < 4 * se
+    qt = analyze(env, cube, 1).Qtilde_row[0, 0]
+    assert qt == pytest.approx(6.0 / 7.0, abs=1e-12)
+    sv = step_vectors(2)
+    exterior = [tuple(np.add(c, sv[k])) for c in cube.corners
+                for k in cube.exit_directions(cube.corner_index(c))]
+    res = walk.run_until_batch(env, np.array([1, 0]), walk.walk_keys(23, 40_000),
+                               2000, hit=_at(*exterior),
+                               inside=lambda X: np.any(X != 0, axis=1))
+    assert res.censored() == 0
+    est = np.mean(res.status == walk.STATUS_HIT)
+    want = 2 * qt - 1
+    assert abs(est - want) < 4 * np.sqrt(want * (1 - want) / 40_000)
 
 
 def test_hit_before_return_unreachable_target():
-    law1 = TableMixture(((1.0, (0.5, 0.5)),))     # symmetric on Z
-    env = Environment(law1, 3)
-    est = walk.hit_before_return(env, (0,), {(-2,)}, (-1,), 5000, 2000, 9)
-    assert est.n_hit == 0 and est.p_hat == 0.0
-    n = est.n_returned
-    assert est.ci_low == 0.0
-    assert est.ci_high == pytest.approx(1 - 0.025 ** (1 / n), rel=1e-9)
-
-
-def test_hit_before_return_rejects_start_in_target():
-    env = Environment(UniformDrift(2), 1)
-    with pytest.raises(ValueError):
-        walk.hit_before_return(env, (0, 0), {(0, 0)}, (0, 0), 10, 10, 1)
+    # on Z, the target -2 lies behind the forbidden site -1: every resolved
+    # walk returns (exits) first and none is ever recorded as a hit
+    env = Environment(TableMixture(((1.0, (0.5, 0.5)),)), 3)
+    res = walk.run_until_batch(env, np.array([0]), walk.walk_keys(9, 2000), 5000,
+                               hit=_at((-2,)), inside=lambda X: X[:, 0] != -1)
+    assert not np.any(res.status == walk.STATUS_HIT)
+    exited = res.status == walk.STATUS_EXITED
+    assert exited.sum() > 1900 and np.all(res.final[exited, 0] == -1)
 
 
 def test_mc_exit_matches_exact_mean_exit():
