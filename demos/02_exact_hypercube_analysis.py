@@ -8,8 +8,9 @@ simulations.  Monte Carlo is used only to confirm them.
 import numpy as np
 
 from rwre.environment import Environment, UniformDrift
-from rwre.hypercube import analyze, quenched, simulate_cube_exits, visit_law_check
+from rwre.hypercube import analyze, visit_law_check
 from rwre.lattice import UnitHypercube
+from rwre.walk import run_until_batch, walk_keys
 
 env = Environment(UniformDrift(2), 1)
 cube = UnitHypercube((0, 0))
@@ -29,11 +30,12 @@ for name, v in ana.check_identities().items():
     print(f"  {name:<14} {v:.2e}")
 
 print("\nMonte Carlo confirmation on the same quenched cube:")
-qh = quenched(env, cube)
-times, corners, visits, _ = simulate_cube_exits(qh, 0, 50_000, 3,
-                                                count_corner=0)
-print(f"  MC mean exit {times.mean():.4f} vs exact 2")
-print(f"  MC mean visits to the start {visits.mean():.4f} vs exact 7/6 = {7/6:.4f}")
+# the walk engine with the cube as its region, counting visits to the start
+start = cube.corners[0]
+res = run_until_batch(env, start, walk_keys(3, 50_000, "cube_walk"), 100_000,
+                      inside=cube.contains_batch, count_visits_to=start)
+print(f"  MC mean exit {res.steps_taken.mean():.4f} vs exact 2")
+print(f"  MC mean visits to the start {res.visits.mean():.4f} vs exact 7/6 = {7/6:.4f}")
 
 rep = visit_law_check(env, cube, 0, 50_000, 9)
 print(f"  chi-square of N(0) against Geometric({rep.qtilde:.4f}): "

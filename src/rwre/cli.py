@@ -223,16 +223,18 @@ def cmd_criteria(args) -> int:
     name = config.get("criterion")
     out = config.get("out", f"criterion_{name}.json")
     if name in ("e0", "eprime1", "eprime1_probe", "ktilde1"):
-        params = {}
         if name == "e0":
-            params["etas"] = config.get("etas", 0.1)
-        if name == "eprime1":
-            params["phi"] = config["phi"]
-        if name == "eprime1_probe":
-            params["exponent"] = config.get("exponent")
-        if name == "ktilde1":
-            params["exponent"] = float(config.get("exponent", 2.0))
-        rep = criteria.moment_conditions(law, name, reps, seed, **params)
+            rep = criteria.check_e0(law, config.get("etas", 0.1), reps, seed)
+        elif name == "eprime1":
+            if "phi" not in config:
+                raise ParameterError("criterion eprime1 needs phi (2d positive "
+                                     "weights) in the config")
+            rep = criteria.check_eprime(law, config["phi"], reps, seed)
+        elif name == "eprime1_probe":
+            rep = criteria.eprime_probe(law, config.get("exponent"), reps, seed)
+        else:
+            rep = criteria.check_ktilde(law, float(config.get("exponent", 2.0)),
+                                        reps, seed)
         write_json(out, rep.to_dict(), config)
         print(f"criteria {name}: {rep.verdict} -> {out}")
         return EXIT_OK

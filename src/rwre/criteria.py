@@ -569,24 +569,6 @@ def check_kalpha(law, alpha: float, gammas, policy, replicates: int,
                             "eps_hat": eps_hat})
 
 
-def moment_conditions(law, criterion: str, replicates: int, master_seed: int,
-                      **params) -> CriterionReport:
-    """Dispatch to the named moment condition check."""
-    criterion = criterion.lower()
-    if criterion in ("e0", "(e)_0"):
-        return check_e0(law, params["etas"], replicates, master_seed)
-    if criterion in ("eprime1_probe", "(e')_1_probe"):
-        return eprime_probe(law, params.get("exponent"), replicates, master_seed)
-    if criterion in ("eprime1", "(e')_1"):
-        return check_eprime(law, params["phi"], replicates, master_seed)
-    if criterion in ("ktilde1", "(ktilde)_1"):
-        return check_ktilde(law, params["exponent"], replicates, master_seed)
-    if criterion in ("kalpha", "(k)_alpha"):
-        return check_kalpha(law, params["alpha"], params["gammas"],
-                            params["policy"], replicates, master_seed)
-    raise ValueError(f"unknown criterion {criterion!r}")
-
-
 @dataclass
 class AttainabilityPoint:
     u: float
@@ -802,8 +784,9 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     The splitting estimator advances walks level by level toward the back
     side, multiplying conditional passage frequencies, so exponentially
     small probabilities remain estimable; the direct estimator is plain
-    Monte Carlo.  Fits of log-estimate against L^gamma are reported for
-    each requested gamma.
+    Monte Carlo over the walks that exit, and drops a replicate whose walks
+    are all censored (an L with none left reports NaN).  Fits of
+    log-estimate against L^gamma are reported for each requested gamma.
     """
     if b <= 0:
         raise ValueError("b must be positive")
@@ -833,12 +816,13 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                 back = exited & ((res.final @ ell) < 0)
                 n_resolved = int(exited.sum())
                 ncens += res.censored()
-                vals.append(float(back.sum() / n_resolved) if n_resolved else 0.0)
+                if n_resolved:      # all censored: no data, not "no back exit"
+                    vals.append(float(back.sum() / n_resolved))
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
         v = np.asarray(vals, dtype=float)
         Ls.append(float(L))
-        est.append(float(v.mean()))
+        est.append(float(v.mean()) if len(v) else float("nan"))
         pos = v[v > 0]
         lse.append(float(np.log(pos).std(ddof=1) / np.sqrt(len(pos)))
                    if len(pos) > 1 else float("nan"))

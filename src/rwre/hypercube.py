@@ -16,7 +16,10 @@ dense linear solve:
   used to cross-check the visit identity N[x0, x] * Qtilde_row[x] =
   P_{x0}[T_x < T_exit].
 
-All solvers are batched over environment replicates.
+All solvers are batched over environment replicates.  The Monte Carlo
+checks (:func:`visit_law_check`, non-integer :func:`fractional_moment`)
+walk on the keyed field with :func:`~rwre.walk.run_until_batch`, with
+``UnitHypercube.contains_batch`` as the region.
 """
 
 from __future__ import annotations
@@ -270,79 +273,19 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
         samples = ana.moments[:, order].max(axis=1)
     else:
         vals = np.empty(replicates)
-        lo = np.asarray(cube.anchor, dtype=np.int64)
-
-        def inside(Xp):
-            off = Xp - lo
-            return np.all((off >= 0) & (off <= 1), axis=1)
-
         for r, seed in enumerate(seeds.tolist()):
             env = Environment(law, seed)
             best = 0.0
             for j, corner in enumerate(cube.corners):
                 keys = walk_keys(seed, mc_runs, salt=f"fracmom:{j}")
                 res = run_until_batch(env, np.asarray(corner), keys,
-                                      walk_budget, inside=inside)
+                                      walk_budget, inside=cube.contains_batch)
                 censored += res.censored()
                 best = max(best, float(np.mean(res.steps_taken.astype(float) ** alpha)))
             vals[r] = best
         samples = vals
     verdict, hill = stats.moment_verdict(samples, alpha, k=hill_k)
     return FractionalMomentReport(alpha, samples, hill, verdict, censored)
-
-
-def cube_chain_tables(qh: QuenchedHypercube) -> tuple[np.ndarray, np.ndarray]:
-    """(cum, nxt): cumulative rows over the 2d directions and the successor
-    state per (corner, direction), with -1 meaning 'exited'."""
-    d, m = qh.d, qh.m
-    cum = np.cumsum(qh.transitions, axis=1)
-    nxt = np.empty((m, 2 * d), dtype=np.int64)
-    for j in range(m):
-        for dir_idx in range(2 * d):
-            axis = dir_idx % d
-            sign = 1 if dir_idx < d else -1
-            bit = (j >> axis) & 1
-            stays = (bit == 0 and sign == 1) or (bit == 1 and sign == -1)
-            nxt[j, dir_idx] = (j ^ (1 << axis)) if stays else -1
-    return cum, nxt
-
-
-def simulate_cube_exits(qh: QuenchedHypercube, start_corner: int, runs: int,
-                        master_seed: int, horizon: int = 100_000,
-                        count_corner: int | None = None):
-    """Fast quenched MC inside one cube (finite-state, no site hashing).
-
-    Returns (exit_times, exit_corners, visits, n_censored); censored walks
-    report exit_corner -1 and exit_time = horizon.
-    """
-    cum, nxt = cube_chain_tables(qh)
-    keys = rng.derive_keys(master_seed, "cube_walk", n=runs)
-    state = np.full(runs, start_corner, dtype=np.int64)
-    alive = np.arange(runs)
-    exit_times = np.full(runs, horizon, dtype=np.int64)
-    exit_corners = np.full(runs, -1, dtype=np.int64)
-    visits = np.zeros(runs, dtype=np.int64)
-    if count_corner is not None:
-        visits[state == count_corner] += 1
-    for t in range(horizon):
-        if not len(alive):
-            break
-        u = rng.stream_uniforms(keys, t)
-        rows = cum[state]
-        j = np.minimum((rows < u[:, None]).sum(axis=1), rows.shape[1] - 1)
-        new_state = nxt[state, j]
-        gone = new_state < 0
-        if gone.any():
-            ids = alive[gone]
-            exit_times[ids] = t + 1
-            exit_corners[ids] = state[gone]
-            keep = ~gone
-            alive, state, keys = alive[keep], new_state[keep], keys[keep]
-        else:
-            state = new_state
-        if count_corner is not None and len(alive):
-            visits[alive[state == count_corner]] += 1
-    return exit_times, exit_corners, visits, int(len(alive))
 
 
 @dataclass
@@ -361,16 +304,19 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
                     runs: int, master_seed: int) -> VisitLawReport:
     """Chi-square test of N(corner) against Geometric(Qtilde_row[corner]).
 
-    The walk starts at the tested corner, so the visit count before exit
-    is geometric with the exact escape-before-return probability.
+    The walks start at the tested corner and run on
+    :func:`~rwre.walk.run_until_batch` with the cube as the region, so the
+    count of visits to the start before exit is geometric with the exact
+    escape-before-return probability.  Walks still inside after 200 000
+    steps are censored; their visits so far enter the test.
     """
     if runs < 10_000:
         raise ValueError("runs must be >= 10^4 for a stable test")
-    qh = quenched(env, cube)
-    ana = analyze_transitions(qh.d, qh.transitions[None], 1)
-    qt = float(ana.Qtilde_row[0, corner])
-    _, _, visits, censored = simulate_cube_exits(
-        qh, corner, runs, master_seed, horizon=200_000, count_corner=corner)
-    chi2, dof, p = stats.chi_square_geometric(visits, qt)
+    qt = float(analyze(env, cube, 1).Qtilde_row[0, corner])
+    site = cube.corners[corner]
+    res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),
+                          200_000, inside=cube.contains_batch,
+                          count_visits_to=site)
+    chi2, dof, p = stats.chi_square_geometric(res.visits, qt)
     return VisitLawReport(qt, runs, chi2, dof, p,
-                          float(visits.mean()), 1.0 / qt, censored)
+                          float(res.visits.mean()), 1.0 / qt, res.censored())

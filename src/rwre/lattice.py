@@ -4,7 +4,8 @@ Sites are tuples of python ints (hashable, exact); bulk math uses numpy.
 Directions are enumerated with the convention that direction i+d is the
 negative of direction i.  The canonical enumeration (+e_1..+e_d then
 -e_1..-e_d) is the frame in which environment laws are specified.  The
-tilted-box predicates are vectorized over (N, d) arrays of sites.
+unit-hypercube and tilted-box membership predicates are vectorized over
+(N, d) arrays of sites.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ class UnitHypercube:
                 raise ValueError(f"{site} is not a corner of {self}")
             j |= off << i
         return j
+
+    def contains_batch(self, X: np.ndarray) -> np.ndarray:
+        """Vectorized membership for an (N, d) array of sites.
+
+        Each offset from the anchor must be 0 or 1; viewed as uint64, a
+        negative offset wraps past 1, so one comparison per column decides.
+        """
+        off = (np.asarray(X, dtype=np.int64)
+               - np.asarray(self.anchor, dtype=np.int64)).view(np.uint64)
+        inside = off[:, 0] <= 1
+        for i in range(1, self.d):
+            inside &= off[:, i] <= 1
+        return inside
 
     def exit_directions(self, corner_bits: int) -> list[int]:
         """Canonical 0-based direction indices leading out from a corner."""

@@ -9,6 +9,11 @@ canonical direction order, one walk-stream uniform per step):
 * :func:`run_until_batch` -- walks run until they leave a region, hit a
   target set or exhaust the budget; stopped walks are compacted away.
 
+No other module steps walks: the slab, box and tilted-box estimators,
+the splitting levels and the unit-hypercube Monte Carlo
+(``UnitHypercube.contains_batch`` as the region, visits counted at the
+start corner) all run on :func:`run_until_batch`.
+
 For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
 are taken by the compiled loop in :mod:`rwre._kernel`, once per segment
 between checkpoints or once per stopping step, with step sequences equal
@@ -16,7 +21,7 @@ to :func:`_step_batch`'s by construction; it hands back to
 :func:`_step_batch` any step it cannot decide exactly.  Other laws, hosts
 without a compiler and recorded runs step with numpy.  Both engines
 validate their batch (keys, start rows, dimension, length, per-walker
-seeds) before the first step.
+seeds, the visit-count site) before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -156,13 +161,16 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     ``inside`` and ``hit`` are vectorized predicates on (N, d) position
     arrays; a walk that starts on a target or outside the region stops at
     step 0.  Stopped walks are compacted away so the cost tracks the number
-    of live walks.  ``count_visits_to`` counts time spent at one site
-    (including the start when it matches).
+    of live walks.  ``count_visits_to`` counts time spent at one site of
+    dimension ``env.dim`` (including the start when it matches).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pos, ckeys = _batch(env, starts, keys)
     W = pos.shape[0]
+    if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
+        raise ValueError(f"count_visits_to must be one site of dimension "
+                         f"{env.dim}, got shape {np.shape(count_visits_to)}")
     plan = _kernel.plan(env)
     sv = step_vectors(env.dim)
     status = np.zeros(W, dtype=np.uint8)
@@ -175,35 +183,42 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     live = np.arange(W, dtype=np.int64)
     cur = pos
 
+    # compress() rather than boolean indexing, and the visit test one column
+    # at a time: both are several times cheaper on the wide, short-lived
+    # batches of the cube Monte Carlo.
     def settle(mask: np.ndarray, code: int, t: int):
         nonlocal live, cur, ckeys
         if not mask.any():
             return
-        ids = live[mask]
+        ids = live.compress(mask)
         status[ids] = code
-        final[ids] = cur[mask]
+        final[ids] = cur.compress(mask, axis=0)
         steps_taken[ids] = t
         keep = ~mask
-        live = live[keep]
-        cur = cur[keep]
-        ckeys = ckeys[keep]
+        live = live.compress(keep)
+        cur = cur.compress(keep, axis=0)
+        ckeys = ckeys.compress(keep)
+
+    def count_visits():
+        at = cur[:, 0] == target[0]
+        for i in range(1, len(target)):
+            at &= cur[:, i] == target[i]
+        if at.any():
+            visits[live.compress(at)] += 1
 
     if hit is not None:
         settle(hit(cur), STATUS_HIT, 0)
     if inside is not None and len(live):
         settle(~inside(cur), STATUS_EXITED, 0)
-
     if visits is not None and len(live):
-        visits[live[np.all(cur == target, axis=1)]] += 1
+        count_visits()
 
     for t in range(horizon):
         if not len(live):
             break
         _advance(env, plan, cur, ckeys, t, t + 1, sv, live=live)
         if visits is not None:
-            at = np.all(cur == target, axis=1)
-            if at.any():
-                visits[live[at]] += 1
+            count_visits()
         if hit is not None:
             settle(hit(cur), STATUS_HIT, t + 1)
         if inside is not None and len(live):

@@ -267,11 +267,25 @@ def test_kalpha_suff_cond_construction():
     assert rep.details["eps_hat"] == pytest.approx(1.0)
 
 
-def test_moment_conditions_dispatch_and_errors():
-    rep = cr.moment_conditions(UniformDrift(2), "ktilde1", 1000, 1, exponent=2.0)
-    assert rep.criterion == "Ktilde1"
-    with pytest.raises(ValueError):
-        cr.moment_conditions(UniformDrift(2), "nonsense", 10, 1)
+def test_moment_conditions_dispatch_and_errors(tmp_path, capsys):
+    # the CLI dispatches the moment conditions by criterion name
+    base = ["criteria", "--law", "uniform", "--d", "2", "--seed", "1",
+            "--replicates", "1000"]
+    out = tmp_path / "kt.json"
+    assert cli.main(base + ["--criterion", "ktilde1", "--exponent", "2",
+                            "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    want = cr.check_ktilde(UniformDrift(2), 2.0, 1000, 1).to_dict()
+    assert doc["criterion"] == "Ktilde1"
+    assert {k: doc[k] for k in want} == json.loads(
+        json.dumps(want, default=cli._json_default))
+    assert cli.main(base + ["--criterion", "nonsense"]) == cli.EXIT_PARAM
+    # eprime1 without phi is a user error, not a KeyError traceback
+    capsys.readouterr()
+    assert cli.main(base + ["--criterion", "eprime1",
+                            "--out", str(tmp_path / "e.json")]) == cli.EXIT_PARAM
+    assert "phi" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
     with pytest.raises(ValueError):
         cr.check_e0(UniformDrift(2), -1.0, 100, 1)
 
@@ -349,6 +363,16 @@ def test_slab_exit_splitting_tracks_exact_ruin():
     exact = (rho ** 12 - rho ** 24) / (1 - rho ** 24)
     assert rep.estimates[0] > 0
     assert abs(np.log(rep.estimates[0]) - np.log(exact)) < 1.5
+
+
+def test_slab_exit_direct_all_censored_is_no_data():
+    # budget 1 never reaches either side: every walk is censored, so the
+    # replicates carry no data and the estimate is NaN, not 0.0
+    rep = cr.slab_exit(UniformDrift(2), (1, 0), 1.0, [8.0], 1, 2, 3,
+                       estimator="direct", direct_runs=200)
+    assert rep.censored == [400]
+    assert np.isnan(rep.estimates[0])
+    assert rep.fits[1.0] is None
 
 
 def test_slab_exit_validates():

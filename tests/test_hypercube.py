@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rwre import hypercube as hc, rng
-from rwre.environment import Dirichlet, Environment, Expl, TrapSym, UniformDrift
+from rwre import hypercube as hc, rng, walk
+from rwre.environment import (Dirichlet, Environment, Expl, TableMixture, TrapSym,
+                              TrapTransient, UniformDrift)
 from rwre.lattice import UnitHypercube
 
 CUBE2 = UnitHypercube((0, 0))
@@ -68,14 +69,90 @@ def test_escape_site_probs_consistency():
     assert np.max(np.abs(rho.sum(axis=1) - ana.Qtilde[0, 0])) < 1e-12
 
 
+def cube_chain_oracle(qh, start_corner: int, keys, horizon: int):
+    """Finite-state reference for a walk in one quenched cube.
+
+    Steps the 2^d-corner chain directly, with the same walk keys, cumulative
+    rows and inverse-CDF rule as the walk engine, counting visits to the
+    start corner.  Returns (status, steps_taken, visits) in the layout of
+    ``walk.UntilBatchResult``.
+    """
+    d, m = qh.d, qh.m
+    cum = np.cumsum(qh.transitions, axis=1)
+    nxt = np.empty((m, 2 * d), dtype=np.int64)
+    for j in range(m):
+        for k in range(2 * d):
+            axis, up = k % d, k < d
+            inward = ((j >> axis) & 1) == (0 if up else 1)
+            nxt[j, k] = j ^ (1 << axis) if inward else -1
+    runs = len(keys)
+    state = np.full(runs, start_corner, dtype=np.int64)
+    alive = np.arange(runs)
+    status = np.full(runs, walk.STATUS_BUDGET, dtype=np.uint8)
+    steps = np.full(runs, horizon, dtype=np.int64)
+    visits = np.ones(runs, dtype=np.int64)
+    for t in range(horizon):
+        if not len(alive):
+            break
+        u = rng.stream_uniforms(keys, t)
+        rows = cum[state]
+        j = np.minimum((rows < u[:, None]).sum(axis=1), 2 * d - 1)
+        state = nxt[state, j]
+        gone = state < 0
+        status[alive[gone]] = walk.STATUS_EXITED
+        steps[alive[gone]] = t + 1
+        alive, state, keys = alive[~gone], state[~gone], keys[~gone]
+        visits[alive[state == start_corner]] += 1
+    return status, steps, visits
+
+
+def _cube_walks(env, cube, corner, runs, seed, horizon=200_000):
+    site = cube.corners[corner]
+    return walk.run_until_batch(env, site, walk.walk_keys(seed, runs, "cube_walk"),
+                                horizon, inside=cube.contains_batch,
+                                count_visits_to=site)
+
+
+ORACLE_LAWS = [UniformDrift(1), UniformDrift(2, 0.3), UniformDrift(3),
+               Expl(2, 0.3), Expl(3, 0.2),
+               TrapSym(1), TrapSym(2), TrapSym(3),
+               TrapTransient(1), TrapTransient(2),
+               Dirichlet((1.0,) * 2), Dirichlet((2.0, 1.0, 1.0, 0.5)),
+               Dirichlet((1.0,) * 6),
+               TableMixture(((0.4, (0.6, 0.4)), (0.6, (0.2, 0.8)))),
+               TableMixture(((0.3, (0.7, 0.1, 0.1, 0.1)),
+                             (0.7, (0.1, 0.1, 0.1, 0.7)))),
+               TableMixture(((1.0, (0.3, 0.1, 0.1, 0.3, 0.1, 0.1)),))]
+
+
+@pytest.mark.parametrize("last_corner", [False, True], ids=["corner0", "cornerM"])
+@pytest.mark.parametrize("law", ORACLE_LAWS, ids=lambda law: law.tag)
+def test_walk_engine_matches_cube_chain_oracle(law, last_corner):
+    # an off-origin anchor exercises the wrap of negative offsets; horizon 3
+    # censors some walks of every law, horizon 10^4 lets them all exit
+    D = law.dim
+    cube = UnitHypercube((1, -2, 3, -1)[:D])
+    env = Environment(law, 5 + D)
+    corner = (1 << D) - 1 if last_corner else 0
+    runs, seed = 3000, 11 * D + corner
+    for horizon in (3, 10_000):
+        res = _cube_walks(env, cube, corner, runs, seed, horizon)
+        want = cube_chain_oracle(hc.quenched(env, cube), corner,
+                                 walk.walk_keys(seed, runs, "cube_walk"), horizon)
+        assert np.array_equal(res.status, want[0])
+        assert np.array_equal(res.steps_taken, want[1])
+        assert np.array_equal(res.visits, want[2])
+        assert (res.censored() > 0) == (horizon == 3)
+
+
 def test_qtilde_matches_monte_carlo():
     env = Environment(UniformDrift(2), 3)
-    qh = hc.quenched(env, CUBE2)
     runs = 40_000
-    _, exit_corners, visits, cens = hc.simulate_cube_exits(qh, 0, runs, 17,
-                                                           count_corner=0)
-    assert cens == 0
-    no_return = visits == 1
+    res = _cube_walks(env, CUBE2, 0, runs, 17)
+    assert res.censored() == 0
+    # each exterior neighbour touches one corner; clipping recovers it
+    exit_corners = np.clip(res.final, 0, 1) @ np.array([1, 2])
+    no_return = res.visits == 1
     for y in range(4):
         want = 0.5 if y == 0 else (1 / 7 if y in (1, 2) else 1 / 14)
         got = np.mean(no_return & (exit_corners == y))
@@ -84,10 +161,10 @@ def test_qtilde_matches_monte_carlo():
 
 def test_moments_match_monte_carlo():
     env = Environment(Expl(2, 0.3), 21)
-    qh = hc.quenched(env, CUBE2)
-    ana = hc.analyze_transitions(2, qh.transitions[None], 2)
-    times, _, _, cens = hc.simulate_cube_exits(qh, 0, 40_000, 5)
-    assert cens == 0
+    ana = hc.analyze(env, CUBE2, 2)
+    res = _cube_walks(env, CUBE2, 0, 40_000, 5)
+    assert res.censored() == 0
+    times = res.steps_taken
     want, var = ana.mean_exit[0, 0], ana.moments[0, 2, 0] - ana.mean_exit[0, 0] ** 2
     assert abs(times.mean() - want) < 4 * np.sqrt(var / len(times))
 
@@ -141,7 +218,6 @@ def test_visit_law_check_uniform():
 
 def test_visit_law_check_one_step_exit():
     # every step leaves the cube: N(0) is identically 1
-    from rwre.environment import TableMixture
     law = TableMixture(((1.0, (0.0, 0.0, 0.5, 0.5)),))
     env = Environment(law, 2)
     rep = hc.visit_law_check(env, CUBE2, 0, 10_000, 4)

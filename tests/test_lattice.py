@@ -15,6 +15,18 @@ def test_unit_hypercube_structure():
     j = cube.corner_index((1, 0, 1))
     assert j == 0b101
     assert sorted(cube.exit_directions(j)) == sorted([0, 3 + 1, 2])
+    # contains_batch: corners inside; exterior neighbours, negative offsets
+    # and far sites outside
+    for d in (1, 2, 3):
+        cube = lat.UnitHypercube((2, -3, 0)[:d])
+        corners = np.array(cube.corners, dtype=np.int64)
+        assert cube.contains_batch(corners).all()
+        outer = (corners[:, None, :] + lat.step_vectors(d)[None]).reshape(-1, d)
+        outer = outer[~(outer[:, None, :] == corners[None]).all(axis=2).any(axis=1)]
+        assert len(outer) == d << d and not cube.contains_batch(outer).any()
+        anchor = np.array(cube.anchor, dtype=np.int64)
+        far = np.array([anchor - 1, anchor + 2, anchor - (1 << 40)])
+        assert not cube.contains_batch(far).any()
 
 
 def test_boundary_partition_by_corner():

@@ -40,20 +40,24 @@ _ENV = Environment(Expl(2, 0.3), 1)
 _KEYS = walk.walk_keys(1, 4)
 
 
-@pytest.mark.parametrize("env, starts, keys, nsteps", [
-    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50),    # 4 starts, 1 key
-    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50),          # keys not 1-D
-    (_ENV, np.zeros((4, 3)), _KEYS, 50),                   # wrong dimension
+@pytest.mark.parametrize("env, starts, keys, nsteps, visit", [
+    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50, None),  # 4 starts, 1 key
+    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50, None),        # keys not 1-D
+    (_ENV, np.zeros((4, 3)), _KEYS, 50, None),                 # wrong dimension
     (Environment(Expl(2, 0.3), rng.derive_keys(2, "w", n=3)),
-     np.zeros(2), _KEYS, 50),                              # 3 fields, 4 walkers
-    (_ENV, np.zeros(2), _KEYS, -3),                        # negative length
-], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps"])
-def test_engines_reject_malformed_batches(env, starts, keys, nsteps):
-    with pytest.raises(ValueError):
-        walk.run_fixed_batch(env, starts, nsteps, keys)
+     np.zeros(2), _KEYS, 50, None),                            # 3 fields, 4 walkers
+    (_ENV, np.zeros(2), _KEYS, -3, None),                      # negative length
+    (_ENV, np.zeros(2), _KEYS, 50, (0,)),                      # 1-D visit site in d=2
+    (_ENV, np.zeros(2), _KEYS, 50, [(0, 0), (1, 0)]),          # two visit sites
+], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps",
+        "visit_site_dimension", "visit_site_shape"])
+def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit):
+    if visit is None:       # run_fixed_batch counts no visits
+        with pytest.raises(ValueError):
+            walk.run_fixed_batch(env, starts, nsteps, keys)
     if nsteps >= 0:
         with pytest.raises(ValueError):
-            walk.run_until_batch(env, starts, keys, nsteps)
+            walk.run_until_batch(env, starts, keys, nsteps, count_visits_to=visit)
 
 
 def test_checkpoints_before_the_first_step_are_rejected():
