@@ -158,15 +158,35 @@ def cmd_walk(args) -> int:
     return EXIT_OK
 
 
+def _regen_ell(spec, law) -> np.ndarray:
+    """Unit direction from "auto" or a list of law.dim numbers (a JSON
+    string when it comes from the command line)."""
+    if spec == "auto":
+        ell = default_ell(law)
+    else:
+        try:
+            ell = np.asarray(json.loads(spec) if isinstance(spec, str) else spec,
+                             dtype=float)
+        except (ValueError, TypeError):
+            ell = None
+    if ell is None or ell.shape != (law.dim,):
+        raise ParameterError(f"ell must be \"auto\" or a list of {law.dim} "
+                             f"numbers, got {spec!r}")
+    with np.errstate(all="ignore"):
+        unit = ell / np.linalg.norm(ell)
+    # a zero, infinite or NaN entry leaves a non-finite or zero unit vector
+    if not (np.all(np.isfinite(unit)) and unit.any()):
+        raise ParameterError(f"ell must be finite and nonzero, got {spec!r}")
+    return unit
+
+
 def cmd_regen(args) -> int:
     config = load_config(args, {"steps": 100_000, "walks": 100})
     law = _resolve_law(config)
     seed = int(config["seed"])
     env = Environment(law, rng.derive_key(seed, "regen_env"))
     nsteps, walks = int(config["steps"]), int(config["walks"])
-    ell_spec = config.get("ell", "auto")
-    ell = default_ell(law) if ell_spec == "auto" else np.asarray(ell_spec, float)
-    ell = ell / np.linalg.norm(ell)
+    ell = _regen_ell(config.get("ell", "auto"), law)
     config["ell"] = [float(v) for v in ell]
     keys = walk.walk_keys(rng.derive_key(seed, "regen_walks"), walks)
     res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64), nsteps,

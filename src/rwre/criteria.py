@@ -6,13 +6,15 @@ only transition probabilities already revealed.  Discovery goes through a
 recording view of the environment that raises on any out-of-prefix read,
 and the full log is kept so measurability can be audited after the fact.
 
-On top of it sit the criterion estimators: negative-moment probes for the
-ellipticity conditions, the mark-sum construction that upgrades the
-exponential-moment condition to the marked-hypercube criterion, escape
-path bundles with their quenched probabilities, box/slab exit estimators
-(including a level-splitting rare-event estimator, since backtracking
-probabilities decay exponentially and are invisible to direct Monte
-Carlo), and the tilted-box front-exit probe.
+On top of it sit the criterion estimators: the moment checks of the
+ellipticity conditions (E)_0, (E')_1 and the inverse-Q condition, which
+share one capped-column probe and one verdict mapping; the mark sum of the
+marked-hypercube criterion (its corner Q moments and Qtilde are reached
+through the inverse-Q check and the path bundles, not one composite
+check); escape path bundles with their quenched probabilities; box/slab
+exit estimators (including a level-splitting rare-event estimator, since
+backtracking probabilities decay exponentially and are invisible to direct
+Monte Carlo); and the tilted-box front-exit probe.
 
 Every verdict is Monte Carlo evidence with a confidence interval; nothing
 here "proves" an almost-sure or asymptotic statement.
@@ -364,43 +366,49 @@ def _origin_samples(law, replicates: int, master_seed: int, salt: str) -> np.nda
 
 _SAMPLE_CAP = 1e300  # keeps astronomically heavy tails finite; biases the
                      # Hill index down, i.e. toward 'infinite', only there
+_FINITE, _INFINITE = "moment-appears-finite", "moment-appears-infinite"
 
 
-def negative_moment_probe(P: np.ndarray, dir_index: int,
-                          exponent: float) -> tuple[str, Estimate]:
-    """Verdict on E[p(0, e)^(-exponent)] for one canonical direction.
+def _probe_columns(columns, hill_ci: bool = False) -> tuple[list[str], list[Estimate]]:
+    """Moment verdict and Estimate of E[y] for each (name, y) sample column.
 
-    ``P`` holds the origin's transition vectors, one row per replicate.
+    Each column is capped at _SAMPLE_CAP first; ``hill_ci`` puts the Hill
+    tail-index CI into the Estimate.
     """
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
-    y = np.minimum(P[:, dir_index] ** (-exponent), _SAMPLE_CAP)
-    verdict, est = stats.moment_verdict(y, 1.0)
-    hill = est.to_dict() if est else {}
-    e = Estimate(f"inv_moment_p(e_{dir_index + 1})^{exponent}", float(np.mean(y)),
-                 hill.get("ci_low", float("nan")),
-                 hill.get("ci_high", float("nan")), len(P))
-    return verdict, e
+    verdicts, ests = [], []
+    for name, y in columns:
+        y = np.minimum(y, _SAMPLE_CAP)
+        v, hill = stats.moment_verdict(y, 1.0)
+        e = Estimate(name, float(np.mean(y)), n=len(y))
+        if hill_ci and hill is not None:
+            e.ci_low, e.ci_high = hill.ci_low, hill.ci_high
+        verdicts.append(v)
+        ests.append(e)
+    return verdicts, ests
+
+
+def _overall(satisfied: bool, violated: bool) -> str:
+    """A check's overall verdict from its own satisfied/violated rule."""
+    if satisfied:
+        return "satisfied-empirically"
+    return "violated-empirically" if violated else "inconclusive"
+
+
+def _origin_probes(law, exponents, replicates: int,
+                   master_seed: int) -> tuple[list[str], list[Estimate]]:
+    """Probe E[p(0, e_i)^(-exponents[i])] for every canonical direction i."""
+    P = _origin_samples(law, replicates, master_seed, "e0_probe")
+    return _probe_columns(((f"inv_moment_p(e_{i + 1})^{x}", P[:, i] ** (-x))
+                           for i, x in enumerate(exponents)), hill_ci=True)
 
 
 def check_e0(law, etas, replicates: int, master_seed: int) -> CriterionReport:
     """Probe E[p(0,e)^(-eta_e)] < infinity for every direction."""
-    D = law.dim
-    etas = np.broadcast_to(np.asarray(etas, dtype=float), (2 * D,))
+    etas = np.broadcast_to(np.asarray(etas, dtype=float), (2 * law.dim,))
     if np.any(etas <= 0):
         raise ValueError("eta exponents must be positive")
-    P = _origin_samples(law, replicates, master_seed, "e0_probe")
-    verdicts, ests = [], []
-    for i in range(2 * D):
-        v, e = negative_moment_probe(P, i, float(etas[i]))
-        verdicts.append(v)
-        ests.append(e)
-    if all(v == "moment-appears-finite" for v in verdicts):
-        overall = "satisfied-empirically"
-    elif any(v == "moment-appears-infinite" for v in verdicts):
-        overall = "violated-empirically"
-    else:
-        overall = "inconclusive"
+    verdicts, ests = _origin_probes(law, etas.tolist(), replicates, master_seed)
+    overall = _overall(set(verdicts) == {_FINITE}, _INFINITE in verdicts)
     return CriterionReport("E0", {"etas": etas.tolist(), "replicates": replicates},
                            ests, overall, {"per_direction": verdicts})
 
@@ -416,18 +424,11 @@ def eprime_probe(law, exponent: float | None, replicates: int,
     D = law.dim
     if exponent is None:
         exponent = 1.0 / (4 * D)
-    P = _origin_samples(law, replicates, master_seed, "e0_probe")
-    verdicts, ests = [], []
-    for i in range(2 * D):
-        v, e = negative_moment_probe(P, i, exponent)
-        verdicts.append(v)
-        ests.append(e)
-    if all(v == "moment-appears-infinite" for v in verdicts):
-        overall = "violated-empirically"
-    elif all(v == "moment-appears-finite" for v in verdicts):
-        overall = "satisfied-empirically"
-    else:
-        overall = "inconclusive"
+    if exponent <= 0:
+        raise ValueError("exponent must be positive")
+    verdicts, ests = _origin_probes(law, [exponent] * (2 * D), replicates,
+                                    master_seed)
+    overall = _overall(set(verdicts) == {_FINITE}, set(verdicts) == {_INFINITE})
     return CriterionReport("Eprime1_probe",
                            {"exponent": exponent, "replicates": replicates},
                            ests, overall, {"per_direction": verdicts})
@@ -441,132 +442,46 @@ def check_eprime(law, phi, replicates: int, master_seed: int) -> CriterionReport
         raise ValueError("phi must be positive over the 2d directions")
     opp = np.concatenate([phi[D:], phi[:D]])
     margin = 2 * phi.sum() - (phi + opp).max()
-    P = _origin_samples(law, replicates, master_seed, "eprime_full")
-    verdicts, ests = [], []
-    for i in range(2 * D):
+    logP = np.log(_origin_samples(law, replicates, master_seed, "eprime_full"))
+
+    def excluding(i):
         w = phi.copy()
         w[i] = 0.0
-        y = np.minimum(np.exp(-(np.log(P) * w).sum(axis=1)), _SAMPLE_CAP)
-        v, est = stats.moment_verdict(y, 1.0)
-        verdicts.append(v)
-        ests.append(Estimate(f"exp_moment_excluding_e_{i + 1}", float(np.mean(y)),
-                             n=replicates))
+        return np.exp(-(logP * w).sum(axis=1))
+
+    verdicts, ests = _probe_columns((f"exp_moment_excluding_e_{i + 1}", excluding(i))
+                                    for i in range(2 * D))
     ok_margin = margin > 1.0
-    if ok_margin and all(v == "moment-appears-finite" for v in verdicts):
-        overall = "satisfied-empirically"
-    elif not ok_margin or any(v == "moment-appears-infinite" for v in verdicts):
-        overall = "violated-empirically"
-    else:
-        overall = "inconclusive"
+    overall = _overall(ok_margin and set(verdicts) == {_FINITE},
+                       not ok_margin or _INFINITE in verdicts)
     return CriterionReport("Eprime1", {"phi": phi.tolist(), "margin": margin,
                                        "replicates": replicates},
                            ests, overall, {"per_direction": verdicts})
 
 
-def corner_q_samples(law, replicates: int, master_seed: int,
-                     salt: str = "ktilde") -> np.ndarray:
-    """(R, 2^d) samples of the max one-step exit probability per corner."""
-    D = law.dim
-    cube = UnitHypercube((0,) * D)
-    seeds = rng.derive_keys(master_seed, salt, n=replicates)
-    P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-    out = np.empty((replicates, 1 << D))
-    for j in range(1 << D):
-        out[:, j] = P[:, j, cube.exit_directions(j)].max(axis=1)
-    return out
-
-
 def check_ktilde(law, exponent: float, replicates: int,
                  master_seed: int) -> CriterionReport:
-    """min_x E[(Q_x)^(-exponent)] < infinity, probed corner by corner."""
+    """min_x E[(Q_x)^(-exponent)] < infinity, probed corner by corner.
+
+    Q_x is the largest one-step probability of leaving the unit cube at
+    the origin from its corner x.
+    """
     if exponent <= 1.0:
         raise ValueError("exponent must exceed 1 (it plays 1 + eps)")
-    Q = corner_q_samples(law, replicates, master_seed)
-    verdicts, ests = [], []
-    for j in range(Q.shape[1]):
-        y = np.minimum(Q[:, j] ** (-exponent), _SAMPLE_CAP)
-        v, _ = stats.moment_verdict(y, 1.0)
-        verdicts.append(v)
-        ests.append(Estimate(f"inv_moment_Q_corner_{j}", float(np.mean(y)),
-                             n=replicates))
-    if any(v == "moment-appears-finite" for v in verdicts):
-        overall = "satisfied-empirically"
-    elif all(v == "moment-appears-infinite" for v in verdicts):
-        overall = "violated-empirically"
-    else:
-        overall = "inconclusive"
+    cube = UnitHypercube((0,) * law.dim)
+    seeds = rng.derive_keys(master_seed, "ktilde", n=replicates)
+    P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
+    Q = np.empty((replicates, len(cube.corners)))
+    for j in range(len(cube.corners)):
+        Q[:, j] = P[:, j, cube.exit_directions(j)].max(axis=1)
+    verdicts, ests = _probe_columns((f"inv_moment_Q_corner_{j}", Q[:, j] ** (-exponent))
+                                    for j in range(Q.shape[1]))
+    overall = _overall(_FINITE in verdicts, set(verdicts) == {_INFINITE})
     return CriterionReport("Ktilde1", {"exponent": exponent,
                                        "replicates": replicates},
                            ests, overall,
                            {"per_corner": verdicts,
                             "min_Q_sample": float(Q.min())})
-
-
-def check_kalpha(law, alpha: float, gammas, policy, replicates: int,
-                 master_seed: int) -> CriterionReport:
-    """The three-part marked-hypercube criterion at exponent alpha.
-
-    Part 1 probes the per-corner negative Q moments at the given gamma
-    exponents, part 2 the product of escape probabilities over the marked
-    hypercube, part 3 checks the mark-sum lower bound on every sampled
-    environment (reported as 'holds on all N samples', never as a.s.).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    D = law.dim
-    gammas = np.asarray(gammas, dtype=float)
-    if gammas.shape != (1 << D,) or np.any(gammas < 0):
-        raise ValueError("gammas must be nonnegative over the 2^d corners")
-    Q = corner_q_samples(law, replicates, master_seed, salt="kalpha_q")
-    part1, ests = [], []
-    for j in range(1 << D):
-        if gammas[j] == 0.0:
-            part1.append("moment-appears-finite")
-            continue
-        y = np.minimum(Q[:, j] ** (-gammas[j]), _SAMPLE_CAP)
-        v, _ = stats.moment_verdict(y, 1.0)
-        part1.append(v)
-        ests.append(Estimate(f"inv_moment_Q_corner_{j}^gamma",
-                             float(np.mean(y)), n=replicates))
-
-    seeds = rng.derive_keys(master_seed, "kalpha_mmh", n=replicates)
-    products = np.empty(replicates)
-    mark_sums = np.empty(replicates)
-    for r, seed in enumerate(seeds.tolist()):
-        env = Environment(law, seed)
-        mmh = discover(env, policy)
-        mark_sums[r] = mark_sum(mmh, gammas)
-        active = np.nonzero(mmh.marks > 0)[0]
-        if len(active) == 0:
-            products[r] = 1.0
-            continue
-        qh = quenched(env, mmh.cube)
-        ana = analyze_transitions(D, qh.transitions[None], 1)
-        qrow = ana.Qtilde[0, mmh.origin_corner()]
-        products[r] = min(float(np.prod(qrow[active] ** (-mmh.marks[active]))),
-                          _SAMPLE_CAP)
-    v2, _ = stats.moment_verdict(products, 1.0)
-    ests.append(Estimate("inv_moment_qtilde_product", float(np.mean(products)),
-                         n=replicates))
-    eps_hat = float(mark_sums.min() - alpha)
-    part3 = eps_hat > 0
-    ests.append(Estimate("mark_sum_min", float(mark_sums.min()), n=replicates))
-
-    ok1 = all(v == "moment-appears-finite" for v in part1)
-    bad = (any(v == "moment-appears-infinite" for v in part1)
-           or v2 == "moment-appears-infinite" or not part3)
-    if ok1 and v2 == "moment-appears-finite" and part3:
-        overall = "satisfied-empirically"
-    elif bad:
-        overall = "violated-empirically"
-    else:
-        overall = "inconclusive"
-    return CriterionReport("K_alpha", {"alpha": alpha, "gammas": gammas.tolist(),
-                                       "replicates": replicates},
-                           ests, overall,
-                           {"part1": part1, "part2": v2,
-                            "mark_sum_holds_on_all_samples": bool(part3),
-                            "eps_hat": eps_hat})
 
 
 @dataclass

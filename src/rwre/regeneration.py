@@ -12,7 +12,7 @@ certified only when at least ``certify_margin`` steps remain after it and
 none of them goes below its level; trailing records that backtrack in no
 observed step but lack the margin are kept, flagged censored.
 
-Level comparisons carry a small tolerance (default 1e-9) because lattice
+Level comparisons carry a small tolerance (LEVEL_TOL = 1e-9) because lattice
 levels are float dot products; genuine level gaps of the laws studied here
 are of order 1/sqrt(d), far above it.
 """
@@ -32,26 +32,19 @@ LEVEL_TOL = 1e-9
 class RegenParams:
     """Direction, ladder step a (default 3 sqrt(d)) and censoring margin.
 
-    The interval (2 sqrt(d), 10 sqrt(d)) for a only matters for covariance
-    non-degeneracy in the CLT; set ``allow_any_a`` to step outside it.
+    a must lie in (2 sqrt(d), 10 sqrt(d)), the interval that keeps the
+    regeneration covariance of the CLT non-degenerate.
     """
 
     ell: tuple[float, ...]
     a: float | None = None
     certify_margin: int | None = None
-    level_tol: float = LEVEL_TOL
-    allow_any_a: bool = False
 
     def resolved_a(self, d: int) -> float:
         a = self.a if self.a is not None else 3.0 * np.sqrt(d)
-        if self.allow_any_a:
-            if a <= 0:
-                raise ValueError("a must be positive")
-            return a
         lo, hi = 2.0 * np.sqrt(d), 10.0 * np.sqrt(d)
         if not (lo < a < hi):
-            raise ValueError(f"a={a} outside the mandated interval ({lo}, {hi}); "
-                             "pass allow_any_a=True to override")
+            raise ValueError(f"a={a} outside the mandated interval ({lo}, {hi})")
         return a
 
     def resolved_margin(self, horizon: int) -> int:
@@ -102,8 +95,8 @@ def _first_below(l: np.ndarray, start: int, cutoff: float) -> int:
     raise AssertionError("no element below cutoff; caller must guarantee one")
 
 
-def extract_from_levels(l: np.ndarray, a: float, margin: int,
-                        tol: float = LEVEL_TOL) -> tuple[list[int], list[bool]]:
+def extract_from_levels(l: np.ndarray, a: float,
+                        margin: int) -> tuple[list[int], list[bool]]:
     """Ladder recursion on a level series l_0..l_n; returns times and flags."""
     l = np.asarray(l, dtype=float)
     n = len(l) - 1
@@ -111,21 +104,21 @@ def extract_from_levels(l: np.ndarray, a: float, margin: int,
     sm = np.minimum.accumulate(l[::-1])[::-1]
     times: list[int] = []
     flags: list[bool] = []
-    # crossings must clear the threshold by tol: levels that match it to
+    # crossings must clear the threshold by LEVEL_TOL: levels that match it to
     # float precision (e.g. a diagonal ell with a a multiple of the level
     # spacing) would otherwise resolve by rounding noise
     thr = l[0] + a
     while True:
-        S = int(np.searchsorted(rm, thr + tol, side="right"))
+        S = int(np.searchsorted(rm, thr + LEVEL_TOL, side="right"))
         if S > n:
             break
         level = l[S]
-        if sm[S] >= level - tol:
+        if sm[S] >= level - LEVEL_TOL:
             times.append(S)
             flags.append(not (n - S >= margin))
             thr = level + a
         else:
-            R = _first_below(l, S, level - tol)
+            R = _first_below(l, S, level - LEVEL_TOL)
             thr = rm[R] + a
     return times, flags
 
@@ -141,7 +134,7 @@ def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
     a = params.resolved_a(d)
     margin = params.resolved_margin(horizon)
     l = positions @ np.asarray(params.ell, dtype=float)
-    times, flags = extract_from_levels(l, a, margin, params.level_tol)
+    times, flags = extract_from_levels(l, a, margin)
     t = np.asarray(times, dtype=np.int64)
     return RegenerationRecord(t, positions[t], np.asarray(flags, dtype=bool))
 
@@ -206,7 +199,7 @@ def direct_velocity(finals: np.ndarray, nsteps: int) -> VelocityEstimate:
     return VelocityEstimate(True, v, v - 1.96 * se, v + 1.96 * se, V.shape[0])
 
 
-def records_to_csv(records, path, float_fmt: str = "%.17g") -> None:
+def records_to_csv(records, path) -> None:
     """One row per regeneration: walk id, k, tau_k, position, censored."""
     with open(path, "w", encoding="utf-8") as f:
         wrote_header = False

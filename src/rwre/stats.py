@@ -1,5 +1,5 @@
-"""Shared estimators: Hill tail index, moment verdicts, KS / chi-square,
-batch means and exact binomial confidence intervals."""
+"""Shared estimators: Hill tail index, moment verdicts, KS / chi-square
+and exact binomial confidence intervals."""
 
 from __future__ import annotations
 
@@ -82,18 +82,6 @@ def moment_verdict(samples, alpha: float,
     if est.ci_low <= alpha:
         return "moment-appears-infinite", est
     return "inconclusive", est
-
-
-def batch_means_ci(series, n_batches: int = 32) -> tuple[float, float]:
-    """Mean and 95% half-width from contiguous batch means."""
-    x = np.asarray(series, dtype=float)
-    if len(x) < n_batches:
-        raise ValueError(f"need at least {n_batches} points")
-    edges = np.linspace(0, len(x), n_batches + 1).astype(int)
-    means = np.array([x[a:b].mean() for a, b in zip(edges[:-1], edges[1:])])
-    se = means.std(ddof=1) / np.sqrt(n_batches)
-    tq = sps.t.ppf(0.975, n_batches - 1)
-    return float(x.mean()), float(tq * se)
 
 
 def binomial_ci(k: int, n: int) -> tuple[float, float]:

@@ -70,6 +70,42 @@ def test_regen_insufficient_data(tmp_path):
     assert code == cli.EXIT_NODATA
 
 
+REGEN_SHORT = ["regen", "--law", "expl", "--d", "2", "--eps", "0.2",
+               "--steps", "2000", "--walks", "5", "--seed", "1"]
+
+
+def test_regen_ell_flag_takes_a_json_list(tmp_path):
+    # the flag and the config entry name the same direction, so the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ell": [2, 0]}')
+    flag, conf, auto = (tmp_path / f"{n}.csv" for n in ("flag", "conf", "auto"))
+    assert run(REGEN_SHORT + ["--ell", "[2, 0]", "--out", str(flag)]) == cli.EXIT_OK
+    assert run(REGEN_SHORT + ["--config", str(cfg), "--out", str(conf)]) == cli.EXIT_OK
+    assert run(REGEN_SHORT + ["--ell", "auto", "--out", str(auto)]) == cli.EXIT_OK
+    for name in ("{}.csv", "{}.csv.velocity.json"):
+        assert (tmp_path / name.format("flag")).read_bytes() == \
+            (tmp_path / name.format("conf")).read_bytes()
+    assert flag.read_bytes() != auto.read_bytes()   # e_1, not the diagonal
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("ell", ["[0, 0]", "[1]", "[1, 1, 1]", "[1, NaN]",
+                                 "[1, Infinity]", "[[1, 1]]", '"north"'])
+def test_regen_rejects_bad_ell(tmp_path, capsys, via, ell):
+    # a bad direction is a parameter error before any walk or file
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    if via == "flag":
+        extra = ["--ell", ell]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ell": %s}' % ell)
+        extra = ["--config", str(cfg)]
+    assert run(REGEN_SHORT + extra + ["--out", str(outdir / "r.csv")]) == cli.EXIT_PARAM
+    assert "ell must be" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
 def test_hypercube_subcommand(tmp_path):
     out = tmp_path / "hc.csv"
     assert run(["hypercube", "--law", "uniform", "--d", "2",

@@ -8,7 +8,7 @@ from rwre.environment import Environment, Expl, TableMixture, UniformDrift
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
 
-def extract_reference(l, a, margin, tol=rg.LEVEL_TOL):
+def extract_reference(l, a, margin):
     """Literal step-by-step ladder recursion; quadratic, the oracle for
     :func:`rwre.regeneration.extract_from_levels`."""
     l = np.asarray(l, dtype=float)
@@ -21,14 +21,14 @@ def extract_reference(l, a, margin, tol=rg.LEVEL_TOL):
         while True:
             S = None
             for m in range(base, n + 1):
-                if l[m] > M + a + tol:
+                if l[m] > M + a + rg.LEVEL_TOL:
                     S = m
                     break
             if S is None:
                 return times, flags
             R = None
             for m in range(S + 1, n + 1):
-                if l[m] < l[S] - tol:
+                if l[m] < l[S] - rg.LEVEL_TOL:
                     R = m
                     break
             if R is None:
@@ -68,11 +68,9 @@ def test_a_range_enforced():
     params = rg.RegenParams((1.0, 0.0), a=20.0)
     with pytest.raises(ValueError):
         params.resolved_a(2)
-    assert rg.RegenParams((1.0, 0.0)).resolved_a(2) == pytest.approx(3 * np.sqrt(2))
-    # explicit override escapes the interval (it only matters for the CLT)
-    assert rg.RegenParams((1.0, 0.0), a=20.0, allow_any_a=True).resolved_a(2) == 20.0
     with pytest.raises(ValueError):
-        rg.RegenParams((1.0, 0.0), a=-1.0, allow_any_a=True).resolved_a(2)
+        rg.RegenParams((1.0, 0.0), a=2.0).resolved_a(2)     # below 2 sqrt(2)
+    assert rg.RegenParams((1.0, 0.0)).resolved_a(2) == pytest.approx(3 * np.sqrt(2))
 
 
 def test_fast_matches_reference_on_random_walks():

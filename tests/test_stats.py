@@ -66,15 +66,6 @@ def test_moment_verdict_index_at_alpha_is_infinite():
     assert v == "moment-appears-infinite"
 
 
-def test_batch_means_ci_covers_mean():
-    rs = np.random.RandomState(5)
-    x = rs.normal(3.0, 1.0, size=32_000)
-    mean, half = stats.batch_means_ci(x)
-    assert abs(mean - 3.0) < half < 0.1
-    with pytest.raises(ValueError):
-        stats.batch_means_ci(np.arange(10))
-
-
 def test_ks_two_sample():
     rs = np.random.RandomState(6)
     a, b = rs.normal(size=30_000), rs.normal(size=30_000)
