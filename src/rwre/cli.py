@@ -114,8 +114,15 @@ def _json_default(o):
 def load_config(args, defaults: dict) -> dict:
     config = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as f:
-            config.update(json.load(f))
+        try:
+            with open(args.config, "r", encoding="utf-8") as f:
+                tree = json.load(f)
+        except OSError as exc:
+            raise ParameterError(f"cannot read config: {exc}") from exc
+        if not isinstance(tree, dict):
+            raise ParameterError("config must be a JSON object, "
+                                 f"not {type(tree).__name__}")
+        config.update(tree)
     for key, val in vars(args).items():
         if key in ("config", "func", "command") or val is None:
             continue
@@ -251,7 +258,10 @@ def cmd_criteria(args) -> int:
                                      "weights) in the config")
             rep = criteria.check_eprime(law, config["phi"], reps, seed)
         elif name == "eprime1_probe":
-            rep = criteria.eprime_probe(law, config.get("exponent"), reps, seed)
+            exponent = config.get("exponent")   # not cast: 1 keeps "^1" names
+            if isinstance(exponent, (bool, str, list, dict)):   # JSON non-numbers
+                raise ParameterError(f"exponent must be a number, got {exponent!r}")
+            rep = criteria.eprime_probe(law, exponent, reps, seed)
         else:
             rep = criteria.check_ktilde(law, float(config.get("exponent", 2.0)),
                                         reps, seed)

@@ -32,7 +32,7 @@ from .environment import Environment, transitions_for_seeds
 from .hypercube import analyze_transitions, escape_site_probs, quenched
 from .lattice import (Site, TiltedBox, UnitHypercube, rotation_onto_e1,
                       step_vectors)
-from .walk import STATUS_EXITED, STATUS_HIT, run_until_batch, walk_keys
+from .walk import STATUS_EXITED, run_until_batch, walk_keys
 
 
 class MeasurabilityViolation(RuntimeError):
@@ -495,20 +495,20 @@ class AttainabilityPoint:
 
 
 def attainability(law, u_grid, delta: float, eta: float, alpha: float,
-                  eps: float, replicates: int, master_seed: int,
-                  policy=None) -> list[AttainabilityPoint]:
+                  eps: float, replicates: int,
+                  master_seed: int) -> list[AttainabilityPoint]:
     """Frequency of environments whose best escape path is unusually weak.
 
     For each u, estimates P[max_x pi_x^(floor(eta log u)) < u^{-(alpha+2
     delta)/(alpha+eps)}] over environment replicates and reports it against
-    the u^{-(alpha+delta)} benchmark.
+    the u^{-(alpha+delta)} benchmark.  Cubes are discovered with the
+    default :class:`EprimePolicy`.
     """
     u_grid = [float(u) for u in u_grid]
     for u in u_grid:
         if int(np.floor(eta * np.log(u))) < 1:
             raise ValueError(f"u={u} too small: floor(eta log u) < 1")
-    if policy is None:
-        policy = EprimePolicy()
+    policy = EprimePolicy()
     seeds = rng.derive_keys(master_seed, "attainability", n=replicates)
     maxpi: dict[float, list[float]] = {u: [] for u in u_grid}
     for seed in seeds.tolist():
@@ -561,15 +561,14 @@ class BoxExitPoint:
 
 
 def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
-                         replicates: int, master_seed: int,
-                         Lp_factors=(1.0, 1.125, 1.25),
-                         Lt_factors=(1.0, 4.0, 16.0)) -> CriterionReport:
+                         replicates: int, master_seed: int) -> CriterionReport:
     """Annealed box-exit probe of the polynomial condition.
 
-    For each box length L, searches the documented (Lp, Ltilde) grid for
-    the smallest estimate of P[exit with x.ell < L] and compares it to
-    L^-M.  The astronomically large threshold scale of the exact statement
-    is not desk-reachable; only the decay shape over the given grid is
+    For each box length L, searches the (Lp, Ltilde) grid
+    {1, 1.125, 1.25} L x {1, 4, 16} L (Ltilde capped at 72 L^3) for the
+    smallest estimate of P[exit with x.ell < L] and compares it to L^-M.
+    The astronomically large threshold scale of the exact statement is
+    not desk-reachable; only the decay shape over the given grid is
     being checked, which the report flags.  Grid points where no run
     resolved are never chosen; an L where none resolved makes the verdict
     "insufficient-data".
@@ -583,8 +582,8 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     unresolved = False
     for L in L_grid:
         grid: list[BoxExitPoint] = []
-        for fp in Lp_factors:
-            for ft in Lt_factors:
+        for fp in (1.0, 1.125, 1.25):
+            for ft in (1.0, 4.0, 16.0):
                 Lp = fp * L
                 Lt = min(ft * L, 72.0 * L ** 3)
                 seeds = rng.derive_keys(master_seed, f"pm:{L}:{fp}:{ft}", n=replicates)
@@ -637,19 +636,20 @@ def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
     censored = 0
     for j, lev in enumerate(levels):
         final_stage = j == m - 1
-
-        def success(X, lev=lev, final=final_stage):
-            t = X @ ell
-            return (t < -b * L) if final else (t <= lev)
-
-        def not_front(X):
-            return (X @ ell) <= L
+        # level j's region: its walks stop on crossing the level (or, at
+        # the last level, on leaving the slab's back) or the front
+        if final_stage:
+            inside = _slab_inside(ell, b, L)
+        else:
+            def inside(X, lev=lev):
+                t = X @ ell
+                return (lev < t) & (t <= L)
 
         keys = walk_keys(key, n_per_level, salt=f"split:{j}")
-        res = run_until_batch(env, starts, keys, walk_budget,
-                              inside=not_front, hit=success)
+        res = run_until_batch(env, starts, keys, walk_budget, inside)
         censored += res.censored()
-        hit_ids = np.nonzero(res.status == STATUS_HIT)[0]
+        hit_ids = np.nonzero((res.status == STATUS_EXITED)
+                             & (res.final @ ell <= L))[0]
         k = len(hit_ids)
         prob *= k / n_per_level
         if k == 0:
@@ -703,8 +703,8 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     are all censored (an L with none left reports NaN).  Fits of
     log-estimate against L^gamma are reported for each requested gamma.
     """
-    if b <= 0:
-        raise ValueError("b must be positive")
+    if b <= 0 or any(L <= 0 for L in L_grid):
+        raise ValueError("b and every slab length L must be positive")
     ell = np.asarray(ell, dtype=float)
     Ls, est, lse, cens = [], [], [], []
     for L in L_grid:

@@ -413,13 +413,12 @@ class EllipticityReport:
     kappa0: float | None
 
 
-def ellipticity_profile(env: Environment, samples: int,
-                        kappas=None) -> EllipticityReport:
+def ellipticity_profile(env: Environment, samples: int) -> EllipticityReport:
     """Monte Carlo ellipticity summary of a law.
 
     Estimates the probability that a site is kappa-elliptic (all entries
-    inside (kappa, 1-kappa)) over a kappa grid and reports the largest grid
-    value with estimated probability above 1/2.
+    inside (kappa, 1-kappa)) over 40 geometric kappa values from 1e-6 to
+    1/2 and reports the largest with estimated probability above 1/2.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -432,9 +431,7 @@ def ellipticity_profile(env: Environment, samples: int,
     P = env.transitions_batch(X)
     mins = P.min(axis=1)
     maxs = P.max(axis=1)
-    if kappas is None:
-        kappas = np.geomspace(1e-6, 0.5, 40)
-    kappas = np.asarray(kappas, dtype=float)
+    kappas = np.geomspace(1e-6, 0.5, 40)
     prob = np.array([np.mean((mins > k) & (maxs < 1.0 - k)) for k in kappas])
     ok = np.nonzero(prob > 0.5)[0]
     kappa0 = float(kappas[ok[-1]]) if len(ok) else None

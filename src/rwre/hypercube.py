@@ -246,14 +246,13 @@ class FractionalMomentReport:
 
 
 def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
-                      cube: UnitHypercube | None = None,
-                      walk_budget: int = 10_000,
-                      mc_runs: int = 200,
                       hill_k: int | None = None) -> FractionalMomentReport:
     """Tail verdict for the annealed moment of the cube exit time.
 
-    Per environment, the quenched max_x E_x[(T_exit)^alpha] is computed
-    exactly when alpha is a positive integer and by Monte Carlo otherwise;
+    Per environment, the quenched max_x E_x[(T_exit)^alpha] over the
+    corners of the unit cube at the origin is computed exactly when alpha
+    is a positive integer and otherwise by Monte Carlo (200 walks per
+    corner, censored at 10^4 steps);
     the across-environment tail index of those quenched values decides the
     verdict at the package-wide thresholds.  ``hill_k`` overrides the Hill
     order-statistic count; rare trap configurations can confine the
@@ -262,9 +261,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    D = law.dim
-    if cube is None:
-        cube = UnitHypercube((0,) * D)
+    cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "fractional_moment", n=replicates)
     censored = 0
     if float(alpha).is_integer():
@@ -277,9 +274,9 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
             env = Environment(law, seed)
             best = 0.0
             for j, corner in enumerate(cube.corners):
-                keys = walk_keys(seed, mc_runs, salt=f"fracmom:{j}")
+                keys = walk_keys(seed, 200, salt=f"fracmom:{j}")
                 res = run_until_batch(env, np.asarray(corner), keys,
-                                      walk_budget, inside=cube.contains_batch)
+                                      10_000, inside=cube.contains_batch)
                 censored += res.censored()
                 best = max(best, float(np.mean(res.steps_taken.astype(float) ** alpha)))
             vals[r] = best

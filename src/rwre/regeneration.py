@@ -8,7 +8,7 @@ there; on failure raise the threshold to (running max at the drop) + a and
 repeat, on success record the time and restart the recursion there.
 
 Finite horizons cannot certify "never backtracks", so a record is
-certified only when at least ``certify_margin`` steps remain after it and
+certified only when at least horizon // 4 steps remain after it and
 none of them goes below its level; trailing records that backtrack in no
 observed step but lack the margin are kept, flagged censored.
 
@@ -30,7 +30,7 @@ LEVEL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RegenParams:
-    """Direction, ladder step a (default 3 sqrt(d)) and censoring margin.
+    """Direction and ladder step a (default 3 sqrt(d)).
 
     a must lie in (2 sqrt(d), 10 sqrt(d)), the interval that keeps the
     regeneration covariance of the CLT non-degenerate.
@@ -38,7 +38,6 @@ class RegenParams:
 
     ell: tuple[float, ...]
     a: float | None = None
-    certify_margin: int | None = None
 
     def resolved_a(self, d: int) -> float:
         a = self.a if self.a is not None else 3.0 * np.sqrt(d)
@@ -46,9 +45,6 @@ class RegenParams:
         if not (lo < a < hi):
             raise ValueError(f"a={a} outside the mandated interval ({lo}, {hi})")
         return a
-
-    def resolved_margin(self, horizon: int) -> int:
-        return self.certify_margin if self.certify_margin is not None else horizon // 4
 
 
 @dataclass
@@ -132,9 +128,8 @@ def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
     positions = walk.positions(start, np.asarray(steps, dtype=np.uint8))
     d = positions.shape[1]
     a = params.resolved_a(d)
-    margin = params.resolved_margin(horizon)
     l = positions @ np.asarray(params.ell, dtype=float)
-    times, flags = extract_from_levels(l, a, margin)
+    times, flags = extract_from_levels(l, a, horizon // 4)
     t = np.asarray(times, dtype=np.int64)
     return RegenerationRecord(t, positions[t], np.asarray(flags, dtype=bool))
 
@@ -167,12 +162,15 @@ class VelocityEstimate:
     reason: str = ""
 
 
-def renewal_velocity(records, n_batches: int = 32) -> VelocityEstimate:
+_N_BATCHES = 32      # batch-means blocks of the renewal CI
+
+
+def renewal_velocity(records) -> VelocityEstimate:
     """Pooled renewal estimate (sum of displacements) / (sum of times).
 
     Uses only inter-regeneration blocks between certified times, so each
     walk's first block is discarded.  The confidence interval comes from
-    batch means of the ratio over ``n_batches`` contiguous blocks.
+    batch means of the ratio over 32 contiguous blocks.
     """
     disp = [r.inter_displacements for r in records if r.n_certified() >= 2]
     tims = [r.inter_times for r in records if r.n_certified() >= 2]
@@ -180,15 +178,16 @@ def renewal_velocity(records, n_batches: int = 32) -> VelocityEstimate:
         return VelocityEstimate(False, reason="no walk with >= 2 certified regenerations")
     D = np.concatenate(disp, axis=0).astype(float)
     T = np.concatenate(tims).astype(float)
-    if len(T) < n_batches:
-        return VelocityEstimate(False, reason=f"only {len(T)} blocks, need >= {n_batches}")
+    if len(T) < _N_BATCHES:
+        return VelocityEstimate(False, reason=f"only {len(T)} blocks, "
+                                              f"need >= {_N_BATCHES}")
     v = D.sum(axis=0) / T.sum()
-    edges = np.linspace(0, len(T), n_batches + 1).astype(int)
+    edges = np.linspace(0, len(T), _N_BATCHES + 1).astype(int)
     batch_v = np.array([D[a:b].sum(axis=0) / T[a:b].sum()
                         for a, b in zip(edges[:-1], edges[1:])])
-    se = batch_v.std(axis=0, ddof=1) / np.sqrt(n_batches)
+    se = batch_v.std(axis=0, ddof=1) / np.sqrt(_N_BATCHES)
     half = 2.04 * se  # t quantile, 31 dof, 95%
-    return VelocityEstimate(True, v, v - half, v + half, n_batches)
+    return VelocityEstimate(True, v, v - half, v + half, _N_BATCHES)
 
 
 def direct_velocity(finals: np.ndarray, nsteps: int) -> VelocityEstimate:
@@ -202,14 +201,10 @@ def direct_velocity(finals: np.ndarray, nsteps: int) -> VelocityEstimate:
 def records_to_csv(records, path) -> None:
     """One row per regeneration: walk id, k, tau_k, position, censored."""
     with open(path, "w", encoding="utf-8") as f:
-        wrote_header = False
         for wid, rec in enumerate(records):
-            if not wrote_header:
-                d = rec.positions.shape[1] if rec.positions.size else 0
-                cols = ",".join(f"x_{i + 1}" for i in range(d))
-                f.write(f"walk,k,tau,{cols},censored\n" if d else
-                        "walk,k,tau,censored\n")
-                wrote_header = True
+            if wid == 0:    # an empty record's positions still have d columns
+                cols = "".join(f"x_{i + 1}," for i in range(rec.positions.shape[1]))
+                f.write(f"walk,k,tau,{cols}censored\n")
             for k in range(len(rec.times)):
                 coords = ",".join(str(int(c)) for c in rec.positions[k])
                 f.write(f"{wid},{k + 1},{int(rec.times[k])},{coords},"

@@ -122,9 +122,9 @@ def stream_uniforms(keys: np.ndarray, index: int) -> np.ndarray:
     return v.astype(np.float64) * _INV_2_53
 
 
-def stream_uniform_block(key: int, n: int, start: int = 0) -> np.ndarray:
-    """First ``n`` uniforms (from ``start``) of a single stream, as an array."""
-    idx = np.arange(start, start + n, dtype=np.uint64)
+def stream_uniform_block(key: int, n: int) -> np.ndarray:
+    """First ``n`` uniforms of a single stream, as an array."""
+    idx = np.arange(n, dtype=np.uint64)
     v = mix64_np(np.uint64(key & MASK64) + (idx + _ONE) * _U64_GOLDEN)
     v >>= _S11
     v += _ONE

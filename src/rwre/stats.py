@@ -112,12 +112,11 @@ def ks_two_sample(a, b, level: float = 0.01) -> tuple[float, float]:
     return stat, float(c * np.sqrt((n + m) / (n * m)))
 
 
-def chi_square_geometric(counts, q: float,
-                         min_expected: float = 5.0) -> tuple[float, int, float]:
+def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
     """Chi-square GOF of positive-integer counts against Geometric(q).
 
     Bins 1, 2, ... are merged into a final tail bin once the expected count
-    drops below ``min_expected``.  Returns (statistic, dof, p-value).
+    drops below 5.  Returns (statistic, dof, p-value).
     """
     c = np.asarray(counts)
     if np.any(c < 1):
@@ -133,7 +132,7 @@ def chi_square_geometric(counts, q: float,
     while True:
         pj = q * (1 - q) ** (j - 1)
         tail = (1 - q) ** j
-        if n * tail < min_expected or j > 10_000:
+        if n * tail < 5.0 or j > 10_000:
             break
         bins.append(pj)
         j += 1

@@ -1,4 +1,4 @@
-"""Quenched and annealed walk simulation with hitting/exit instrumentation.
+"""Quenched and annealed walk simulation with exit-time instrumentation.
 
 Walks are stepped in lockstep with numpy, W at a time, by two engines that
 share one stepping rule (:func:`_step_batch`: inverse-CDF over the
@@ -6,13 +6,14 @@ canonical direction order, one walk-stream uniform per step):
 
 * :func:`run_fixed_batch` -- every walk takes exactly n steps, with
   optional position checkpoints and recorded step-index rows;
-* :func:`run_until_batch` -- walks run until they leave a region, hit a
-  target set or exhaust the budget; stopped walks are compacted away.
+* :func:`run_until_batch` -- walks run until they leave one region or
+  exhaust the budget; stopped walks are compacted away.
 
 No other module steps walks: the slab, box and tilted-box estimators,
 the splitting levels and the unit-hypercube Monte Carlo
 (``UnitHypercube.contains_batch`` as the region, visits counted at the
-start corner) all run on :func:`run_until_batch`.
+start corner) all run on :func:`run_until_batch`, and each reads its event
+(front or back side, level crossed, exit time) off the exit site.
 
 For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
 are taken by the compiled loop in :mod:`rwre._kernel`, once per segment
@@ -139,12 +140,13 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
     return FixedBatchResult(pos, snaps, rec)
 
 
-STATUS_BUDGET, STATUS_HIT, STATUS_EXITED = 0, 1, 2
+# Fixed codes: readers of recorded results compare status against them.
+STATUS_BUDGET, STATUS_EXITED = 0, 2
 
 
 @dataclass
 class UntilBatchResult:
-    status: np.ndarray          # (W,) uint8: 0 budget, 1 hit, 2 exited
+    status: np.ndarray          # (W,) uint8: 0 budget, 2 exited
     final: np.ndarray           # (W, d) position at stop
     steps_taken: np.ndarray     # (W,)
     visits: np.ndarray | None   # (W,) when count_visits_to was given
@@ -154,15 +156,15 @@ class UntilBatchResult:
 
 
 def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
-                    horizon: int, inside=None, hit=None,
+                    horizon: int, inside,
                     count_visits_to: Site | None = None) -> UntilBatchResult:
-    """Run W walks until exiting a region / hitting targets / budget.
+    """Run W walks until each leaves the region or exhausts the budget.
 
-    ``inside`` and ``hit`` are vectorized predicates on (N, d) position
-    arrays; a walk that starts on a target or outside the region stops at
-    step 0.  Stopped walks are compacted away so the cost tracks the number
-    of live walks.  ``count_visits_to`` counts time spent at one site of
-    dimension ``env.dim`` (including the start when it matches).
+    ``inside`` is a vectorized predicate on (N, d) position arrays; a walk
+    that starts outside the region stops at step 0.  Stopped walks are
+    compacted away so the cost tracks the number of live walks.
+    ``count_visits_to`` counts time spent at one site of dimension
+    ``env.dim`` (including the start when it matches).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -186,15 +188,16 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     # compress() rather than boolean indexing, and the visit test one column
     # at a time: both are several times cheaper on the wide, short-lived
     # batches of the cube Monte Carlo.
-    def settle(mask: np.ndarray, code: int, t: int):
+    def settle(t: int):
         nonlocal live, cur, ckeys
-        if not mask.any():
+        keep = inside(cur)
+        if keep.all():
             return
-        ids = live.compress(mask)
-        status[ids] = code
-        final[ids] = cur.compress(mask, axis=0)
+        gone = ~keep
+        ids = live.compress(gone)
+        status[ids] = STATUS_EXITED
+        final[ids] = cur.compress(gone, axis=0)
         steps_taken[ids] = t
-        keep = ~mask
         live = live.compress(keep)
         cur = cur.compress(keep, axis=0)
         ckeys = ckeys.compress(keep)
@@ -206,10 +209,7 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
         if at.any():
             visits[live.compress(at)] += 1
 
-    if hit is not None:
-        settle(hit(cur), STATUS_HIT, 0)
-    if inside is not None and len(live):
-        settle(~inside(cur), STATUS_EXITED, 0)
+    settle(0)
     if visits is not None and len(live):
         count_visits()
 
@@ -219,10 +219,7 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
         _advance(env, plan, cur, ckeys, t, t + 1, sv, live=live)
         if visits is not None:
             count_visits()
-        if hit is not None:
-            settle(hit(cur), STATUS_HIT, t + 1)
-        if inside is not None and len(live):
-            settle(~inside(cur), STATUS_EXITED, t + 1)
+        settle(t + 1)
     if len(live):
         status[live] = STATUS_BUDGET
         final[live] = cur

@@ -205,3 +205,41 @@ def test_acceptance_seed_precedence(tmp_path, monkeypatch):
     assert run(base + ["--config", str(path), "--seed", "9"]) == 0
     assert run(base) == 0
     assert seen == [7, 9, 42]
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", "7"],
+                         ids=["missing", "list", "number"])
+def test_unusable_config_is_parameter_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "w.csv"
+    code = run(["walk", "--config", str(path), "--law", "uniform", "--d", "2",
+                "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_PARAM
+    assert capsys.readouterr().err.startswith("parameter error:")
+    assert list(tmp_path.iterdir()) == ([] if content is None else [path])
+
+
+@pytest.mark.parametrize("exponent", ["0.3", True, [0.3]], ids=repr)
+def test_eprime_probe_rejects_non_number_exponent(tmp_path, capsys, exponent):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponent": exponent}))
+    out = tmp_path / "probe.json"
+    code = run(["criteria", "--config", str(cfg), "--criterion", "eprime1_probe",
+                "--law", "expl", "--d", "2", "--eps", "0.2", "--replicates", "50",
+                "--seed", "1", "--out", str(out)])
+    assert code == cli.EXIT_PARAM
+    assert "exponent must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eprime_probe_keeps_an_integer_exponent(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exponent": 1}))
+    out = tmp_path / "probe.json"
+    assert run(["criteria", "--config", str(cfg), "--criterion", "eprime1_probe",
+                "--law", "expl", "--d", "2", "--eps", "0.2", "--replicates", "50",
+                "--seed", "1", "--out", str(out)]) == 0
+    names = [e["name"] for e in json.loads(out.read_text())["estimates"]]
+    assert names[0] == "inv_moment_p(e_1)^1"

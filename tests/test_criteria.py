@@ -5,7 +5,7 @@ import pytest
 
 from rwre import cli, criteria as cr, rng
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
-                              UniformDrift)
+                              TrapSym, UniformDrift)
 from rwre.lattice import UnitHypercube
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
@@ -383,10 +383,44 @@ def test_slab_exit_direct_all_censored_is_no_data():
     assert rep.fits[1.0] is None
 
 
+def test_slab_exit_splitting_pinned():
+    # estimates (bit for bit) and censored counts recorded with the
+    # two-predicate splitting levels (crossing set plus front region) that
+    # the one-region levels replaced; level_width 0.3 is narrower than a
+    # projected step, so some walks start a level already past it
+    ell = np.ones(2) / np.sqrt(2)
+    rep = cr.slab_exit(Expl(2, 0.2), ell, 1.0, [3.0, 5.0], 20, 2, 5,
+                       n_per_level=48, repeats=2)
+    assert [x.hex() for x in rep.estimates] == ["0x1.4d48b0fcd6e9ep-11",
+                                                "0x1.6482b8b69b372p-16"]
+    assert rep.censored == [21, 350]
+    rep = cr.slab_exit(Expl(2, 0.2), ell, 1.0, [3.0, 5.0], 20, 2, 5,
+                       n_per_level=48, repeats=2, level_width=0.3)
+    assert [x.hex() for x in rep.estimates] == ["0x1.10ded097b425fp-10",
+                                                "0x1.70c07e6b74f03p-17"]
+    assert rep.censored == [26, 337]
+    rep = cr.slab_exit(TrapSym(2), ell, 0.5, [2.0, 4.0], 30, 1, 8,
+                       n_per_level=40, repeats=3, level_width=0.5)
+    assert [x.hex() for x in rep.estimates] == ["0x1.947ae147ae148p-3",
+                                                "0x1.ad08dfea27985p-3"]
+    assert rep.censored == [6, 88]
+    # along an axis the walks land exactly on the levels, -bL and L, so
+    # this case also pins which bounds are closed
+    rep = cr.slab_exit(UniformDrift(2, 0.3), np.array([1.0, 0.0]), 1.0, [3.0, 4.0],
+                       40, 2, 6, n_per_level=40, repeats=2, level_width=1.0)
+    assert [x.hex() for x in rep.estimates] == ["0x1.0810624dd2f1ap-6",
+                                                "0x1.3d6bb98c7e282p-7"]
+    assert rep.censored == [3, 16]
+
+
 def test_slab_exit_validates():
     with pytest.raises(ValueError):
         cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), -1.0, [4.0],
                      100, 1, 1)
+    for L in (0.0, -4.0):       # an empty or one-point slab
+        with pytest.raises(ValueError, match="slab length"):
+            cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0, L],
+                         100, 1, 1)
     with pytest.raises(ValueError):
         cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0],
                      100, 1, 1, estimator="nonsense")

@@ -196,8 +196,7 @@ def test_fractional_moment_trap_sym_infinite():
 
 
 def test_fractional_moment_non_integer_alpha():
-    rep = hc.fractional_moment(UniformDrift(2), 1.5, 40, 5,
-                               walk_budget=2000, mc_runs=400)
+    rep = hc.fractional_moment(UniformDrift(2), 1.5, 40, 5)
     # E[T^1.5] for geometric(1/2) is about 3.27; MC max over corners nearby
     assert 2.5 < float(np.median(rep.samples)) < 4.5
     assert rep.alpha == 1.5

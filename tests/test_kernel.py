@@ -35,14 +35,14 @@ def _runs(env, W, n=150):
     stopping run with compaction and visit counts."""
     keys = walk.walk_keys(9, W)
     start = np.zeros(env.dim, dtype=np.int64)
-    hit_site = np.eye(1, env.dim, dtype=np.int64)
+    target = np.eye(1, env.dim, dtype=np.int64)
 
-    def hit(X):
-        return np.all(X == hit_site, axis=1)
+    def region(X):      # the box minus one target site next to the start
+        return _inside(X) & ~np.all(X == target, axis=1)
 
     return (walk.run_fixed_batch(env, start, n, keys, checkpoints=range(1, n + 1)),
             walk.run_fixed_batch(env, start, n, keys),
-            walk.run_until_batch(env, start, keys, n, inside=_inside, hit=hit,
+            walk.run_until_batch(env, start, keys, n, region,
                                  count_visits_to=tuple(start.tolist())))
 
 
@@ -90,7 +90,7 @@ def test_invalid_rows_raise_like_numpy(monkeypatch):
         def go():
             if fixed:
                 return walk.run_fixed_batch(env, np.zeros(1), 10, keys)
-            return walk.run_until_batch(env, np.zeros(1), keys, 10)
+            return walk.run_until_batch(env, np.zeros(1), keys, 10, _inside)
         with pytest.raises(ValueError, match="invalid transition vector"):
             go()
         with monkeypatch.context() as m:

@@ -47,14 +47,14 @@ def _forward_steps(n=40):
 
 
 def test_deterministic_forward_walk_spacing():
-    rec = rg.extract_from_steps(_forward_steps(40), (0, 0),
-                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4), 40)
-    assert rec.times[0] == 4                       # first level above a=3
-    assert np.all(np.diff(rec.times) == 4)
+    # horizon 16: the certification margin is 16 // 4 = 4 steps
+    rec = rg.extract_from_steps(_forward_steps(16), (0, 0),
+                                rg.RegenParams((1.0, 0.0), a=3.0), 16)
+    assert rec.times.tolist() == [4, 8, 12, 16]    # first level above a=3
     assert np.all(rec.positions[:, 1] == 0)
     assert np.all(rec.positions[:, 0] == rec.times)
     # censored records are exactly the trailing ones without the margin
-    assert np.array_equal(rec.censored, rec.times > 40 - 4)
+    assert np.array_equal(rec.censored, rec.times > 16 - 4)
 
 
 def test_backtracking_walk_has_no_certified_times():
@@ -148,9 +148,9 @@ def test_velocity_insufficient_data():
 
 
 def test_regeneration_radii_forward_walk():
-    steps = _forward_steps(40)
-    rec = rg.extract_from_steps(steps, (0, 0),
-                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=4), 40)
+    steps = _forward_steps(16)      # margin 16 // 4 = 4: 4, 8, 12 certified
+    rec = rg.extract_from_steps(steps, (0, 0), rg.RegenParams((1.0, 0.0), a=3.0), 16)
+    assert rec.n_certified() == 3
     radii = rg.regeneration_radii(rec, walk.positions((0, 0), steps))
     assert np.all(radii == 4)
     assert np.all(radii >= 1)
@@ -194,11 +194,23 @@ def test_radius_tail_decays_exponentially():
 
 
 def test_records_to_csv(tmp_path):
-    rec = rg.extract_from_steps(_forward_steps(20), (0, 0),
-                                rg.RegenParams((1.0, 0.0), a=3.0, certify_margin=2), 20)
+    # horizon 8: margin 8 // 4 = 2, so tau = 4 is certified and tau = 8 is not
+    rec = rg.extract_from_steps(_forward_steps(8), (0, 0),
+                                rg.RegenParams((1.0, 0.0), a=3.0), 8)
     path = tmp_path / "regen.csv"
     rg.records_to_csv([rec, rec], path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "walk,k,tau,x_1,x_2,censored"
-    assert lines[1].startswith("0,1,4,4,0,")
-    assert any(line.startswith("1,") for line in lines[1:])
+    assert lines[1:] == ["0,1,4,4,0,0", "0,2,8,8,0,1", "1,1,4,4,0,0", "1,2,8,8,0,1"]
+
+
+def test_records_to_csv_header_when_walk_0_has_no_regeneration(tmp_path):
+    # a walk of 2 steps stays below the first ladder level: an empty record
+    params = rg.RegenParams((1.0, 0.0), a=3.0)
+    empty = rg.extract_from_steps(_forward_steps(2), (0, 0), params, 2)
+    forward = rg.extract_from_steps(_forward_steps(8), (0, 0), params, 8)
+    assert len(empty.times) == 0
+    path = tmp_path / "regen.csv"
+    rg.records_to_csv([empty, forward], path)
+    assert path.read_text().splitlines() == [
+        "walk,k,tau,x_1,x_2,censored", "1,1,4,4,0,0", "1,2,8,8,0,1"]

@@ -15,11 +15,17 @@ def _at(*targets):
     return lambda X: (X[:, None, :] == T[None, :, :]).all(axis=2).any(axis=1)
 
 
+def _off(*targets):
+    """The region Z^d minus a target set: a walk stops on reaching it."""
+    at = _at(*targets)
+    return lambda X: ~at(X)
+
+
 def test_deterministic_drift_hits_target():
     env = Environment(FORWARD, 0)
     res = walk.run_until_batch(env, np.array([0, 0]), walk.walk_keys(7, 1), 100,
-                               hit=_at((5, 0)))
-    assert res.status[0] == walk.STATUS_HIT and res.steps_taken[0] == 5
+                               _off((5, 0)))
+    assert res.status[0] == walk.STATUS_EXITED and res.steps_taken[0] == 5
     assert res.final[0].tolist() == [5, 0]
     fixed = walk.run_fixed_batch(env, np.array([0, 0]), 5, walk.walk_keys(7, 1),
                                  record_steps=True)
@@ -30,8 +36,8 @@ def test_horizon_validation_and_budget():
     env = Environment(FORWARD, 0)
     keys = walk.walk_keys(7, 1)
     with pytest.raises(ValueError):
-        walk.run_until_batch(env, np.array([0, 0]), keys, 0, hit=_at((1, 0)))
-    res = walk.run_until_batch(env, np.array([0, 0]), keys, 1, hit=_at((9, 9)))
+        walk.run_until_batch(env, np.array([0, 0]), keys, 0, _off((1, 0)))
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 1, _off((9, 9)))
     assert res.status[0] == walk.STATUS_BUDGET and res.steps_taken[0] == 1
     assert res.censored() == 1
 
@@ -57,7 +63,8 @@ def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit):
             walk.run_fixed_batch(env, starts, nsteps, keys)
     if nsteps >= 0:
         with pytest.raises(ValueError):
-            walk.run_until_batch(env, starts, keys, nsteps, count_visits_to=visit)
+            walk.run_until_batch(env, starts, keys, nsteps, _off((9, 9)),
+                                 count_visits_to=visit)
 
 
 def test_checkpoints_before_the_first_step_are_rejected():
@@ -100,14 +107,21 @@ def test_uniform_square_mean_exit_is_two():
 
 
 def test_first_of_stops_at_earliest_condition():
+    # a region cut by a target set and a half-plane: the walk stops at
+    # whichever of the two it meets first
     env = Environment(FORWARD, 0)
     keys = walk.walk_keys(1, 1)
-    res = walk.run_until_batch(env, np.array([0, 0]), keys, 50, hit=_at((2, 0)),
-                               inside=lambda X: X[:, 0] < 7)
-    assert res.status[0] == walk.STATUS_HIT and res.final[0].tolist() == [2, 0]
-    res2 = walk.run_until_batch(env, np.array([0, 0]), keys, 50, hit=_at((99, 0)),
-                                inside=lambda X: X[:, 0] < 3)
+
+    def region(target, front):
+        off = _off(target)
+        return lambda X: off(X) & (X[:, 0] < front)
+
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region((2, 0), 7))
+    assert res.status[0] == walk.STATUS_EXITED and res.final[0].tolist() == [2, 0]
+    assert res.steps_taken[0] == 2
+    res2 = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region((99, 0), 3))
     assert res2.status[0] == walk.STATUS_EXITED and res2.final[0].tolist() == [3, 0]
+    assert res2.steps_taken[0] == 3
 
 
 def test_reproducibility_identical_trajectories():
@@ -147,22 +161,27 @@ def test_hit_before_return_matches_exact_escape():
     sv = step_vectors(2)
     exterior = [tuple(np.add(c, sv[k])) for c in cube.corners
                 for k in cube.exit_directions(cube.corner_index(c))]
+    # the walk stops on an exterior neighbour or on its return to the
+    # origin; a stop away from the origin is an escape
+    off = _off(*exterior)
     res = walk.run_until_batch(env, np.array([1, 0]), walk.walk_keys(23, 40_000),
-                               2000, hit=_at(*exterior),
-                               inside=lambda X: np.any(X != 0, axis=1))
+                               2000, lambda X: off(X) & np.any(X != 0, axis=1))
     assert res.censored() == 0
-    est = np.mean(res.status == walk.STATUS_HIT)
+    assert np.all(res.status == walk.STATUS_EXITED)
+    escaped = _at(*exterior)(res.final)
+    assert np.array_equal(escaped, np.any(res.final != 0, axis=1))
+    est = np.mean(escaped)
     want = 2 * qt - 1
     assert abs(est - want) < 4 * np.sqrt(want * (1 - want) / 40_000)
 
 
 def test_hit_before_return_unreachable_target():
     # on Z, the target -2 lies behind the forbidden site -1: every resolved
-    # walk returns (exits) first and none is ever recorded as a hit
+    # walk stops at -1 first and none ever stops at the target
     env = Environment(TableMixture(((1.0, (0.5, 0.5)),)), 3)
     res = walk.run_until_batch(env, np.array([0]), walk.walk_keys(9, 2000), 5000,
-                               hit=_at((-2,)), inside=lambda X: X[:, 0] != -1)
-    assert not np.any(res.status == walk.STATUS_HIT)
+                               _off((-2,), (-1,)))
+    assert not np.any(res.final[:, 0] == -2)
     exited = res.status == walk.STATUS_EXITED
     assert exited.sum() > 1900 and np.all(res.final[exited, 0] == -1)
 
