@@ -33,7 +33,7 @@ print("\nMonte Carlo confirmation on the same quenched cube:")
 # the walk engine with the cube as its region, counting visits to the start
 start = cube.corners[0]
 res = run_until_batch(env, start, walk_keys(3, 50_000, "cube_walk"), 100_000,
-                      inside=cube.contains_batch, count_visits_to=start)
+                      inside=cube.region, count_visits_to=start)
 print(f"  MC mean exit {res.steps_taken.mean():.4f} vs exact 2")
 print(f"  MC mean visits to the start {res.visits.mean():.4f} vs exact 7/6 = {7/6:.4f}")
 

@@ -1,12 +1,16 @@
-"""Compiled stepping loop of the walk engines for the closed-form laws.
+"""Compiled loops of the walk engines for the closed-form laws.
 
 One C function fuses site keying, the site uniforms, the law's transition
 vector, ``normalize_rows`` and the inverse-CDF choice for ``UniformDrift``,
 ``Expl``, ``TrapSym`` and ``TrapTransient``, with one shared field or one
-field per walker.  It is compiled with the system ``gcc`` on first use,
-cached under ``$XDG_CACHE_HOME/rwre`` (default ``~/.cache/rwre``, else the
-temporary directory) in a file named after the source's SHA-256, and loaded
-with ``ctypes``.  Without a compiler, or when the build or load fails, a
+field per walker.  A second runs a whole ``walk.run_until_batch`` on a
+``lattice.Bounds`` region: it steps the live walkers, counts visits,
+evaluates the region and compacts the stopped walkers in order, writing
+each one's status, final site, exit step and visit count.  Both live in one
+library, compiled with the system ``gcc`` on first use, cached under
+``$XDG_CACHE_HOME/rwre`` (default ``~/.cache/rwre``, else the temporary
+directory) in a file named after the source's SHA-256, and loaded with
+``ctypes``.  Without a compiler, or when the build or load fails, a
 warning is issued once and the engines step with numpy.
 
 The step sequences equal those of ``walk._step_batch`` by construction.
@@ -17,6 +21,12 @@ A step is handed back to numpy whenever such a difference could matter:
 when a walk uniform lies within ``GUARD_MARGIN`` of one of its row's
 cumulative sums, or a row is near or beyond what ``normalize_rows``
 rejects.  The kernel then moves no walker at that step.
+
+Region decisions equal ``Bounds.__call__``'s the same way.  A form (column
+of ``A``) with integer coefficients is evaluated exactly; a float form's
+value can differ from numpy's by a few ulps, so a walker whose value lies
+within ``REGION_MARGIN`` (relative to the size of its terms) of a bound
+hands the whole step's region evaluation back to numpy.
 """
 
 from __future__ import annotations
@@ -39,6 +49,10 @@ from .environment import (PROB_SUM_TOL, Expl, TrapSym, TrapTransient,
 # this much farther away is decided alike by both, and a nearer one falls
 # on about 2^-37 of row-steps.
 GUARD_MARGIN = 2.0 ** -40
+# A float form's value of x @ A differs from numpy's by at most 2d ulps of
+# sum |x_i A_i|; one this much farther (relative to that sum) from a bound
+# is placed alike by both.
+REGION_MARGIN = 2.0 ** -40
 MAX_DIRS = 64
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
@@ -185,6 +199,38 @@ static int choose(const field_t *f, uint64_t base, const int64_t *x,
     return k < K ? k : K - 1;
 }
 
+/* Choose one step for each of the rows walkers at step t into choice.
+   Returns 1, 0 when numpy must take this step, or -1 for a walker index
+   outside the field's base keys. */
+static int choose_rows(const field_t *f, const int64_t *walkers,
+                       const uint64_t *keys, int64_t rows, const int64_t *pos,
+                       int64_t t, uint8_t *choice, double margin)
+{
+    int64_t i;
+    for (i = 0; i < rows; i++) {
+        uint64_t b = f->base[0];
+        int c;
+        if (f->per_walker) {
+            int64_t w = walkers ? walkers[i] : i;
+            if (w < 0 || w >= f->nbase) return -1;
+            b = f->base[w];
+        }
+        c = choose(f, b, pos + i * f->dim, uniform(keys[i], t), margin);
+        if (c < 0) return 0;
+        choice[i] = (uint8_t)c;
+    }
+    return 1;
+}
+
+static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice)
+{
+    int64_t i;
+    for (i = 0; i < rows; i++) {
+        int c = choice[i];
+        pos[i * dim + c % dim] += c < dim ? 1 : -1;
+    }
+}
+
 /* Step rows walkers from step t0 for up to n steps.  Returns the number of
    steps taken (step t0 + return value, if < n, moved no walker and is
    numpy's), or -1 for a walker index outside the field's base keys. */
@@ -192,28 +238,149 @@ int64_t rwre_steps(const field_t *f, const int64_t *walkers,
                    const uint64_t *keys, int64_t rows, int64_t *pos,
                    int64_t t0, int64_t n, uint8_t *choice, double margin)
 {
-    int dim = f->dim;
-    int64_t i, k;
+    int64_t k;
     for (k = 0; k < n; k++) {
-        int64_t t = t0 + k;
-        for (i = 0; i < rows; i++) {
-            uint64_t b = f->base[0];
-            int c;
-            if (f->per_walker) {
-                int64_t w = walkers ? walkers[i] : i;
-                if (w < 0 || w >= f->nbase) return -1;
-                b = f->base[w];
-            }
-            c = choose(f, b, pos + i * dim, uniform(keys[i], t), margin);
-            if (c < 0) return k;
-            choice[i] = (uint8_t)c;
-        }
-        for (i = 0; i < rows; i++) {
-            int c = choice[i];
-            pos[i * dim + c % dim] += c < dim ? 1 : -1;
-        }
+        int ok = choose_rows(f, walkers, keys, rows, pos, t0 + k, choice, margin);
+        if (ok <= 0) return ok < 0 ? -1 : k;
+        move_rows(f->dim, rows, pos, choice);
     }
     return n;
+}
+
+/* A stopping region lo < x.a_j < hi (<= where closed) for its m forms a_j,
+   and the outputs of the walk that runs in it, indexed by walker. */
+typedef struct {
+    int32_t m, lo_closed, hi_closed, exited;
+    const double *forms;    /* m rows of dim coefficients */
+    const double *lo, *hi;
+    const int32_t *exact;   /* 1 where a form's coefficients are integers */
+    int64_t n;              /* walkers of the run */
+    uint8_t *status;
+    int64_t *final, *steps_taken;
+    int64_t *visits;        /* NULL when visits are not counted */
+    const int64_t *target;
+} until_t;
+
+enum { DONE = 0, HAND_BACK_STEP = 1, HAND_BACK_REGION = 2 };
+
+/* 1 inside, 0 outside, or -1 when numpy must decide.  An integer form has
+   coefficients of at most 2^20, so at sites with coordinates below 2^26 in
+   at most 32 dimensions its value is an integer below 2^51, exact in both;
+   a float form's dot product differs from numpy's by at most 2 dim ulps of
+   sum |x_i a_i|, so a value farther than margin times that sum (plus one)
+   from both bounds is decided alike by both. */
+static int region(const until_t *r, int dim, const int64_t *x, double margin)
+{
+    int i, j, unsure = 0, small = 1;
+    for (i = 0; i < dim; i++)
+        small &= x[i] < (1 << 26) && x[i] > -(1 << 26);
+    for (j = 0; j < r->m; j++) {
+        const double *a = r->forms + j * dim;
+        double v = 0.0, lo = r->lo[j], hi = r->hi[j];
+        if (r->exact[j] && small) {
+            for (i = 0; i < dim; i++)
+                v += (double)x[i] * a[i];
+        } else {
+            double s = 0.0, tol;
+            for (i = 0; i < dim; i++) {
+                double p = (double)x[i] * a[i];
+                v += p;
+                s += fabs(p);
+            }
+            tol = margin * (1.0 + s);
+            if (fabs(v - lo) < tol || fabs(v - hi) < tol) {
+                unsure = 1;
+                continue;
+            }
+        }
+        if (r->lo_closed ? !(lo <= v) : !(lo < v)) return 0;
+        if (r->hi_closed ? !(v <= hi) : !(v < hi)) return 0;
+    }
+    return unsure ? -1 : 1;
+}
+
+static void count_visits(const until_t *r, int dim, const int64_t *walkers,
+                         int64_t rows, const int64_t *pos)
+{
+    int64_t i;
+    int j;
+    for (i = 0; i < rows; i++) {
+        for (j = 0; j < dim && pos[i * dim + j] == r->target[j]; j++)
+            ;
+        if (j == dim) r->visits[walkers[i]]++;
+    }
+}
+
+/* Run the rows live walkers (ids in walkers, keys and positions compacted
+   alike) from state io = {t, rows, settled} until all have left the region
+   or step horizon is reached, writing each stopped walker's outputs and
+   compacting the rest in order.  settled says whether the region has been
+   evaluated at the positions of step t.  Returns DONE, HAND_BACK_STEP (step
+   t moved no walker and is numpy's), HAND_BACK_REGION (the region at step
+   t is numpy's to evaluate) or -1 for a walker index out of range; io then
+   holds the state reached. */
+int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
+                   uint64_t *keys, int64_t *pos, int64_t *io, int64_t horizon,
+                   uint8_t *choice, double margin, double region_margin)
+{
+    int dim = f->dim;
+    int64_t t = io[0], rows = io[1], settled = io[2], i, code;
+    for (i = 0; i < rows; i++)
+        if (walkers[i] < 0 || walkers[i] >= r->n) return -1;
+    for (;;) {
+        if (!settled) {
+            int64_t kept = 0;
+            for (i = 0; i < rows; i++) {
+                int in = region(r, dim, pos + i * dim, region_margin);
+                if (in < 0) {
+                    code = HAND_BACK_REGION;
+                    goto out;
+                }
+                choice[i] = (uint8_t)in;
+            }
+            for (i = 0; i < rows; i++) {
+                int64_t w = walkers[i], *x = pos + i * dim;
+                int j;
+                if (!choice[i]) {
+                    r->status[w] = (uint8_t)r->exited;
+                    for (j = 0; j < dim; j++)
+                        r->final[w * dim + j] = x[j];
+                    r->steps_taken[w] = t;
+                    continue;
+                }
+                if (kept != i) {
+                    walkers[kept] = w;
+                    keys[kept] = keys[i];
+                    for (j = 0; j < dim; j++)
+                        pos[kept * dim + j] = x[j];
+                }
+                kept++;
+            }
+            rows = kept;
+            settled = 1;
+            /* the start counts as a visit only inside the region */
+            if (t == 0 && r->visits) count_visits(r, dim, walkers, rows, pos);
+        }
+        if (rows == 0 || t >= horizon) {
+            code = DONE;
+            goto out;
+        }
+        code = choose_rows(f, walkers, keys, rows, pos, t, choice, margin);
+        if (code <= 0) {
+            if (code < 0) return -1;
+            code = HAND_BACK_STEP;
+            goto out;
+        }
+        move_rows(dim, rows, pos, choice);
+        t++;
+        if (r->visits) count_visits(r, dim, walkers, rows, pos);
+        settled = 0;
+    }
+out:
+    io[0] = t;
+    io[1] = rows;
+    io[2] = settled;
+    return code;
 }
 """
 
@@ -236,8 +403,8 @@ class _Field(ctypes.Structure):
 class Plan:
     """An environment's field in the kernel's layout, with what it points to."""
 
-    def __init__(self, fn, env, code: int, param: float):
-        self.fn = fn
+    def __init__(self, lib, env, code: int, param: float):
+        self.lib = lib
         self.dim = env.dim
         self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
         self.field = _Field(law=code, d=env.law.d, dim=env.dim,
@@ -256,11 +423,11 @@ def plan(env) -> Plan | None:
     entry = _LAWS.get(type(env.law))
     if entry is None or 2 * env.dim > MAX_DIRS:
         return None
-    fn = _function()
-    if fn is None:
+    lib = _library()
+    if lib is None:
         return None
     code, param = entry
-    return Plan(fn, env, code, param(env.law))
+    return Plan(lib, env, code, param(env.law))
 
 
 def _check(a: np.ndarray, dtype, shape, name: str) -> None:
@@ -284,28 +451,101 @@ def step(plan: Plan, pos: np.ndarray, keys: np.ndarray, t0: int, n: int,
     if walkers is not None:
         _check(walkers, np.int64, (rows,), "walkers")
     choice = np.empty(rows, dtype=np.uint8)
-    done = plan.fn(plan.address,
-                   None if walkers is None else walkers.ctypes.data,
-                   keys.ctypes.data, rows, pos.ctypes.data, t0, n,
-                   choice.ctypes.data, GUARD_MARGIN)
+    done = plan.lib.rwre_steps(plan.address,
+                               None if walkers is None else walkers.ctypes.data,
+                               keys.ctypes.data, rows, pos.ctypes.data, t0, n,
+                               choice.ctypes.data, GUARD_MARGIN)
     if done < 0:
         raise IndexError("walker index outside the environment's seeds")
     return done
 
 
-_FN = None      # the loaded kernel; False once building or loading failed
+class _Until(ctypes.Structure):
+    _fields_ = [("m", ctypes.c_int32), ("lo_closed", ctypes.c_int32),
+                ("hi_closed", ctypes.c_int32), ("exited", ctypes.c_int32),
+                ("forms", ctypes.c_void_p), ("lo", ctypes.c_void_p),
+                ("hi", ctypes.c_void_p), ("exact", ctypes.c_void_p),
+                ("n", ctypes.c_int64), ("status", ctypes.c_void_p),
+                ("final", ctypes.c_void_p), ("steps_taken", ctypes.c_void_p),
+                ("visits", ctypes.c_void_p), ("target", ctypes.c_void_p)]
 
 
-def _function():
-    global _FN
-    if _FN is None:
+class Until:
+    """The compiled loop of one ``walk.run_until_batch``: its field, its
+    region (a ``lattice.Bounds``) and the outputs it writes, per walker."""
+
+    def __init__(self, plan: Plan, region, exited: int, status: np.ndarray,
+                 final: np.ndarray, steps_taken: np.ndarray,
+                 visits: np.ndarray | None, target: np.ndarray | None):
+        n, dim = len(status), plan.dim
+        if region.A.shape[0] != dim:
+            raise ValueError(f"region of dimension {region.A.shape[0]} for "
+                             f"walks of dimension {dim}")
+        _check(status, np.uint8, (n,), "status")
+        _check(final, np.int64, (n, dim), "final")
+        _check(steps_taken, np.int64, (n,), "steps_taken")
+        if visits is not None:
+            _check(visits, np.int64, (n,), "visits")
+            _check(target, np.int64, (dim,), "target")
+        self.plan = plan
+        self.forms = np.ascontiguousarray(region.A.reshape(dim, -1).T)
+        self.lo = np.ascontiguousarray(region.lo.reshape(-1))
+        self.hi = np.ascontiguousarray(region.hi.reshape(-1))
+        self.exact = np.array([np.all(f == np.round(f))
+                               and np.all(np.abs(f) <= 2 ** 20) for f in self.forms],
+                              dtype=np.int32)
+        # the struct points into these arrays: keep them alive with it
+        self.outputs = (status, final, steps_taken, visits, target)
+        self.io = np.zeros(3, dtype=np.int64)
+        ptr = (lambda a: None if a is None else a.ctypes.data)
+        self.region = _Until(m=len(self.forms), lo_closed=int(region.lo_closed),
+                             hi_closed=int(region.hi_closed), exited=exited,
+                             forms=ptr(self.forms), lo=ptr(self.lo), hi=ptr(self.hi),
+                             exact=ptr(self.exact), n=n, status=ptr(status),
+                             final=ptr(final), steps_taken=ptr(steps_taken),
+                             visits=ptr(visits), target=ptr(target))
+
+    def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
+                 t: int, settled: bool, horizon: int) -> tuple[int, int, bool, bool]:
+        """Run the live rows from step ``t`` as far as the kernel can.
+
+        ``pos``, ``keys`` and the walker ids ``walkers`` are compacted in
+        place; ``settled`` says whether the region has already been
+        evaluated at step ``t``.  Returns the live rows left, the step
+        reached, whether the region is settled there, and whether numpy
+        must take over there: evaluate the region if it is not settled,
+        else take the step.  Otherwise every walker has stopped or the
+        budget is spent.
+        """
+        rows = len(pos)
+        _check(pos, np.int64, (rows, self.plan.dim), "pos")
+        _check(keys, np.uint64, (rows,), "keys")
+        _check(walkers, np.int64, (rows,), "walkers")
+        self.io[:] = (t, rows, settled)
+        choice = np.empty(rows, dtype=np.uint8)
+        code = self.plan.lib.rwre_until(
+            self.plan.address, ctypes.addressof(self.region), walkers.ctypes.data,
+            keys.ctypes.data, pos.ctypes.data, self.io.ctypes.data, horizon,
+            choice.ctypes.data, GUARD_MARGIN, REGION_MARGIN)
+        if code < 0:
+            raise IndexError("walker index outside the run or the environment's seeds")
+        t, rows, settled = self.io.tolist()
+        return rows, t, bool(settled), code != 0
+
+
+_LIB = None      # the loaded kernel; False once building or loading failed
+
+
+def _library():
+    global _LIB
+    if _LIB is None:
         try:
-            _FN = _load(_cached_build())
+            _LIB = _load(_cached_build())
         except OSError as exc:
             warnings.warn(f"rwre: compiled step kernel unavailable ({exc}); "
                           "walks step with numpy", RuntimeWarning, stacklevel=4)
-            _FN = False
-    return _FN or None
+            _LIB = False
+    return _LIB or None
 
 
 def _compiler() -> str | None:
@@ -359,9 +599,10 @@ def build(path, flags=CFLAGS) -> pathlib.Path:
 
 
 def _load(path):
-    fn = ctypes.CDLL(str(path)).rwre_steps
-    ptr = ctypes.c_void_p
-    fn.argtypes = [ptr, ptr, ptr, ctypes.c_int64, ptr, ctypes.c_int64,
-                   ctypes.c_int64, ptr, ctypes.c_double]
-    fn.restype = ctypes.c_int64
-    return fn
+    lib = ctypes.CDLL(str(path))
+    ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.rwre_steps.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, dbl]
+    lib.rwre_steps.restype = i64
+    lib.rwre_until.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, dbl, dbl]
+    lib.rwre_until.restype = i64
+    return lib

@@ -32,20 +32,53 @@ class ParameterError(ValueError):
     pass
 
 
+_REQUIRED = object()
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _param(config: dict, key: str, kind, default=_REQUIRED):
+    """The config value under ``key``, checked against the JSON type its
+    use needs; ``default`` when the key is absent or null, if one is given.
+
+    ``kind`` is ``int`` (an integral number, returned as an int), ``float``
+    (a number, returned as a float), ``"number"`` (a number as written,
+    since 1 and 1.0 name estimates differently) or ``"list"`` (a list of
+    numbers as written).  Any other value is a :class:`ParameterError`.
+    """
+    val = config.get(key)
+    if val is None and default is not _REQUIRED:
+        return default
+    if kind == "list":
+        if isinstance(val, list) and all(_is_number(v) for v in val):
+            return val
+        raise ParameterError(f"{key} must be a list of numbers, got {val!r}")
+    if kind is int:
+        if _is_number(val) and float(val).is_integer():
+            return int(val)
+        raise ParameterError(f"{key} must be an integer, got {val!r}")
+    if not _is_number(val):
+        raise ParameterError(f"{key} must be a number, got {val!r}")
+    return float(val) if kind is float else val
+
+
 def law_from_spec(spec: dict):
     """Build a site law from its tagged config record."""
     kind = spec.get("kind")
     try:
         if kind == "uniform":
-            return UniformDrift(int(spec["d"]), float(spec.get("strength", 0.0)),
-                                int(spec.get("axis", 1)))
+            return UniformDrift(_param(spec, "d", int),
+                                _param(spec, "strength", float, 0.0),
+                                _param(spec, "axis", int, 1))
         if kind == "expl":
-            return Expl(int(spec["d"]), float(spec["eps"]))
+            return Expl(_param(spec, "d", int), _param(spec, "eps", float))
         if kind == "trap_sym":
-            te = spec.get("tail_exponent")
-            return TrapSym(int(spec["d"]), None if te is None else float(te))
+            return TrapSym(_param(spec, "d", int),
+                           _param(spec, "tail_exponent", float, None))
         if kind == "trap_transient":
-            return TrapTransient(int(spec["d"]))
+            return TrapTransient(_param(spec, "d", int))
         if kind == "dirichlet":
             return Dirichlet(tuple(spec["weights"]))
         if kind == "table_mixture":
@@ -148,11 +181,12 @@ def _resolve_law(config: dict):
 def cmd_walk(args) -> int:
     config = load_config(args, {"steps": 1000, "walks": 10})
     law = _resolve_law(config)
-    env = Environment(law, int(config["seed"]))
-    keys = walk.walk_keys(rng.derive_key(int(config["seed"]), "cli_walk"),
-                          int(config["walks"]))
+    seed = _param(config, "seed", int)
+    env = Environment(law, seed)
+    keys = walk.walk_keys(rng.derive_key(seed, "cli_walk"),
+                          _param(config, "walks", int))
     res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64),
-                               int(config["steps"]), keys,
+                               _param(config, "steps", int), keys,
                                record_steps=bool(config.get("dump_trajectory")))
     out = config.get("out", "walk_finals.csv")
     write_csv(out, ["walk"] + [f"x_{i + 1}" for i in range(law.dim)],
@@ -190,15 +224,15 @@ def _regen_ell(spec, law) -> np.ndarray:
 def cmd_regen(args) -> int:
     config = load_config(args, {"steps": 100_000, "walks": 100})
     law = _resolve_law(config)
-    seed = int(config["seed"])
+    seed = _param(config, "seed", int)
     env = Environment(law, rng.derive_key(seed, "regen_env"))
-    nsteps, walks = int(config["steps"]), int(config["walks"])
+    nsteps, walks = _param(config, "steps", int), _param(config, "walks", int)
     ell = _regen_ell(config.get("ell", "auto"), law)
     config["ell"] = [float(v) for v in ell]
     keys = walk.walk_keys(rng.derive_key(seed, "regen_walks"), walks)
     res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64), nsteps,
                                keys, record_steps=True)
-    params = regeneration.RegenParams(tuple(ell), a=config.get("a"))
+    params = regeneration.RegenParams(tuple(ell), a=_param(config, "a", float, None))
     records = [regeneration.extract_from_steps(row, (0,) * law.dim, params, nsteps)
                for row in res.steps]
     out = config.get("out", "regenerations.csv")
@@ -222,21 +256,22 @@ def cmd_regen(args) -> int:
 def cmd_hypercube(args) -> int:
     config = load_config(args, {"replicates": 100, "moments": 2})
     law = _resolve_law(config)
-    seed = int(config["seed"])
+    seed = _param(config, "seed", int)
+    moments = _param(config, "moments", int)
     cube = UnitHypercube((0,) * law.dim)
-    seeds = rng.derive_keys(seed, "hc", n=int(config["replicates"])).tolist()
-    ana = hypercube.analyze_batch(law, seeds, cube, int(config["moments"]))
+    seeds = rng.derive_keys(seed, "hc", n=_param(config, "replicates", int)).tolist()
+    ana = hypercube.analyze_batch(law, seeds, cube, moments)
     out = config.get("out", "hypercube.csv")
     m = 1 << law.dim
     header = (["replicate", "seed"] + [f"Q_{j}" for j in range(m)]
               + [f"Qtilde_row_{j}" for j in range(m)]
               + [f"mean_exit_{j}" for j in range(m)]
-              + [f"moment{k}_corner0" for k in range(1, int(config["moments"]) + 1)])
+              + [f"moment{k}_corner0" for k in range(1, moments + 1)])
     rows = []
     for r in range(len(seeds)):
         rows.append([r, seeds[r]] + list(ana.Q[r]) + list(ana.Qtilde_row[r])
                     + list(ana.mean_exit[r])
-                    + [ana.moments[r, k, 0] for k in range(1, int(config["moments"]) + 1)])
+                    + [ana.moments[r, k, 0] for k in range(1, moments + 1)])
     write_csv(out, header, rows, config)
     print(f"hypercube: mean exit from corner 0 = {fmt(ana.mean_exit[:, 0].mean())} "
           f"over {len(seeds)} replicates -> {out}")
@@ -246,43 +281,46 @@ def cmd_hypercube(args) -> int:
 def cmd_criteria(args) -> int:
     config = load_config(args, {"replicates": 1000})
     law = _resolve_law(config)
-    seed, reps = int(config["seed"]), int(config["replicates"])
+    seed, reps = _param(config, "seed", int), _param(config, "replicates", int)
     name = config.get("criterion")
     out = config.get("out", f"criterion_{name}.json")
     if name in ("e0", "eprime1", "eprime1_probe", "ktilde1"):
         if name == "e0":
-            rep = criteria.check_e0(law, config.get("etas", 0.1), reps, seed)
+            # one eta for every direction, or a list of 2d
+            etas = _param(config, "etas",
+                         "list" if isinstance(config.get("etas"), list) else "number",
+                         0.1)
+            rep = criteria.check_e0(law, etas, reps, seed)
         elif name == "eprime1":
-            if "phi" not in config:
+            phi = _param(config, "phi", "list", None)
+            if phi is None:
                 raise ParameterError("criterion eprime1 needs phi (2d positive "
                                      "weights) in the config")
-            rep = criteria.check_eprime(law, config["phi"], reps, seed)
+            rep = criteria.check_eprime(law, phi, reps, seed)
         elif name == "eprime1_probe":
-            exponent = config.get("exponent")   # not cast: 1 keeps "^1" names
-            if isinstance(exponent, (bool, str, list, dict)):   # JSON non-numbers
-                raise ParameterError(f"exponent must be a number, got {exponent!r}")
-            rep = criteria.eprime_probe(law, exponent, reps, seed)
+            rep = criteria.eprime_probe(law, _param(config, "exponent", "number", None),
+                                        reps, seed)
         else:
-            rep = criteria.check_ktilde(law, float(config.get("exponent", 2.0)),
+            rep = criteria.check_ktilde(law, _param(config, "exponent", float, 2.0),
                                         reps, seed)
         write_json(out, rep.to_dict(), config)
         print(f"criteria {name}: {rep.verdict} -> {out}")
         return EXIT_OK
     if name == "slab":
         ell = default_ell(law)
-        rep = criteria.slab_exit(law, ell, float(config.get("b", 1.0)),
-                                 config.get("L_grid", [8, 16, 32]),
-                                 int(config.get("walk_budget", 30000)),
-                                 int(config.get("slab_replicates", 2)), seed,
+        rep = criteria.slab_exit(law, ell, _param(config, "b", float, 1.0),
+                                 _param(config, "L_grid", "list", [8, 16, 32]),
+                                 _param(config, "walk_budget", int, 30000),
+                                 _param(config, "slab_replicates", int, 2), seed,
                                  estimator=config.get("estimator", "splitting"))
         write_json(out, rep.to_dict(), config)
         print(f"criteria slab: estimates {['%.3g' % e for e in rep.estimates]} -> {out}")
         return EXIT_OK
     if name == "pm":
         ell = default_ell(law)
-        rep = criteria.polynomial_condition(law, ell, float(config.get("M", 1)),
-                                            config.get("L_grid", [8, 16]),
-                                            int(config.get("walk_budget", 20000)),
+        rep = criteria.polynomial_condition(law, ell, _param(config, "M", float, 1.0),
+                                            _param(config, "L_grid", "list", [8, 16]),
+                                            _param(config, "walk_budget", int, 20000),
                                             reps, seed)
         write_json(out, rep.to_dict(), config)
         print(f"criteria pm: {rep.verdict} -> {out}")
@@ -293,7 +331,8 @@ def cmd_criteria(args) -> int:
 def cmd_paths(args) -> int:
     config = load_config(args, {"replicates": 100, "n": 5})
     law = _resolve_law(config)
-    seed, reps, n = int(config["seed"]), int(config["replicates"]), int(config["n"])
+    seed, reps, n = (_param(config, "seed", int), _param(config, "replicates", int),
+                     _param(config, "n", int))
     policy = criteria.EprimePolicy()
     rows = []
     for r in range(reps):
@@ -311,7 +350,7 @@ def cmd_paths(args) -> int:
 def cmd_acceptance(args) -> int:
     from . import acceptance
     config = load_config(args, {"out_dir": "acceptance_out", "seed": 42})
-    results, summary_path = acceptance.run_all(int(config["seed"]),
+    results, summary_path = acceptance.run_all(_param(config, "seed", int),
                                                str(config["out_dir"]))
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -30,8 +30,8 @@ from scipy import stats as sps
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
 from .hypercube import analyze_transitions, escape_site_probs, quenched
-from .lattice import (Site, TiltedBox, UnitHypercube, rotation_onto_e1,
-                      step_vectors)
+from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
+                      rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, run_until_batch, walk_keys
 
 
@@ -532,21 +532,15 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
 MultiSeedEnvironment = Environment
 
 
-def _box_inside(R: np.ndarray, L: float, Lp: float, Lt: float):
-    """Membership in R((-Lp, L) x (-Lt, Lt)^{d-1}) for (N, d) sites."""
-    def inside(X):
-        W = X @ R
-        return ((-Lp < W[:, 0]) & (W[:, 0] < L)
-                & (np.abs(W[:, 1:]).max(axis=1, initial=0.0) < Lt))
-    return inside
+def _box_region(R: np.ndarray, L: float, Lp: float, Lt: float) -> Bounds:
+    """The box R((-Lp, L) x (-Lt, Lt)^{d-1}) (bounds open)."""
+    d = R.shape[0]
+    return Bounds(R, [-Lp] + [-Lt] * (d - 1), [L] + [Lt] * (d - 1), False, False)
 
 
-def _slab_inside(ell: np.ndarray, b: float, L: float):
-    """Membership in the slab {-b L <= x.ell <= L} (bounds inclusive)."""
-    def inside(X):
-        t = X @ ell
-        return (-b * L <= t) & (t <= L)
-    return inside
+def _slab_region(ell: np.ndarray, b: float, L: float) -> Bounds:
+    """The slab {-b L <= x.ell <= L} (bounds inclusive)."""
+    return Bounds(ell, -b * L, L, True, True)
 
 
 @dataclass
@@ -591,7 +585,7 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
                 res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
                                       keys, walk_budget,
-                                      inside=_box_inside(R, L, Lp, Lt))
+                                      inside=_box_region(R, L, Lp, Lt))
                 exited = res.status == STATUS_EXITED
                 n_resolved = int(exited.sum())
                 bad = exited & ((res.final @ ell) < L)
@@ -638,13 +632,8 @@ def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
         final_stage = j == m - 1
         # level j's region: its walks stop on crossing the level (or, at
         # the last level, on leaving the slab's back) or the front
-        if final_stage:
-            inside = _slab_inside(ell, b, L)
-        else:
-            def inside(X, lev=lev):
-                t = X @ ell
-                return (lev < t) & (t <= L)
-
+        inside = (_slab_region(ell, b, L) if final_stage
+                  else Bounds(ell, lev, L, False, True))
         keys = walk_keys(key, n_per_level, salt=f"split:{j}")
         res = run_until_batch(env, starts, keys, walk_budget, inside)
         censored += res.censored()
@@ -726,7 +715,7 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                                  direct_runs)
                 res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
                                       keys, walk_budget,
-                                      inside=_slab_inside(ell, b, float(L)))
+                                      inside=_slab_region(ell, b, float(L)))
                 exited = res.status == STATUS_EXITED
                 back = exited & ((res.final @ ell) < 0)
                 n_resolved = int(exited.sum())

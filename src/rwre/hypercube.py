@@ -19,7 +19,7 @@ dense linear solve:
 All solvers are batched over environment replicates.  The Monte Carlo
 checks (:func:`visit_law_check`, non-integer :func:`fractional_moment`)
 walk on the keyed field with :func:`~rwre.walk.run_until_batch`, with
-``UnitHypercube.contains_batch`` as the region.
+``UnitHypercube.region`` as the region.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
             for j, corner in enumerate(cube.corners):
                 keys = walk_keys(seed, 200, salt=f"fracmom:{j}")
                 res = run_until_batch(env, np.asarray(corner), keys,
-                                      10_000, inside=cube.contains_batch)
+                                      10_000, inside=cube.region)
                 censored += res.censored()
                 best = max(best, float(np.mean(res.steps_taken.astype(float) ** alpha)))
             vals[r] = best
@@ -312,7 +312,7 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     qt = float(analyze(env, cube, 1).Qtilde_row[0, corner])
     site = cube.corners[corner]
     res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),
-                          200_000, inside=cube.contains_batch,
+                          200_000, inside=cube.region,
                           count_visits_to=site)
     chi2, dof, p = stats.chi_square_geometric(res.visits, qt)
     return VisitLawReport(qt, runs, chi2, dof, p,

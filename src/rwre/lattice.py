@@ -1,11 +1,12 @@
-"""Lattice geometry: canonical steps, unit hypercubes, tilted boxes.
+"""Lattice geometry: canonical steps, linear regions, unit hypercubes,
+tilted boxes.
 
 Sites are tuples of python ints (hashable, exact); bulk math uses numpy.
 Directions are enumerated with the convention that direction i+d is the
 negative of direction i.  The canonical enumeration (+e_1..+e_d then
 -e_1..-e_d) is the frame in which environment laws are specified.  The
-unit-hypercube and tilted-box membership predicates are vectorized over
-(N, d) arrays of sites.
+membership predicates (:class:`Bounds`, the unit hypercube's region and
+the tilted box) are vectorized over (N, d) arrays of sites.
 """
 
 from __future__ import annotations
@@ -39,6 +40,43 @@ def corner_offsets(d: int) -> list[Site]:
     return [tuple((j >> i) & 1 for i in range(d)) for j in range(1 << d)]
 
 
+@dataclass(frozen=True, eq=False)
+class Bounds:
+    """The sites x with lo < x @ A < hi in every column of A.
+
+    ``A`` is one linear form of shape (d,) with scalar bounds, or m forms
+    of shape (d, m) with m bounds each; ``lo_closed`` and ``hi_closed`` make
+    the lower and upper bounds inclusive.  Called on an (N, d) array of
+    sites it returns the (N,) membership mask.  The walk engine's compiled
+    loop evaluates the same region and leaves to this call every site whose
+    ``x @ A`` it cannot place on one side of a bound exactly.  Compared by
+    identity, since its fields are arrays.
+    """
+
+    A: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_closed: bool
+    hi_closed: bool
+
+    def __post_init__(self):
+        A = np.array(self.A, dtype=float)
+        lo = np.array(self.lo, dtype=float)
+        hi = np.array(self.hi, dtype=float)
+        if A.ndim not in (1, 2) or lo.shape != A.shape[1:] or hi.shape != lo.shape:
+            raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} do not "
+                             f"match linear forms of shape {A.shape}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        V = np.asarray(X) @ self.A
+        ok = ((self.lo <= V) if self.lo_closed else (self.lo < V)) & (
+            (V <= self.hi) if self.hi_closed else (V < self.hi))
+        return ok if ok.ndim == 1 else ok.all(axis=1)
+
+
 @dataclass(frozen=True)
 class UnitHypercube:
     """The 2^d sites {anchor + sum eps_i e_i, eps in {0,1}^d}."""
@@ -65,18 +103,11 @@ class UnitHypercube:
             j |= off << i
         return j
 
-    def contains_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, d) array of sites.
-
-        Each offset from the anchor must be 0 or 1; viewed as uint64, a
-        negative offset wraps past 1, so one comparison per column decides.
-        """
-        off = (np.asarray(X, dtype=np.int64)
-               - np.asarray(self.anchor, dtype=np.int64)).view(np.uint64)
-        inside = off[:, 0] <= 1
-        for i in range(1, self.d):
-            inside &= off[:, i] <= 1
-        return inside
+    @property
+    def region(self) -> Bounds:
+        """The cube as a walk region: anchor_i <= x_i <= anchor_i + 1."""
+        a = np.asarray(self.anchor, dtype=float)
+        return Bounds(np.eye(self.d), a, a + 1.0, True, True)
 
     def exit_directions(self, corner_bits: int) -> list[int]:
         """Canonical 0-based direction indices leading out from a corner."""

@@ -11,18 +11,22 @@ canonical direction order, one walk-stream uniform per step):
 
 No other module steps walks: the slab, box and tilted-box estimators,
 the splitting levels and the unit-hypercube Monte Carlo
-(``UnitHypercube.contains_batch`` as the region, visits counted at the
-start corner) all run on :func:`run_until_batch`, and each reads its event
+(``UnitHypercube.region`` as the region, visits counted at the start
+corner) all run on :func:`run_until_batch`, and each reads its event
 (front or back side, level crossed, exit time) off the exit site.
 
 For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
-are taken by the compiled loop in :mod:`rwre._kernel`, once per segment
-between checkpoints or once per stopping step, with step sequences equal
-to :func:`_step_batch`'s by construction; it hands back to
-:func:`_step_batch` any step it cannot decide exactly.  Other laws, hosts
-without a compiler and recorded runs step with numpy.  Both engines
-validate their batch (keys, start rows, dimension, length, per-walker
-seeds, the visit-count site) before the first step.
+are taken by the compiled loops in :mod:`rwre._kernel`, with step
+sequences equal to :func:`_step_batch`'s by construction:
+:func:`run_fixed_batch` makes one call per segment between checkpoints,
+and :func:`run_until_batch` one call per batch when its region is a
+:class:`~rwre.lattice.Bounds` (the kernel evaluates the region and
+compacts), else one call per step with the region evaluated by numpy.
+The kernel hands back to numpy any step, or any region evaluation, it
+cannot decide exactly.  Other laws, hosts without a compiler and
+recorded runs step with numpy.  Both engines validate their batch (keys,
+start rows, dimension, length, per-walker seeds, the visit-count site)
+before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import _kernel, rng
 from .environment import Environment
-from .lattice import Site, step_vectors
+from .lattice import Bounds, Site, step_vectors
 
 
 def positions(start, steps: np.ndarray) -> np.ndarray:
@@ -72,7 +76,7 @@ def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim != 1:
         raise ValueError("keys must be a 1-D array of walk keys")
-    pos = np.array(starts, dtype=np.int64)
+    pos = np.array(starts, dtype=np.int64, order="C")
     if pos.ndim == 1:
         pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
     if pos.shape != (len(keys), env.dim):
@@ -160,15 +164,16 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
                     count_visits_to: Site | None = None) -> UntilBatchResult:
     """Run W walks until each leaves the region or exhausts the budget.
 
-    ``inside`` is a vectorized predicate on (N, d) position arrays; a walk
-    that starts outside the region stops at step 0.  Stopped walks are
-    compacted away so the cost tracks the number of live walks.
-    ``count_visits_to`` counts time spent at one site of dimension
-    ``env.dim`` (including the start when it matches).
+    ``inside`` is a :class:`~rwre.lattice.Bounds` or any vectorized
+    predicate on (N, d) position arrays; a walk that starts outside the
+    region stops at step 0.  Stopped walks are compacted away so the cost
+    tracks the number of live walks.  ``count_visits_to`` counts time spent
+    at one site of dimension ``env.dim`` (including the start when it
+    matches and lies inside the region).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    pos, ckeys = _batch(env, starts, keys)
+    pos, keys = _batch(env, starts, keys)
     W = pos.shape[0]
     if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
         raise ValueError(f"count_visits_to must be one site of dimension "
@@ -181,9 +186,13 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     visits = np.zeros(W, dtype=np.int64) if count_visits_to is not None else None
     target = (np.asarray(count_visits_to, dtype=np.int64)
               if count_visits_to is not None else None)
+    loop = (_kernel.Until(plan, inside, STATUS_EXITED, status, final,
+                          steps_taken, visits, target)
+            if plan is not None and isinstance(inside, Bounds) else None)
 
     live = np.arange(W, dtype=np.int64)
     cur = pos
+    ckeys = keys.copy()     # the compiled loop compacts the keys in place
 
     # compress() rather than boolean indexing, and the visit test one column
     # at a time: both are several times cheaper on the wide, short-lived
@@ -209,17 +218,31 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
         if at.any():
             visits[live.compress(at)] += 1
 
-    settle(0)
-    if visits is not None and len(live):
-        count_visits()
-
-    for t in range(horizon):
-        if not len(live):
+    # Each pass takes what numpy must decide: the region at step t when it
+    # is not settled there, else step t.  The compiled loop, when there is
+    # one, runs until it needs numpy for either or the run is over.
+    t, settled = 0, False
+    while True:
+        if loop is not None:
+            rows, t, settled, handed_back = loop(cur, ckeys, live, t, settled,
+                                                 horizon)
+            live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
+            if not handed_back:
+                break
+        if not settled:
+            settle(t)
+            if t == 0 and visits is not None and len(live):
+                count_visits()
+            settled = True
+            continue
+        if t == horizon or not len(live):
             break
-        _advance(env, plan, cur, ckeys, t, t + 1, sv, live=live)
+        _advance(env, plan if loop is None else None, cur, ckeys, t, t + 1, sv,
+                 live=live)
         if visits is not None:
             count_visits()
-        settle(t + 1)
+        t += 1
+        settled = False
     if len(live):
         status[live] = STATUS_BUDGET
         final[live] = cur

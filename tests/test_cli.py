@@ -243,3 +243,48 @@ def test_eprime_probe_keeps_an_integer_exponent(tmp_path):
                 "--seed", "1", "--out", str(out)]) == 0
     names = [e["name"] for e in json.loads(out.read_text())["estimates"]]
     assert names[0] == "inv_moment_p(e_1)^1"
+
+
+# A config value of the wrong JSON type is a parameter error for every
+# subcommand that reads it, and nothing is written.
+WRONG_TYPES = [
+    (["walk", "--law", "uniform", "--d", "2"], {"steps": [10]},
+     "steps must be an integer"),
+    (["walk", "--law", "uniform", "--d", "2"], {"walks": "10"},
+     "walks must be an integer"),
+    (["walk"], {"law": {"kind": "uniform", "d": 2.5}}, "d must be an integer"),
+    (["regen", "--law", "expl", "--d", "2", "--eps", "0.2"], {"steps": 1.5},
+     "steps must be an integer"),
+    (["regen", "--law", "expl", "--d", "2", "--eps", "0.2"], {"a": [5]},
+     "a must be a number"),
+    (["hypercube", "--law", "uniform", "--d", "2"], {"moments": True},
+     "moments must be an integer"),
+    (["criteria", "--criterion", "ktilde1", "--law", "expl", "--d", "2", "--eps", "0.2"],
+     {"exponent": [2]}, "exponent must be a number"),
+    (["criteria", "--criterion", "e0", "--law", "expl", "--d", "2", "--eps", "0.2"],
+     {"etas": {"e1": 0.1}}, "etas must be a number"),
+    (["criteria", "--criterion", "eprime1", "--law", "expl", "--d", "2", "--eps", "0.2"],
+     {"phi": [0.1, "0.1", 0.1, 0.1]}, "phi must be a list of numbers"),
+    (["criteria", "--criterion", "slab", "--law", "uniform", "--d", "2"],
+     {"L_grid": 8}, "L_grid must be a list of numbers"),
+    (["criteria", "--criterion", "pm", "--law", "uniform", "--d", "2"],
+     {"walk_budget": "20000"}, "walk_budget must be an integer"),
+    (["criteria", "--criterion", "pm", "--law", "uniform", "--d", "2"],
+     {"replicates": None}, "replicates must be an integer"),
+    (["paths", "--law", "uniform", "--d", "2"], {"n": [5]}, "n must be an integer"),
+    (["acceptance"], {"seed": "42"}, "seed must be an integer"),
+]
+
+
+@pytest.mark.parametrize("argv, config, message", WRONG_TYPES,
+                         ids=[f"{a[0]}-{next(iter(c))}" for a, c, _ in WRONG_TYPES])
+def test_wrong_json_type_is_parameter_error(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    seed = [] if "seed" in config else ["--seed", "1"]
+    target = ["--out-dir", str(out)] if argv[0] == "acceptance" else ["--out", str(out)]
+    code = run(argv + ["--config", str(cfg)] + seed + target)
+    assert code == cli.EXIT_PARAM
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]

@@ -109,7 +109,7 @@ def cube_chain_oracle(qh, start_corner: int, keys, horizon: int):
 def _cube_walks(env, cube, corner, runs, seed, horizon=200_000):
     site = cube.corners[corner]
     return walk.run_until_batch(env, site, walk.walk_keys(seed, runs, "cube_walk"),
-                                horizon, inside=cube.contains_batch,
+                                horizon, inside=cube.region,
                                 count_visits_to=site)
 
 

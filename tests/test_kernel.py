@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rwre
-from rwre import _kernel, rng, walk
+from rwre import _kernel, criteria, hypercube, lattice, rng, walk
 from rwre.environment import (Environment, Expl, TrapSym, TrapTransient,
                               UniformDrift)
 
@@ -122,12 +122,134 @@ def test_handed_back_steps_resume_identically(monkeypatch, margin):
             assert 0 < len(calls) < loop_steps
 
 
+def _regions(dim):
+    """(name, region, start) for the region kinds of the estimators, sized
+    so that walks stop at many different steps: a slab, a splitting level
+    and a box on the float form ell, a slab whose bound 0.6 x + 0.8 y hits
+    up to rounding, and a cube off the origin, entered at a corner."""
+    ell = np.ones(dim) / np.sqrt(dim)
+    tilted = np.array([0.6, 0.8] + [0.0] * (dim - 2)) if dim >= 2 else np.ones(1)
+    origin = np.zeros(dim, dtype=np.int64)
+    anchor = (2, -1, 0, 1)[:dim]
+    return [
+        ("slab", criteria._slab_region(ell, 1.0, 4.0), origin),
+        ("level", lattice.Bounds(ell, -2.5, 4.0, False, True), origin),
+        ("box", criteria._box_region(lattice.rotation_onto_e1(ell), 4.0, 4.5, 3.0),
+         origin),
+        ("slab_on_sites", criteria._slab_region(tilted, 1.0, 7.0), origin),
+        ("cube", lattice.UnitHypercube(anchor).region,
+         np.add(anchor, np.eye(1, dim, dtype=np.int64)[0])),
+    ]
+
+
+def _until(env, region, start, keys, n=150):
+    return walk.run_until_batch(env, start, keys, n, region,
+                                count_visits_to=tuple(start.tolist()))
+
+
+def _assert_same_until(a, b, what):
+    for field in ("status", "final", "steps_taken", "visits"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), (what, field)
+
+
+@needs_gcc
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+@pytest.mark.parametrize("law", LAWS, ids=repr)
+def test_compiled_regions_equal_the_per_step_path(monkeypatch, law, per_walker):
+    # the same region as a Bounds runs in the compiled loop, and as a plain
+    # callable on the per-step path (itself checked against numpy above)
+    for W in (1, 7, 200):
+        env = Environment(law, rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
+        keys = walk.walk_keys(9, W)
+        for name, region, start in _regions(env.dim):
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "step", None)    # not called by the loop
+                ours = _until(env, region, start, keys)
+            _assert_same_until(ours, _until(env, lambda X: region(X), start, keys),
+                               (name, W))
+            assert W < 200 or len(set(ours.steps_taken.tolist())) > 1, name
+
+
+def _counting(monkeypatch, obj, name):
+    calls = []
+    inner = getattr(obj, name)
+    monkeypatch.setattr(obj, name, lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+@needs_gcc
+@pytest.mark.parametrize("guard, region_margin, handed_back", [
+    (2.0, _kernel.REGION_MARGIN, "every_step"),
+    (0.01, _kernel.REGION_MARGIN, "some_steps"),
+    (_kernel.GUARD_MARGIN, 1e3, "every_region"),
+    (_kernel.GUARD_MARGIN, 1e-3, "some_regions"),
+])
+def test_compiled_regions_resume_identically_after_hand_backs(
+        monkeypatch, guard, region_margin, handed_back):
+    W = 7
+    handed = {"steps": 0, "regions": 0, "loop_steps": 0, "float_loop_steps": 0}
+    for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2), TrapTransient(1)):
+        env = Environment(law, rng.derive_keys(4, "walkers", n=W))
+        keys = walk.walk_keys(5, W)
+        for name, region, start in _regions(env.dim):
+            reference = _until(env, lambda X: region(X), start, keys)
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "GUARD_MARGIN", guard)
+                m.setattr(_kernel, "REGION_MARGIN", region_margin)
+                steps = _counting(m, walk, "_step_batch")
+                regions = _counting(m, lattice.Bounds, "__call__")
+                ours = _until(env, region, start, keys)
+            _assert_same_until(ours, reference, (law, name))
+            loop_steps = int(reference.steps_taken.max())
+            if handed_back == "every_step":
+                assert len(steps) == loop_steps
+            if name == "cube":      # an integer region is never handed back
+                assert not regions
+            else:
+                handed["float_loop_steps"] += loop_steps + 1
+            handed["steps"] += len(steps)
+            handed["regions"] += len(regions)
+            handed["loop_steps"] += loop_steps
+    if handed_back == "some_steps":
+        assert 0 < handed["steps"] < handed["loop_steps"]
+    elif handed_back == "every_region":
+        assert handed["regions"] == handed["float_loop_steps"]
+    elif handed_back == "some_regions":
+        assert 0 < handed["regions"] < handed["float_loop_steps"]
+
+
+@needs_gcc
+def test_region_hand_backs_are_rare(monkeypatch):
+    # the cube is an integer region: its visit-law walks never reach numpy's
+    # predicate; the float slab of the slab-decay criterion very rarely does
+    regions = _counting(monkeypatch, lattice.Bounds, "__call__")
+    for law in (UniformDrift(2), Expl(2, 0.3), TrapSym(2)):
+        rep = hypercube.visit_law_check(Environment(law, 7),
+                                        lattice.UnitHypercube((0, 0)), 0, 10_000, 8)
+        assert rep.n == 10_000
+    assert not regions
+    walker_steps = []
+    run = criteria.run_until_batch
+
+    def counted(*args, **kwargs):
+        res = run(*args, **kwargs)
+        walker_steps.append(int(res.steps_taken.sum()))
+        return res
+
+    monkeypatch.setattr(criteria, "run_until_batch", counted)
+    criteria.slab_exit(Expl(2, 0.2), np.ones(2) / np.sqrt(2.0), 1.0, [8, 16], 60_000,
+                       2, 11, estimator="splitting", n_per_level=192, repeats=1,
+                       level_width=0.7)
+    assert sum(walker_steps) > 10 ** 5
+    assert len(regions) < 1e-3 * sum(walker_steps)
+
+
 def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):
     env = Environment(TrapTransient(1), rng.derive_keys(4, "walkers", n=7))
     expected = _runs(env, 7, 60)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(_kernel, "_compiler", lambda: None)
-    monkeypatch.setattr(_kernel, "_FN", None)
+    monkeypatch.setattr(_kernel, "_LIB", None)
     with pytest.warns(RuntimeWarning, match="step kernel unavailable") as caught:
         got = _runs(env, 7, 60)
         again = _runs(env, 7, 60)
@@ -140,22 +262,31 @@ def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):
 UBSAN_CHECK = """
 import sys
 import numpy as np
-from rwre import _kernel, walk
+from rwre import _kernel, lattice, walk
 from rwre.environment import (Environment, Expl, TrapSym, TrapTransient,
                               UniformDrift)
 
-_kernel._FN = _kernel._load(sys.argv[1])
+_kernel._LIB = _kernel._load(sys.argv[1])
 keys = walk.walk_keys(3, 7)
 for law in (UniformDrift(2, 0.2), Expl(3, 1 / 7), TrapSym(2), TrapTransient(2)):
     for seeds in (5, np.arange(1, 8, dtype=np.uint64)):
         env = Environment(law, seeds)
         start = np.zeros(env.dim, dtype=np.int64)
 
+        ell = np.ones(env.dim) / np.sqrt(env.dim)
+        regions = [lambda X: np.abs(X).max(axis=1) < 4,
+                   lattice.Bounds(ell, -3.5, 4.0, True, False),
+                   lattice.Bounds(lattice.rotation_onto_e1(ell), [-3.0] * env.dim,
+                                  [4.0] * env.dim, False, False),
+                   lattice.UnitHypercube((0,) * env.dim).region]
+
         def runs():
-            return (walk.run_fixed_batch(env, start, 300, keys).final,
-                    walk.run_until_batch(env, start, keys, 300,
-                                         inside=lambda X: np.abs(X).max(axis=1) < 4
-                                         ).steps_taken)
+            out = [walk.run_fixed_batch(env, start, 300, keys).final]
+            for region in regions:
+                res = walk.run_until_batch(env, start, keys, 300, inside=region,
+                                           count_visits_to=tuple(start.tolist()))
+                out += [res.status, res.final, res.steps_taken, res.visits]
+            return out
 
         assert _kernel.plan(env) is not None
         ours = runs()

@@ -15,18 +15,18 @@ def test_unit_hypercube_structure():
     j = cube.corner_index((1, 0, 1))
     assert j == 0b101
     assert sorted(cube.exit_directions(j)) == sorted([0, 3 + 1, 2])
-    # contains_batch: corners inside; exterior neighbours, negative offsets
-    # and far sites outside
+    # the region: corners inside; exterior neighbours, negative offsets and
+    # far sites outside
     for d in (1, 2, 3):
         cube = lat.UnitHypercube((2, -3, 0)[:d])
         corners = np.array(cube.corners, dtype=np.int64)
-        assert cube.contains_batch(corners).all()
+        assert cube.region(corners).all()
         outer = (corners[:, None, :] + lat.step_vectors(d)[None]).reshape(-1, d)
         outer = outer[~(outer[:, None, :] == corners[None]).all(axis=2).any(axis=1)]
-        assert len(outer) == d << d and not cube.contains_batch(outer).any()
+        assert len(outer) == d << d and not cube.region(outer).any()
         anchor = np.array(cube.anchor, dtype=np.int64)
         far = np.array([anchor - 1, anchor + 2, anchor - (1 << 40)])
-        assert not cube.contains_batch(far).any()
+        assert not cube.region(far).any()
 
 
 def test_boundary_partition_by_corner():
@@ -81,20 +81,111 @@ def test_rotation_orthogonal_and_maps_e1():
 
 def test_slab_box_membership():
     # the box predicate of the polynomial-condition probe, all bounds open
-    box = cr._box_inside(lat.rotation_onto_e1([1.0, 0.0]), L=4.0, Lp=2.0, Lt=3.0)
+    box = cr._box_region(lat.rotation_onto_e1([1.0, 0.0]), L=4.0, Lp=2.0, Lt=3.0)
     sites = np.array([(0, 0), (3, 2), (-1, -2), (4, 0), (-2, 0), (0, 3)])
     assert box(sites).tolist() == [True, True, True, False, False, False]
     # d = 1 has no transverse coordinates
-    line = cr._box_inside(lat.rotation_onto_e1([1.0]), L=4.0, Lp=2.0, Lt=3.0)
+    line = cr._box_region(lat.rotation_onto_e1([1.0]), L=4.0, Lp=2.0, Lt=3.0)
     assert line(np.array([[-1], [3], [4], [-2]])).tolist() == [True, True,
                                                                False, False]
 
 
 def test_slab_inclusive_bounds():
     # the slab predicate of the direct back-exit estimator
-    slab = cr._slab_inside(np.array([1.0, 0.0]), b=1.0, L=4.0)
+    slab = cr._slab_region(np.array([1.0, 0.0]), b=1.0, L=4.0)
     sites = np.array([(4, 9), (-4, 0), (5, 0), (-5, 0)])
     assert slab(sites).tolist() == [True, True, False, False]
+
+
+# The predicates the walk regions replaced, kept as oracles: each region
+# must return the same mask, bit for bit, as the closure it stands for.
+
+def slab_inside(ell, b, L):
+    def inside(X):
+        t = X @ ell
+        return (-b * L <= t) & (t <= L)
+    return inside
+
+
+def level_inside(ell, lev, L):
+    def inside(X):
+        t = X @ ell
+        return (lev < t) & (t <= L)
+    return inside
+
+
+def box_inside(R, L, Lp, Lt):
+    def inside(X):
+        W = X @ R
+        return ((-Lp < W[:, 0]) & (W[:, 0] < L)
+                & (np.abs(W[:, 1:]).max(axis=1, initial=0.0) < Lt))
+    return inside
+
+
+def cube_contains(anchor):
+    def inside(X):
+        off = (np.asarray(X, dtype=np.int64)
+               - np.asarray(anchor, dtype=np.int64)).view(np.uint64)
+        ok = off[:, 0] <= 1
+        for i in range(1, len(anchor)):
+            ok &= off[:, i] <= 1
+        return ok
+    return inside
+
+
+def _region_pairs(d):
+    """(region, oracle, forms, bound values) for slabs, splitting levels,
+    boxes and cubes (one off the origin) in dimension d."""
+    rs = np.random.RandomState(d)
+    ells = [np.eye(d)[0], np.ones(d) / np.sqrt(d), rs.standard_normal(d)]
+    if d >= 2:      # 0.6 x + 0.8 y hits integers up to rounding
+        ells.append(np.array([0.6, 0.8] + [0.0] * (d - 2)))
+    out = []
+    for ell in ells:
+        ell = ell / np.linalg.norm(ell)
+        R = lat.rotation_onto_e1(ell) if d >= 2 or ell[0] > 0 else None
+        for L in (7.0, 8.0, 4.5):
+            lev = -L * 2 / 3
+            out.append((cr._slab_region(ell, 1.0, L), slab_inside(ell, 1.0, L),
+                        ell, (-L, L)))
+            out.append((lat.Bounds(ell, lev, L, False, True),
+                        level_inside(ell, lev, L), ell, (lev, L)))
+            if R is not None:
+                Lp, Lt = 1.125 * L, 4.0 * L
+                out.append((cr._box_region(R, L, Lp, Lt), box_inside(R, L, Lp, Lt),
+                            R, (-Lp, L, -Lt, Lt)))
+    for anchor in ((0,) * d, (3, -7, 1)[:d]):
+        out.append((lat.UnitHypercube(anchor).region, cube_contains(anchor),
+                    np.eye(d), tuple(anchor) + tuple(a + 1 for a in anchor)))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_regions_equal_the_predicates_they_replace(d):
+    rs = np.random.RandomState(10 + d)
+    if d < 3:
+        grid = np.stack(np.meshgrid(*[np.arange(-40, 41)] * d, indexing="ij"),
+                        -1).reshape(-1, d)
+    else:
+        grid = rs.randint(-40, 41, size=(200_000, d))
+    for region, oracle, A, bounds in _region_pairs(d):
+        # random sites, and every site of the grid whose value of some form
+        # lies within one step of some bound
+        V = grid @ np.asarray(A).reshape(d, -1)
+        near = np.zeros(len(grid), dtype=bool)
+        for b in bounds:
+            near |= (np.abs(V - b) <= 1.0).any(axis=1)
+        assert near.any()
+        X = np.concatenate([rs.randint(-60, 61, size=(5000, d)), grid[near]])
+        assert np.array_equal(region(X), oracle(X))
+        assert region(X[:1]).shape == (1,) and region(X[:0]).shape == (0,)
+
+
+def test_bounds_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="do not match"):
+        lat.Bounds(np.eye(2), [0.0], [1.0, 1.0], True, True)
+    with pytest.raises(ValueError, match="do not match"):
+        lat.Bounds(np.ones(2), [0.0], 1.0, True, True)
 
 
 # --- tilted boxes ----------------------------------------------------------

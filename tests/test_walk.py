@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rwre import rng, walk
-from rwre.environment import Environment, Expl, TableMixture, UniformDrift
+from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
+                              UniformDrift)
 from rwre.hypercube import analyze
 from rwre.lattice import UnitHypercube, step_vectors
 
@@ -65,6 +66,18 @@ def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit):
         with pytest.raises(ValueError):
             walk.run_until_batch(env, starts, keys, nsteps, _off((9, 9)),
                                  count_visits_to=visit)
+
+
+def test_engines_take_starts_in_any_memory_order():
+    # the compiled loops need C-ordered rows; a Fortran-ordered start array
+    # is the same batch
+    starts = np.array([[0, 0], [1, -1], [2, 0], [0, 3]], dtype=np.int64)
+    region = UnitHypercube((0, 0)).region
+    for env in (_ENV, Environment(Dirichlet((1.0,) * 4), 1)):
+        for run in (lambda s: walk.run_fixed_batch(env, s, 30, _KEYS).final,
+                    lambda s: walk.run_until_batch(env, s, _KEYS, 30, region,
+                                                   count_visits_to=(0, 0)).visits):
+            assert np.array_equal(run(np.asfortranarray(starts)), run(starts))
 
 
 def test_checkpoints_before_the_first_step_are_rejected():
