@@ -1,17 +1,18 @@
-"""Compiled loops of the walk engines for the closed-form laws.
+"""Compiled loop of the walk engines for the closed-form laws.
 
-One C function fuses site keying, the site uniforms, the law's transition
-vector, ``normalize_rows`` and the inverse-CDF choice for ``UniformDrift``,
+One C function runs the walk loop of ``walk._walk`` for ``UniformDrift``,
 ``Expl``, ``TrapSym`` and ``TrapTransient``, with one shared field or one
-field per walker.  A second runs a whole ``walk.run_until_batch`` on a
-``lattice.Bounds`` region: it steps the live walkers, counts visits,
-evaluates the region and compacts the stopped walkers in order, writing
-each one's status, final site, exit step and visit count.  Both live in one
-library, compiled with the system ``gcc`` on first use, cached under
-``$XDG_CACHE_HOME/rwre`` (default ``~/.cache/rwre``, else the temporary
-directory) in a file named after the source's SHA-256, and loaded with
-``ctypes``.  Without a compiler, or when the build or load fails, a
-warning is issued once and the engines step with numpy.
+field per walker.  Each step fuses site keying, the site uniforms, the
+law's transition vector, ``normalize_rows`` and the inverse-CDF choice;
+the loop counts visits, evaluates a ``lattice.Bounds`` region and compacts
+the stopped walkers in order, writing each one's status, final site, exit
+step and visit count.  A region with no forms is the whole lattice, which
+the fixed-length runs use.  The library is compiled with the system
+``gcc`` on first use, cached under ``$XDG_CACHE_HOME/rwre`` (default
+``~/.cache/rwre``, else the temporary directory) in a file named after the
+source's SHA-256, and loaded with ``ctypes``.  Without a compiler, or when
+the build or load fails, a warning is issued once and the engines step
+with numpy.
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -44,6 +45,7 @@ import numpy as np
 
 from .environment import (PROB_SUM_TOL, Expl, TrapSym, TrapTransient,
                           UniformDrift)
+from .lattice import Bounds
 
 # Cumulative sums differ from numpy's by a few ulps (~1e-15); a walk uniform
 # this much farther away is decided alike by both, and a nearer one falls
@@ -211,9 +213,8 @@ static int choose_rows(const field_t *f, const int64_t *walkers,
         uint64_t b = f->base[0];
         int c;
         if (f->per_walker) {
-            int64_t w = walkers ? walkers[i] : i;
-            if (w < 0 || w >= f->nbase) return -1;
-            b = f->base[w];
+            if (walkers[i] < 0 || walkers[i] >= f->nbase) return -1;
+            b = f->base[walkers[i]];
         }
         c = choose(f, b, pos + i * f->dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
@@ -231,24 +232,9 @@ static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice
     }
 }
 
-/* Step rows walkers from step t0 for up to n steps.  Returns the number of
-   steps taken (step t0 + return value, if < n, moved no walker and is
-   numpy's), or -1 for a walker index outside the field's base keys. */
-int64_t rwre_steps(const field_t *f, const int64_t *walkers,
-                   const uint64_t *keys, int64_t rows, int64_t *pos,
-                   int64_t t0, int64_t n, uint8_t *choice, double margin)
-{
-    int64_t k;
-    for (k = 0; k < n; k++) {
-        int ok = choose_rows(f, walkers, keys, rows, pos, t0 + k, choice, margin);
-        if (ok <= 0) return ok < 0 ? -1 : k;
-        move_rows(f->dim, rows, pos, choice);
-    }
-    return n;
-}
-
-/* A stopping region lo < x.a_j < hi (<= where closed) for its m forms a_j,
-   and the outputs of the walk that runs in it, indexed by walker. */
+/* A stopping region lo < x.a_j < hi (<= where closed) for its m forms a_j
+   (none: the whole lattice), and the outputs of the walk that runs in it,
+   indexed by walker. */
 typedef struct {
     int32_t m, lo_closed, hi_closed, exited;
     const double *forms;    /* m rows of dim coefficients */
@@ -260,8 +246,6 @@ typedef struct {
     int64_t *visits;        /* NULL when visits are not counted */
     const int64_t *target;
 } until_t;
-
-enum { DONE = 0, HAND_BACK_STEP = 1, HAND_BACK_REGION = 2 };
 
 /* 1 inside, 0 outside, or -1 when numpy must decide.  An integer form has
    coefficients of at most 2^20, so at sites with coordinates below 2^26 in
@@ -312,30 +296,30 @@ static void count_visits(const until_t *r, int dim, const int64_t *walkers,
 }
 
 /* Run the rows live walkers (ids in walkers, keys and positions compacted
-   alike) from state io = {t, rows, settled} until all have left the region
-   or step horizon is reached, writing each stopped walker's outputs and
-   compacting the rest in order.  settled says whether the region has been
-   evaluated at the positions of step t.  Returns DONE, HAND_BACK_STEP (step
-   t moved no walker and is numpy's), HAND_BACK_REGION (the region at step
-   t is numpy's to evaluate) or -1 for a walker index out of range; io then
-   holds the state reached. */
+   alike) from state io = {t, rows, settled} until all have left the region,
+   step horizon is reached or numpy must take over, writing each stopped
+   walker's outputs and compacting the rest in order.  settled says whether
+   the region has been evaluated at the positions of step t; a region with
+   no forms is the whole lattice, which no walker leaves, so settling it
+   only counts the start's visits.  Returns 0 with io holding the state
+   reached: settled is 0 when numpy must evaluate the region at step t,
+   else step t is numpy's if t < horizon and walkers are left.  Returns -1
+   for a walker index out of range. */
 int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
                    uint64_t *keys, int64_t *pos, int64_t *io, int64_t horizon,
                    uint8_t *choice, double margin, double region_margin)
 {
     int dim = f->dim;
-    int64_t t = io[0], rows = io[1], settled = io[2], i, code;
+    int64_t t = io[0], rows = io[1], settled = io[2], i;
+    int code;
     for (i = 0; i < rows; i++)
         if (walkers[i] < 0 || walkers[i] >= r->n) return -1;
     for (;;) {
-        if (!settled) {
+        if (!settled && r->m) {
             int64_t kept = 0;
             for (i = 0; i < rows; i++) {
                 int in = region(r, dim, pos + i * dim, region_margin);
-                if (in < 0) {
-                    code = HAND_BACK_REGION;
-                    goto out;
-                }
+                if (in < 0) goto out;
                 choice[i] = (uint8_t)in;
             }
             for (i = 0; i < rows; i++) {
@@ -357,20 +341,15 @@ int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
                 kept++;
             }
             rows = kept;
-            settled = 1;
-            /* the start counts as a visit only inside the region */
-            if (t == 0 && r->visits) count_visits(r, dim, walkers, rows, pos);
         }
-        if (rows == 0 || t >= horizon) {
-            code = DONE;
-            goto out;
-        }
+        /* the start counts as a visit only inside the region */
+        if (!settled && t == 0 && r->visits)
+            count_visits(r, dim, walkers, rows, pos);
+        settled = 1;
+        if (rows == 0 || t >= horizon) goto out;
         code = choose_rows(f, walkers, keys, rows, pos, t, choice, margin);
-        if (code <= 0) {
-            if (code < 0) return -1;
-            code = HAND_BACK_STEP;
-            goto out;
-        }
+        if (code < 0) return -1;
+        if (code == 0) goto out;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
@@ -380,7 +359,7 @@ out:
     io[0] = t;
     io[1] = rows;
     io[2] = settled;
-    return code;
+    return 0;
 }
 """
 
@@ -436,30 +415,6 @@ def _check(a: np.ndarray, dtype, shape, name: str) -> None:
                          f"array of shape {shape}")
 
 
-def step(plan: Plan, pos: np.ndarray, keys: np.ndarray, t0: int, n: int,
-         walkers: np.ndarray | None = None) -> int:
-    """Step the rows of ``pos`` in place from step ``t0`` for up to ``n`` steps.
-
-    Row i walks with walk key ``keys[i]`` on the field of walker
-    ``walkers[i]`` (or i).  Returns the number of steps taken; fewer than
-    ``n`` means step ``t0 + done`` moved no walker and must be taken by
-    ``walk._step_batch``.
-    """
-    rows = len(pos)
-    _check(pos, np.int64, (rows, plan.dim), "pos")
-    _check(keys, np.uint64, (rows,), "keys")
-    if walkers is not None:
-        _check(walkers, np.int64, (rows,), "walkers")
-    choice = np.empty(rows, dtype=np.uint8)
-    done = plan.lib.rwre_steps(plan.address,
-                               None if walkers is None else walkers.ctypes.data,
-                               keys.ctypes.data, rows, pos.ctypes.data, t0, n,
-                               choice.ctypes.data, GUARD_MARGIN)
-    if done < 0:
-        raise IndexError("walker index outside the environment's seeds")
-    return done
-
-
 class _Until(ctypes.Structure):
     _fields_ = [("m", ctypes.c_int32), ("lo_closed", ctypes.c_int32),
                 ("hi_closed", ctypes.c_int32), ("exited", ctypes.c_int32),
@@ -471,16 +426,17 @@ class _Until(ctypes.Structure):
 
 
 class Until:
-    """The compiled loop of one ``walk.run_until_batch``: its field, its
-    region (a ``lattice.Bounds``) and the outputs it writes, per walker."""
+    """The compiled loop of one walk run: its field, its region (a
+    ``lattice.Bounds`` of the walks' dimension, or None for the whole
+    lattice) and the outputs it writes, per walker."""
 
-    def __init__(self, plan: Plan, region, exited: int, status: np.ndarray,
-                 final: np.ndarray, steps_taken: np.ndarray,
+    def __init__(self, plan: Plan, region: Bounds | None, exited: int,
+                 status: np.ndarray, final: np.ndarray, steps_taken: np.ndarray,
                  visits: np.ndarray | None, target: np.ndarray | None):
         n, dim = len(status), plan.dim
-        if region.A.shape[0] != dim:
-            raise ValueError(f"region of dimension {region.A.shape[0]} for "
-                             f"walks of dimension {dim}")
+        if region is None:
+            region = Bounds(np.zeros((dim, 0)), np.zeros(0), np.zeros(0),
+                            False, False)
         _check(status, np.uint8, (n,), "status")
         _check(final, np.int64, (n, dim), "final")
         _check(steps_taken, np.int64, (n,), "steps_taken")
@@ -488,9 +444,10 @@ class Until:
             _check(visits, np.int64, (n,), "visits")
             _check(target, np.int64, (dim,), "target")
         self.plan = plan
-        self.forms = np.ascontiguousarray(region.A.reshape(dim, -1).T)
+        self.forms = np.ascontiguousarray(region.A.reshape(len(region.A), -1).T)
         self.lo = np.ascontiguousarray(region.lo.reshape(-1))
         self.hi = np.ascontiguousarray(region.hi.reshape(-1))
+        _check(self.forms, np.float64, (len(self.lo), dim), "region forms")
         self.exact = np.array([np.all(f == np.round(f))
                                and np.all(np.abs(f) <= 2 ** 20) for f in self.forms],
                               dtype=np.int32)
@@ -506,16 +463,16 @@ class Until:
                              visits=ptr(visits), target=ptr(target))
 
     def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
-                 t: int, settled: bool, horizon: int) -> tuple[int, int, bool, bool]:
+                 t: int, settled: bool, horizon: int) -> tuple[int, int, bool]:
         """Run the live rows from step ``t`` as far as the kernel can.
 
         ``pos``, ``keys`` and the walker ids ``walkers`` are compacted in
         place; ``settled`` says whether the region has already been
         evaluated at step ``t``.  Returns the live rows left, the step
-        reached, whether the region is settled there, and whether numpy
-        must take over there: evaluate the region if it is not settled,
-        else take the step.  Otherwise every walker has stopped or the
-        budget is spent.
+        reached and whether the region is settled there.  Unless every
+        walker has stopped or step ``horizon`` is reached, numpy must take
+        over there: evaluate the region if it is not settled, else take
+        the step.
         """
         rows = len(pos)
         _check(pos, np.int64, (rows, self.plan.dim), "pos")
@@ -530,7 +487,7 @@ class Until:
         if code < 0:
             raise IndexError("walker index outside the run or the environment's seeds")
         t, rows, settled = self.io.tolist()
-        return rows, t, bool(settled), code != 0
+        return rows, t, bool(settled)
 
 
 _LIB = None      # the loaded kernel; False once building or loading failed
@@ -601,8 +558,6 @@ def build(path, flags=CFLAGS) -> pathlib.Path:
 def _load(path):
     lib = ctypes.CDLL(str(path))
     ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.rwre_steps.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, dbl]
-    lib.rwre_steps.restype = i64
     lib.rwre_until.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, dbl, dbl]
     lib.rwre_until.restype = i64
     return lib

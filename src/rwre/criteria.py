@@ -369,18 +369,18 @@ _SAMPLE_CAP = 1e300  # keeps astronomically heavy tails finite; biases the
 _FINITE, _INFINITE = "moment-appears-finite", "moment-appears-infinite"
 
 
-def _probe_columns(columns, hill_ci: bool = False) -> tuple[list[str], list[Estimate]]:
+def _probe_columns(columns) -> tuple[list[str], list[Estimate]]:
     """Moment verdict and Estimate of E[y] for each (name, y) sample column.
 
-    Each column is capped at _SAMPLE_CAP first; ``hill_ci`` puts the Hill
-    tail-index CI into the Estimate.
+    Each column is capped at _SAMPLE_CAP first; the Estimate carries the
+    Hill tail-index CI when the fit has one.
     """
     verdicts, ests = [], []
     for name, y in columns:
         y = np.minimum(y, _SAMPLE_CAP)
         v, hill = stats.moment_verdict(y, 1.0)
         e = Estimate(name, float(np.mean(y)), n=len(y))
-        if hill_ci and hill is not None:
+        if hill is not None:
             e.ci_low, e.ci_high = hill.ci_low, hill.ci_high
         verdicts.append(v)
         ests.append(e)
@@ -399,7 +399,7 @@ def _origin_probes(law, exponents, replicates: int,
     """Probe E[p(0, e_i)^(-exponents[i])] for every canonical direction i."""
     P = _origin_samples(law, replicates, master_seed, "e0_probe")
     return _probe_columns(((f"inv_moment_p(e_{i + 1})^{x}", P[:, i] ** (-x))
-                           for i, x in enumerate(exponents)), hill_ci=True)
+                           for i, x in enumerate(exponents)))
 
 
 def check_e0(law, etas, replicates: int, master_seed: int) -> CriterionReport:

@@ -245,8 +245,8 @@ class FractionalMomentReport:
                 "censored_runs": self.censored_runs}
 
 
-def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
-                      hill_k: int | None = None) -> FractionalMomentReport:
+def fractional_moment(law, alpha: float, replicates: int,
+                      master_seed: int) -> FractionalMomentReport:
     """Tail verdict for the annealed moment of the cube exit time.
 
     Per environment, the quenched max_x E_x[(T_exit)^alpha] over the
@@ -254,10 +254,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
     is a positive integer and otherwise by Monte Carlo (200 walks per
     corner, censored at 10^4 steps);
     the across-environment tail index of those quenched values decides the
-    verdict at the package-wide thresholds.  ``hill_k`` overrides the Hill
-    order-statistic count; rare trap configurations can confine the
-    asymptotic tail to the top few dozen order statistics, where the
-    default sqrt(n) would blend in the bulk.
+    verdict at the package-wide thresholds.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -281,7 +278,7 @@ def fractional_moment(law, alpha: float, replicates: int, master_seed: int,
                 best = max(best, float(np.mean(res.steps_taken.astype(float) ** alpha)))
             vals[r] = best
         samples = vals
-    verdict, hill = stats.moment_verdict(samples, alpha, k=hill_k)
+    verdict, hill = stats.moment_verdict(samples, alpha)
     return FractionalMomentReport(alpha, samples, hill, verdict, censored)
 
 

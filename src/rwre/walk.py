@@ -1,11 +1,13 @@
 """Quenched and annealed walk simulation with exit-time instrumentation.
 
-Walks are stepped in lockstep with numpy, W at a time, by two engines that
-share one stepping rule (:func:`_step_batch`: inverse-CDF over the
-canonical direction order, one walk-stream uniform per step):
+Walks are stepped in lockstep, W at a time, by two engines that share one
+stepping loop (:func:`_walk`) and one stepping rule (:func:`_step_batch`:
+inverse-CDF over the canonical direction order, one walk-stream uniform
+per step):
 
 * :func:`run_fixed_batch` -- every walk takes exactly n steps, with
-  optional position checkpoints and recorded step-index rows;
+  optional position checkpoints and recorded step-index rows: the loop on
+  the whole lattice, stopping at each checkpoint;
 * :func:`run_until_batch` -- walks run until they leave one region or
   exhaust the budget; stopped walks are compacted away.
 
@@ -16,17 +18,16 @@ corner) all run on :func:`run_until_batch`, and each reads its event
 (front or back side, level crossed, exit time) off the exit site.
 
 For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
-are taken by the compiled loops in :mod:`rwre._kernel`, with step
-sequences equal to :func:`_step_batch`'s by construction:
-:func:`run_fixed_batch` makes one call per segment between checkpoints,
-and :func:`run_until_batch` one call per batch when its region is a
-:class:`~rwre.lattice.Bounds` (the kernel evaluates the region and
-compacts), else one call per step with the region evaluated by numpy.
-The kernel hands back to numpy any step, or any region evaluation, it
-cannot decide exactly.  Other laws, hosts without a compiler and
-recorded runs step with numpy.  Both engines validate their batch (keys,
-start rows, dimension, length, per-walker seeds, the visit-count site)
-before the first step.
+are taken by the compiled loop in :mod:`rwre._kernel`, with step sequences
+equal to :func:`_step_batch`'s by construction: one call per stop on the
+whole lattice or on a :class:`~rwre.lattice.Bounds` region (the kernel
+evaluates the region and compacts), else one call per step with the
+region evaluated by numpy.  The kernel hands back to numpy any step, or
+any region evaluation, it cannot decide exactly.  Other laws, hosts
+without a compiler and recorded runs step with numpy.  Both engines
+validate their batch (keys, start rows, dimension, length, per-walker
+seeds, the visit-count site, a ``Bounds`` region's dimension) before the
+first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -88,25 +89,6 @@ def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
     return pos, keys
 
 
-def _advance(env: Environment, plan, pos: np.ndarray, keys: np.ndarray,
-             t: int, stop: int, sv: np.ndarray, live=None, rec=None) -> None:
-    """Step every row of pos in place from step t to step stop.
-
-    The compiled kernel takes every step it can decide exactly; a step it
-    hands back, and every step of a law it does not cover (plan None), is
-    taken by :func:`_step_batch`.
-    """
-    while t < stop:
-        if plan is not None:
-            t += _kernel.step(plan, pos, keys, t, stop - t, live)
-            if t == stop:
-                break
-        choice = _step_batch(env, pos, keys, t, sv, live)
-        if rec is not None:
-            rec[:, t] = choice
-        t += 1
-
-
 @dataclass
 class FixedBatchResult:
     final: np.ndarray                       # (W, d)
@@ -129,19 +111,8 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
     if marks and marks[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
-    # Recorded runs step with numpy for now: with the kernel, the benchmark's
-    # ballistic_cli pass (rwre regen) ends within one interval of its
-    # host-speed sampler, which then has nothing to rescale the pass by.
-    plan = None if record_steps else _kernel.plan(env)
-    sv = step_vectors(env.dim)
-    snaps: dict[int, np.ndarray] = {}
-    t = 0
-    for mark in marks:
-        _advance(env, plan, pos, keys, t, mark, sv, rec=rec)
-        snaps[mark] = pos.copy()
-        t = mark
-    _advance(env, plan, pos, keys, t, nsteps, sv, rec=rec)
-    return FixedBatchResult(pos, snaps, rec)
+    res, snaps = _walk(env, pos, keys, marks + [nsteps], None, rec=rec)
+    return FixedBatchResult(res.final, {m: snaps[m] for m in marks}, rec)
 
 
 # Fixed codes: readers of recorded results compare status against them.
@@ -174,21 +145,43 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     pos, keys = _batch(env, starts, keys)
-    W = pos.shape[0]
+    if isinstance(inside, Bounds) and inside.A.shape[0] != env.dim:
+        raise ValueError(f"region of dimension {inside.A.shape[0]} for "
+                         f"walks of dimension {env.dim}")
     if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
         raise ValueError(f"count_visits_to must be one site of dimension "
                          f"{env.dim}, got shape {np.shape(count_visits_to)}")
-    plan = _kernel.plan(env)
-    sv = step_vectors(env.dim)
+    target = (np.asarray(count_visits_to, dtype=np.int64)
+              if count_visits_to is not None else None)
+    return _walk(env, pos, keys, [horizon], inside, target)[0]
+
+
+def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
+          target=None, rec=None) -> tuple[UntilBatchResult, dict[int, np.ndarray]]:
+    """Run a validated batch through the step counts ``stops`` in turn.
+
+    Walks stop on leaving ``inside`` (None: the whole lattice, which no walk
+    leaves) or at the last stop.  ``target`` is the site whose visits are
+    counted; ``rec`` (whole-lattice runs only) receives each step's chosen
+    indices.  Returns the result and the positions of the live walkers at
+    each stop.
+    """
+    W = len(pos)
     status = np.zeros(W, dtype=np.uint8)
     final = pos.copy()
     steps_taken = np.zeros(W, dtype=np.int64)
-    visits = np.zeros(W, dtype=np.int64) if count_visits_to is not None else None
-    target = (np.asarray(count_visits_to, dtype=np.int64)
-              if count_visits_to is not None else None)
-    loop = (_kernel.Until(plan, inside, STATUS_EXITED, status, final,
-                          steps_taken, visits, target)
-            if plan is not None and isinstance(inside, Bounds) else None)
+    visits = np.zeros(W, dtype=np.int64) if target is not None else None
+    # Recorded runs step with numpy for now: with the kernel, the benchmark's
+    # ballistic_cli pass (rwre regen) ends within one interval of its
+    # host-speed sampler, which then has nothing to rescale the pass by.
+    plan = None if rec is not None else _kernel.plan(env)
+    # The kernel evaluates a Bounds region and the whole lattice itself; it
+    # takes a plain predicate's steps one at a time, for numpy to settle.
+    compiled = inside is None or isinstance(inside, Bounds)
+    loop = (_kernel.Until(plan, inside if compiled else None, STATUS_EXITED,
+                          status, final, steps_taken, visits, target)
+            if plan is not None else None)
+    sv = step_vectors(env.dim)
 
     live = np.arange(W, dtype=np.int64)
     cur = pos
@@ -220,34 +213,42 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
 
     # Each pass takes what numpy must decide: the region at step t when it
     # is not settled there, else step t.  The compiled loop, when there is
-    # one, runs until it needs numpy for either or the run is over.
+    # one, runs until it needs numpy for either or the stop is reached.
+    snaps: dict[int, np.ndarray] = {}
     t, settled = 0, False
-    while True:
-        if loop is not None:
-            rows, t, settled, handed_back = loop(cur, ckeys, live, t, settled,
-                                                 horizon)
-            live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
-            if not handed_back:
+    for stop in stops:
+        while True:
+            if loop is not None and ((compiled and not settled)
+                                     or (settled and t < stop and len(live))):
+                t0 = t
+                rows, t, settled = loop(cur, ckeys, live, t, settled,
+                                        stop if compiled else t + 1)
+                live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
+                # a step taken on a plain predicate leaves it unsettled,
+                # whatever the kernel reports
+                settled = settled and (compiled or t == t0)
+            if not settled:
+                if inside is not None:
+                    settle(t)
+                if t == 0 and visits is not None and len(live):
+                    count_visits()
+                settled = True
+                continue
+            if t == stop or not len(live):
                 break
-        if not settled:
-            settle(t)
-            if t == 0 and visits is not None and len(live):
+            choice = _step_batch(env, cur, ckeys, t, sv, live)
+            if rec is not None:
+                rec[:, t] = choice
+            if visits is not None:
                 count_visits()
-            settled = True
-            continue
-        if t == horizon or not len(live):
-            break
-        _advance(env, plan if loop is None else None, cur, ckeys, t, t + 1, sv,
-                 live=live)
-        if visits is not None:
-            count_visits()
-        t += 1
-        settled = False
+            t += 1
+            settled = inside is None
+        snaps[stop] = cur.copy()
     if len(live):
         status[live] = STATUS_BUDGET
         final[live] = cur
-        steps_taken[live] = horizon
-    return UntilBatchResult(status, final, steps_taken, visits)
+        steps_taken[live] = stops[-1]
+    return UntilBatchResult(status, final, steps_taken, visits), snaps
 
 
 def trajectory_to_csv(pos: np.ndarray, path) -> None:

@@ -256,7 +256,11 @@ def test_check_eprime_dirichlet_satisfied():
     assert rep.verdict == "satisfied-empirically"
     assert_estimates(rep, [f"exp_moment_excluding_e_{i}" for i in range(1, 5)],
                      [7.199805615265737, 7.321527637489724, 7.288375582712438,
-                      7.2814970936865935], 4000)
+                      7.2814970936865935], 4000,
+                     [(3.395950336477013, 5.623080966658713),
+                      (2.7566485496612856, 4.564512568063183),
+                      (2.67063406986398, 4.422088110611594),
+                      (2.664512050660692, 4.411951151513646)])
 
 
 def test_check_eprime_rejects_bad_phi():
@@ -273,6 +277,18 @@ def test_check_ktilde_expl():
                       3.969725058548349], 5000)
     with pytest.raises(ValueError):
         cr.check_ktilde(Expl(2, 0.2), 1.0, 100, 1)
+
+
+def test_ktilde_and_eprime_report_hill_intervals():
+    # heavy-tailed probe columns carry their fitted Hill CI, as the origin
+    # probes' do
+    reps = [cr.check_ktilde(TrapSym(2), 2.0, 5000, 11),
+            cr.check_eprime(TrapSym(2), [0.4] * 4, 4000, 9)]
+    for rep in reps:
+        assert rep.verdict == "violated-empirically"
+        for e in rep.estimates:
+            assert np.isfinite(e.ci_low) and np.isfinite(e.ci_high)
+            assert 0 < e.ci_low < e.ci_high
 
 
 def test_moment_conditions_dispatch_and_errors(tmp_path, capsys):

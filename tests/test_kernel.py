@@ -156,18 +156,35 @@ def _assert_same_until(a, b, what):
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 @pytest.mark.parametrize("law", LAWS, ids=repr)
 def test_compiled_regions_equal_the_per_step_path(monkeypatch, law, per_walker):
-    # the same region as a Bounds runs in the compiled loop, and as a plain
-    # callable on the per-step path (itself checked against numpy above)
+    # the same region as a Bounds runs in one kernel call unless numpy must
+    # take a step or a region evaluation, and as a plain callable one
+    # compiled step per call, settled by numpy (itself checked against numpy
+    # above); a fixed run takes one call per stop
     for W in (1, 7, 200):
         env = Environment(law, rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
         keys = walk.walk_keys(9, W)
         for name, region, start in _regions(env.dim):
             with monkeypatch.context() as m:
-                m.setattr(_kernel, "step", None)    # not called by the loop
+                calls = _counting(m, _kernel.Until, "__call__")
+                steps = _counting(m, walk, "_step_batch")
+                regions = _counting(m, lattice.Bounds, "__call__")
                 ours = _until(env, region, start, keys)
-            _assert_same_until(ours, _until(env, lambda X: region(X), start, keys),
-                               (name, W))
+            if steps or regions:
+                assert len(calls) <= 1 + len(steps) + len(regions), name
+            else:
+                assert len(calls) == 1, name
+            with monkeypatch.context() as m:
+                calls = _counting(m, _kernel.Until, "__call__")
+                theirs = _until(env, lambda X: region(X), start, keys)
+            assert len(calls) == theirs.steps_taken.max(), name
+            _assert_same_until(ours, theirs, (name, W))
             assert W < 200 or len(set(ours.steps_taken.tolist())) > 1, name
+        with monkeypatch.context() as m:
+            calls = _counting(m, _kernel.Until, "__call__")
+            steps = _counting(m, walk, "_step_batch")
+            walk.run_fixed_batch(env, np.zeros(env.dim), 150, keys,
+                                 checkpoints=[1, 40, 41, 150])
+        assert len(calls) <= 4 + len(steps) if steps else len(calls) == 4
 
 
 def _counting(monkeypatch, obj, name):
@@ -281,7 +298,8 @@ for law in (UniformDrift(2, 0.2), Expl(3, 1 / 7), TrapSym(2), TrapTransient(2)):
                    lattice.UnitHypercube((0,) * env.dim).region]
 
         def runs():
-            out = [walk.run_fixed_batch(env, start, 300, keys).final]
+            fixed = walk.run_fixed_batch(env, start, 300, keys, checkpoints=[1, 90, 91])
+            out = [fixed.final, *fixed.checkpoints.values()]
             for region in regions:
                 res = walk.run_until_batch(env, start, keys, 300, inside=region,
                                            count_visits_to=tuple(start.tolist()))

@@ -5,7 +5,7 @@ from rwre import rng, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               UniformDrift)
 from rwre.hypercube import analyze
-from rwre.lattice import UnitHypercube, step_vectors
+from rwre.lattice import Bounds, UnitHypercube, step_vectors
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -47,24 +47,30 @@ _ENV = Environment(Expl(2, 0.3), 1)
 _KEYS = walk.walk_keys(1, 4)
 
 
-@pytest.mark.parametrize("env, starts, keys, nsteps, visit", [
-    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50, None),  # 4 starts, 1 key
-    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50, None),        # keys not 1-D
-    (_ENV, np.zeros((4, 3)), _KEYS, 50, None),                 # wrong dimension
+_FAR = _off((9, 9))
+
+
+@pytest.mark.parametrize("env, starts, keys, nsteps, visit, region", [
+    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50, None, _FAR),  # 4 starts, 1 key
+    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50, None, _FAR),  # keys not 1-D
+    (_ENV, np.zeros((4, 3)), _KEYS, 50, None, _FAR),           # wrong dimension
     (Environment(Expl(2, 0.3), rng.derive_keys(2, "w", n=3)),
-     np.zeros(2), _KEYS, 50, None),                            # 3 fields, 4 walkers
-    (_ENV, np.zeros(2), _KEYS, -3, None),                      # negative length
-    (_ENV, np.zeros(2), _KEYS, 50, (0,)),                      # 1-D visit site in d=2
-    (_ENV, np.zeros(2), _KEYS, 50, [(0, 0), (1, 0)]),          # two visit sites
+     np.zeros(2), _KEYS, 50, None, _FAR),                      # 3 fields, 4 walkers
+    (_ENV, np.zeros(2), _KEYS, -3, None, _FAR),                # negative length
+    (_ENV, np.zeros(2), _KEYS, 50, (0,), _FAR),                # 1-D visit site in d=2
+    (_ENV, np.zeros(2), _KEYS, 50, [(0, 0), (1, 0)], _FAR),    # two visit sites
+    (Environment(Dirichlet((1.0,) * 4), 1), np.zeros(2), _KEYS, 50, None,
+     Bounds(np.ones(3), 0.0, 5.0, False, False)),              # 3-D region in d=2
 ], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps",
-        "visit_site_dimension", "visit_site_shape"])
-def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit):
-    if visit is None:       # run_fixed_batch counts no visits
+        "visit_site_dimension", "visit_site_shape", "region_dimension"])
+def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, region):
+    if visit is None and region is _FAR:   # run_fixed_batch takes neither
         with pytest.raises(ValueError):
             walk.run_fixed_batch(env, starts, nsteps, keys)
     if nsteps >= 0:
-        with pytest.raises(ValueError):
-            walk.run_until_batch(env, starts, keys, nsteps, _off((9, 9)),
+        with pytest.raises(ValueError, match=None if region is _FAR else
+                           "region of dimension 3 for walks of dimension 2"):
+            walk.run_until_batch(env, starts, keys, nsteps, region,
                                  count_visits_to=visit)
 
 
