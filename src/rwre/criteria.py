@@ -694,6 +694,10 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     """
     if b <= 0 or any(L <= 0 for L in L_grid):
         raise ValueError("b and every slab length L must be positive")
+    if estimator not in ("splitting", "direct"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     ell = np.asarray(ell, dtype=float)
     Ls, est, lse, cens = [], [], [], []
     for L in L_grid:
@@ -709,7 +713,7 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                                            walk_budget, key, level_width)
                     vals.append(p)
                     ncens += c
-            elif estimator == "direct":
+            else:
                 keys = walk_keys(rng.derive_key(master_seed, "slab_direct", r,
                                                 int(L * 64)),
                                  direct_runs)
@@ -722,8 +726,6 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                 ncens += res.censored()
                 if n_resolved:      # all censored: no data, not "no back exit"
                     vals.append(float(back.sum() / n_resolved))
-            else:
-                raise ValueError(f"unknown estimator {estimator!r}")
         v = np.asarray(vals, dtype=float)
         Ls.append(float(L))
         est.append(float(v.mean()) if len(v) else float("nan"))

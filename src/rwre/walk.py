@@ -17,17 +17,16 @@ the splitting levels and the unit-hypercube Monte Carlo
 corner) all run on :func:`run_until_batch`, and each reads its event
 (front or back side, level crossed, exit time) off the exit site.
 
-For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` the steps
-are taken by the compiled loop in :mod:`rwre._kernel`, with step sequences
-equal to :func:`_step_batch`'s by construction: one call per stop on the
-whole lattice or on a :class:`~rwre.lattice.Bounds` region (the kernel
-evaluates the region and compacts), else one call per step with the
-region evaluated by numpy.  The kernel hands back to numpy any step, or
-any region evaluation, it cannot decide exactly.  Other laws, hosts
-without a compiler and recorded runs step with numpy.  Both engines
-validate their batch (keys, start rows, dimension, length, per-walker
-seeds, the visit-count site, a ``Bounds`` region's dimension) before the
-first step.
+For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` on the
+whole lattice or a :class:`~rwre.lattice.Bounds` region, the steps are
+taken by the compiled loop in :mod:`rwre._kernel`, one call per stop, with
+step sequences equal to :func:`_step_batch`'s by construction; the kernel
+evaluates the region, compacts, and hands back to numpy any step, or any
+region evaluation, it cannot decide exactly.  Any other region (a plain
+predicate), other laws, hosts without a compiler and recorded runs step
+with numpy.  Both engines validate their batch (keys, start rows,
+dimension, integral lengths and sites, per-walker seeds, the visit-count
+site, a ``Bounds`` region's dimension) before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -72,12 +71,30 @@ def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,
     return idx
 
 
+def _count(n, what: str):
+    """A step count n, or ValueError unless it is an integer (Python or numpy)."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    return n
+
+
+def _sites(x, what: str) -> np.ndarray:
+    """x as a C-ordered int64 copy, or ValueError if a coordinate is not an
+    int64 integer; float arrays of integral values are sites too."""
+    a = np.asarray(x)
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the comparison
+        sites = np.array(a, dtype=np.int64, order="C")
+    if not np.array_equal(sites, a):
+        raise ValueError(f"{what} must have integer coordinates, got {x!r}")
+    return sites
+
+
 def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
     """Validated (W, d) start positions and W walk keys of a batch."""
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim != 1:
         raise ValueError("keys must be a 1-D array of walk keys")
-    pos = np.array(starts, dtype=np.int64, order="C")
+    pos = _sites(starts, "starts")
     if pos.ndim == 1:
         pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
     if pos.shape != (len(keys), env.dim):
@@ -104,10 +121,11 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
     ``checkpoints`` are step counts in [1, nsteps] at which positions are
     snapshot; larger ones are ignored.
     """
-    if nsteps < 0:
+    if _count(nsteps, "nsteps") < 0:
         raise ValueError("nsteps must be >= 0")
     pos, keys = _batch(env, starts, keys)
-    marks = sorted(m for m in set(checkpoints or []) if m <= nsteps)
+    marks = sorted(m for m in set(checkpoints or [])
+                   if _count(m, "checkpoints") <= nsteps)
     if marks and marks[0] < 1:
         raise ValueError("checkpoints must be >= 1")
     rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
@@ -135,14 +153,15 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
                     count_visits_to: Site | None = None) -> UntilBatchResult:
     """Run W walks until each leaves the region or exhausts the budget.
 
-    ``inside`` is a :class:`~rwre.lattice.Bounds` or any vectorized
-    predicate on (N, d) position arrays; a walk that starts outside the
-    region stops at step 0.  Stopped walks are compacted away so the cost
-    tracks the number of live walks.  ``count_visits_to`` counts time spent
-    at one site of dimension ``env.dim`` (including the start when it
-    matches and lies inside the region).
+    ``inside`` is a :class:`~rwre.lattice.Bounds`, which the compiled loop
+    evaluates, or any vectorized predicate on (N, d) position arrays, whose
+    walks step with numpy; a walk that starts outside the region stops at
+    step 0.  Stopped walks are compacted away so the cost tracks the number
+    of live walks.  ``count_visits_to`` counts time spent at one site of
+    dimension ``env.dim`` (including the start when it matches and lies
+    inside the region).
     """
-    if horizon < 1:
+    if _count(horizon, "horizon") < 1:
         raise ValueError("horizon must be >= 1")
     pos, keys = _batch(env, starts, keys)
     if isinstance(inside, Bounds) and inside.A.shape[0] != env.dim:
@@ -151,7 +170,7 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
         raise ValueError(f"count_visits_to must be one site of dimension "
                          f"{env.dim}, got shape {np.shape(count_visits_to)}")
-    target = (np.asarray(count_visits_to, dtype=np.int64)
+    target = (_sites(count_visits_to, "count_visits_to")
               if count_visits_to is not None else None)
     return _walk(env, pos, keys, [horizon], inside, target)[0]
 
@@ -171,15 +190,15 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     final = pos.copy()
     steps_taken = np.zeros(W, dtype=np.int64)
     visits = np.zeros(W, dtype=np.int64) if target is not None else None
-    # Recorded runs step with numpy for now: with the kernel, the benchmark's
-    # ballistic_cli pass (rwre regen) ends within one interval of its
-    # host-speed sampler, which then has nothing to rescale the pass by.
-    plan = None if rec is not None else _kernel.plan(env)
-    # The kernel evaluates a Bounds region and the whole lattice itself; it
-    # takes a plain predicate's steps one at a time, for numpy to settle.
-    compiled = inside is None or isinstance(inside, Bounds)
-    loop = (_kernel.Until(plan, inside if compiled else None, STATUS_EXITED,
-                          status, final, steps_taken, visits, target)
+    # The kernel decides only the whole lattice and a Bounds region exactly;
+    # any other predicate steps with numpy throughout.  Recorded runs step
+    # with numpy for now: with the kernel, the benchmark's ballistic_cli pass
+    # (rwre regen) ends within one interval of its host-speed sampler, which
+    # then has nothing to rescale the pass by.
+    plan = (_kernel.plan(env) if rec is None
+            and (inside is None or isinstance(inside, Bounds)) else None)
+    loop = (_kernel.Until(plan, inside, STATUS_EXITED, status, final,
+                          steps_taken, visits, target)
             if plan is not None else None)
     sv = step_vectors(env.dim)
 
@@ -188,8 +207,8 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     ckeys = keys.copy()     # the compiled loop compacts the keys in place
 
     # compress() rather than boolean indexing, and the visit test one column
-    # at a time: both are several times cheaper on the wide, short-lived
-    # batches of the cube Monte Carlo.
+    # at a time: both are several times cheaper on wide batches of walks
+    # that stop within a few steps.
     def settle(t: int):
         nonlocal live, cur, ckeys
         keep = inside(cur)
@@ -218,15 +237,9 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     t, settled = 0, False
     for stop in stops:
         while True:
-            if loop is not None and ((compiled and not settled)
-                                     or (settled and t < stop and len(live))):
-                t0 = t
-                rows, t, settled = loop(cur, ckeys, live, t, settled,
-                                        stop if compiled else t + 1)
+            if loop is not None and (not settled or (t < stop and len(live))):
+                rows, t, settled = loop(cur, ckeys, live, t, settled, stop)
                 live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
-                # a step taken on a plain predicate leaves it unsettled,
-                # whatever the kernel reports
-                settled = settled and (compiled or t == t0)
             if not settled:
                 if inside is not None:
                     settle(t)

@@ -437,9 +437,15 @@ def test_slab_exit_validates():
         with pytest.raises(ValueError, match="slab length"):
             cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0, L],
                          100, 1, 1)
-    with pytest.raises(ValueError):
-        cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0],
-                     100, 1, 1, estimator="nonsense")
+    # checked before any walk, even when no replicate would run
+    for replicates in (1, 0):
+        with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
+            cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0],
+                         100, replicates, 1, estimator="nonsense")
+    for estimator in ("splitting", "direct"):
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0],
+                         100, 0, 1, estimator=estimator)
 
 
 # --- tilted box -----------------------------------------------------------------

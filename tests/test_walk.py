@@ -48,28 +48,49 @@ _KEYS = walk.walk_keys(1, 4)
 
 
 _FAR = _off((9, 9))
+_DIRICHLET = Environment(Dirichlet((1.0,) * 4), 1)     # steps with numpy
 
 
-@pytest.mark.parametrize("env, starts, keys, nsteps, visit, region", [
-    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50, None, _FAR),  # 4 starts, 1 key
-    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50, None, _FAR),  # keys not 1-D
-    (_ENV, np.zeros((4, 3)), _KEYS, 50, None, _FAR),           # wrong dimension
+@pytest.mark.parametrize("env, starts, keys, nsteps, visit, region, match", [
+    (_ENV, np.zeros((4, 2)), walk.walk_keys(1, 1), 50, None, _FAR,
+     None),                                                    # 4 starts, 1 key
+    (_ENV, np.zeros(2), _KEYS.reshape(2, 2), 50, None, _FAR, None),  # keys not 1-D
+    (_ENV, np.zeros((4, 3)), _KEYS, 50, None, _FAR, None),     # wrong dimension
     (Environment(Expl(2, 0.3), rng.derive_keys(2, "w", n=3)),
-     np.zeros(2), _KEYS, 50, None, _FAR),                      # 3 fields, 4 walkers
-    (_ENV, np.zeros(2), _KEYS, -3, None, _FAR),                # negative length
-    (_ENV, np.zeros(2), _KEYS, 50, (0,), _FAR),                # 1-D visit site in d=2
-    (_ENV, np.zeros(2), _KEYS, 50, [(0, 0), (1, 0)], _FAR),    # two visit sites
-    (Environment(Dirichlet((1.0,) * 4), 1), np.zeros(2), _KEYS, 50, None,
-     Bounds(np.ones(3), 0.0, 5.0, False, False)),              # 3-D region in d=2
+     np.zeros(2), _KEYS, 50, None, _FAR, None),                # 3 fields, 4 walkers
+    (_ENV, np.zeros(2), _KEYS, -3, None, _FAR, None),          # negative length
+    (_ENV, np.zeros(2), _KEYS, 50, (0,), _FAR, None),          # 1-D visit site in d=2
+    (_ENV, np.zeros(2), _KEYS, 50, [(0, 0), (1, 0)], _FAR, None),  # two visit sites
+    (_DIRICHLET, np.zeros(2), _KEYS, 50, None,
+     Bounds(np.ones(3), 0.0, 5.0, False, False),               # 3-D region in d=2
+     "region of dimension 3 for walks of dimension 2"),
+    (_ENV, np.zeros(2), _KEYS, 2.5, None, _FAR,
+     "must be an integer, got 2.5"),                           # fractional length
+    (_DIRICHLET, np.zeros(2), _KEYS, 2.5, None, _FAR,
+     "must be an integer, got 2.5"),                           # ... on numpy's path
+    (_DIRICHLET, np.zeros(2), _KEYS, 2.5, None,
+     Bounds(np.array([1.0, 0.0]), -1e9, 1e9, False, False),
+     "horizon must be an integer, got 2.5"),
+    (_ENV, np.zeros(2), _KEYS, np.float64(50.0), None, _FAR,
+     "must be an integer"),                                    # a float length
+    (_ENV, [0.7, 0.2], _KEYS, 50, None, _FAR,
+     r"starts must have integer coordinates, got \[0.7, 0.2\]"),
+    (_ENV, np.array([0.0, np.inf]), _KEYS, 50, None, _FAR,
+     "starts must have integer coordinates"),
+    (_ENV, np.zeros(2), _KEYS, 50, (0.5, 0), _FAR,
+     r"count_visits_to must have integer coordinates, got \(0.5, 0\)"),
 ], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps",
-        "visit_site_dimension", "visit_site_shape", "region_dimension"])
-def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, region):
+        "visit_site_dimension", "visit_site_shape", "region_dimension",
+        "fractional_nsteps", "fractional_nsteps_numpy", "fractional_horizon_bounds",
+        "float_nsteps", "fractional_starts", "infinite_starts",
+        "fractional_visit_site"])
+def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, region,
+                                          match):
     if visit is None and region is _FAR:   # run_fixed_batch takes neither
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             walk.run_fixed_batch(env, starts, nsteps, keys)
     if nsteps >= 0:
-        with pytest.raises(ValueError, match=None if region is _FAR else
-                           "region of dimension 3 for walks of dimension 2"):
+        with pytest.raises(ValueError, match=match):
             walk.run_until_batch(env, starts, keys, nsteps, region,
                                  count_visits_to=visit)
 
@@ -89,6 +110,9 @@ def test_engines_take_starts_in_any_memory_order():
 def test_checkpoints_before_the_first_step_are_rejected():
     with pytest.raises(ValueError, match="checkpoints"):
         walk.run_fixed_batch(_ENV, np.zeros(2), 10, _KEYS, checkpoints=[0, 5])
+    for env in (_ENV, _DIRICHLET):      # a step count never equal to 2.5
+        with pytest.raises(ValueError, match="checkpoints must be an integer"):
+            walk.run_fixed_batch(env, np.zeros(2), 10, _KEYS, checkpoints=[2.5])
     res = walk.run_fixed_batch(_ENV, np.zeros(2), 10, _KEYS, checkpoints=[5, 99])
     assert list(res.checkpoints) == [5]
 
