@@ -23,6 +23,22 @@ when a walk uniform lies within ``GUARD_MARGIN`` of one of its row's
 cumulative sums, or a row is near or beyond what ``normalize_rows``
 rejects.  The kernel then moves no walker at that step.
 
+A walk in a trap keeps returning to the few sites it has just left, so
+the kernel keeps their rows: a direct-mapped table of (site, cumulative
+row) entries, indexed by a hash of the site, in slots of
+``TABLE_PER_WALKER`` entries per seed of a per-walker field or one slot of
+``TABLE_SHARED`` for a shared field.  A site found there skips keying,
+the uniforms, ``pow`` and the normalization; any other row is derived and
+then stored, but only when it passed both hand-back checks above, so a
+row that goes to numpy goes every time.  The walk uniform and its
+``GUARD_MARGIN`` test still run on every step, on the stored doubles,
+which are the ones the derivation computes: the steps stay identical.
+Above ``TABLE_CAP`` entries in all (7.3 MB for walks on Z^2), the
+entries per slot are halved, and a field with more seeds than that runs
+without a table.  ``UniformDrift``, whose row is the same at every site,
+has none.  The table belongs to one engine call; nothing carries over
+between calls.
+
 Region decisions equal ``Bounds.__call__``'s the same way.  A form (column
 of ``A``) with integer coefficients is evaluated exactly; a float form's
 value can differ from numpy's by a few ulps, so a walker whose value lies
@@ -56,15 +72,28 @@ GUARD_MARGIN = 2.0 ** -40
 # is placed alike by both.
 REGION_MARGIN = 2.0 ** -40
 MAX_DIRS = 64
+# Entries of the site-row table per slot: a per-walker field has one slot
+# per seed, a shared field one slot.  Above TABLE_CAP entries in all, the
+# entries per slot are halved; below one, the run has no table.
+TABLE_PER_WALKER = 64
+TABLE_SHARED = 2 ** 14
+TABLE_CAP = 2 ** 17
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n" + r"""
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 
 enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP_SYM = 2, TRAP_TRANSIENT = 3 };
+
+/* one word of the site-row table: a flag, a coordinate or a cumulative sum */
+typedef union {
+    int64_t i;
+    double v;
+} word_t;
 
 typedef struct {
     int32_t law, d, dim, nvars;
@@ -74,6 +103,8 @@ typedef struct {
     const uint64_t *base;  /* base keys: one shared, or one per walker */
     int64_t nbase;
     int32_t per_walker;
+    int32_t bits;          /* log2 of the table's entries per slot */
+    word_t *table;         /* site-row table (see row()), or NULL */
 } field_t;
 
 static inline uint64_t mix64(uint64_t z)
@@ -165,33 +196,76 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
     }
 }
 
-/* Step index of a walker at site x with walk uniform u, or -1 when numpy
-   must take this step. */
-static int choose(const field_t *f, uint64_t base, const int64_t *x,
-                  double u, double margin)
+/* Cumulative row of site x for the base key of slot (the walker's seed,
+   or 0 for a shared field) into cum, or 0 when numpy must take the step.
+   The table holds, per slot, 2^bits direct-mapped entries of {filled, x,
+   cumulative row}, indexed by a hash of x.  Only rows that pass both
+   checks below are stored, so a hit returns the very doubles the
+   derivation would.  Kept out of line: inlined into choose(), it slows
+   the UniformDrift loop, which never calls it, by 5 %. */
+static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
+                                         const int64_t *x, double *cum,
+                                         double margin)
+{
+    int dim = f->dim, K = 2 * dim, j;
+    double p[MAX_DIRS], U[MAX_DIRS + 1];
+    double s = 0.0, acc = 0.0;
+    uint64_t h = f->base[slot];
+    word_t *e = NULL;
+    if (f->table) {
+        int64_t at = slot << f->bits;
+        if (f->bits) {
+            uint64_t g = 0;
+            for (j = 0; j < dim; j++)
+                g = (g ^ (uint64_t)x[j]) * GOLDEN;
+            at |= (int64_t)(g >> (64 - f->bits));
+        }
+        e = f->table + at * (1 + dim + K);
+        if (e[0].i) {
+            for (j = 0; j < dim && e[1 + j].i == x[j]; j++)
+                ;
+            if (j == dim) {
+                for (j = 0; j < K; j++)
+                    cum[j] = e[1 + dim + j].v;
+                return 1;
+            }
+        }
+    }
+    for (j = 0; j < dim; j++)
+        h = fold(h, (uint64_t)x[j]);
+    for (j = 0; j < f->nvars; j++)
+        U[j] = uniform(h, j);
+    if (!pvec(f, U, p, margin)) return 0;
+    for (j = 0; j < K; j++)
+        s += p[j];
+    /* these laws' rows sum to 1 within ulps: a row anywhere near
+       normalize_rows' bound goes to numpy, which decides it */
+    if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return 0;
+    for (j = 0; j < K; j++) {
+        acc = j ? acc + p[j] / s : p[j] / s;
+        cum[j] = acc;
+    }
+    if (e) {
+        e[0].i = 1;
+        for (j = 0; j < dim; j++)
+            e[1 + j].i = x[j];
+        for (j = 0; j < K; j++)
+            e[1 + dim + j].v = cum[j];
+    }
+    return 1;
+}
+
+/* Step index of a walker (seed slot) at site x with walk uniform u, or -1
+   when numpy must take this step. */
+static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
+                  double margin)
 {
     int K = 2 * f->dim;
-    double p[MAX_DIRS], cum[MAX_DIRS];
+    double cum[MAX_DIRS];
     const double *c = f->cum;
     int j, k = 0;
     if (f->law != UNIFORM_DRIFT) {
-        double U[MAX_DIRS + 1];
-        double s = 0.0, acc = 0.0;
-        uint64_t h = base;
-        for (j = 0; j < f->dim; j++)
-            h = fold(h, (uint64_t)x[j]);
-        for (j = 0; j < f->nvars; j++)
-            U[j] = uniform(h, j);
-        if (!pvec(f, U, p, margin)) return -1;
-        for (j = 0; j < K; j++)
-            s += p[j];
-        /* these laws' rows sum to 1 within ulps: a row anywhere near
-           normalize_rows' bound goes to numpy, which decides it */
-        if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return -1;
-        for (j = 0; j < K; j++) {
-            acc = j ? acc + p[j] / s : p[j] / s;
-            cum[j] = acc;
-        }
+        if (!row(f, slot, x, cum, margin)) return -1;
         c = cum;
     }
     for (j = 0; j < K; j++) {
@@ -210,13 +284,13 @@ static int choose_rows(const field_t *f, const int64_t *walkers,
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        uint64_t b = f->base[0];
+        int64_t slot = 0;
         int c;
         if (f->per_walker) {
             if (walkers[i] < 0 || walkers[i] >= f->nbase) return -1;
-            b = f->base[walkers[i]];
+            slot = walkers[i];
         }
-        c = choose(f, b, pos + i * f->dim, uniform(keys[i], t), margin);
+        c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
     }
@@ -376,7 +450,8 @@ class _Field(ctypes.Structure):
                 ("param", ctypes.c_double), ("sum_tol", ctypes.c_double),
                 ("cum", ctypes.c_double * MAX_DIRS),
                 ("base", ctypes.c_void_p), ("nbase", ctypes.c_int64),
-                ("per_walker", ctypes.c_int32)]
+                ("per_walker", ctypes.c_int32), ("bits", ctypes.c_int32),
+                ("table", ctypes.c_void_p)]
 
 
 class Plan:
@@ -386,14 +461,28 @@ class Plan:
         self.lib = lib
         self.dim = env.dim
         self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
+        per_walker = np.ndim(env.master_seed) > 0
         self.field = _Field(law=code, d=env.law.d, dim=env.dim,
                             nvars=env.law.nvars, param=param,
                             sum_tol=PROB_SUM_TOL, base=self.base.ctypes.data,
-                            nbase=len(self.base),
-                            per_walker=int(np.ndim(env.master_seed) > 0))
+                            nbase=len(self.base), per_walker=int(per_walker))
+        # the site-row table: one word of flag, dim of site and 2 dim of
+        # cumulative row per entry, zero (empty) until the kernel fills it
+        self.table = None
         if code == 0:
             P = env.transitions_batch(np.zeros((1, env.dim), dtype=np.int64))
             self.field.cum[:2 * env.dim] = np.cumsum(P, axis=1)[0].tolist()
+        else:
+            slots = len(self.base) if per_walker else 1
+            per_slot = TABLE_PER_WALKER if per_walker else TABLE_SHARED
+            while per_slot and slots * per_slot > TABLE_CAP:
+                per_slot //= 2
+            if per_slot:
+                bits = per_slot.bit_length() - 1
+                self.table = np.zeros((slots << bits, 1 + 3 * env.dim),
+                                      dtype=np.int64)
+                self.field.bits = bits
+                self.field.table = self.table.ctypes.data
         self.address = ctypes.addressof(self.field)
 
 

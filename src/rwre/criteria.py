@@ -32,7 +32,7 @@ from .environment import Environment, transitions_for_seeds
 from .hypercube import analyze_transitions, escape_site_probs, quenched
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
-from .walk import STATUS_EXITED, run_until_batch, walk_keys
+from .walk import STATUS_EXITED, _sites, run_until_batch, walk_keys
 
 
 class MeasurabilityViolation(RuntimeError):
@@ -781,14 +781,13 @@ def tilted_box_exit(env: Environment, center: Site, beta: float, L: float,
     """Quenched probability of leaving a tilted box through its front."""
     if L < 2:
         raise ValueError("L must be >= 2")
-    box = TiltedBox(tuple(int(c) for c in center), beta, L,
-                    tuple(float(v) for v in vhat))
+    center = _sites(center, "center")
+    box = TiltedBox(tuple(center.tolist()), beta, L, tuple(float(v) for v in vhat))
     if walk_budget == 0:
         return FrontExitEstimate(float("nan"), float("nan"), float("nan"),
                                  0, 0, runs)
     keys = walk_keys(master_seed, runs, salt="tilted_box")
-    res = run_until_batch(env, np.asarray(center, dtype=np.int64), keys,
-                          walk_budget, inside=box.contains_batch)
+    res = run_until_batch(env, center, keys, walk_budget, inside=box.contains_batch)
     exited = res.status == STATUS_EXITED
     front = exited & box.is_front_batch(res.final)
     n_res = int(exited.sum())

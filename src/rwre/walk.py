@@ -47,7 +47,7 @@ from .lattice import Bounds, Site, step_vectors
 
 def positions(start, steps: np.ndarray) -> np.ndarray:
     """(n+1, d) positions of a recorded step-index row, the start included."""
-    start = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    start = np.atleast_1d(_sites(start, "start"))
     out = np.empty((len(steps) + 1, len(start)), dtype=np.int64)
     out[0] = start
     np.cumsum(step_vectors(len(start))[steps], axis=0, out=out[1:])

@@ -501,6 +501,15 @@ def test_tilted_box_exit_validates_L():
         cr.tilted_box_exit(env, (0, 0), 0.6, 1.0, (1.0, 0.0), 100, 10, 1)
 
 
+def test_tilted_box_exit_rejects_a_fractional_center(monkeypatch):
+    # (0.6, 0) used to become the box at (0, 0); it is refused before any walk
+    monkeypatch.setattr(cr, "run_until_batch", None)
+    env = Environment(UniformDrift(2), 1)
+    for budget in (100, 0):
+        with pytest.raises(ValueError, match="center must have integer coordinates"):
+            cr.tilted_box_exit(env, (0.6, 0), 0.6, 4.0, (1.0, 0.0), budget, 10, 3)
+
+
 # --- reports ---------------------------------------------------------------------
 
 def test_criterion_report_json_round_trip(tmp_path):

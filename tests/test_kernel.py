@@ -31,8 +31,9 @@ def _inside(X):
 
 
 def _runs(env, W, n=150):
-    """Both engines: every step checkpointed, one long segment, and a
-    stopping run with compaction and visit counts."""
+    """Both engines: every step checkpointed, one long segment, a stopping
+    run with compaction and visit counts on a plain predicate, and compiled
+    stopping runs on a float and an integer region."""
     keys = walk.walk_keys(9, W)
     start = np.zeros(env.dim, dtype=np.int64)
     target = np.eye(1, env.dim, dtype=np.int64)
@@ -43,7 +44,9 @@ def _runs(env, W, n=150):
     return (walk.run_fixed_batch(env, start, n, keys, checkpoints=range(1, n + 1)),
             walk.run_fixed_batch(env, start, n, keys),
             walk.run_until_batch(env, start, keys, n, region,
-                                 count_visits_to=tuple(start.tolist())))
+                                 count_visits_to=tuple(start.tolist())),
+            *(_until(env, bounds, at, keys, n) for name, bounds, at in _regions(env.dim)
+              if name in ("slab", "cube")))
 
 
 def _numpy_runs(monkeypatch, env, W, n=150):
@@ -53,27 +56,60 @@ def _numpy_runs(monkeypatch, env, W, n=150):
 
 
 def _assert_same(a, b):
-    every_a, long_a, until_a = a
-    every_b, long_b, until_b = b
+    every_a, long_a, *until_a = a
+    every_b, long_b, *until_b = b
     assert every_a.checkpoints.keys() == every_b.checkpoints.keys()
     for t, snap in every_a.checkpoints.items():
         assert np.array_equal(snap, every_b.checkpoints[t]), f"step {t}"
     assert np.array_equal(every_a.final, every_b.final)
     assert np.array_equal(long_a.final, long_b.final)
-    for field in ("status", "final", "steps_taken", "visits"):
-        assert np.array_equal(getattr(until_a, field), getattr(until_b, field)), field
+    for i, (x, y) in enumerate(zip(until_a, until_b, strict=True)):
+        _assert_same_until(x, y, f"stopping run {i}")
+
+
+def _table(monkeypatch, entries):
+    """Give every site-row table ``entries`` entries per slot."""
+    monkeypatch.setattr(_kernel, "TABLE_PER_WALKER", entries)
+    monkeypatch.setattr(_kernel, "TABLE_SHARED", entries)
+
+
+def _plans(monkeypatch):
+    """The plans the engines build from now on, in order."""
+    plans = []
+    inner = _kernel.plan
+    monkeypatch.setattr(_kernel, "plan",
+                        lambda env: plans.append(inner(env)) or plans[-1])
+    return plans
 
 
 @needs_gcc
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 @pytest.mark.parametrize("law", LAWS, ids=repr)
 def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
+    # with the default site-row tables, and with one entry per slot (every
+    # new site evicts the last) and two (a walk between two sites can hit);
+    # the walkers of a shared field share one slot
     for W in (1, 7, 200):
         env = Environment(law, rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
-        assert _kernel.plan(env) is not None
-        ours = _runs(env, W)
-        assert len(set(ours[2].steps_taken.tolist())) > 1 or W == 1
-        _assert_same(ours, _numpy_runs(monkeypatch, env, W))
+        reference = _numpy_runs(monkeypatch, env, W)
+        for entries in (None, 1, 2):
+            with monkeypatch.context() as m:
+                if entries:
+                    _table(m, entries)
+                plans = _plans(m)
+                ours = _runs(env, W)
+            assert len(set(ours[2].steps_taken.tolist())) > 1 or W == 1
+            _assert_same(ours, reference)
+            assert len(plans) == 4      # the plain predicate steps with numpy
+            slots = W if per_walker else 1
+            per_slot = entries or (_kernel.TABLE_PER_WALKER if per_walker
+                                   else _kernel.TABLE_SHARED)
+            for plan in plans:
+                if isinstance(law, UniformDrift):
+                    assert plan.table is None
+                else:
+                    assert plan.table.shape == (slots * per_slot, 1 + 3 * env.dim)
+                    assert plan.table[:, 0].any()
 
 
 @needs_gcc
@@ -102,24 +138,81 @@ def test_invalid_rows_raise_like_numpy(monkeypatch):
 @needs_gcc
 @pytest.mark.parametrize("margin", [2.0, 0.01], ids=["every_step", "some_steps"])
 def test_handed_back_steps_resume_identically(monkeypatch, margin):
+    # a row found in the site-row table still goes through the walk
+    # uniform's guard: with every step handed back the kernel moves no
+    # walker, on a colliding table or the default one
     laws = [UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2), TrapTransient(1)]
     W, n = 7, 120
     for law in laws:
-        env = Environment(law, rng.derive_keys(4, "walkers", n=W))
-        reference = _runs(env, W, n)
-        calls = []
-        step_batch = walk._step_batch
-        with monkeypatch.context() as m:
-            m.setattr(_kernel, "GUARD_MARGIN", margin)
-            m.setattr(walk, "_step_batch",
-                      lambda *a: calls.append(a[3]) or step_batch(*a))
-            handed_back = _runs(env, W, n)
-        _assert_same(handed_back, reference)
-        loop_steps = 2 * n + int(reference[2].steps_taken.max())
-        if margin == 2.0:
-            assert len(calls) == loop_steps
-        else:
-            assert 0 < len(calls) < loop_steps
+        for seeds in (5, rng.derive_keys(4, "walkers", n=W)):
+            env = Environment(law, seeds)
+            reference = _numpy_runs(monkeypatch, env, W, n)
+            loop_steps = 2 * n + sum(int(r.steps_taken.max()) for r in reference[2:])
+            for entries in (None, 1):
+                with monkeypatch.context() as m:
+                    if entries:
+                        _table(m, entries)
+                    m.setattr(_kernel, "GUARD_MARGIN", margin)
+                    calls = _counting(m, walk, "_step_batch")
+                    plans = _plans(m)
+                    handed_back = _runs(env, W, n)
+                _assert_same(handed_back, reference)
+                if margin == 2.0:
+                    assert len(calls) == loop_steps
+                else:
+                    assert 0 < len(calls) < loop_steps
+                # a margin of 2 fails every Expl row's own check (entries
+                # within margin of 0): those rows go to numpy and are not kept
+                kept = not (isinstance(law, Expl) and margin == 2.0)
+                assert all(plan.table[:, 0].any() == kept for plan in plans
+                           if plan.table is not None)
+
+
+@needs_gcc
+def test_long_trapped_walks_step_like_numpy(monkeypatch):
+    # TrapSym(2) walks stay a long time among a few sites of small
+    # conductance, so most of their steps find their row in the table
+    W, n = 3, 30_000
+    env = Environment(TrapSym(2), 17)
+    keys = walk.walk_keys(5, W)
+    marks = range(1000, n, 1000)
+    with monkeypatch.context() as m:
+        plans = _plans(m)
+        ours = walk.run_fixed_batch(env, np.zeros(2), n, keys, checkpoints=marks)
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "plan", lambda env: None)
+        theirs = walk.run_fixed_batch(env, np.zeros(2), n, keys, checkpoints=marks,
+                                      record_steps=True)
+    assert np.array_equal(ours.final, theirs.final)
+    for t in marks:
+        assert np.array_equal(ours.checkpoints[t], theirs.checkpoints[t]), t
+    for row in theirs.steps:    # each site is visited about ten times
+        assert len({tuple(x) for x in walk.positions((0, 0), row).tolist()}) < n // 5
+    (plan,) = plans
+    assert plan.table.shape[0] == _kernel.TABLE_SHARED
+
+
+@needs_gcc
+def test_tables_stay_within_the_cap(monkeypatch):
+    # 3000 seeds at 64 entries would exceed the cap: 32 entries per seed;
+    # with the cap below one entry per seed, the run has no table
+    W, seeds = 3000, rng.derive_keys(6, "walkers", n=3000)
+    keys = walk.walk_keys(8, W)
+    for law in (TrapSym(2), TrapTransient(1)):
+        env = Environment(law, seeds)
+        reference = _numpy_runs(monkeypatch, env, W, 60)
+        for cap, per_seed in ((_kernel.TABLE_CAP, 32), (2 ** 11, 0)):
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "TABLE_CAP", cap)
+                plans = _plans(m)
+                ours = _runs(env, W, 60)
+            _assert_same(ours, reference)
+            for plan in plans:
+                if per_seed:
+                    assert plan.table.shape[0] == W * per_seed <= cap
+                    assert plan.table[:, 0].any()
+                else:
+                    assert plan.table is None
 
 
 def _regions(dim):
@@ -284,8 +377,15 @@ from rwre.environment import (Environment, Expl, TrapSym, TrapTransient,
 
 _kernel._LIB = _kernel._load(sys.argv[1])
 keys = walk.walk_keys(3, 7)
-for law in (UniformDrift(2, 0.2), Expl(3, 1 / 7), TrapSym(2), TrapTransient(2)):
-    for seeds in (5, np.arange(1, 8, dtype=np.uint64)):
+# site-row tables of the default sizes, of one and two entries per slot
+# (every step collides), and capped to four entries per seed of 12 seeds
+tables = [(64, 2 ** 14, 2 ** 17), (1, 1, 2 ** 17), (2, 2, 2 ** 17), (64, 64, 48)]
+for law, table in [(law, table)
+                   for law in (UniformDrift(2, 0.2), Expl(3, 1 / 7), TrapSym(2),
+                               TrapTransient(2))
+                   for table in tables]:
+    (_kernel.TABLE_PER_WALKER, _kernel.TABLE_SHARED, _kernel.TABLE_CAP) = table
+    for seeds in (5, np.arange(1, 13, dtype=np.uint64)):
         env = Environment(law, seeds)
         start = np.zeros(env.dim, dtype=np.int64)
 
@@ -306,26 +406,44 @@ for law in (UniformDrift(2, 0.2), Expl(3, 1 / 7), TrapSym(2), TrapTransient(2)):
                 out += [res.status, res.final, res.steps_taken, res.visits]
             return out
 
-        assert _kernel.plan(env) is not None
+        plan = _kernel.plan(env)
+        assert plan is not None
+        if plan.table is not None:
+            assert plan.table.shape[0] <= _kernel.TABLE_CAP
         ours = runs()
-        plan, _kernel.plan = _kernel.plan, lambda env: None
+        plan_of, _kernel.plan = _kernel.plan, lambda env: None
         reference = runs()
-        _kernel.plan = plan
+        _kernel.plan = plan_of
         assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), law
 print("ok")
 """
 
 
+def _asan_runtime() -> str | None:
+    """gcc's AddressSanitizer runtime, which python must preload to run a
+    library built with it, or None."""
+    out = subprocess.run([_kernel._compiler(), "-print-file-name=libasan.so"],
+                         capture_output=True, text=True).stdout.strip()
+    return out if os.path.isabs(out) and os.path.exists(out) else None
+
+
 @needs_gcc
 def test_kernel_runs_clean_under_ubsan(tmp_path):
-    flags = _kernel.CFLAGS + ("-Wall", "-Wextra", "-Werror", "-fsanitize=undefined",
-                              "-fno-sanitize-recover=all")
+    # with gcc's AddressSanitizer runtime at hand, the same run also fails
+    # on any read or write outside the site-row table or the other arrays
+    asan = _asan_runtime()
+    sanitizers = "address,undefined" if asan else "undefined"
+    flags = _kernel.CFLAGS + ("-Wall", "-Wextra", "-Werror",
+                              f"-fsanitize={sanitizers}", "-fno-sanitize-recover=all")
     lib = _kernel.build(tmp_path / "kernel-ubsan.so", flags)
     src = os.path.dirname(os.path.dirname(os.path.abspath(rwre.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    if asan:
+        env.update(LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
     proc = subprocess.run([sys.executable, "-c", UBSAN_CHECK, str(lib)], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert "runtime error" not in proc.stderr
+    assert "AddressSanitizer" not in proc.stderr
     assert proc.stdout.strip() == "ok"

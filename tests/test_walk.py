@@ -33,6 +33,15 @@ def test_deterministic_drift_hits_target():
     assert np.array_equal(walk.positions((0, 0), fixed.steps[0])[:, 0], np.arange(6))
 
 
+def test_positions_reject_a_fractional_start():
+    # (0.5, 0) used to give the path from (0, 0); integral floats are sites
+    steps = np.array([0, 1], dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"start must have integer coordinates"):
+        walk.positions((0.5, 0), steps)
+    assert walk.positions(np.array([2.0, -1.0]), steps).tolist() == [[2, -1], [3, -1],
+                                                                     [3, 0]]
+
+
 def test_horizon_validation_and_budget():
     env = Environment(FORWARD, 0)
     keys = walk.walk_keys(7, 1)
