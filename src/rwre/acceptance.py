@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, hypercube, regeneration, rng, stats, walk
-from .cli import write_csv, write_json
+from .cli import _json_default, write_csv, write_json
 from .environment import Dirichlet, Environment, Expl, TrapSym, TrapTransient, UniformDrift
 from .lattice import UnitHypercube
 
@@ -346,21 +346,10 @@ def run_all(seed: int, outdir: str):
                "criteria": [{"number": r.number, "name": r.name,
                              "passed": bool(r.passed),
                              "seconds": round(r.seconds, 2),
-                             "details": _plain(r.details)} for r in results],
+                             "details": r.details} for r in results],
                "all_passed": bool(all(r.passed for r in results))}
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, default=str)
+        json.dump(summary, f, indent=2, default=_json_default)
     return results, summary_path
 
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj

@@ -29,7 +29,7 @@ from scipy import stats as sps
 
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
-from .hypercube import analyze_transitions, escape_site_probs, quenched
+from .hypercube import escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, _sites, run_until_batch, walk_keys
@@ -142,8 +142,7 @@ def gamma_exponents(phi: np.ndarray, d: int) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2 * d,) or np.any(phi <= 0):
         raise ValueError("phi must be a positive vector over the 2d directions")
-    cube = UnitHypercube((0,) * d)
-    return np.array([phi[cube.exit_directions(j)].sum() for j in range(1 << d)])
+    return phi[UnitHypercube((0,) * d).outward].sum(axis=1)
 
 
 class EprimePolicy:
@@ -184,7 +183,7 @@ class EprimePolicy:
         cube = UnitHypercube(anchor)
         return cube.corners[order[len(prefix)]]
 
-    def marks(self, view: RecordingView, cube: UnitHypercube, x0: Site) -> np.ndarray:
+    def marks(self, view: RecordingView, cube: UnitHypercube) -> np.ndarray:
         d = cube.d
         if self.phi is None:
             return np.zeros(1 << d)
@@ -195,22 +194,18 @@ class EprimePolicy:
         origin = np.zeros(d, dtype=np.int64)
         vd = sv[k0]                                 # v_d = e_k
         marks = np.zeros(1 << d)
-
-        def offset_bits(site_vec) -> int:
-            off = site_vec - np.asarray(x0, dtype=np.int64)
-            return int(sum((int(b) << i) for i, b in enumerate(off)))
-
         # v_0 = 0 and v_d = e_k carry their full gamma exponents
-        marks[offset_bits(origin)] = gam[offset_bits(origin)]
-        marks[offset_bits(vd)] = gam[offset_bits(vd)]
+        for v in (origin, vd):
+            c = cube.corner_index(v)
+            marks[c] = gam[c]
         for j in range(d):
             if j == axis:
                 continue
             step_idx = j if positive else d + j     # direction of v_i - v_0
             vi = sv[step_idx]
             ui = vd + sv[step_idx]                  # u_i = v_d + (v_i - v_0)
-            marks[offset_bits(vi)] = self.phi[step_idx]
-            marks[offset_bits(ui)] = self.phi[step_idx]
+            marks[cube.corner_index(vi)] = self.phi[step_idx]
+            marks[cube.corner_index(ui)] = self.phi[step_idx]
         return marks
 
     def stash_meta(self, view: RecordingView, meta: dict) -> None:
@@ -233,7 +228,7 @@ def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
     anchor = tuple(int(c) for c in arr.min(axis=0))
     cube = UnitHypercube(anchor)
     view.begin(cube.corners)
-    marks = np.asarray(policy.marks(view, cube, anchor), dtype=float)
+    marks = np.asarray(policy.marks(view, cube), dtype=float)
     meta: dict = {}
     if hasattr(policy, "stash_meta"):
         policy.stash_meta(view, meta)
@@ -284,18 +279,14 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     if n < 1:
         raise ValueError("n must be >= 1")
     d = env.dim
-    qh = quenched(env, mmh.cube)
-    c0 = mmh.origin_corner()
-    rho = escape_site_probs(qh, from_corner=c0)
-    ana = analyze_transitions(d, qh.transitions[None], 1)
-    qtilde_row = ana.Qtilde[0, c0]
+    corners = np.asarray(mmh.cube.corners, dtype=np.int64)
+    rho, qtilde_row = escape_site_probs(env.transitions_batch(corners),
+                                        mmh.origin_corner())
     sv = step_vectors(d)
+    outward = np.sort(mmh.cube.outward, axis=1)     # smallest index first
     records = []
-    for j in range(1 << d):
-        corner = np.asarray(mmh.cube.corners[j], dtype=np.int64)
-        exit_dirs = sorted(mmh.cube.exit_directions(j))
-        axis_of = {dir_idx: dir_idx % d for dir_idx in exit_dirs}
-        probs = np.array([rho[j, axis_of[k]] for k in exit_dirs])
+    for j, (corner, exit_dirs) in enumerate(zip(corners, outward)):
+        probs = rho[j, exit_dirs % d]
         best = int(np.argmax(probs))                 # first max: smallest index
         y1 = corner + sv[exit_dirs[best]]
         sites = np.empty((n, d), dtype=np.int64)
@@ -313,11 +304,11 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
         records.append(PathRecord(j, tuple(int(c) for c in y1), sites, pi,
                                   float(probs[best]), float(qtilde_row[j]),
                                   prod_q))
-    _assert_bundle_invariants(records, d, n, qtilde_row)
+    _assert_bundle_invariants(records, d, n)
     return PathBundle(mmh, n, records)
 
 
-def _assert_bundle_invariants(records, d, n, qtilde_row) -> None:
+def _assert_bundle_invariants(records, d, n) -> None:
     seen: set[Site] = set()
     for r in records:
         pts = {tuple(int(c) for c in row) for row in r.sites}
@@ -471,9 +462,7 @@ def check_ktilde(law, exponent: float, replicates: int,
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "ktilde", n=replicates)
     P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-    Q = np.empty((replicates, len(cube.corners)))
-    for j in range(len(cube.corners)):
-        Q[:, j] = P[:, j, cube.exit_directions(j)].max(axis=1)
+    Q = P[:, np.arange(len(cube.corners))[:, None], cube.outward].max(axis=2)
     verdicts, ests = _probe_columns((f"inv_moment_Q_corner_{j}", Q[:, j] ** (-exponent))
                                     for j in range(Q.shape[1]))
     overall = _overall(_FINITE in verdicts, set(verdicts) == {_INFINITE})

@@ -6,8 +6,7 @@ seed, the law and the site coordinates.  Laws consume a fixed number of
 per-site uniforms from a counter-based stream, so environments are never
 stored: any site can be re-evaluated bit-identically at any time, from any
 worker.  The master seed is one seed (the quenched field) or an array of
-per-walker seeds (the annealed law); both go through the same keyed field,
-and environments compare and hash by law and seed values.
+per-walker seeds (the annealed law); both go through the same keyed field.
 
 ``Environment.transitions_batch`` is the reference evaluation of the field.
 The walk engines step the four closed-form laws in the compiled loop of
@@ -331,8 +330,8 @@ class Environment:
     ``master_seed`` is one seed, a quenched field shared by every walker, or
     a uint64 array of per-walker seeds, the annealed law in which each
     walker reads its own field.  The two differ only in whether the folded
-    base key is one key or one per walker.  Environments compare and hash
-    by law and seed values.
+    base key is one key or one per walker.  Compared by identity, since
+    the seed may be an array.
     """
 
     law: object
@@ -347,19 +346,6 @@ class Environment:
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_nvars", self.law.nvars)
         object.__setattr__(self, "dim", self.law.dim)
-
-    def __eq__(self, other):
-        if not isinstance(other, Environment):
-            return NotImplemented
-        a, b = self.master_seed, other.master_seed
-        return (self.law == other.law and np.ndim(a) == np.ndim(b)
-                and bool(np.array_equal(a, b)))
-
-    def __hash__(self):
-        seed = self.master_seed
-        if np.ndim(seed):
-            seed = np.asarray(seed, dtype=np.uint64).tobytes()
-        return hash((self.law, seed))
 
     def transitions_at(self, x) -> np.ndarray:
         return self.transitions_batch(np.asarray(x, dtype=np.int64)[None, :])[0]

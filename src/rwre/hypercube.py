@@ -16,9 +16,14 @@ dense linear solve:
   used to cross-check the visit identity N[x0, x] * Qtilde_row[x] =
   P_{x0}[T_x < T_exit].
 
-All solvers are batched over environment replicates.  The Monte Carlo
-checks (:func:`visit_law_check`, non-integer :func:`fractional_moment`)
-walk on the keyed field with :func:`~rwre.walk.run_until_batch`, with
+Which direction leaves corner j along axis i is read from one table,
+``UnitHypercube.outward``; P and the exit probabilities are gathers on
+it.  All solvers are batched over environment replicates.  One private
+reduced-chain solve serves :func:`analyze_transitions`, once per corner,
+and :func:`escape_site_probs`, which needs only the start corner's chain
+(the escape probabilities of the path bundles).  The Monte Carlo checks
+(:func:`visit_law_check`, non-integer :func:`fractional_moment`) walk on
+the keyed field with :func:`~rwre.walk.run_until_batch`, with
 ``UnitHypercube.region`` as the region.
 """
 
@@ -41,58 +46,19 @@ class DegenerateEnvironmentError(ValueError):
     """Raised when (I - P) is singular: some corner set has no exit mass."""
 
 
-@dataclass
-class QuenchedHypercube:
-    """One quenched cube: per-corner transitions and the interior chain."""
-
-    cube: UnitHypercube
-    transitions: np.ndarray      # (m, 2d) canonical-order vectors per corner
-
-    @property
-    def d(self) -> int:
-        return self.cube.d
-
-    @property
-    def m(self) -> int:
-        return 1 << self.d
-
-    def interior_matrix(self) -> np.ndarray:
-        return _interior_matrix(self.d, self.transitions[None])[0]
-
-
-def quenched(env: Environment, cube: UnitHypercube) -> QuenchedHypercube:
-    corners = np.asarray(cube.corners, dtype=np.int64)
-    return QuenchedHypercube(cube, env.transitions_batch(corners))
-
-
-def quenched_batch(law, seeds, cube: UnitHypercube) -> np.ndarray:
-    """(R, m, 2d) transition tensor: one cube per replicate master seed."""
-    return transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-
-
 def _interior_matrix(d: int, trans: np.ndarray) -> np.ndarray:
     """(R, m, m) substochastic interior matrices from (R, m, 2d) tensors."""
-    m = 1 << d
-    R = trans.shape[0]
-    P = np.zeros((R, m, m))
-    for j in range(m):
-        for axis in range(d):
-            bit = (j >> axis) & 1
-            dir_idx = d + axis if bit else axis   # inward move flips the bit
-            P[:, j, j ^ (1 << axis)] = trans[:, j, dir_idx]
+    out = UnitHypercube((0,) * d).outward
+    j = np.arange(1 << d)[:, None]
+    P = np.zeros((trans.shape[0], 1 << d, 1 << d))
+    P[:, j, j ^ (1 << np.arange(d))] = trans[:, j, (out + d) % (2 * d)]
     return P
 
 
 def _exit_probs(d: int, trans: np.ndarray) -> np.ndarray:
     """(R, m, d) probabilities of the d outward directions per corner."""
-    m = 1 << d
-    out = np.empty((trans.shape[0], m, d))
-    for j in range(m):
-        for axis in range(d):
-            bit = (j >> axis) & 1
-            dir_idx = axis if bit else d + axis
-            out[:, j, axis] = trans[:, j, dir_idx]
-    return out
+    out = UnitHypercube((0,) * d).outward
+    return trans[:, np.arange(1 << d)[:, None], out]
 
 
 def _check_absorbing(P: np.ndarray, exit_mass: np.ndarray) -> None:
@@ -176,21 +142,10 @@ def analyze_transitions(d: int, trans: np.ndarray, moment_order: int = 2) -> Exi
             Pm.append(np.einsum("rxy,ry->rx", P, moments[:, k]))
 
     Q = exit_probs.max(axis=2)
-    Qtilde = np.zeros((R, m, m))
+    Qtilde = np.empty((R, m, m))
     hit = np.zeros((R, m, m))
-    idx_all = np.arange(m)
     for x in range(m):
-        idx = idx_all[idx_all != x]
-        Ax = A[:, idx][:, :, idx]
-        try:
-            G = np.linalg.solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateEnvironmentError(
-                "singular reduced chain while computing escape probabilities") from exc
-        first = P[:, x, idx]                       # one-step into the reduced chain
-        visits = np.einsum("rz,rzy->ry", first, G)  # E[visits to y before x/exit]
-        Qtilde[:, x, idx] = visits * q[:, idx]
-        Qtilde[:, x, x] = q[:, x]
+        idx, Ax, _, Qtilde[:, x] = _escape_row(A, P, q, x)
         # hitting x before exit: absorb at x, rhs = one-step probability into x
         hx = np.linalg.solve(Ax, P[:, idx, x][..., None])[..., 0]
         hit[:, idx, x] = hx
@@ -200,34 +155,65 @@ def analyze_transitions(d: int, trans: np.ndarray, moment_order: int = 2) -> Exi
                         hit, moments, q)
 
 
+def _escape_row(A: np.ndarray, P: np.ndarray, q: np.ndarray, x: int):
+    """The chain with corner x turned absorbing, for an (R, m, m) batch.
+
+    Returns the other corners ``idx``, the reduced ``Ax`` (I - P on idx),
+    its inverse ``G`` (expected visits before x or exit) and the (R, m)
+    row x of Qtilde.
+    """
+    R, m = q.shape
+    idx = np.arange(m)[np.arange(m) != x]
+    Ax = A[:, idx][:, :, idx]
+    try:
+        G = np.linalg.solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateEnvironmentError(
+            "singular reduced chain while computing escape probabilities") from exc
+    row = np.empty((R, m))
+    row[:, idx] = np.einsum("rz,rzy->ry", P[:, x, idx], G) * q[:, idx]
+    row[:, x] = q[:, x]
+    return idx, Ax, G, row
+
+
 def analyze(env: Environment, cube: UnitHypercube,
             moment_order: int = 2) -> ExitAnalysis:
     """Exact analysis of one quenched cube (batch of size 1)."""
-    qh = quenched(env, cube)
-    return analyze_transitions(qh.d, qh.transitions[None], moment_order)
+    trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
+    return analyze_transitions(cube.d, trans[None], moment_order)
 
 
 def analyze_batch(law, seeds, cube: UnitHypercube,
                   moment_order: int = 2) -> ExitAnalysis:
-    return analyze_transitions(cube.d, quenched_batch(law, seeds, cube),
-                               moment_order)
+    """Exact analysis of one cube per replicate master seed."""
+    trans = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
+    return analyze_transitions(cube.d, trans, moment_order)
 
 
-def escape_site_probs(qh: QuenchedHypercube, from_corner: int = 0) -> np.ndarray:
-    """(m, d) matrix rho[w, a]: probability, from ``from_corner``, of leaving
-    the cube from corner w along its a-th outward axis before returning to
-    the start corner.  Row sums over a equal Qtilde[from_corner, w]."""
-    d, m = qh.d, qh.m
-    P = qh.interior_matrix()
-    exit_probs = _exit_probs(d, qh.transitions[None])[0]
+def escape_site_probs(trans: np.ndarray,
+                      from_corner: int) -> tuple[np.ndarray, np.ndarray]:
+    """Escape before return to ``from_corner`` in one quenched cube.
+
+    ``trans`` is the (m, 2d) table of corner transitions.  Returns the
+    (m, d) matrix rho[w, a], the probability of leaving the cube from
+    corner w along its a-th outward axis before returning to the start
+    corner, and the (m,) row Qtilde[from_corner]; row sums of rho over a
+    equal that row up to rounding.
+    """
+    d = trans.shape[1] // 2
+    m = 1 << d
+    P = _interior_matrix(d, trans[None])
+    exit_probs = _exit_probs(d, trans[None])
+    q = exit_probs.sum(axis=2)
+    _check_absorbing(P, q)
+    idx, _, G, qtilde_row = _escape_row(np.eye(m) - P, P, q, from_corner)
     rho = np.zeros((m, d))
-    rho[from_corner] = exit_probs[from_corner]
-    idx = np.arange(m)[np.arange(m) != from_corner]
-    Ax = np.eye(m - 1) - P[idx][:, idx]
-    G = np.linalg.solve(Ax, np.eye(m - 1))
-    visits = P[from_corner, idx] @ G            # E[# visits to each y != start]
-    rho[idx] = visits[:, None] * exit_probs[idx]
-    return rho
+    rho[from_corner] = exit_probs[0, from_corner]
+    # rho keeps the 1-D product and the Qtilde row the batched einsum: from one
+    # G the two differ in the last bit, and each output must keep its bytes
+    visits = P[0, from_corner, idx] @ G[0]      # E[# visits to each y != start]
+    rho[idx] = visits[:, None] * exit_probs[0, idx]
+    return rho, qtilde_row[0]
 
 
 @dataclass

@@ -109,10 +109,21 @@ class UnitHypercube:
         a = np.asarray(self.anchor, dtype=float)
         return Bounds(np.eye(self.d), a, a + 1.0, True, True)
 
+    @property
+    def outward(self) -> np.ndarray:
+        """(2^d, d) table of the direction leaving corner j along axis i.
+
+        It is i when bit i of j is set and d + i otherwise.  The inward
+        direction along axis i is ``(outward + d) % (2 * d)``, and it leads
+        to corner ``j ^ (1 << i)``.
+        """
+        d = self.d
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+        return np.arange(d) + d * (1 - bits)
+
     def exit_directions(self, corner_bits: int) -> list[int]:
         """Canonical 0-based direction indices leading out from a corner."""
-        d = self.d
-        return [i if (corner_bits >> i) & 1 else d + i for i in range(d)]
+        return self.outward[corner_bits].tolist()
 
 
 def projection_axis(vhat) -> tuple[int, int]:

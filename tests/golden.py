@@ -1,0 +1,138 @@
+"""Golden SHA-256 digests of the fixed-seed artifacts.
+
+The digests pin the bytes of the 13 seed-42 acceptance ``run1/`` files and
+of three small fixed-seed CLI outputs (``CLI_RUNS``).  They live in
+``golden_digests.json`` under a platform key, (machine, numpy, scipy),
+because those decide the floating-point results; each entry lists the
+numpy SIMD signatures on which its digests were verified.  A platform with
+no entry is skipped, with a message that names its key.
+
+Re-record the entry of this platform with
+
+    python3 tests/golden.py --write
+
+which runs the acceptance criteria once and the CLI commands below.  When
+the digests are unchanged the SIMD signature is added to the entry; when
+they moved, the entry is replaced and lists only this signature.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import pathlib
+import platform
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
+ACCEPTANCE_SEED = 42
+
+# output file name -> `rwre` arguments that write it (with --out)
+CLI_RUNS = {
+    "paths.csv": ["paths", "--law", "expl", "--d", "2", "--eps", "0.2",
+                  "--seed", "7", "--replicates", "50"],
+    "hypercube.csv": ["hypercube", "--law", "trap_sym", "--d", "2", "--seed", "7",
+                      "--replicates", "200", "--moments", "3"],
+    "criterion_ktilde1.json": ["criteria", "--criterion", "ktilde1", "--law", "expl",
+                               "--d", "2", "--eps", "0.2", "--seed", "7",
+                               "--replicates", "2000"],
+}
+
+
+def platform_key() -> str:
+    import numpy
+    import scipy
+    return (f"{platform.machine()}-numpy{numpy.__version__}"
+            f"-scipy{scipy.__version__}")
+
+
+def simd_signature() -> str:
+    """The numpy SIMD dispatch targets this CPU enables, joined by '-'."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:
+        return "unknown"
+    return "-".join(sorted(t for t in __cpu_dispatch__ if __cpu_features__.get(t)))
+
+
+def digest_files(directory) -> dict[str, str]:
+    """SHA-256 of every file in ``directory``, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(pathlib.Path(directory).iterdir()) if p.is_file()}
+
+
+def run_cli(outdir) -> dict[str, str]:
+    """Run each of ``CLI_RUNS`` into ``outdir`` and digest the outputs."""
+    from rwre import cli
+    outdir = pathlib.Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, args in CLI_RUNS.items():
+        code = cli.main(args + ["--out", str(outdir / name)])
+        if code != cli.EXIT_OK:
+            raise RuntimeError(f"rwre {' '.join(args)} exited with {code}")
+    return digest_files(outdir)
+
+
+def _load() -> dict:
+    if not DIGESTS.exists():
+        return {"acceptance_seed": ACCEPTANCE_SEED, "platforms": {}}
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+def entry_or_skip() -> dict:
+    """This platform's digests; skips the calling test when there are none."""
+    import pytest
+    entry = _load()["platforms"].get(platform_key())
+    if entry is None:
+        pytest.skip(f"no golden digests for platform {platform_key()}; "
+                    "record them with python3 tests/golden.py --write")
+    return entry
+
+
+def assert_digests(got: dict[str, str], entry: dict, section: str) -> None:
+    """Fail with the moved file names when ``got`` differs from the entry."""
+    want = entry[section]
+    moved = sorted(n for n in set(got) | set(want) if got.get(n) != want.get(n))
+    assert not moved, (
+        f"{section} bytes moved on {platform_key()} (SIMD {simd_signature()}; "
+        f"digests verified on {entry['simd_verified']}): {moved}. If the move "
+        "is intended, re-record with python3 tests/golden.py --write")
+
+
+def write() -> dict:
+    """Record this platform's digests into ``golden_digests.json``."""
+    from rwre import acceptance
+    with tempfile.TemporaryDirectory() as tmp:
+        run1 = pathlib.Path(tmp) / "run1"
+        acceptance.run_criteria(ACCEPTANCE_SEED, str(run1))
+        entry = {"run1": digest_files(run1), "cli": run_cli(pathlib.Path(tmp) / "cli")}
+    doc = _load()
+    old = doc["platforms"].get(platform_key())
+    signatures = {simd_signature()}
+    if old is not None and all(old[s] == entry[s] for s in ("run1", "cli")):
+        signatures |= set(old["simd_verified"])
+    entry["simd_verified"] = sorted(signatures)
+    doc["platforms"][platform_key()] = entry
+    DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+    return entry
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--write", action="store_true", required=True,
+                   help="re-record this platform's digests")
+    p.parse_args(argv)
+    entry = write()
+    print(f"{platform_key()}: {len(entry['run1'])} run1 and {len(entry['cli'])} "
+          f"CLI digests, verified on {entry['simd_verified']} -> {DIGESTS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.exit(main())

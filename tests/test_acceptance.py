@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import golden
 from rwre import acceptance
 
 MASTER_SEED = 42
@@ -89,6 +90,11 @@ def test_c11_slab_decay_shape(suite):
 def test_c12_determinism(suite):
     _check(suite, 12)
     assert suite[0][12].details["mismatches"] == []
+
+
+def test_run1_matches_golden_digests(suite):
+    entry = golden.entry_or_skip()
+    golden.assert_digests(golden.digest_files(suite[1] / "run1"), entry, "run1")
 
 
 def test_runtime_budgets(suite):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rwre import cli, criteria as cr, rng
+from rwre import cli, criteria as cr, hypercube as hc, rng
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, UniformDrift)
 from rwre.lattice import UnitHypercube
@@ -25,7 +25,7 @@ class FixedPolicy:
         start_bits = cube.corner_index((0,) * len(self.anchor))
         return cube.corners[cr._fill_order(cube.d, start_bits)[len(prefix)]]
 
-    def marks(self, view, cube, x0):
+    def marks(self, view, cube):
         return self._marks.copy()
 
 
@@ -78,7 +78,7 @@ class _CheatingPolicy:
         view.transitions((5, 5))
         return (1, 0)
 
-    def marks(self, view, cube, x0):
+    def marks(self, view, cube):
         return np.zeros(1 << cube.d)
 
 
@@ -92,7 +92,7 @@ class _NonAdjacentPolicy:
     def choose_next(self, view, prefix):
         return (2, 2)
 
-    def marks(self, view, cube, x0):
+    def marks(self, view, cube):
         return np.zeros(1 << cube.d)
 
 
@@ -187,6 +187,26 @@ def test_paths_rejects_bad_n():
     mmh = cr.discover(env, cr.EprimePolicy())
     with pytest.raises(ValueError):
         cr.paths(env, mmh, 0)
+
+
+def test_paths_solves_without_the_full_cube_analysis(monkeypatch):
+    # each record's qtilde is the full analysis' Qtilde entry, bit for bit
+    cases = []
+    for law, seed in ((Expl(2, 0.2), 3), (TrapSym(2), 4), (Dirichlet((1.0,) * 6), 5)):
+        env = Environment(law, seed)
+        mmh = cr.discover(env, cr.EprimePolicy())
+        trans = env.transitions_batch(np.asarray(mmh.cube.corners, dtype=np.int64))
+        ana = hc.analyze_transitions(law.dim, trans[None], 1)
+        cases.append((env, mmh, ana.Qtilde[0, mmh.origin_corner()]))
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("paths ran the full cube analysis")
+
+    monkeypatch.setattr(hc, "analyze_transitions", refuse)
+    monkeypatch.setattr(cr, "analyze_transitions", refuse, raising=False)
+    for env, mmh, want in cases:
+        bundle = cr.paths(env, mmh, 3)
+        assert [r.qtilde for r in bundle.records] == want.tolist()
 
 
 # --- attainability ----------------------------------------------------------------

@@ -247,17 +247,3 @@ def test_ellipticity_profile_validates():
     with pytest.raises(ValueError, match="per-walker"):
         ellipticity_profile(per_walker, 10)
 
-
-def test_environments_compare_and_hash_by_value():
-    seeds = rng.derive_keys(1, "w", n=3)
-    a = Environment(Expl(2, 0.3), seeds)
-    b = Environment(Expl(2, 0.3), seeds.copy())
-    assert a == b and hash(a) == hash(b)
-    assert a != Environment(Expl(2, 0.3), seeds[::-1].copy())
-    assert a != Environment(Expl(2, 0.4), seeds)
-    assert a != Environment(Expl(2, 0.3), seeds[:2].copy())
-    one = Environment(Expl(2, 0.3), 5)
-    assert one == Environment(Expl(2, 0.3), 5)
-    assert hash(one) == hash(Environment(Expl(2, 0.3), 5))
-    assert one != Environment(Expl(2, 0.3), np.array([5], dtype=np.uint64))
-    assert len({a, b, one}) == 2

@@ -9,6 +9,41 @@ from rwre.lattice import UnitHypercube
 CUBE2 = UnitHypercube((0, 0))
 
 
+def _corner_transitions(env, cube):
+    return env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
+
+
+def interior_matrix_loop(d, trans):
+    """Reference for ``hc._interior_matrix``: the per-corner, per-axis loop."""
+    m = 1 << d
+    P = np.zeros((trans.shape[0], m, m))
+    for j in range(m):
+        for axis in range(d):
+            bit = (j >> axis) & 1
+            dir_idx = d + axis if bit else axis   # inward move flips the bit
+            P[:, j, j ^ (1 << axis)] = trans[:, j, dir_idx]
+    return P
+
+
+def exit_probs_loop(d, trans):
+    """Reference for ``hc._exit_probs``: the per-corner, per-axis loop."""
+    m = 1 << d
+    out = np.empty((trans.shape[0], m, d))
+    for j in range(m):
+        for axis in range(d):
+            bit = (j >> axis) & 1
+            dir_idx = axis if bit else d + axis
+            out[:, j, axis] = trans[:, j, dir_idx]
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gathers_equal_the_corner_loops(d):
+    trans = np.random.default_rng(d).dirichlet(np.ones(2 * d), size=(50, 1 << d))
+    assert np.array_equal(hc._interior_matrix(d, trans), interior_matrix_loop(d, trans))
+    assert np.array_equal(hc._exit_probs(d, trans), exit_probs_loop(d, trans))
+
+
 def test_uniform_golden_values():
     ana = hc.analyze(Environment(UniformDrift(2), 1), CUBE2, 3)
     assert np.allclose(ana.mean_exit[0], 2.0, atol=1e-12)
@@ -43,42 +78,45 @@ def test_visit_identity_is_cross_solver():
 
 
 def test_exit_mass_and_interior_degree():
-    env = Environment(Expl(2, 0.25), 9)
-    qh = hc.quenched(env, CUBE2)
-    P = qh.interior_matrix()
+    trans = _corner_transitions(Environment(Expl(2, 0.25), 9), CUBE2)[None]
+    P = hc._interior_matrix(2, trans)[0]
     assert np.all((P > 0).sum(axis=1) == 2)      # d interior neighbors
-    exit_mass = hc.analyze_transitions(2, qh.transitions[None], 1).exit_mass[0]
+    exit_mass = hc.analyze_transitions(2, trans, 1).exit_mass[0]
     assert np.max(np.abs(P.sum(axis=1) + exit_mass - 1.0)) < 1e-12
 
 
-def test_degenerate_environment_raises():
+@pytest.mark.parametrize("solve", [lambda t: hc.analyze_transitions(2, t[None], 1),
+                                   lambda t: hc.escape_site_probs(t, 0)],
+                         ids=["analyze_transitions", "escape_site_probs"])
+def test_degenerate_environment_raises(solve):
     # hand-built corner transitions with zero exit mass everywhere
-    trans = np.zeros((1, 4, 4))
+    trans = np.zeros((4, 4))
     for j in range(4):
         inward = [k for k in range(4) if k not in CUBE2.exit_directions(j)]
-        trans[0, j, inward] = 0.5
+        trans[j, inward] = 0.5
     with pytest.raises(hc.DegenerateEnvironmentError):
-        hc.analyze_transitions(2, trans, 1)
+        solve(trans)
 
 
 def test_escape_site_probs_consistency():
-    env = Environment(Dirichlet((1.0,) * 4), 77)
-    qh = hc.quenched(env, CUBE2)
-    rho = hc.escape_site_probs(qh, from_corner=0)
-    ana = hc.analyze_transitions(2, qh.transitions[None], 1)
-    assert np.max(np.abs(rho.sum(axis=1) - ana.Qtilde[0, 0])) < 1e-12
+    trans = _corner_transitions(Environment(Dirichlet((1.0,) * 4), 77), CUBE2)
+    ana = hc.analyze_transitions(2, trans[None], 1)
+    for c in range(4):
+        rho, qtilde_row = hc.escape_site_probs(trans, from_corner=c)
+        assert np.array_equal(qtilde_row, ana.Qtilde[0, c])
+        assert np.max(np.abs(rho.sum(axis=1) - qtilde_row)) < 1e-12
 
 
-def cube_chain_oracle(qh, start_corner: int, keys, horizon: int):
+def cube_chain_oracle(trans, start_corner: int, keys, horizon: int):
     """Finite-state reference for a walk in one quenched cube.
 
     Steps the 2^d-corner chain directly, with the same walk keys, cumulative
     rows and inverse-CDF rule as the walk engine, counting visits to the
-    start corner.  Returns (status, steps_taken, visits) in the layout of
-    ``walk.UntilBatchResult``.
+    start corner.  ``trans`` holds the (m, 2d) corner transitions.  Returns
+    (status, steps_taken, visits) in the layout of ``walk.UntilBatchResult``.
     """
-    d, m = qh.d, qh.m
-    cum = np.cumsum(qh.transitions, axis=1)
+    m, d = trans.shape[0], trans.shape[1] // 2
+    cum = np.cumsum(trans, axis=1)
     nxt = np.empty((m, 2 * d), dtype=np.int64)
     for j in range(m):
         for k in range(2 * d):
@@ -137,7 +175,7 @@ def test_walk_engine_matches_cube_chain_oracle(law, last_corner):
     runs, seed = 3000, 11 * D + corner
     for horizon in (3, 10_000):
         res = _cube_walks(env, cube, corner, runs, seed, horizon)
-        want = cube_chain_oracle(hc.quenched(env, cube), corner,
+        want = cube_chain_oracle(_corner_transitions(env, cube), corner,
                                  walk.walk_keys(seed, runs, "cube_walk"), horizon)
         assert np.array_equal(res.status, want[0])
         assert np.array_equal(res.steps_taken, want[1])
