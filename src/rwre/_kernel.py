@@ -276,21 +276,15 @@ static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
 }
 
 /* Choose one step for each of the rows walkers at step t into choice.
-   Returns 1, 0 when numpy must take this step, or -1 for a walker index
-   outside the field's base keys. */
+   Returns 1, or 0 when numpy must take this step. */
 static int choose_rows(const field_t *f, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int64_t slot = 0;
-        int c;
-        if (f->per_walker) {
-            if (walkers[i] < 0 || walkers[i] >= f->nbase) return -1;
-            slot = walkers[i];
-        }
-        c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
+        int64_t slot = f->per_walker ? walkers[i] : 0;
+        int c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
     }
@@ -378,16 +372,18 @@ static void count_visits(const until_t *r, int dim, const int64_t *walkers,
    only counts the start's visits.  Returns 0 with io holding the state
    reached: settled is 0 when numpy must evaluate the region at step t,
    else step t is numpy's if t < horizon and walkers are left.  Returns -1
-   for a walker index out of range. */
+   for a walker index outside the run or, for a per-walker field, its base
+   keys; compaction only drops walkers, so the check at entry holds for the
+   whole call. */
 int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
                    uint64_t *keys, int64_t *pos, int64_t *io, int64_t horizon,
                    uint8_t *choice, double margin, double region_margin)
 {
     int dim = f->dim;
     int64_t t = io[0], rows = io[1], settled = io[2], i;
-    int code;
     for (i = 0; i < rows; i++)
-        if (walkers[i] < 0 || walkers[i] >= r->n) return -1;
+        if (walkers[i] < 0 || walkers[i] >= r->n
+            || (f->per_walker && walkers[i] >= f->nbase)) return -1;
     for (;;) {
         if (!settled && r->m) {
             int64_t kept = 0;
@@ -421,9 +417,7 @@ int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
             count_visits(r, dim, walkers, rows, pos);
         settled = 1;
         if (rows == 0 || t >= horizon) goto out;
-        code = choose_rows(f, walkers, keys, rows, pos, t, choice, margin);
-        if (code < 0) return -1;
-        if (code == 0) goto out;
+        if (!choose_rows(f, walkers, keys, rows, pos, t, choice, margin)) goto out;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);

@@ -33,9 +33,9 @@ class CriterionResult:
 
 
 def _run_expl_walks(seed: int):
-    """The shared ballistic-example run: 100 walks of 10^5 steps, d=2."""
-    law = Expl(2, 0.2)
-    env = Environment(law, rng.derive_key(seed, "c1_env"))
+    """The shared ballistic-example run, 100 walks of 10^5 steps in d=2:
+    its regeneration records, renewal and direct velocities and length."""
+    env = Environment(Expl(2, 0.2), rng.derive_key(seed, "c1_env"))
     n, W = 100_000, 100
     keys = walk.walk_keys(rng.derive_key(seed, "c1_walks"), W)
     res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), n, keys,
@@ -44,16 +44,15 @@ def _run_expl_walks(seed: int):
     params = regeneration.RegenParams((float(ell[0]), float(ell[1])))
     records = [regeneration.extract_from_steps(res.steps[w], (0, 0), params, n)
                for w in range(W)]
-    return law, res, records, n
+    return (records, regeneration.renewal_velocity(records),
+            regeneration.direct_velocity(res.final, n), n)
 
 
 def crit1_ballistic_velocity(seed: int, outdir: str, shared,
                              shared_seconds: float = 0.0) -> CriterionResult:
     t0 = time.time() - shared_seconds   # bill the shared simulation here
-    law, res, records, n = shared
+    records, ren, direct, n = shared
     ell0 = np.ones(2)  # lattice-level projection: X . (e_1 + e_2)
-    ren = regeneration.renewal_velocity(records)
-    direct = regeneration.direct_velocity(res.final, n)
     vr = float(ren.v @ ell0)
     vd = float(direct.v @ ell0)
     passed = ren.ok and 0.59 <= vr <= 0.61 and 0.59 <= vd <= 0.61
@@ -165,7 +164,7 @@ def crit5_visit_law(seed: int, outdir: str) -> CriterionResult:
 
 def crit6_regeneration_structure(seed: int, outdir: str, shared) -> CriterionResult:
     t0 = time.time()
-    law, res, records, n = shared
+    records, ren, direct, _ = shared
     first_halves, second_halves = [], []
     for rec in records:
         it = rec.inter_times
@@ -175,8 +174,6 @@ def crit6_regeneration_structure(seed: int, outdir: str, shared) -> CriterionRes
     a = np.concatenate(first_halves).astype(float)
     b = np.concatenate(second_halves).astype(float)
     ks_stat, ks_crit = stats.ks_two_sample(a, b, level=0.01)
-    ren = regeneration.renewal_velocity(records)
-    direct = regeneration.direct_velocity(res.final, n)
     ell0 = np.ones(2)
     vr, vd = float(ren.v @ ell0), float(direct.v @ ell0)
     hw_r = float(np.abs(ren.ci_high - ren.v) @ np.abs(ell0))

@@ -776,7 +776,7 @@ def tilted_box_exit(env: Environment, center: Site, beta: float, L: float,
         return FrontExitEstimate(float("nan"), float("nan"), float("nan"),
                                  0, 0, runs)
     keys = walk_keys(master_seed, runs, salt="tilted_box")
-    res = run_until_batch(env, center, keys, walk_budget, inside=box.contains_batch)
+    res = run_until_batch(env, center, keys, walk_budget, inside=box.region)
     exited = res.status == STATUS_EXITED
     front = exited & box.is_front_batch(res.final)
     n_res = int(exited.sum())

@@ -4,9 +4,10 @@ tilted boxes.
 Sites are tuples of python ints (hashable, exact); bulk math uses numpy.
 Directions are enumerated with the convention that direction i+d is the
 negative of direction i.  The canonical enumeration (+e_1..+e_d then
--e_1..-e_d) is the frame in which environment laws are specified.  The
-membership predicates (:class:`Bounds`, the unit hypercube's region and
-the tilted box) are vectorized over (N, d) arrays of sites.
+-e_1..-e_d) is the frame in which environment laws are specified.  Every
+walk region -- a slab, a splitting level, a box, the unit hypercube and
+the tilted box -- is a :class:`Bounds`, whose membership test is
+vectorized over (N, d) arrays of sites.
 """
 
 from __future__ import annotations
@@ -121,10 +122,6 @@ class UnitHypercube:
         bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
         return np.arange(d) + d * (1 - bits)
 
-    def exit_directions(self, corner_bits: int) -> list[int]:
-        """Canonical 0-based direction indices leading out from a corner."""
-        return self.outward[corner_bits].tolist()
-
 
 def projection_axis(vhat) -> tuple[int, int]:
     """Axis i0 maximizing |vhat . e_i| and the sign making the dot positive.
@@ -159,14 +156,21 @@ class TiltedBox:
         object.__setattr__(self, "i0", i0)
         object.__setattr__(self, "sign", sign)
 
-    def contains_batch(self, Y: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, d) array of sites."""
+    @property
+    def region(self) -> Bounds:
+        """The box as a walk region, all bounds open: -L^beta < t < L along
+        the long axis, t = sign (y - center)_i0, and |q_j| < L^beta across
+        it, q_j = (y - center)_j - (v_j / v_i0) (y - center)_i0.  A diagonal
+        or axis-aligned vhat gives integer forms, decided exactly."""
+        d, i0, width = len(self.center), self.i0, self.L ** self.beta
         v = np.asarray(self.vhat, dtype=float)
-        U = np.asarray(Y, dtype=float) - np.asarray(self.center, dtype=float)
-        t = self.sign * U[:, self.i0]
-        width = self.L ** self.beta
-        q = U - (U[:, self.i0] / v[self.i0])[:, None] * v
-        return (-width < t) & (t < self.L) & (np.abs(q).max(axis=1) < width)
+        A = np.eye(d)
+        A[i0] = -v / v[i0]
+        A[i0, i0] = self.sign
+        c = np.asarray(self.center, dtype=float) @ A
+        lo, hi = c - width, c + width
+        hi[i0] = c[i0] + self.L
+        return Bounds(A, lo, hi, False, False)
 
     def is_front_batch(self, Y: np.ndarray) -> np.ndarray:
         """Front-boundary test for an (N, d) array of exit sites.
@@ -177,7 +181,7 @@ class TiltedBox:
         """
         Y = np.asarray(Y, dtype=float)
         t = self.sign * (Y[:, self.i0] - self.center[self.i0])
-        return ~self.contains_batch(Y) & (t >= self.L)
+        return ~self.region(Y) & (t >= self.L)
 
 
 def rotation_onto_e1(ell) -> np.ndarray:

@@ -17,16 +17,16 @@ the splitting levels and the unit-hypercube Monte Carlo
 corner) all run on :func:`run_until_batch`, and each reads its event
 (front or back side, level crossed, exit time) off the exit site.
 
-For ``UniformDrift``, ``Expl``, ``TrapSym`` and ``TrapTransient`` on the
-whole lattice or a :class:`~rwre.lattice.Bounds` region, the steps are
-taken by the compiled loop in :mod:`rwre._kernel`, one call per stop, with
-step sequences equal to :func:`_step_batch`'s by construction; the kernel
+Every region is a :class:`~rwre.lattice.Bounds`.  For ``UniformDrift``,
+``Expl``, ``TrapSym`` and ``TrapTransient``, the steps are taken by the
+compiled loop in :mod:`rwre._kernel`, one call per stop, with step
+sequences equal to :func:`_step_batch`'s by construction; the kernel
 evaluates the region, compacts, and hands back to numpy any step, or any
-region evaluation, it cannot decide exactly.  Any other region (a plain
-predicate), other laws, hosts without a compiler and recorded runs step
-with numpy.  Both engines validate their batch (keys, start rows,
-dimension, integral lengths and sites, per-walker seeds, the visit-count
-site, a ``Bounds`` region's dimension) before the first step.
+region evaluation, it cannot decide exactly.  Other laws, hosts without a
+compiler and recorded runs step with numpy.  Both engines validate their
+batch (keys, start rows, dimension, integral lengths and sites, per-walker
+seeds, the visit-count site, the region's type and dimension) before the
+first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -149,22 +149,24 @@ class UntilBatchResult:
 
 
 def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
-                    horizon: int, inside,
+                    horizon: int, inside: Bounds,
                     count_visits_to: Site | None = None) -> UntilBatchResult:
     """Run W walks until each leaves the region or exhausts the budget.
 
-    ``inside`` is a :class:`~rwre.lattice.Bounds`, which the compiled loop
-    evaluates, or any vectorized predicate on (N, d) position arrays, whose
-    walks step with numpy; a walk that starts outside the region stops at
-    step 0.  Stopped walks are compacted away so the cost tracks the number
-    of live walks.  ``count_visits_to`` counts time spent at one site of
-    dimension ``env.dim`` (including the start when it matches and lies
-    inside the region).
+    ``inside`` is a :class:`~rwre.lattice.Bounds` of dimension ``env.dim``;
+    a walk that starts outside it stops at step 0.  Stopped walks are
+    compacted away so the cost tracks the number of live walks.
+    ``count_visits_to`` counts time spent at one site of dimension
+    ``env.dim`` (including the start when it matches and lies inside the
+    region).
     """
     if _count(horizon, "horizon") < 1:
         raise ValueError("horizon must be >= 1")
     pos, keys = _batch(env, starts, keys)
-    if isinstance(inside, Bounds) and inside.A.shape[0] != env.dim:
+    if not isinstance(inside, Bounds):
+        raise ValueError("inside must be a lattice.Bounds region, got "
+                         f"{type(inside).__name__}")
+    if inside.A.shape[0] != env.dim:
         raise ValueError(f"region of dimension {inside.A.shape[0]} for "
                          f"walks of dimension {env.dim}")
     if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
@@ -190,13 +192,10 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     final = pos.copy()
     steps_taken = np.zeros(W, dtype=np.int64)
     visits = np.zeros(W, dtype=np.int64) if target is not None else None
-    # The kernel decides only the whole lattice and a Bounds region exactly;
-    # any other predicate steps with numpy throughout.  Recorded runs step
-    # with numpy for now: with the kernel, the benchmark's ballistic_cli pass
-    # (rwre regen) ends within one interval of its host-speed sampler, which
-    # then has nothing to rescale the pass by.
-    plan = (_kernel.plan(env) if rec is None
-            and (inside is None or isinstance(inside, Bounds)) else None)
+    # Recorded runs step with numpy for now: with the kernel, the benchmark's
+    # ballistic_cli pass (rwre regen) ends within one interval of its
+    # host-speed sampler, which then has nothing to rescale the pass by.
+    plan = _kernel.plan(env) if rec is None else None
     loop = (_kernel.Until(plan, inside, STATUS_EXITED, status, final,
                           steps_taken, visits, target)
             if plan is not None else None)

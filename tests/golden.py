@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of the fixed-seed artifacts.
 
 The digests pin the bytes of the 13 seed-42 acceptance ``run1/`` files and
-of three small fixed-seed CLI outputs (``CLI_RUNS``).  They live in
+of the small fixed-seed CLI outputs of ``CLI_RUNS``.  They live in
 ``golden_digests.json`` under a platform key, (machine, numpy, scipy),
 because those decide the floating-point results; each entry lists the
 numpy SIMD signatures on which its digests were verified.  A platform with
@@ -39,6 +39,12 @@ CLI_RUNS = {
     "criterion_ktilde1.json": ["criteria", "--criterion", "ktilde1", "--law", "expl",
                                "--d", "2", "--eps", "0.2", "--seed", "7",
                                "--replicates", "2000"],
+    # also writes walk.csv.traj.csv
+    "walk.csv": ["walk", "--law", "expl", "--d", "2", "--eps", "0.2", "--seed", "7",
+                 "--steps", "200", "--walks", "5", "--dump-trajectory"],
+    # also writes regen.csv.velocity.json
+    "regen.csv": ["regen", "--law", "expl", "--d", "2", "--eps", "0.2", "--seed", "7",
+                  "--steps", "10000", "--walks", "2"],
 }
 
 

@@ -2,7 +2,7 @@
 
 The driver runs all criteria twice into run1/run2 (the second pass backs
 the byte-identity determinism criterion), so this module is the slow part
-of the test suite (several minutes).  One PASS/FAIL line is printed per
+of the test suite (about 37 s on a 2-vCPU AMD EPYC host).  One PASS/FAIL line is printed per
 criterion.
 """
 

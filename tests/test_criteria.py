@@ -515,6 +515,14 @@ def test_tilted_box_exit_matches_independent_oracle():
     assert est.p_hat < 1.0
 
 
+def test_tilted_box_exit_counts_of_the_diagonal_demo_box():
+    # demo 06's call: a diagonal box of width 12^0.6 around the Expl drift
+    env = Environment(Expl(2, 0.2), 21)
+    s = 1 / np.sqrt(2)
+    est = cr.tilted_box_exit(env, (0, 0), 0.6, 12.0, (s, s), 20_000, 3000, 13)
+    assert (est.n_front, est.n_other, est.n_censored) == (423, 2577, 0)
+
+
 def test_tilted_box_exit_validates_L():
     env = Environment(UniformDrift(2), 1)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               ellipticity_profile, normalize_rows,
                               sample_expl_T, sample_trap_T,
                               transitions_for_seeds)
+from rwre.lattice import Bounds
 
 ALL_LAWS = [UniformDrift(2, 0.3), Expl(2, 0.25), TrapSym(2), TrapTransient(1),
             Dirichlet((1.0, 2.0, 0.5, 1.5)), TableMixture(((0.3, (0.7, 0.1, 0.1, 0.1)),
@@ -207,10 +208,7 @@ def test_walker_batch_steps_match_single_walks():
     seeds = rng.derive_keys(6, "walkers", n=W)
     keys = walk.walk_keys(7, W)
     start = np.zeros(2, dtype=np.int64)
-
-    def inside(X):
-        return np.abs(X).max(axis=1) < 3
-
+    inside = Bounds(np.eye(2), [-3, -3], [3, 3], False, False)
     for law in ALL_LAWS:
         env = Environment(law, seeds)
         fixed = walk.run_fixed_batch(env, start, n, keys, record_steps=True)

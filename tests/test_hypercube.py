@@ -92,7 +92,7 @@ def test_degenerate_environment_raises(solve):
     # hand-built corner transitions with zero exit mass everywhere
     trans = np.zeros((4, 4))
     for j in range(4):
-        inward = [k for k in range(4) if k not in CUBE2.exit_directions(j)]
+        inward = [k for k in range(4) if k not in CUBE2.outward[j]]
         trans[j, inward] = 0.5
     with pytest.raises(hc.DegenerateEnvironmentError):
         solve(trans)

@@ -5,6 +5,7 @@ import numpy as np
 
 from rwre import regeneration as rg, rng, stats, walk
 from rwre.environment import Environment, Expl, TrapTransient, UniformDrift
+from rwre.lattice import UnitHypercube
 
 
 def _inter_times(law, master, walks, nsteps, ell):
@@ -69,12 +70,8 @@ def test_trap_tail_dominates_regeneration_tail():
                            for i in range(30_000)], dtype=np.uint64)
         env2 = Environment(law, seeds2)
         k2 = walk.walk_keys(master + 2 + ci, 30_000)
-
-        def inside(X):
-            return np.all((X >= 0) & (X <= 1), axis=1)
-
         r2 = walk.run_until_batch(env2, np.asarray(corner, dtype=np.int64),
-                                  k2, budget, inside=inside)
+                                  k2, budget, inside=UnitHypercube((0, 0)).region)
         surv_exit[corner] = r2.steps_taken
     grid = [4, 16, 64]
     ratios = []

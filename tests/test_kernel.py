@@ -26,25 +26,20 @@ for _d in (2, 3):   # Expl rejects d = 1; see below
     LAWS += [Expl(_d, 1 / (2 * _d + 1)), Expl(_d, 0.5), Expl(_d, 2 * _d / (2 * _d + 1))]
 
 
-def _inside(X):
-    return np.abs(X).max(axis=1) < 3
+def _box(dim):
+    """The open box |x_i| < 3 around the origin."""
+    return lattice.Bounds(np.eye(dim), [-3] * dim, [3] * dim, False, False)
 
 
 def _runs(env, W, n=150):
-    """Both engines: every step checkpointed, one long segment, a stopping
-    run with compaction and visit counts on a plain predicate, and compiled
-    stopping runs on a float and an integer region."""
+    """Both engines: every step checkpointed, one long segment, and
+    stopping runs with compaction and visit counts on an integer box, a
+    float slab and a cube."""
     keys = walk.walk_keys(9, W)
     start = np.zeros(env.dim, dtype=np.int64)
-    target = np.eye(1, env.dim, dtype=np.int64)
-
-    def region(X):      # the box minus one target site next to the start
-        return _inside(X) & ~np.all(X == target, axis=1)
-
     return (walk.run_fixed_batch(env, start, n, keys, checkpoints=range(1, n + 1)),
             walk.run_fixed_batch(env, start, n, keys),
-            walk.run_until_batch(env, start, keys, n, region,
-                                 count_visits_to=tuple(start.tolist())),
+            _until(env, _box(env.dim), start, keys, n),
             *(_until(env, bounds, at, keys, n) for name, bounds, at in _regions(env.dim)
               if name in ("slab", "cube")))
 
@@ -100,7 +95,7 @@ def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
                 ours = _runs(env, W)
             assert len(set(ours[2].steps_taken.tolist())) > 1 or W == 1
             _assert_same(ours, reference)
-            assert len(plans) == 4      # the plain predicate steps with numpy
+            assert len(plans) == 5
             slots = W if per_walker else 1
             per_slot = entries or (_kernel.TABLE_PER_WALKER if per_walker
                                    else _kernel.TABLE_SHARED)
@@ -126,7 +121,7 @@ def test_invalid_rows_raise_like_numpy(monkeypatch):
         def go():
             if fixed:
                 return walk.run_fixed_batch(env, np.zeros(1), 10, keys)
-            return walk.run_until_batch(env, np.zeros(1), keys, 10, _inside)
+            return walk.run_until_batch(env, np.zeros(1), keys, 10, _box(1))
         with pytest.raises(ValueError, match="invalid transition vector"):
             go()
         with monkeypatch.context() as m:
@@ -240,6 +235,13 @@ def _until(env, region, start, keys, n=150):
                                 count_visits_to=tuple(start.tolist()))
 
 
+def _numpy_until(monkeypatch, env, region, start, keys):
+    """``_until`` stepped with numpy alone."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "plan", lambda env: None)
+        return _until(env, region, start, keys)
+
+
 def _assert_same_until(a, b, what):
     for field in ("status", "final", "steps_taken", "visits"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), (what, field)
@@ -249,9 +251,9 @@ def _assert_same_until(a, b, what):
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 @pytest.mark.parametrize("law", LAWS, ids=repr)
 def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
-    # the same region as a Bounds runs in one kernel call unless numpy must
-    # take a step or a region evaluation, and as a plain callable steps with
-    # numpy alone, without a kernel call; a fixed run takes one call per stop
+    # a region runs in one kernel call unless numpy must take a step or a
+    # region evaluation, and equals numpy's run; a fixed run takes one call
+    # per stop
     for W in (1, 7, 200):
         env = Environment(law, rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
         keys = walk.walk_keys(9, W)
@@ -265,10 +267,7 @@ def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
                 assert len(calls) <= 1 + len(steps) + len(regions), name
             else:
                 assert len(calls) == 1, name
-            with monkeypatch.context() as m:
-                calls = _counting(m, _kernel.Until, "__call__")
-                theirs = _until(env, lambda X: region(X), start, keys)
-            assert not calls, name
+            theirs = _numpy_until(monkeypatch, env, region, start, keys)
             _assert_same_until(ours, theirs, (name, W))
             assert W < 200 or len(set(ours.steps_taken.tolist())) > 1, name
         with monkeypatch.context() as m:
@@ -301,7 +300,7 @@ def test_compiled_regions_resume_identically_after_hand_backs(
         env = Environment(law, rng.derive_keys(4, "walkers", n=W))
         keys = walk.walk_keys(5, W)
         for name, region, start in _regions(env.dim):
-            reference = _until(env, lambda X: region(X), start, keys)
+            reference = _numpy_until(monkeypatch, env, region, start, keys)
             with monkeypatch.context() as m:
                 m.setattr(_kernel, "GUARD_MARGIN", guard)
                 m.setattr(_kernel, "REGION_MARGIN", region_margin)
@@ -351,6 +350,27 @@ def test_region_hand_backs_are_rare(monkeypatch):
                        level_width=0.7)
     assert sum(walker_steps) > 10 ** 5
     assert len(regions) < 1e-3 * sum(walker_steps)
+
+
+@needs_gcc
+def test_walker_ids_beyond_the_field_seeds_raise():
+    # a run of 5 walkers on a per-walker field of 3 seeds refuses walker 4,
+    # which has no seed; on a shared field walker 4 walks
+    def run(seeds, walkers):
+        plan = _kernel.plan(Environment(TrapSym(2), seeds))
+        n = 5
+        loop = _kernel.Until(plan, None, walk.STATUS_EXITED, np.zeros(n, np.uint8),
+                             np.zeros((n, 2), np.int64), np.zeros(n, np.int64),
+                             None, None)
+        pos = np.zeros((len(walkers), 2), dtype=np.int64)
+        keys = walk.walk_keys(1, len(walkers))
+        return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, True, 10)
+
+    seeds = rng.derive_keys(2, "walkers", n=3)
+    assert run(seeds, [0, 2]) == (2, 10, True)
+    assert run(5, [0, 4]) == (2, 10, True)
+    with pytest.raises(IndexError, match="walker index"):
+        run(seeds, [0, 4])
 
 
 def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):

@@ -14,7 +14,7 @@ def test_unit_hypercube_structure():
         assert np.max(np.abs(np.array(c) - anchor)) <= 1
     j = cube.corner_index((1, 0, 1))
     assert j == 0b101
-    assert sorted(cube.exit_directions(j)) == sorted([0, 3 + 1, 2])
+    assert sorted(cube.outward[j]) == sorted([0, 3 + 1, 2])
     # the region: corners inside; exterior neighbours, negative offsets and
     # far sites outside
     for d in (1, 2, 3):
@@ -37,7 +37,7 @@ def test_boundary_partition_by_corner():
         corners = set(cube.corners)
         sv = lat.step_vectors(d)
         exits = [tuple(int(c) for c in np.add(x, sv[k])) for x in cube.corners
-                 for k in cube.exit_directions(cube.corner_index(x))]
+                 for k in cube.outward[cube.corner_index(x)]]
         outer = {tuple(int(c) for c in np.add(x, s)) for x in corners
                  for s in sv} - corners
         assert len(exits) == len(set(exits)) == d * (1 << d)
@@ -194,8 +194,7 @@ def test_tilted_box_axis_bounds_exact():
     box = lat.TiltedBox((0, 0), beta=0.5, L=9.0, vhat=(1.0, 0.0))
     # width L^beta = 3, all bounds open
     sites = np.array([(8, 0), (9, 0), (-3, 0), (-2, 0), (0, 2), (0, 3)])
-    assert box.contains_batch(sites).tolist() == [True, False, False, True,
-                                                  True, False]
+    assert box.region(sites).tolist() == [True, False, False, True, True, False]
     exits = np.array([(9, 1), (-4, 0), (0, 3)])
     assert box.is_front_batch(exits).tolist() == [True, False, False]
 
@@ -212,10 +211,55 @@ def test_tilted_box_elem_geom_property():
         x1 = tuple(int(c) for c in rs.randint(-5, 5, size=d))
         box = lat.TiltedBox(x1, beta, L, tuple(v))
         x2 = tuple(int(c) for c in np.array(x1) + rs.randint(-int(L), int(L), size=d))
-        inside = box.contains_batch(np.array([x2]))[0]
+        inside = box.region(np.array([x2]))[0]
         if inside and np.dot(np.array(x1) - np.array(x2), v) >= 0:
             bound = (1 + np.sqrt(d)) * L ** beta
             assert np.max(np.abs(np.array(x1) - np.array(x2))) <= bound + 1e-9
+
+
+def tilted_box_contains(box):
+    """The box's membership as a formula of the offset from the center."""
+    def inside(Y):
+        v = np.asarray(box.vhat, dtype=float)
+        U = np.asarray(Y, dtype=float) - np.asarray(box.center, dtype=float)
+        t = box.sign * U[:, box.i0]
+        q = U - (U[:, box.i0] / v[box.i0])[:, None] * v
+        width = box.L ** box.beta
+        return (-width < t) & (t < box.L) & (np.abs(q).max(axis=1) < width)
+    return inside
+
+
+def test_tilted_box_region_equals_the_offset_formula():
+    # every site of the boxes' neighbourhoods, except those whose transverse
+    # offset lies within rounding of the width, where the formula's answer
+    # depends on its own order of operations; diagonal and axis-aligned
+    # boxes have integer forms, so their region is exact everywhere
+    rs = np.random.RandomState(6)
+    for k in range(60):
+        d = 2 + k % 2
+        v = (rs.standard_normal(d) if k % 3 else
+             rs.choice([-1.0, 0.0, 1.0], size=d) if k % 2 else np.ones(d))
+        if not v.any():
+            v[0] = 1.0
+        v = v / np.linalg.norm(v)
+        box = lat.TiltedBox(tuple(int(c) for c in rs.randint(-5, 6, size=d)),
+                            rs.uniform(0.3, 0.9), rs.uniform(2.0, 12.0), tuple(v))
+        span = np.arange(-16, 17)
+        Y = (np.stack(np.meshgrid(*[span] * d, indexing="ij"), -1).reshape(-1, d)
+             + np.asarray(box.center))
+        got, want = box.region(Y), tilted_box_contains(box)(Y)
+        U = Y - np.asarray(box.center)
+        q = U - (U[:, box.i0] / v[box.i0])[:, None] * v
+        edge = np.abs(np.abs(q).max(axis=1) - box.L ** box.beta) < 1e-9
+        assert np.array_equal(got[~edge], want[~edge]), box
+        assert got.any() and not got.all()
+        r = v / v[box.i0]
+        if np.array_equal(r, np.round(r)):      # integer forms: exact offsets
+            t = box.sign * U[:, box.i0]
+            q = U - U[:, [box.i0]] * r.astype(np.int64)
+            width = box.L ** box.beta
+            exact = (-width < t) & (t < box.L) & (np.abs(q).max(axis=1) < width)
+            assert np.array_equal(got, exact), box
 
 
 def test_tilted_box_rejects_bad_params():

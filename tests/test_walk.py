@@ -16,16 +16,15 @@ def _at(*targets):
     return lambda X: (X[:, None, :] == T[None, :, :]).all(axis=2).any(axis=1)
 
 
-def _off(*targets):
-    """The region Z^d minus a target set: a walk stops on reaching it."""
-    at = _at(*targets)
-    return lambda X: ~at(X)
+def _below(a, d=2):
+    """The half-space x_1 < a of Z^d: a walk stops on reaching x_1 = a."""
+    return Bounds(np.eye(d)[0], -np.inf, a, False, False)
 
 
 def test_deterministic_drift_hits_target():
     env = Environment(FORWARD, 0)
     res = walk.run_until_batch(env, np.array([0, 0]), walk.walk_keys(7, 1), 100,
-                               _off((5, 0)))
+                               _below(5))
     assert res.status[0] == walk.STATUS_EXITED and res.steps_taken[0] == 5
     assert res.final[0].tolist() == [5, 0]
     fixed = walk.run_fixed_batch(env, np.array([0, 0]), 5, walk.walk_keys(7, 1),
@@ -46,8 +45,8 @@ def test_horizon_validation_and_budget():
     env = Environment(FORWARD, 0)
     keys = walk.walk_keys(7, 1)
     with pytest.raises(ValueError):
-        walk.run_until_batch(env, np.array([0, 0]), keys, 0, _off((1, 0)))
-    res = walk.run_until_batch(env, np.array([0, 0]), keys, 1, _off((9, 9)))
+        walk.run_until_batch(env, np.array([0, 0]), keys, 0, _below(1))
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 1, _below(9))
     assert res.status[0] == walk.STATUS_BUDGET and res.steps_taken[0] == 1
     assert res.censored() == 1
 
@@ -56,7 +55,7 @@ _ENV = Environment(Expl(2, 0.3), 1)
 _KEYS = walk.walk_keys(1, 4)
 
 
-_FAR = _off((9, 9))
+_FAR = _below(9)
 _DIRICHLET = Environment(Dirichlet((1.0,) * 4), 1)     # steps with numpy
 
 
@@ -88,11 +87,13 @@ _DIRICHLET = Environment(Dirichlet((1.0,) * 4), 1)     # steps with numpy
      "starts must have integer coordinates"),
     (_ENV, np.zeros(2), _KEYS, 50, (0.5, 0), _FAR,
      r"count_visits_to must have integer coordinates, got \(0.5, 0\)"),
+    (_ENV, np.zeros(2), _KEYS, 50, None, lambda X: _FAR(X),
+     "inside must be a lattice.Bounds region, got function"),  # the same region
 ], ids=["keys_vs_starts", "keys_2d", "dimension", "per_walker_seeds", "nsteps",
         "visit_site_dimension", "visit_site_shape", "region_dimension",
         "fractional_nsteps", "fractional_nsteps_numpy", "fractional_horizon_bounds",
         "float_nsteps", "fractional_starts", "infinite_starts",
-        "fractional_visit_site"])
+        "fractional_visit_site", "plain_callable"])
 def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, region,
                                           match):
     if visit is None and region is _FAR:   # run_fixed_batch takes neither
@@ -128,22 +129,15 @@ def test_checkpoints_before_the_first_step_are_rejected():
 
 def test_exit_time_zero_when_starting_outside():
     env = Environment(FORWARD, 0)
-
-    def square(X):
-        return np.all((X >= 0) & (X <= 1), axis=1)
-
     res = walk.run_until_batch(env, np.array([5, 5]), walk.walk_keys(3, 1), 10,
-                               inside=square)
+                               inside=UnitHypercube((0, 0)).region)
     assert res.status[0] == walk.STATUS_EXITED and res.steps_taken[0] == 0
     assert res.final[0].tolist() == [5, 5]
 
 
 def test_uniform_square_mean_exit_is_two():
     env = Environment(UniformDrift(2), 42)
-
-    def inside(X):
-        return np.all((X >= 0) & (X <= 1), axis=1)
-
+    inside = UnitHypercube((0, 0)).region
     keys = walk.walk_keys(3, 20_000)
     res = walk.run_until_batch(env, np.array([0, 0]), keys, 1000, inside=inside)
     assert res.censored() == 0
@@ -159,19 +153,19 @@ def test_uniform_square_mean_exit_is_two():
 
 
 def test_first_of_stops_at_earliest_condition():
-    # a region cut by a target set and a half-plane: the walk stops at
-    # whichever of the two it meets first
+    # a region cut by two half-planes, x_1 + x_2 < a and x_1 < b: the walk
+    # stops at whichever of the two it meets first
     env = Environment(FORWARD, 0)
     keys = walk.walk_keys(1, 1)
 
-    def region(target, front):
-        off = _off(target)
-        return lambda X: off(X) & (X[:, 0] < front)
+    def region(a, b):
+        return Bounds(np.array([[1.0, 1.0], [1.0, 0.0]]), [-np.inf] * 2, [a, b],
+                      False, False)
 
-    res = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region((2, 0), 7))
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region(2, 7))
     assert res.status[0] == walk.STATUS_EXITED and res.final[0].tolist() == [2, 0]
     assert res.steps_taken[0] == 2
-    res2 = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region((99, 0), 3))
+    res2 = walk.run_until_batch(env, np.array([0, 0]), keys, 50, region(99, 3))
     assert res2.status[0] == walk.STATUS_EXITED and res2.final[0].tolist() == [3, 0]
     assert res2.steps_taken[0] == 3
 
@@ -212,12 +206,15 @@ def test_hit_before_return_matches_exact_escape():
     assert qt == pytest.approx(6.0 / 7.0, abs=1e-12)
     sv = step_vectors(2)
     exterior = [tuple(np.add(c, sv[k])) for c in cube.corners
-                for k in cube.exit_directions(cube.corner_index(c))]
+                for k in cube.outward[cube.corner_index(c)]]
     # the walk stops on an exterior neighbour or on its return to the
-    # origin; a stop away from the origin is an escape
-    off = _off(*exterior)
+    # origin, the cube's corners off the origin being the closed region
+    # 0 <= x_1, x_2 <= 1 <= x_1 + x_2 <= 2; a stop away from the origin is
+    # an escape
+    region = Bounds(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), [0, 0, 1],
+                    [1, 1, 2], True, True)
     res = walk.run_until_batch(env, np.array([1, 0]), walk.walk_keys(23, 40_000),
-                               2000, lambda X: off(X) & np.any(X != 0, axis=1))
+                               2000, region)
     assert res.censored() == 0
     assert np.all(res.status == walk.STATUS_EXITED)
     escaped = _at(*exterior)(res.final)
@@ -228,11 +225,12 @@ def test_hit_before_return_matches_exact_escape():
 
 
 def test_hit_before_return_unreachable_target():
-    # on Z, the target -2 lies behind the forbidden site -1: every resolved
-    # walk stops at -1 first and none ever stops at the target
+    # on Z, the target -2 lies behind the forbidden site -1 of the region
+    # x > -1: every resolved walk stops at -1 first and none ever stops at
+    # the target
     env = Environment(TableMixture(((1.0, (0.5, 0.5)),)), 3)
     res = walk.run_until_batch(env, np.array([0]), walk.walk_keys(9, 2000), 5000,
-                               _off((-2,), (-1,)))
+                               Bounds(np.ones(1), -1.0, np.inf, False, False))
     assert not np.any(res.final[:, 0] == -2)
     exited = res.status == walk.STATUS_EXITED
     assert exited.sum() > 1900 and np.all(res.final[exited, 0] == -1)
@@ -242,12 +240,8 @@ def test_mc_exit_matches_exact_mean_exit():
     env = Environment(Expl(2, 0.25), 91)
     cube = UnitHypercube((0, 0))
     ana = analyze(env, cube, 2)
-
-    def inside(X):
-        return np.all((X >= 0) & (X <= 1), axis=1)
-
     keys = walk.walk_keys(77, 40_000)
-    res = walk.run_until_batch(env, np.array([0, 0]), keys, 5000, inside=inside)
+    res = walk.run_until_batch(env, np.array([0, 0]), keys, 5000, inside=cube.region)
     want = ana.mean_exit[0, 0]
     var = ana.moments[0, 2, 0] - want ** 2
     assert abs(res.steps_taken.mean() - want) < 4 * np.sqrt(var / len(keys))
