@@ -32,7 +32,7 @@ from .environment import Environment, transitions_for_seeds
 from .hypercube import escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
-from .walk import STATUS_EXITED, _sites, run_until_batch, walk_keys
+from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
 
 
 class MeasurabilityViolation(RuntimeError):
@@ -212,8 +212,16 @@ class EprimePolicy:
         meta["event_index"] = self._event_index(view, view.env.dim) + 1  # 1-based
 
 
+def _require_one_field(env: Environment, what: str) -> None:
+    """ValueError unless ``env`` is one quenched field: a hypercube and its
+    path bundle live in one environment, not in per-walker fields."""
+    if np.ndim(env.master_seed):
+        raise ValueError(f"{what} needs one field, not per-walker seeds")
+
+
 def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
     """Drive a policy through the four discovery rules, recording reads."""
+    _require_one_field(env, "discover")
     d = env.dim
     origin = (0,) * d
     view = RecordingView(env)
@@ -274,36 +282,38 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     to the origin, exact solve), then walks outward, at every step taking
     the highest-probability direction that leaves the translated cube in
     which the current site plays the same corner role.  Ties break to the
-    smallest direction index.
+    smallest direction index.  The 2^d paths step together, one field read
+    of all current sites per step.
     """
+    n = _count(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
+    _require_one_field(env, "paths")
     d = env.dim
     corners = np.asarray(mmh.cube.corners, dtype=np.int64)
     rho, qtilde_row = escape_site_probs(env.transitions_batch(corners),
                                         mmh.origin_corner())
     sv = step_vectors(d)
     outward = np.sort(mmh.cube.outward, axis=1)     # smallest index first
-    records = []
-    for j, (corner, exit_dirs) in enumerate(zip(corners, outward)):
-        probs = rho[j, exit_dirs % d]
-        best = int(np.argmax(probs))                 # first max: smallest index
-        y1 = corner + sv[exit_dirs[best]]
-        sites = np.empty((n, d), dtype=np.int64)
-        sites[0] = y1
-        cur = y1.copy()
-        prod_q = 1.0
-        for i in range(1, n):
-            p = env.transitions_at(tuple(int(c) for c in cur))
-            vals = p[exit_dirs]
-            bi = int(np.argmax(vals))
-            prod_q *= float(vals[bi])
-            cur = cur + sv[exit_dirs[bi]]
-            sites[i] = cur
-        pi = float(probs[best]) * prod_q
-        records.append(PathRecord(j, tuple(int(c) for c in y1), sites, pi,
-                                  float(probs[best]), float(qtilde_row[j]),
-                                  prod_q))
+    rows = np.arange(len(corners))
+    probs = np.take_along_axis(rho, outward % d, axis=1)
+    best = np.argmax(probs, axis=1)                 # first max: smallest index
+    rho_y1 = probs[rows, best]
+    cur = corners + sv[outward[rows, best]]
+    sites = np.empty((len(corners), n, d), dtype=np.int64)
+    sites[:, 0] = cur
+    prod_q = np.ones(len(corners))
+    for i in range(1, n):
+        vals = np.take_along_axis(env.transitions_batch(cur), outward, axis=1)
+        bi = np.argmax(vals, axis=1)
+        prod_q = prod_q * vals[rows, bi]
+        cur = cur + sv[outward[rows, bi]]
+        sites[:, i] = cur
+    pi = rho_y1 * prod_q
+    records = [PathRecord(j, tuple(int(c) for c in sites[j, 0]), sites[j],
+                          float(pi[j]), float(rho_y1[j]), float(qtilde_row[j]),
+                          float(prod_q[j]))
+               for j in range(len(corners))]
     _assert_bundle_invariants(records, d, n)
     return PathBundle(mmh, n, records)
 

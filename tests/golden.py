@@ -34,17 +34,32 @@ ACCEPTANCE_SEED = 42
 CLI_RUNS = {
     "paths.csv": ["paths", "--law", "expl", "--d", "2", "--eps", "0.2",
                   "--seed", "7", "--replicates", "50"],
+    # d = 3: eight corner paths per bundle
+    "paths_d3.csv": ["paths", "--law", "expl", "--d", "3", "--eps", "0.2",
+                     "--seed", "7", "--replicates", "30", "--n", "7"],
     "hypercube.csv": ["hypercube", "--law", "trap_sym", "--d", "2", "--seed", "7",
                       "--replicates", "200", "--moments", "3"],
     "criterion_ktilde1.json": ["criteria", "--criterion", "ktilde1", "--law", "expl",
                                "--d", "2", "--eps", "0.2", "--seed", "7",
                                "--replicates", "2000"],
+    "criterion_slab.json": ["criteria", "--criterion", "slab", "--law", "expl",
+                            "--d", "2", "--eps", "0.2", "--seed", "7"],
+    # with the config of CLI_CONFIGS
+    "criterion_slab_direct.json": ["criteria", "--criterion", "slab", "--law", "expl",
+                                   "--d", "2", "--eps", "0.2", "--seed", "7"],
+    "criterion_pm.json": ["criteria", "--criterion", "pm", "--law", "uniform",
+                          "--d", "2", "--seed", "7", "--replicates", "500"],
     # also writes walk.csv.traj.csv
     "walk.csv": ["walk", "--law", "expl", "--d", "2", "--eps", "0.2", "--seed", "7",
                  "--steps", "200", "--walks", "5", "--dump-trajectory"],
     # also writes regen.csv.velocity.json
     "regen.csv": ["regen", "--law", "expl", "--d", "2", "--eps", "0.2", "--seed", "7",
                   "--steps", "10000", "--walks", "2"],
+}
+
+# output file name -> JSON config passed with --config (no flag sets these)
+CLI_CONFIGS = {
+    "criterion_slab_direct.json": {"estimator": "direct", "L_grid": [2, 4, 6]},
 }
 
 
@@ -76,10 +91,15 @@ def run_cli(outdir) -> dict[str, str]:
     from rwre import cli
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, args in CLI_RUNS.items():
-        code = cli.main(args + ["--out", str(outdir / name)])
-        if code != cli.EXIT_OK:
-            raise RuntimeError(f"rwre {' '.join(args)} exited with {code}")
+    with tempfile.TemporaryDirectory() as cfgdir:
+        for name, args in CLI_RUNS.items():
+            if name in CLI_CONFIGS:
+                cfg = pathlib.Path(cfgdir) / f"{name}.config.json"
+                cfg.write_text(json.dumps(CLI_CONFIGS[name]), encoding="utf-8")
+                args = args + ["--config", str(cfg)]
+            code = cli.main(args + ["--out", str(outdir / name)])
+            if code != cli.EXIT_OK:
+                raise RuntimeError(f"rwre {' '.join(args)} exited with {code}")
     return digest_files(outdir)
 
 

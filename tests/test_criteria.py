@@ -5,8 +5,9 @@ import pytest
 
 from rwre import cli, criteria as cr, hypercube as hc, rng
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
-                              TrapSym, UniformDrift)
-from rwre.lattice import UnitHypercube
+                              TrapSym, TrapTransient, UniformDrift)
+from rwre.hypercube import escape_site_probs
+from rwre.lattice import UnitHypercube, step_vectors
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -159,6 +160,95 @@ def test_mark_sum_trivial_cases():
 
 # --- path bundles ---------------------------------------------------------------
 
+def paths_reference(env, mmh, n):
+    """The escape path bundle with each corner's path walked alone, one
+    single-site field read per step: the oracle of the lockstep paths."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    d = env.dim
+    corners = np.asarray(mmh.cube.corners, dtype=np.int64)
+    rho, qtilde_row = escape_site_probs(env.transitions_batch(corners),
+                                        mmh.origin_corner())
+    sv = step_vectors(d)
+    outward = np.sort(mmh.cube.outward, axis=1)     # smallest index first
+    records = []
+    for j, (corner, exit_dirs) in enumerate(zip(corners, outward)):
+        probs = rho[j, exit_dirs % d]
+        best = int(np.argmax(probs))                 # first max: smallest index
+        y1 = corner + sv[exit_dirs[best]]
+        sites = np.empty((n, d), dtype=np.int64)
+        sites[0] = y1
+        cur = y1.copy()
+        prod_q = 1.0
+        for i in range(1, n):
+            p = env.transitions_at(tuple(int(c) for c in cur))
+            vals = p[exit_dirs]
+            bi = int(np.argmax(vals))
+            prod_q *= float(vals[bi])
+            cur = cur + sv[exit_dirs[bi]]
+            sites[i] = cur
+        pi = float(probs[best]) * prod_q
+        records.append(cr.PathRecord(j, tuple(int(c) for c in y1), sites, pi,
+                                     float(probs[best]), float(qtilde_row[j]),
+                                     prod_q))
+    cr._assert_bundle_invariants(records, d, n)
+    return cr.PathBundle(mmh, n, records)
+
+
+LOCKSTEP_LAWS = [UniformDrift(1), UniformDrift(2), UniformDrift(3), Expl(2, 0.2),
+                 Expl(3, 0.2), TrapSym(2), TrapTransient(3), Dirichlet((1.0,) * 6)]
+
+
+@pytest.mark.parametrize("law", LOCKSTEP_LAWS, ids=lambda law: law.tag)
+def test_paths_equal_the_per_corner_reference(law):
+    # same sites, argmax ties and float products, bit for bit
+    for seed in (1, 2, 3, 2**40 + 17):
+        env = Environment(law, seed)
+        mmh = cr.discover(env, cr.EprimePolicy())
+        for n in (1, 2, 5, 7):
+            got, want = cr.paths(env, mmh, n), paths_reference(env, mmh, n)
+            assert got.n == want.n and len(got.records) == len(want.records)
+            for g, w in zip(got.records, want.records):
+                assert (g.offset_bits, g.y1) == (w.offset_bits, w.y1)
+                assert g.sites.dtype == w.sites.dtype
+                assert g.sites.shape == w.sites.shape == (n, law.dim)
+                assert g.sites.tobytes() == w.sites.tobytes()
+                assert (g.pi, g.rho_y1, g.qtilde, g.prod_q) == \
+                    (w.pi, w.rho_y1, w.qtilde, w.prod_q)
+
+
+def test_paths_read_the_field_once_per_step(monkeypatch):
+    env = Environment(Expl(3, 0.2), 5)
+    mmh = cr.discover(env, cr.EprimePolicy())
+    rows = []
+    batch = Environment.transitions_batch
+
+    def counting(self, X, idx=None):
+        rows.append(len(X))
+        return batch(self, X, idx)
+
+    def refuse(self, x):
+        raise AssertionError("paths read a single site")
+
+    monkeypatch.setattr(Environment, "transitions_batch", counting)
+    monkeypatch.setattr(Environment, "transitions_at", refuse)
+    for n in (1, 2, 5, 7):
+        rows.clear()
+        cr.paths(env, mmh, n)
+        assert rows == [8] * n      # the corners, then n - 1 lockstep steps
+
+
+def test_paths_and_discover_reject_per_walker_fields():
+    # a bundle lives in one quenched field; per-walker seeds would read
+    # corner j from walker j's field
+    env = Environment(Expl(2, 0.2), np.arange(1, 9, dtype=np.uint64))
+    with pytest.raises(ValueError, match="per-walker"):
+        cr.discover(env, cr.EprimePolicy())
+    mmh = cr.discover(Environment(Expl(2, 0.2), 1), cr.EprimePolicy())
+    with pytest.raises(ValueError, match="per-walker"):
+        cr.paths(env, mmh, 3)
+
+
 def test_paths_deterministic_drift():
     env = Environment(FORWARD, 1)
     mmh = cr.discover(env, cr.EprimePolicy(delta=0.5))
@@ -185,8 +275,9 @@ def test_paths_uniform_law_bound_and_disjointness():
 def test_paths_rejects_bad_n():
     env = Environment(UniformDrift(2), 6)
     mmh = cr.discover(env, cr.EprimePolicy())
-    with pytest.raises(ValueError):
-        cr.paths(env, mmh, 0)
+    for n in (0, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError):
+            cr.paths(env, mmh, n)
 
 
 def test_paths_solves_without_the_full_cube_analysis(monkeypatch):
