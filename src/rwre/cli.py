@@ -1,4 +1,4 @@
-"""Experiment runner: config-driven subcommands and the acceptance driver.
+"""Experiment runner: config-driven subcommands.
 
 Subcommands: walk, regen, hypercube, criteria, paths, acceptance.
 Configuration is a JSON tree (see ``--config``); every flag overrides the
@@ -229,19 +229,14 @@ def cmd_regen(args) -> int:
     nsteps, walks = _param(config, "steps", int), _param(config, "walks", int)
     ell = _regen_ell(config.get("ell", "auto"), law)
     config["ell"] = [float(v) for v in ell]
-    keys = walk.walk_keys(rng.derive_key(seed, "regen_walks"), walks)
-    res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64), nsteps,
-                               keys, record_steps=True)
     params = regeneration.RegenParams(tuple(ell), a=_param(config, "a", float, None))
-    records = [regeneration.extract_from_steps(row, (0,) * law.dim, params, nsteps)
-               for row in res.steps]
+    keys = walk.walk_keys(rng.derive_key(seed, "regen_walks"), walks)
+    records, ren, direct = regeneration.run_regenerations(env, keys, nsteps, params)
     out = config.get("out", "regenerations.csv")
     regeneration.records_to_csv(records, out)
-    ren = regeneration.renewal_velocity(records)
     if not ren.ok:
         print(f"regen: insufficient data ({ren.reason})", file=sys.stderr)
         return EXIT_NODATA
-    direct = regeneration.direct_velocity(res.final, nsteps)
     report = {"renewal_velocity": ren.v, "renewal_ci": [ren.ci_low, ren.ci_high],
               "direct_velocity": direct.v,
               "direct_ci": [direct.ci_low, direct.ci_high],
@@ -333,6 +328,8 @@ def cmd_paths(args) -> int:
     law = _resolve_law(config)
     seed, reps, n = (_param(config, "seed", int), _param(config, "replicates", int),
                      _param(config, "n", int))
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     policy = criteria.EprimePolicy()
     rows = []
     for r in range(reps):

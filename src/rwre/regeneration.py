@@ -198,6 +198,21 @@ def direct_velocity(finals: np.ndarray, nsteps: int) -> VelocityEstimate:
     return VelocityEstimate(True, v, v - 1.96 * se, v + 1.96 * se, V.shape[0])
 
 
+def run_regenerations(env, keys, nsteps: int, params: RegenParams):
+    """One recorded walk of ``nsteps`` from the origin per key: the
+    regeneration records, and the renewal and direct velocity estimates
+    (the direct one is None when the renewal one is not ok, as for no
+    walks or no steps).  ``a`` is checked before the first step."""
+    d = env.dim
+    params.resolved_a(d)
+    res = walk.run_fixed_batch(env, np.zeros(d, dtype=np.int64), nsteps, keys,
+                               record_steps=True)
+    records = [extract_from_steps(row, (0,) * d, params, nsteps)
+               for row in res.steps]
+    ren = renewal_velocity(records)
+    return records, ren, direct_velocity(res.final, nsteps) if ren.ok else None
+
+
 def records_to_csv(records, path) -> None:
     """One row per regeneration: walk id, k, tau_k, position, censored."""
     with open(path, "w", encoding="utf-8") as f:

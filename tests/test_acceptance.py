@@ -1,12 +1,13 @@
 """Acceptance suite: every criterion at its pinned scale and tolerance.
 
-The driver runs all criteria twice into run1/run2 (the second pass backs
-the byte-identity determinism criterion), so this module is the slow part
-of the test suite (about 37 s on a 2-vCPU AMD EPYC host).  One PASS/FAIL line is printed per
-criterion.
+The driver runs all criteria twice into run1/run2, the second pass in a
+fresh interpreter (it backs the byte-identity determinism criterion), so
+this module is the slow part of the test suite (about 26 s on a 2-vCPU
+AMD EPYC host).  One PASS/FAIL line is printed per criterion.
 """
 
 import json
+import os
 
 import pytest
 
@@ -117,3 +118,16 @@ def test_artifacts_carry_version_and_hash(suite):
     summary = json.loads(open(summary_path).read())
     assert summary["all_passed"] is True
     assert len(summary["criteria"]) == 12
+
+
+def test_c12_fails_when_the_second_pass_fails(tmp_path, monkeypatch):
+    # run2 exists as a file, so the child's run_criteria cannot create it
+    monkeypatch.setattr(acceptance, "run_criteria",
+                        lambda seed, outdir: os.makedirs(outdir) or [])
+    (tmp_path / "run2").write_text("not a directory")
+    results, summary_path = acceptance.run_all(MASTER_SEED, str(tmp_path))
+    (c12,) = results
+    assert c12.number == 12 and not c12.passed
+    assert c12.details["exit_code"] == 1
+    assert "FileExistsError" in c12.details["stderr"][-1]
+    assert json.loads(open(summary_path).read())["all_passed"] is False

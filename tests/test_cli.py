@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rwre import cli
+from rwre import cli, criteria, walk
 
 
 def run(argv):
@@ -245,8 +245,19 @@ def test_eprime_probe_keeps_an_integer_exponent(tmp_path):
     assert names[0] == "inv_moment_p(e_1)^1"
 
 
+@pytest.fixture
+def no_walks(monkeypatch):
+    """Fail the test if a walk or a hypercube discovery starts."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the parameters were checked")
+
+    monkeypatch.setattr(walk, "run_fixed_batch", fail)
+    monkeypatch.setattr(criteria, "discover", fail)
+
+
 # A config value of the wrong JSON type is a parameter error for every
-# subcommand that reads it, and nothing is written.
+# subcommand that reads it, found before any walk, and nothing is written.
 WRONG_TYPES = [
     (["walk", "--law", "uniform", "--d", "2"], {"steps": [10]},
      "steps must be an integer"),
@@ -278,7 +289,8 @@ WRONG_TYPES = [
 
 @pytest.mark.parametrize("argv, config, message", WRONG_TYPES,
                          ids=[f"{a[0]}-{next(iter(c))}" for a, c, _ in WRONG_TYPES])
-def test_wrong_json_type_is_parameter_error(tmp_path, capsys, argv, config, message):
+def test_wrong_json_type_is_parameter_error(tmp_path, capsys, no_walks,
+                                            argv, config, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -288,3 +300,15 @@ def test_wrong_json_type_is_parameter_error(tmp_path, capsys, argv, config, mess
     assert code == cli.EXIT_PARAM
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regen", "--law", "expl", "--d", "2", "--eps", "0.2", "--a", "100"],
+     "outside the mandated interval"),
+    (["paths", "--law", "uniform", "--d", "2", "--n", "0"], "n must be >= 1"),
+], ids=["regen-a", "paths-n"])
+def test_out_of_range_parameter_is_found_before_any_walk(tmp_path, capsys, no_walks,
+                                                         argv, message):
+    assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == cli.EXIT_PARAM
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
