@@ -14,6 +14,15 @@ source's SHA-256, and loaded with ``ctypes``.  Without a compiler, or when
 the build or load fails, a warning is issued once and the engines step
 with numpy.
 
+A run of the loop has one state, the C struct ``run_t``: the field (law,
+base keys and site-row table), the region's forms, the walkers' output
+arrays, the two hand-back margins and the loop state (step, live rows and
+whether the region is settled there).  :func:`loop` builds it as a
+:class:`Loop`, which holds its ctypes mirror and the arrays it points to,
+or returns None when numpy must step the environment.  ``rwre_until``
+takes the run and only what changes between calls: the live walkers'
+ids, keys and positions, and the step to stop at.
+
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
 evaluated in numpy's order with its scalar-power fast paths, so they can
@@ -95,6 +104,11 @@ typedef union {
     double v;
 } word_t;
 
+/* The state of one compiled walk run.  Its field: the law, the base keys
+   and the site-row table.  Its stopping region lo < x.a_j < hi (<= where
+   closed) for its m forms a_j (none: the whole lattice).  The outputs of
+   its walkers, indexed by walker.  The hand-back margins, and the loop
+   state {t, rows, settled} that rwre_until resumes from and leaves. */
 typedef struct {
     int32_t law, d, dim, nvars;
     double param;          /* Expl: eps; trap laws: the exponent of U_0 */
@@ -105,7 +119,19 @@ typedef struct {
     int32_t per_walker;
     int32_t bits;          /* log2 of the table's entries per slot */
     word_t *table;         /* site-row table (see row()), or NULL */
-} field_t;
+    int32_t m, lo_closed, hi_closed, exited;
+    const double *forms;    /* m rows of dim coefficients */
+    const double *lo, *hi;
+    const int32_t *exact;   /* 1 where a form's coefficients are integers */
+    int64_t n;              /* walkers of the run */
+    uint8_t *status;
+    int64_t *final, *steps_taken;
+    int64_t *visits;        /* NULL when visits are not counted */
+    const int64_t *target;
+    uint8_t *choice;        /* n bytes: each row's step or region test */
+    double margin, region_margin;
+    int64_t t, rows, settled;
+} run_t;
 
 static inline uint64_t mix64(uint64_t z)
 {
@@ -145,11 +171,11 @@ static inline int max1(int a)
 /* Unnormalized transition vector of one site, evaluated in numpy's order.
    Returns 0 when an entry obtained by a subtraction lies within margin of
    zero, where numpy's sign check could decide otherwise. */
-static int pvec(const field_t *f, const double *U, double *p, double margin)
+static int pvec(const run_t *r, const double *U, double *p, double margin)
 {
-    int d = f->d;
+    int d = r->d;
     int j;
-    switch (f->law) {
+    switch (r->law) {
     case EXPL: {
         double T = (double)(2 * d + 1) * power(U[0], -6.0 * d);
         double invT = 1.0 / T;
@@ -158,8 +184,8 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
         double po, ne;
         if (i0 > 2 * d - 1) i0 = 2 * d - 1;
         pos_has = i0 < d;
-        po = (1.0 - f->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
-        ne = (f->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
+        po = (1.0 - r->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
+        ne = (r->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
         for (j = 0; j < d; j++) {
             p[j] = po;
             p[d + j] = ne;
@@ -170,7 +196,7 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
         return 1;
     }
     case TRAP_SYM: {
-        double T = 0.5 * power(U[0], f->param);
+        double T = 0.5 * power(U[0], r->param);
         double hard = T / (double)d, easy = (1.0 - T) / (double)d;
         for (j = 0; j < d; j++) {
             int plus = U[1 + j] <= 0.5;
@@ -181,7 +207,7 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
     }
     default: { /* TRAP_TRANSIENT on Z^{d+1} */
         int D = d + 1;
-        double T = 0.5 * power(U[0], f->param);
+        double T = 0.5 * power(U[0], r->param);
         double C = (double)d + 3.0 * T;
         double hard = T / C, easy = (1.0 - T) / C;
         for (j = 0; j < d; j++) {
@@ -203,24 +229,24 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
    checks below are stored, so a hit returns the very doubles the
    derivation would.  Kept out of line: inlined into choose(), it slows
    the UniformDrift loop, which never calls it, by 5 %. */
-static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
+static __attribute__((noinline)) int row(const run_t *r, int64_t slot,
                                          const int64_t *x, double *cum,
                                          double margin)
 {
-    int dim = f->dim, K = 2 * dim, j;
+    int dim = r->dim, K = 2 * dim, j;
     double p[MAX_DIRS], U[MAX_DIRS + 1];
     double s = 0.0, acc = 0.0;
-    uint64_t h = f->base[slot];
+    uint64_t h = r->base[slot];
     word_t *e = NULL;
-    if (f->table) {
-        int64_t at = slot << f->bits;
-        if (f->bits) {
+    if (r->table) {
+        int64_t at = slot << r->bits;
+        if (r->bits) {
             uint64_t g = 0;
             for (j = 0; j < dim; j++)
                 g = (g ^ (uint64_t)x[j]) * GOLDEN;
-            at |= (int64_t)(g >> (64 - f->bits));
+            at |= (int64_t)(g >> (64 - r->bits));
         }
-        e = f->table + at * (1 + dim + K);
+        e = r->table + at * (1 + dim + K);
         if (e[0].i) {
             for (j = 0; j < dim && e[1 + j].i == x[j]; j++)
                 ;
@@ -233,14 +259,14 @@ static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
     }
     for (j = 0; j < dim; j++)
         h = fold(h, (uint64_t)x[j]);
-    for (j = 0; j < f->nvars; j++)
+    for (j = 0; j < r->nvars; j++)
         U[j] = uniform(h, j);
-    if (!pvec(f, U, p, margin)) return 0;
+    if (!pvec(r, U, p, margin)) return 0;
     for (j = 0; j < K; j++)
         s += p[j];
     /* these laws' rows sum to 1 within ulps: a row anywhere near
        normalize_rows' bound goes to numpy, which decides it */
-    if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return 0;
+    if (!(fabs(s - 1.0) <= 0.5 * r->sum_tol)) return 0;
     for (j = 0; j < K; j++) {
         acc = j ? acc + p[j] / s : p[j] / s;
         cum[j] = acc;
@@ -257,15 +283,15 @@ static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
 
 /* Step index of a walker (seed slot) at site x with walk uniform u, or -1
    when numpy must take this step. */
-static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
+static int choose(const run_t *r, int64_t slot, const int64_t *x, double u,
                   double margin)
 {
-    int K = 2 * f->dim;
+    int K = 2 * r->dim;
     double cum[MAX_DIRS];
-    const double *c = f->cum;
+    const double *c = r->cum;
     int j, k = 0;
-    if (f->law != UNIFORM_DRIFT) {
-        if (!row(f, slot, x, cum, margin)) return -1;
+    if (r->law != UNIFORM_DRIFT) {
+        if (!row(r, slot, x, cum, margin)) return -1;
         c = cum;
     }
     for (j = 0; j < K; j++) {
@@ -277,14 +303,14 @@ static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
 
 /* Choose one step for each of the rows walkers at step t into choice.
    Returns 1, or 0 when numpy must take this step. */
-static int choose_rows(const field_t *f, const int64_t *walkers,
+static int choose_rows(const run_t *r, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int64_t slot = f->per_walker ? walkers[i] : 0;
-        int c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
+        int64_t slot = r->per_walker ? walkers[i] : 0;
+        int c = choose(r, slot, pos + i * r->dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
     }
@@ -300,28 +326,13 @@ static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice
     }
 }
 
-/* A stopping region lo < x.a_j < hi (<= where closed) for its m forms a_j
-   (none: the whole lattice), and the outputs of the walk that runs in it,
-   indexed by walker. */
-typedef struct {
-    int32_t m, lo_closed, hi_closed, exited;
-    const double *forms;    /* m rows of dim coefficients */
-    const double *lo, *hi;
-    const int32_t *exact;   /* 1 where a form's coefficients are integers */
-    int64_t n;              /* walkers of the run */
-    uint8_t *status;
-    int64_t *final, *steps_taken;
-    int64_t *visits;        /* NULL when visits are not counted */
-    const int64_t *target;
-} until_t;
-
 /* 1 inside, 0 outside, or -1 when numpy must decide.  An integer form has
    coefficients of at most 2^20, so at sites with coordinates below 2^26 in
    at most 32 dimensions its value is an integer below 2^51, exact in both;
    a float form's dot product differs from numpy's by at most 2 dim ulps of
    sum |x_i a_i|, so a value farther than margin times that sum (plus one)
    from both bounds is decided alike by both. */
-static int region(const until_t *r, int dim, const int64_t *x, double margin)
+static int region(const run_t *r, int dim, const int64_t *x, double margin)
 {
     int i, j, unsure = 0, small = 1;
     for (i = 0; i < dim; i++)
@@ -351,7 +362,7 @@ static int region(const until_t *r, int dim, const int64_t *x, double margin)
     return unsure ? -1 : 1;
 }
 
-static void count_visits(const until_t *r, int dim, const int64_t *walkers,
+static void count_visits(const run_t *r, int dim, const int64_t *walkers,
                          int64_t rows, const int64_t *pos)
 {
     int64_t i;
@@ -363,27 +374,29 @@ static void count_visits(const until_t *r, int dim, const int64_t *walkers,
     }
 }
 
-/* Run the rows live walkers (ids in walkers, keys and positions compacted
-   alike) from state io = {t, rows, settled} until all have left the region,
-   step horizon is reached or numpy must take over, writing each stopped
-   walker's outputs and compacting the rest in order.  settled says whether
-   the region has been evaluated at the positions of step t; a region with
-   no forms is the whole lattice, which no walker leaves, so settling it
-   only counts the start's visits.  Returns 0 with io holding the state
+/* Run the run's rows live walkers (ids in walkers, keys and positions
+   compacted alike) from its state {t, rows, settled} until all have left
+   the region, step horizon is reached or numpy must take over, writing
+   each stopped walker's outputs and compacting the rest in order.  settled
+   says whether the region has been evaluated at the positions of step t;
+   a region with no forms is the whole lattice, which no walker leaves, so
+   settling it only counts the start's visits.  Returns 0 with the state
    reached: settled is 0 when numpy must evaluate the region at step t,
    else step t is numpy's if t < horizon and walkers are left.  Returns -1
-   for a walker index outside the run or, for a per-walker field, its base
-   keys; compaction only drops walkers, so the check at entry holds for the
-   whole call. */
-int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
-                   uint64_t *keys, int64_t *pos, int64_t *io, int64_t horizon,
-                   uint8_t *choice, double margin, double region_margin)
+   for more rows than walkers of the run or a walker index outside the run
+   or, for a per-walker field, its base keys; compaction only drops
+   walkers, so the check at entry holds for the whole call. */
+int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
+                   int64_t horizon)
 {
-    int dim = f->dim;
-    int64_t t = io[0], rows = io[1], settled = io[2], i;
+    int dim = r->dim;
+    int64_t t = r->t, rows = r->rows, settled = r->settled, i;
+    uint8_t *choice = r->choice;
+    double margin = r->margin, region_margin = r->region_margin;
+    if (rows > r->n) return -1;
     for (i = 0; i < rows; i++)
         if (walkers[i] < 0 || walkers[i] >= r->n
-            || (f->per_walker && walkers[i] >= f->nbase)) return -1;
+            || (r->per_walker && walkers[i] >= r->nbase)) return -1;
     for (;;) {
         if (!settled && r->m) {
             int64_t kept = 0;
@@ -417,16 +430,16 @@ int64_t rwre_until(const field_t *f, const until_t *r, int64_t *walkers,
             count_visits(r, dim, walkers, rows, pos);
         settled = 1;
         if (rows == 0 || t >= horizon) goto out;
-        if (!choose_rows(f, walkers, keys, rows, pos, t, choice, margin)) goto out;
+        if (!choose_rows(r, walkers, keys, rows, pos, t, choice, margin)) goto out;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
         settled = 0;
     }
 out:
-    io[0] = t;
-    io[1] = rows;
-    io[2] = settled;
+    r->t = t;
+    r->rows = rows;
+    r->settled = settled;
     return 0;
 }
 """
@@ -438,58 +451,20 @@ _LAWS = {UniformDrift: (0, lambda law: 0.0),
          TrapTransient: (3, lambda law: float(1 << law.d))}
 
 
-class _Field(ctypes.Structure):
-    _fields_ = [("law", ctypes.c_int32), ("d", ctypes.c_int32),
-                ("dim", ctypes.c_int32), ("nvars", ctypes.c_int32),
-                ("param", ctypes.c_double), ("sum_tol", ctypes.c_double),
-                ("cum", ctypes.c_double * MAX_DIRS),
-                ("base", ctypes.c_void_p), ("nbase", ctypes.c_int64),
-                ("per_walker", ctypes.c_int32), ("bits", ctypes.c_int32),
-                ("table", ctypes.c_void_p)]
+# run_t's fields in order, as (ctypes type, names)
+_RUN_FIELDS = [(ctypes.c_int32, "law d dim nvars"), (ctypes.c_double, "param sum_tol"),
+               (ctypes.c_double * MAX_DIRS, "cum"), (ctypes.c_void_p, "base"),
+               (ctypes.c_int64, "nbase"), (ctypes.c_int32, "per_walker bits"),
+               (ctypes.c_void_p, "table"),
+               (ctypes.c_int32, "m lo_closed hi_closed exited"),
+               (ctypes.c_void_p, "forms lo hi exact"), (ctypes.c_int64, "n"),
+               (ctypes.c_void_p, "status final steps_taken visits target choice"),
+               (ctypes.c_double, "margin region_margin"),
+               (ctypes.c_int64, "t rows settled")]
 
 
-class Plan:
-    """An environment's field in the kernel's layout, with what it points to."""
-
-    def __init__(self, lib, env, code: int, param: float):
-        self.lib = lib
-        self.dim = env.dim
-        self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
-        per_walker = np.ndim(env.master_seed) > 0
-        self.field = _Field(law=code, d=env.law.d, dim=env.dim,
-                            nvars=env.law.nvars, param=param,
-                            sum_tol=PROB_SUM_TOL, base=self.base.ctypes.data,
-                            nbase=len(self.base), per_walker=int(per_walker))
-        # the site-row table: one word of flag, dim of site and 2 dim of
-        # cumulative row per entry, zero (empty) until the kernel fills it
-        self.table = None
-        if code == 0:
-            P = env.transitions_batch(np.zeros((1, env.dim), dtype=np.int64))
-            self.field.cum[:2 * env.dim] = np.cumsum(P, axis=1)[0].tolist()
-        else:
-            slots = len(self.base) if per_walker else 1
-            per_slot = TABLE_PER_WALKER if per_walker else TABLE_SHARED
-            while per_slot and slots * per_slot > TABLE_CAP:
-                per_slot //= 2
-            if per_slot:
-                bits = per_slot.bit_length() - 1
-                self.table = np.zeros((slots << bits, 1 + 3 * env.dim),
-                                      dtype=np.int64)
-                self.field.bits = bits
-                self.field.table = self.table.ctypes.data
-        self.address = ctypes.addressof(self.field)
-
-
-def plan(env) -> Plan | None:
-    """The kernel's view of ``env``, or None when numpy must step it."""
-    entry = _LAWS.get(type(env.law))
-    if entry is None or 2 * env.dim > MAX_DIRS:
-        return None
-    lib = _library()
-    if lib is None:
-        return None
-    code, param = entry
-    return Plan(lib, env, code, param(env.law))
+class _Run(ctypes.Structure):
+    _fields_ = [(name, ctype) for ctype, names in _RUN_FIELDS for name in names.split()]
 
 
 def _check(a: np.ndarray, dtype, shape, name: str) -> None:
@@ -498,25 +473,15 @@ def _check(a: np.ndarray, dtype, shape, name: str) -> None:
                          f"array of shape {shape}")
 
 
-class _Until(ctypes.Structure):
-    _fields_ = [("m", ctypes.c_int32), ("lo_closed", ctypes.c_int32),
-                ("hi_closed", ctypes.c_int32), ("exited", ctypes.c_int32),
-                ("forms", ctypes.c_void_p), ("lo", ctypes.c_void_p),
-                ("hi", ctypes.c_void_p), ("exact", ctypes.c_void_p),
-                ("n", ctypes.c_int64), ("status", ctypes.c_void_p),
-                ("final", ctypes.c_void_p), ("steps_taken", ctypes.c_void_p),
-                ("visits", ctypes.c_void_p), ("target", ctypes.c_void_p)]
+class Loop:
+    """The compiled loop of one walk run: its ``run_t`` and the arrays that
+    the struct points to, which live as long as the loop."""
 
-
-class Until:
-    """The compiled loop of one walk run: its field, its region (a
-    ``lattice.Bounds`` of the walks' dimension, or None for the whole
-    lattice) and the outputs it writes, per walker."""
-
-    def __init__(self, plan: Plan, region: Bounds | None, exited: int,
-                 status: np.ndarray, final: np.ndarray, steps_taken: np.ndarray,
-                 visits: np.ndarray | None, target: np.ndarray | None):
-        n, dim = len(status), plan.dim
+    def __init__(self, lib, env, code: int, param: float, region: Bounds | None,
+                 exited: int, status: np.ndarray, final: np.ndarray,
+                 steps_taken: np.ndarray, visits: np.ndarray | None,
+                 target: np.ndarray | None):
+        n, dim = len(status), env.dim
         if region is None:
             region = Bounds(np.zeros((dim, 0)), np.zeros(0), np.zeros(0),
                             False, False)
@@ -526,24 +491,45 @@ class Until:
         if visits is not None:
             _check(visits, np.int64, (n,), "visits")
             _check(target, np.int64, (dim,), "target")
-        self.plan = plan
-        self.forms = np.ascontiguousarray(region.A.reshape(len(region.A), -1).T)
-        self.lo = np.ascontiguousarray(region.lo.reshape(-1))
-        self.hi = np.ascontiguousarray(region.hi.reshape(-1))
-        _check(self.forms, np.float64, (len(self.lo), dim), "region forms")
-        self.exact = np.array([np.all(f == np.round(f))
-                               and np.all(np.abs(f) <= 2 ** 20) for f in self.forms],
-                              dtype=np.int32)
-        # the struct points into these arrays: keep them alive with it
-        self.outputs = (status, final, steps_taken, visits, target)
-        self.io = np.zeros(3, dtype=np.int64)
+        base = np.array(env._base, dtype=np.uint64, ndmin=1)
+        per_walker = np.ndim(env.master_seed) > 0
+        forms = np.ascontiguousarray(region.A.reshape(len(region.A), -1).T)
+        lo = np.ascontiguousarray(region.lo.reshape(-1))
+        hi = np.ascontiguousarray(region.hi.reshape(-1))
+        _check(forms, np.float64, (len(lo), dim), "region forms")
+        exact = np.array([np.all(f == np.round(f)) and np.all(np.abs(f) <= 2 ** 20)
+                          for f in forms], dtype=np.int32)
+        choice = np.empty(n, dtype=np.uint8)
+        self.arrays = (base, forms, lo, hi, exact, status, final, steps_taken,
+                       visits, target, choice)
         ptr = (lambda a: None if a is None else a.ctypes.data)
-        self.region = _Until(m=len(self.forms), lo_closed=int(region.lo_closed),
-                             hi_closed=int(region.hi_closed), exited=exited,
-                             forms=ptr(self.forms), lo=ptr(self.lo), hi=ptr(self.hi),
-                             exact=ptr(self.exact), n=n, status=ptr(status),
-                             final=ptr(final), steps_taken=ptr(steps_taken),
-                             visits=ptr(visits), target=ptr(target))
+        self.lib = lib
+        self.run = _Run(law=code, d=env.law.d, dim=dim, nvars=env.law.nvars,
+                        param=param, sum_tol=PROB_SUM_TOL, base=ptr(base),
+                        nbase=len(base), per_walker=int(per_walker), m=len(forms),
+                        lo_closed=int(region.lo_closed),
+                        hi_closed=int(region.hi_closed), exited=exited,
+                        forms=ptr(forms), lo=ptr(lo), hi=ptr(hi), exact=ptr(exact),
+                        n=n, status=ptr(status), final=ptr(final),
+                        steps_taken=ptr(steps_taken), visits=ptr(visits),
+                        target=ptr(target), choice=ptr(choice),
+                        margin=GUARD_MARGIN, region_margin=REGION_MARGIN)
+        # the site-row table: one word of flag, dim of site and 2 dim of
+        # cumulative row per entry, zero (empty) until the kernel fills it
+        self.table = None
+        if code == 0:
+            P = env.transitions_batch(np.zeros((1, dim), dtype=np.int64))
+            self.run.cum[:2 * dim] = np.cumsum(P, axis=1)[0].tolist()
+        else:
+            slots = len(base) if per_walker else 1
+            per_slot = TABLE_PER_WALKER if per_walker else TABLE_SHARED
+            while per_slot and slots * per_slot > TABLE_CAP:
+                per_slot //= 2
+            if per_slot:
+                bits = per_slot.bit_length() - 1
+                self.table = np.zeros((slots << bits, 1 + 3 * dim), dtype=np.int64)
+                self.run.bits = bits
+                self.run.table = self.table.ctypes.data
 
     def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
                  t: int, settled: bool, horizon: int) -> tuple[int, int, bool]:
@@ -557,20 +543,33 @@ class Until:
         over there: evaluate the region if it is not settled, else take
         the step.
         """
-        rows = len(pos)
-        _check(pos, np.int64, (rows, self.plan.dim), "pos")
+        rows, run = len(pos), self.run
+        _check(pos, np.int64, (rows, run.dim), "pos")
         _check(keys, np.uint64, (rows,), "keys")
         _check(walkers, np.int64, (rows,), "walkers")
-        self.io[:] = (t, rows, settled)
-        choice = np.empty(rows, dtype=np.uint8)
-        code = self.plan.lib.rwre_until(
-            self.plan.address, ctypes.addressof(self.region), walkers.ctypes.data,
-            keys.ctypes.data, pos.ctypes.data, self.io.ctypes.data, horizon,
-            choice.ctypes.data, GUARD_MARGIN, REGION_MARGIN)
-        if code < 0:
-            raise IndexError("walker index outside the run or the environment's seeds")
-        t, rows, settled = self.io.tolist()
-        return rows, t, bool(settled)
+        run.t, run.rows, run.settled = t, rows, settled
+        if self.lib.rwre_until(run, walkers.ctypes.data, keys.ctypes.data,
+                               pos.ctypes.data, horizon) < 0:
+            raise IndexError("more rows than walkers, or a walker index outside "
+                             "the run or the environment's seeds")
+        return run.rows, run.t, bool(run.settled)
+
+
+def loop(env, region: Bounds | None, exited: int, status: np.ndarray,
+         final: np.ndarray, steps_taken: np.ndarray, visits: np.ndarray | None,
+         target: np.ndarray | None) -> Loop | None:
+    """The compiled loop of one walk run on ``env`` in ``region`` (None: the
+    whole lattice), writing each walker's outputs into the arrays passed,
+    or None when numpy must step ``env``."""
+    entry = _LAWS.get(type(env.law))
+    if entry is None or 2 * env.dim > MAX_DIRS:
+        return None
+    lib = _library()
+    if lib is None:
+        return None
+    code, param = entry
+    return Loop(lib, env, code, param(env.law), region, exited, status, final,
+                steps_taken, visits, target)
 
 
 _LIB = None      # the loaded kernel; False once building or loading failed
@@ -640,7 +639,7 @@ def build(path, flags=CFLAGS) -> pathlib.Path:
 
 def _load(path):
     lib = ctypes.CDLL(str(path))
-    ptr, i64, dbl = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.rwre_until.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, dbl, dbl]
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.rwre_until.argtypes = [ctypes.POINTER(_Run), ptr, ptr, ptr, i64]
     lib.rwre_until.restype = i64
     return lib

@@ -39,14 +39,15 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _param(config: dict, key: str, kind, default=_REQUIRED):
+def _param(config: dict, key: str, kind, default=_REQUIRED, at_least=None):
     """The config value under ``key``, checked against the JSON type its
     use needs; ``default`` when the key is absent or null, if one is given.
 
     ``kind`` is ``int`` (an integral number, returned as an int), ``float``
     (a number, returned as a float), ``"number"`` (a number as written,
     since 1 and 1.0 name estimates differently) or ``"list"`` (a list of
-    numbers as written).  Any other value is a :class:`ParameterError`.
+    numbers as written).  A number below ``at_least``, when that is given,
+    and any other value is a :class:`ParameterError`.
     """
     val = config.get(key)
     if val is None and default is not _REQUIRED:
@@ -56,12 +57,16 @@ def _param(config: dict, key: str, kind, default=_REQUIRED):
             return val
         raise ParameterError(f"{key} must be a list of numbers, got {val!r}")
     if kind is int:
-        if _is_number(val) and float(val).is_integer():
-            return int(val)
-        raise ParameterError(f"{key} must be an integer, got {val!r}")
-    if not _is_number(val):
+        if not (_is_number(val) and float(val).is_integer()):
+            raise ParameterError(f"{key} must be an integer, got {val!r}")
+        val = int(val)
+    elif not _is_number(val):
         raise ParameterError(f"{key} must be a number, got {val!r}")
-    return float(val) if kind is float else val
+    elif kind is float:
+        val = float(val)
+    if at_least is not None and val < at_least:
+        raise ParameterError(f"{key} must be >= {at_least}, got {val!r}")
+    return val
 
 
 def law_from_spec(spec: dict):
@@ -184,7 +189,7 @@ def cmd_walk(args) -> int:
     seed = _param(config, "seed", int)
     env = Environment(law, seed)
     keys = walk.walk_keys(rng.derive_key(seed, "cli_walk"),
-                          _param(config, "walks", int))
+                          _param(config, "walks", int, at_least=1))
     res = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64),
                                _param(config, "steps", int), keys,
                                record_steps=bool(config.get("dump_trajectory")))
@@ -226,7 +231,9 @@ def cmd_regen(args) -> int:
     law = _resolve_law(config)
     seed = _param(config, "seed", int)
     env = Environment(law, rng.derive_key(seed, "regen_env"))
-    nsteps, walks = _param(config, "steps", int), _param(config, "walks", int)
+    # the direct velocity's interval needs two walks
+    nsteps, walks = (_param(config, "steps", int),
+                     _param(config, "walks", int, at_least=2))
     ell = _regen_ell(config.get("ell", "auto"), law)
     config["ell"] = [float(v) for v in ell]
     params = regeneration.RegenParams(tuple(ell), a=_param(config, "a", float, None))
@@ -254,7 +261,8 @@ def cmd_hypercube(args) -> int:
     seed = _param(config, "seed", int)
     moments = _param(config, "moments", int)
     cube = UnitHypercube((0,) * law.dim)
-    seeds = rng.derive_keys(seed, "hc", n=_param(config, "replicates", int)).tolist()
+    seeds = rng.derive_keys(seed, "hc", n=_param(config, "replicates", int,
+                                                 at_least=1)).tolist()
     ana = hypercube.analyze_batch(law, seeds, cube, moments)
     out = config.get("out", "hypercube.csv")
     m = 1 << law.dim
@@ -276,7 +284,8 @@ def cmd_hypercube(args) -> int:
 def cmd_criteria(args) -> int:
     config = load_config(args, {"replicates": 1000})
     law = _resolve_law(config)
-    seed, reps = _param(config, "seed", int), _param(config, "replicates", int)
+    seed = _param(config, "seed", int)
+    reps = _param(config, "replicates", int, at_least=1)
     name = config.get("criterion")
     out = config.get("out", f"criterion_{name}.json")
     if name in ("e0", "eprime1", "eprime1_probe", "ktilde1"):
@@ -326,10 +335,9 @@ def cmd_criteria(args) -> int:
 def cmd_paths(args) -> int:
     config = load_config(args, {"replicates": 100, "n": 5})
     law = _resolve_law(config)
-    seed, reps, n = (_param(config, "seed", int), _param(config, "replicates", int),
-                     _param(config, "n", int))
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    seed, reps, n = (_param(config, "seed", int),
+                     _param(config, "replicates", int, at_least=1),
+                     _param(config, "n", int, at_least=1))
     policy = criteria.EprimePolicy()
     rows = []
     for r in range(reps):

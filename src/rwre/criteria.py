@@ -29,7 +29,7 @@ from scipy import stats as sps
 
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
-from .hypercube import escape_site_probs
+from .hypercube import _exit_probs, escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
@@ -472,7 +472,7 @@ def check_ktilde(law, exponent: float, replicates: int,
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "ktilde", n=replicates)
     P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-    Q = P[:, np.arange(len(cube.corners))[:, None], cube.outward].max(axis=2)
+    Q = _exit_probs(law.dim, P).max(axis=2)
     verdicts, ests = _probe_columns((f"inv_moment_Q_corner_{j}", Q[:, j] ** (-exponent))
                                     for j in range(Q.shape[1]))
     overall = _overall(_FINITE in verdicts, set(verdicts) == {_INFINITE})

@@ -18,15 +18,15 @@ corner) all run on :func:`run_until_batch`, and each reads its event
 (front or back side, level crossed, exit time) off the exit site.
 
 Every region is a :class:`~rwre.lattice.Bounds`.  For ``UniformDrift``,
-``Expl``, ``TrapSym`` and ``TrapTransient``, the steps are taken by the
-compiled loop in :mod:`rwre._kernel`, one call per stop, with step
-sequences equal to :func:`_step_batch`'s by construction; the kernel
-evaluates the region, compacts, and hands back to numpy any step, or any
-region evaluation, it cannot decide exactly.  Other laws, hosts without a
-compiler and recorded runs step with numpy.  Both engines validate their
-batch (keys, start rows, dimension, integral lengths and sites, per-walker
-seeds, the visit-count site, the region's type and dimension) before the
-first step.
+``Expl``, ``TrapSym`` and ``TrapTransient``, the steps are taken by one
+compiled run of :mod:`rwre._kernel` (``_kernel.loop``) per batch, one call
+per stop, with step sequences equal to :func:`_step_batch`'s by
+construction; the kernel evaluates the region, compacts, and hands back to
+numpy any step, or any region evaluation, it cannot decide exactly.  Other
+laws, hosts without a compiler and recorded runs step with numpy.  Both
+engines validate their batch (keys, start rows, dimension, integral
+lengths and sites, per-walker seeds, the visit-count site, the region's
+type and dimension) before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -195,10 +195,8 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     # Recorded runs step with numpy for now: with the kernel, the benchmark's
     # ballistic_cli pass (rwre regen) ends within one interval of its
     # host-speed sampler, which then has nothing to rescale the pass by.
-    plan = _kernel.plan(env) if rec is None else None
-    loop = (_kernel.Until(plan, inside, STATUS_EXITED, status, final,
-                          steps_taken, visits, target)
-            if plan is not None else None)
+    loop = (_kernel.loop(env, inside, STATUS_EXITED, status, final, steps_taken,
+                         visits, target) if rec is None else None)
     sv = step_vectors(env.dim)
 
     live = np.arange(W, dtype=np.int64)

@@ -14,6 +14,12 @@ Re-record the entry of this platform with
 which runs the acceptance criteria once and the CLI commands below.  When
 the digests are unchanged the SIMD signature is added to the entry; when
 they moved, the entry is replaced and lists only this signature.
+
+    python3 tests/golden.py --numpy-path
+
+makes the same runs with the compiled step kernel switched off, so that
+every walk steps with numpy, and checks them against this platform's
+entry.  It takes about 80 s, most of it c2's walk.
 """
 
 from __future__ import annotations
@@ -129,13 +135,34 @@ def assert_digests(got: dict[str, str], entry: dict, section: str) -> None:
         "is intended, re-record with python3 tests/golden.py --write")
 
 
-def write() -> dict:
-    """Record this platform's digests into ``golden_digests.json``."""
+def digest_runs() -> dict[str, dict[str, str]]:
+    """Digests of the seed-42 acceptance ``run1/`` files and of ``CLI_RUNS``."""
     from rwre import acceptance
     with tempfile.TemporaryDirectory() as tmp:
         run1 = pathlib.Path(tmp) / "run1"
         acceptance.run_criteria(ACCEPTANCE_SEED, str(run1))
-        entry = {"run1": digest_files(run1), "cli": run_cli(pathlib.Path(tmp) / "cli")}
+        return {"run1": digest_files(run1), "cli": run_cli(pathlib.Path(tmp) / "cli")}
+
+
+def check_numpy_path() -> None:
+    """Fail unless the runs of :func:`digest_runs`, stepped with numpy alone,
+    give this platform's digests."""
+    from rwre import _kernel
+    entry = _load()["platforms"].get(platform_key())
+    if entry is None:
+        raise AssertionError(f"no golden digests for platform {platform_key()}")
+    loop, _kernel.loop = _kernel.loop, lambda *a: None
+    try:
+        got = digest_runs()
+    finally:
+        _kernel.loop = loop
+    for section in ("run1", "cli"):
+        assert_digests(got[section], entry, section)
+
+
+def write() -> dict:
+    """Record this platform's digests into ``golden_digests.json``."""
+    entry = digest_runs()
     doc = _load()
     old = doc["platforms"].get(platform_key())
     signatures = {simd_signature()}
@@ -150,9 +177,20 @@ def write() -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--write", action="store_true", required=True,
-                   help="re-record this platform's digests")
-    p.parse_args(argv)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", action="store_true",
+                      help="re-record this platform's digests")
+    mode.add_argument("--numpy-path", action="store_true",
+                      help="check this platform's digests with every walk "
+                           "stepped by numpy (about 80 s)")
+    if p.parse_args(argv).numpy_path:
+        try:
+            check_numpy_path()
+        except AssertionError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        print(f"{platform_key()}: run1 and CLI digests equal on the numpy path")
+        return 0
     entry = write()
     print(f"{platform_key()}: {len(entry['run1'])} run1 and {len(entry['cli'])} "
           f"CLI digests, verified on {entry['simd_verified']} -> {DIGESTS}")

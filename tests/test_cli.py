@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rwre import cli, criteria, walk
+from rwre import cli, criteria, hypercube, walk
 
 
 def run(argv):
@@ -309,6 +309,38 @@ def test_wrong_json_type_is_parameter_error(tmp_path, capsys, no_walks,
 ], ids=["regen-a", "paths-n"])
 def test_out_of_range_parameter_is_found_before_any_walk(tmp_path, capsys, no_walks,
                                                          argv, message):
+    assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == cli.EXIT_PARAM
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# A run of no walks or replicates has nothing to estimate, and regen's
+# direct velocity interval needs two walks: each size is a parameter error,
+# found before any work (a hypercube solve, too, would write NaN).
+EMPTY_RUNS = [
+    (["walk", "--law", "uniform", "--d", "2", "--walks", "0", "--dump-trajectory"],
+     "walks must be >= 1"),
+    (["regen", "--law", "expl", "--d", "2", "--eps", "0.2", "--walks", "1"],
+     "walks must be >= 2"),
+    (["hypercube", "--law", "trap_sym", "--d", "2", "--replicates", "0"],
+     "replicates must be >= 1"),
+    (["criteria", "--criterion", "e0", "--law", "expl", "--d", "2", "--eps", "0.2",
+      "--replicates", "0"], "replicates must be >= 1"),
+    (["paths", "--law", "expl", "--d", "2", "--eps", "0.2", "--replicates", "-1"],
+     "replicates must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_RUNS, ids=[
+    "walk-walks", "regen-walks", "hypercube-replicates", "criteria-replicates",
+    "paths-replicates"])
+def test_empty_runs_are_parameter_errors(tmp_path, capsys, monkeypatch, no_walks,
+                                         argv, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the parameters were checked")
+
+    monkeypatch.setattr(hypercube, "analyze_batch", fail)
+    monkeypatch.setattr(criteria, "check_e0", fail)
     assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == cli.EXIT_PARAM
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -46,7 +46,7 @@ def _runs(env, W, n=150):
 
 def _numpy_runs(monkeypatch, env, W, n=150):
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "plan", lambda env: None)
+        m.setattr(_kernel, "loop", lambda *a: None)
         return _runs(env, W, n)
 
 
@@ -68,13 +68,19 @@ def _table(monkeypatch, entries):
     monkeypatch.setattr(_kernel, "TABLE_SHARED", entries)
 
 
-def _plans(monkeypatch):
-    """The plans the engines build from now on, in order."""
-    plans = []
-    inner = _kernel.plan
-    monkeypatch.setattr(_kernel, "plan",
-                        lambda env: plans.append(inner(env)) or plans[-1])
-    return plans
+def _loops(monkeypatch):
+    """The compiled loops the engines build from now on, in order."""
+    loops = []
+    inner = _kernel.loop
+    monkeypatch.setattr(_kernel, "loop", lambda *a: loops.append(inner(*a)) or loops[-1])
+    return loops
+
+
+def _outputs(n, dim):
+    """Zeroed status, final, steps_taken, visits and target arrays of a run
+    of n walkers that counts no visits."""
+    return (np.zeros(n, np.uint8), np.zeros((n, dim), np.int64), np.zeros(n, np.int64),
+            None, None)
 
 
 @needs_gcc
@@ -91,20 +97,20 @@ def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
             with monkeypatch.context() as m:
                 if entries:
                     _table(m, entries)
-                plans = _plans(m)
+                loops = _loops(m)
                 ours = _runs(env, W)
             assert len(set(ours[2].steps_taken.tolist())) > 1 or W == 1
             _assert_same(ours, reference)
-            assert len(plans) == 5
+            assert len(loops) == 5
             slots = W if per_walker else 1
             per_slot = entries or (_kernel.TABLE_PER_WALKER if per_walker
                                    else _kernel.TABLE_SHARED)
-            for plan in plans:
+            for loop in loops:
                 if isinstance(law, UniformDrift):
-                    assert plan.table is None
+                    assert loop.table is None
                 else:
-                    assert plan.table.shape == (slots * per_slot, 1 + 3 * env.dim)
-                    assert plan.table[:, 0].any()
+                    assert loop.table.shape == (slots * per_slot, 1 + 3 * env.dim)
+                    assert loop.table[:, 0].any()
 
 
 @needs_gcc
@@ -125,7 +131,7 @@ def test_invalid_rows_raise_like_numpy(monkeypatch):
         with pytest.raises(ValueError, match="invalid transition vector"):
             go()
         with monkeypatch.context() as m:
-            m.setattr(_kernel, "plan", lambda env: None)
+            m.setattr(_kernel, "loop", lambda *a: None)
             with pytest.raises(ValueError, match="invalid transition vector"):
                 go()
 
@@ -149,7 +155,7 @@ def test_handed_back_steps_resume_identically(monkeypatch, margin):
                         _table(m, entries)
                     m.setattr(_kernel, "GUARD_MARGIN", margin)
                     calls = _counting(m, walk, "_step_batch")
-                    plans = _plans(m)
+                    loops = _loops(m)
                     handed_back = _runs(env, W, n)
                 _assert_same(handed_back, reference)
                 if margin == 2.0:
@@ -159,8 +165,8 @@ def test_handed_back_steps_resume_identically(monkeypatch, margin):
                 # a margin of 2 fails every Expl row's own check (entries
                 # within margin of 0): those rows go to numpy and are not kept
                 kept = not (isinstance(law, Expl) and margin == 2.0)
-                assert all(plan.table[:, 0].any() == kept for plan in plans
-                           if plan.table is not None)
+                assert all(loop.table[:, 0].any() == kept for loop in loops
+                           if loop.table is not None)
 
 
 @needs_gcc
@@ -172,10 +178,10 @@ def test_long_trapped_walks_step_like_numpy(monkeypatch):
     keys = walk.walk_keys(5, W)
     marks = range(1000, n, 1000)
     with monkeypatch.context() as m:
-        plans = _plans(m)
+        loops = _loops(m)
         ours = walk.run_fixed_batch(env, np.zeros(2), n, keys, checkpoints=marks)
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "plan", lambda env: None)
+        m.setattr(_kernel, "loop", lambda *a: None)
         theirs = walk.run_fixed_batch(env, np.zeros(2), n, keys, checkpoints=marks,
                                       record_steps=True)
     assert np.array_equal(ours.final, theirs.final)
@@ -183,8 +189,8 @@ def test_long_trapped_walks_step_like_numpy(monkeypatch):
         assert np.array_equal(ours.checkpoints[t], theirs.checkpoints[t]), t
     for row in theirs.steps:    # each site is visited about ten times
         assert len({tuple(x) for x in walk.positions((0, 0), row).tolist()}) < n // 5
-    (plan,) = plans
-    assert plan.table.shape[0] == _kernel.TABLE_SHARED
+    (loop,) = loops
+    assert loop.table.shape[0] == _kernel.TABLE_SHARED
 
 
 @needs_gcc
@@ -199,15 +205,15 @@ def test_tables_stay_within_the_cap(monkeypatch):
         for cap, per_seed in ((_kernel.TABLE_CAP, 32), (2 ** 11, 0)):
             with monkeypatch.context() as m:
                 m.setattr(_kernel, "TABLE_CAP", cap)
-                plans = _plans(m)
+                loops = _loops(m)
                 ours = _runs(env, W, 60)
             _assert_same(ours, reference)
-            for plan in plans:
+            for loop in loops:
                 if per_seed:
-                    assert plan.table.shape[0] == W * per_seed <= cap
-                    assert plan.table[:, 0].any()
+                    assert loop.table.shape[0] == W * per_seed <= cap
+                    assert loop.table[:, 0].any()
                 else:
-                    assert plan.table is None
+                    assert loop.table is None
 
 
 def _regions(dim):
@@ -238,7 +244,7 @@ def _until(env, region, start, keys, n=150):
 def _numpy_until(monkeypatch, env, region, start, keys):
     """``_until`` stepped with numpy alone."""
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "plan", lambda env: None)
+        m.setattr(_kernel, "loop", lambda *a: None)
         return _until(env, region, start, keys)
 
 
@@ -259,7 +265,7 @@ def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
         keys = walk.walk_keys(9, W)
         for name, region, start in _regions(env.dim):
             with monkeypatch.context() as m:
-                calls = _counting(m, _kernel.Until, "__call__")
+                calls = _counting(m, _kernel.Loop, "__call__")
                 steps = _counting(m, walk, "_step_batch")
                 regions = _counting(m, lattice.Bounds, "__call__")
                 ours = _until(env, region, start, keys)
@@ -271,7 +277,7 @@ def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
             _assert_same_until(ours, theirs, (name, W))
             assert W < 200 or len(set(ours.steps_taken.tolist())) > 1, name
         with monkeypatch.context() as m:
-            calls = _counting(m, _kernel.Until, "__call__")
+            calls = _counting(m, _kernel.Loop, "__call__")
             steps = _counting(m, walk, "_step_batch")
             walk.run_fixed_batch(env, np.zeros(env.dim), 150, keys,
                                  checkpoints=[1, 40, 41, 150])
@@ -357,11 +363,8 @@ def test_walker_ids_beyond_the_field_seeds_raise():
     # a run of 5 walkers on a per-walker field of 3 seeds refuses walker 4,
     # which has no seed; on a shared field walker 4 walks
     def run(seeds, walkers):
-        plan = _kernel.plan(Environment(TrapSym(2), seeds))
-        n = 5
-        loop = _kernel.Until(plan, None, walk.STATUS_EXITED, np.zeros(n, np.uint8),
-                             np.zeros((n, 2), np.int64), np.zeros(n, np.int64),
-                             None, None)
+        loop = _kernel.loop(Environment(TrapSym(2), seeds), None, walk.STATUS_EXITED,
+                            *_outputs(5, 2))
         pos = np.zeros((len(walkers), 2), dtype=np.int64)
         keys = walk.walk_keys(1, len(walkers))
         return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, True, 10)
@@ -371,6 +374,9 @@ def test_walker_ids_beyond_the_field_seeds_raise():
     assert run(5, [0, 4]) == (2, 10, True)
     with pytest.raises(IndexError, match="walker index"):
         run(seeds, [0, 4])
+    # the run's scratch row buffer holds one byte per walker of the run
+    with pytest.raises(IndexError, match="more rows than walkers"):
+        run(5, [0, 1, 2, 3, 4, 4])
 
 
 def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):
@@ -383,7 +389,7 @@ def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):
         got = _runs(env, 7, 60)
         again = _runs(env, 7, 60)
     assert len([w for w in caught if "step kernel" in str(w.message)]) == 1
-    assert _kernel.plan(env) is None
+    assert _kernel.loop(env, None, walk.STATUS_EXITED, *_outputs(7, env.dim)) is None
     _assert_same(got, expected)
     _assert_same(again, expected)
 
@@ -426,14 +432,15 @@ for law, table in [(law, table)
                 out += [res.status, res.final, res.steps_taken, res.visits]
             return out
 
-        plan = _kernel.plan(env)
-        assert plan is not None
-        if plan.table is not None:
-            assert plan.table.shape[0] <= _kernel.TABLE_CAP
+        loops, loop_of = [], _kernel.loop
+        _kernel.loop = lambda *a: loops.append(loop_of(*a)) or loops[-1]
         ours = runs()
-        plan_of, _kernel.plan = _kernel.plan, lambda env: None
+        _kernel.loop = lambda *a: None
         reference = runs()
-        _kernel.plan = plan_of
+        _kernel.loop = loop_of
+        assert len(loops) == 1 + len(regions)
+        assert all(loop.table is None or loop.table.shape[0] <= _kernel.TABLE_CAP
+                   for loop in loops)
         assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), law
 print("ok")
 """
