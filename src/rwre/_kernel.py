@@ -96,7 +96,7 @@ SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n" + r"""
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 
-enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP_SYM = 2, TRAP_TRANSIENT = 3 };
+enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP = 2 };
 
 /* one word of the site-row table: a flag, a coordinate or a cumulative sum */
 typedef union {
@@ -195,28 +195,20 @@ static int pvec(const run_t *r, const double *U, double *p, double margin)
             if (j != i0 && p[j] < margin) return 0;
         return 1;
     }
-    case TRAP_SYM: {
+    default: { /* TRAP: TrapSym, or TrapTransient on Z^{d+1} when dim > d */
+        int D = r->dim;
         double T = 0.5 * power(U[0], r->param);
-        double hard = T / (double)d, easy = (1.0 - T) / (double)d;
-        for (j = 0; j < d; j++) {
-            int plus = U[1 + j] <= 0.5;
-            p[j] = plus ? hard : easy;
-            p[d + j] = plus ? easy : hard;
-        }
-        return 1;
-    }
-    default: { /* TRAP_TRANSIENT on Z^{d+1} */
-        int D = d + 1;
-        double T = 0.5 * power(U[0], r->param);
-        double C = (double)d + 3.0 * T;
+        double C = D > d ? (double)d + 3.0 * T : (double)d;
         double hard = T / C, easy = (1.0 - T) / C;
         for (j = 0; j < d; j++) {
             int plus = U[1 + j] <= 0.5;
             p[j] = plus ? hard : easy;
             p[D + j] = plus ? easy : hard;
         }
-        p[d] = 2.0 * T / C;
-        p[D + d] = T / C;
+        if (D > d) {
+            p[d] = 2.0 * T / C;
+            p[D + d] = hard;
+        }
         return 1;
     }
     }
@@ -448,7 +440,7 @@ out:
 _LAWS = {UniformDrift: (0, lambda law: 0.0),
          Expl: (1, lambda law: law.eps),
          TrapSym: (2, lambda law: 1.0 / law._texp),
-         TrapTransient: (3, lambda law: float(1 << law.d))}
+         TrapTransient: (2, lambda law: float(1 << law.d))}
 
 
 # run_t's fields in order, as (ctypes type, names)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import rng, stats
-from .environment import Environment, transitions_for_seeds
+from .environment import Environment, _require_one_field, transitions_for_seeds
 from .hypercube import _exit_probs, escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
@@ -178,9 +178,8 @@ class EprimePolicy:
         d = view.env.dim
         k0 = self._event_index(view, d)
         anchor = self._anchor(k0, d)
-        start_bits = UnitHypercube(anchor).corner_index((0,) * d)
-        order = _fill_order(d, start_bits)
         cube = UnitHypercube(anchor)
+        order = _fill_order(d, cube.corner_index((0,) * d))
         return cube.corners[order[len(prefix)]]
 
     def marks(self, view: RecordingView, cube: UnitHypercube) -> np.ndarray:
@@ -210,13 +209,6 @@ class EprimePolicy:
 
     def stash_meta(self, view: RecordingView, meta: dict) -> None:
         meta["event_index"] = self._event_index(view, view.env.dim) + 1  # 1-based
-
-
-def _require_one_field(env: Environment, what: str) -> None:
-    """ValueError unless ``env`` is one quenched field: a hypercube and its
-    path bundle live in one environment, not in per-walker fields."""
-    if np.ndim(env.master_seed):
-        raise ValueError(f"{what} needs one field, not per-walker seeds")
 
 
 def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
@@ -753,10 +745,12 @@ def _fit_decay(Ls, est, lse, gamma: float) -> SlabFit | None:
     sxx = (w * (x - xbar) ** 2).sum()
     slope = (w * (x - xbar) * (y - ybar)).sum() / sxx
     resid = y - ybar - slope * (x - xbar)
-    dof = max(len(x) - 2, 1)
-    sigma2 = (w * resid ** 2).sum() / dof
-    se_slope = float(np.sqrt(sigma2 / sxx))
-    tq = sps.t.ppf(0.975, dof)
+    dof = len(x) - 2
+    se_slope = tq = float("nan")    # two points leave no residual: no interval
+    if dof:
+        sigma2 = (w * resid ** 2).sum() / dof
+        se_slope = float(np.sqrt(sigma2 / sxx))
+        tq = sps.t.ppf(0.975, dof)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = float(1.0 - (w * resid ** 2).sum() / ss_tot) if ss_tot > 0 else 1.0
     return SlabFit(gamma, float(slope), se_slope,

@@ -8,12 +8,13 @@ stored: any site can be re-evaluated bit-identically at any time, from any
 worker.  The master seed is one seed (the quenched field) or an array of
 per-walker seeds (the annealed law); both go through the same keyed field.
 
-``Environment.transitions_batch`` is the reference evaluation of the field.
-The walk engines step the four closed-form laws in the compiled loop of
-:mod:`rwre._kernel`, which evaluates each law's transition vector in the
-same order as its ``pvecs_from_uniforms`` below: a change to one of those
-formulas must be mirrored there, and ``tests/test_kernel.py`` fails until
-it is.
+``Environment.transitions_batch`` is the reference evaluation of the field:
+site keys, all their uniforms in one draw, then the law's rows.  The walk
+engines step the four closed-form laws in the compiled loop of
+:mod:`rwre._kernel`, which evaluates each law's row in the same order as
+its ``pvecs_from_uniforms`` (the trap laws share ``_trap_rows`` and one case
+there): a change to one must be mirrored there, and ``tests/test_kernel.py``
+fails until it is.
 
 Concrete laws:
 
@@ -157,6 +158,18 @@ class Expl:
         return p
 
 
+def _trap_rows(U: np.ndarray, T: np.ndarray, C, dim: int) -> np.ndarray:
+    """Rows over 2 dim directions: on the first d axes (U has 1 + d columns),
+    T/C toward the signed basis B_0 and (1-T)/C away; the rest left unset."""
+    d = U.shape[1] - 1
+    plus_in_b0 = U[:, 1:] <= 0.5
+    hard, easy = (T / C)[:, None], ((1.0 - T) / C)[:, None]
+    p = np.empty((U.shape[0], 2 * dim))
+    p[:, :d] = np.where(plus_in_b0, hard, easy)
+    p[:, dim:dim + d] = np.where(plus_in_b0, easy, hard)
+    return p
+
+
 @dataclass(frozen=True)
 class TrapSym:
     """Symmetric trapping law: a random signed axis basis is hard to cross.
@@ -193,16 +206,8 @@ class TrapSym:
         return f"trap_sym:d={self.d}:t={self._texp!r}"
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
-        d = self.d
-        n = U.shape[0]
         T = 0.5 * U[:, 0] ** (1.0 / self._texp)
-        plus_in_b0 = U[:, 1:1 + d] <= 0.5
-        hard = (T / d)[:, None]
-        easy = ((1.0 - T) / d)[:, None]
-        p = np.empty((n, 2 * d))
-        p[:, :d] = np.where(plus_in_b0, hard, easy)
-        p[:, d:] = np.where(plus_in_b0, easy, hard)
-        return p
+        return _trap_rows(U, T, self.d, self.d)
 
 
 @dataclass(frozen=True)
@@ -235,18 +240,11 @@ class TrapTransient:
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
         d = self.d
-        D = d + 1
-        n = U.shape[0]
         T = sample_trap_T(U[:, 0], d)
         C = d + 3.0 * T
-        plus_in_b0 = U[:, 1:1 + d] <= 0.5
-        hard = (T / C)[:, None]
-        easy = ((1.0 - T) / C)[:, None]
-        p = np.empty((n, 2 * D))
-        p[:, :d] = np.where(plus_in_b0, hard, easy)
-        p[:, D:D + d] = np.where(plus_in_b0, easy, hard)
+        p = _trap_rows(U, T, C, d + 1)
         p[:, d] = 2.0 * T / C
-        p[:, D + d] = T / C
+        p[:, 2 * d + 1] = T / C
         return p
 
 
@@ -367,10 +365,14 @@ class Environment:
         if isinstance(base, np.ndarray):
             base = base[idx] if idx is not None else base[:n]
         keys = rng.site_keys_from_base(base, X)
-        U = np.empty((n, nv))
-        for j in range(nv):
-            U[:, j] = rng.stream_uniforms(keys, j)
+        U = rng.stream_uniforms(keys[:, None], np.arange(nv))
         return normalize_rows(self.law.pvecs_from_uniforms(U))
+
+
+def _require_one_field(env: Environment, what: str) -> None:
+    """ValueError unless ``env`` is one quenched field, not per-walker seeds."""
+    if np.ndim(env.master_seed):
+        raise ValueError(f"{what} needs one field, not per-walker seeds")
 
 
 def transitions_for_seeds(law, seeds, x) -> np.ndarray:
@@ -408,8 +410,7 @@ def ellipticity_profile(env: Environment, samples: int) -> EllipticityReport:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if np.ndim(env.master_seed):
-        raise ValueError("ellipticity_profile needs one field, not per-walker seeds")
+    _require_one_field(env, "ellipticity_profile")
     d = env.dim
     key = rng.derive_key(env.master_seed, "ellipticity_profile")
     u = rng.stream_uniform_block(key, samples * d)

@@ -13,7 +13,8 @@ Many keys at once are derived in one vector pass, never by a Python loop
 over the scalar functions: :func:`derive_keys` folds the scalar prefix once
 and then every index, :func:`base_keys` folds a tag onto many master seeds,
 and :func:`site_keys_from_base` chains coordinates onto a scalar base or a
-per-row base array.  Each equals its scalar counterpart bit for bit.
+per-row base array.  Each equals its scalar counterpart bit for bit.  All
+uniforms come from one broadcast draw of keys against draw indices.
 
 Note: numpy uint64 *array* arithmetic wraps silently, which is exactly
 what we want; only scalar numpy ops would warn, and the scalar paths here
@@ -114,9 +115,11 @@ def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     return h
 
 
-def stream_uniforms(keys: np.ndarray, index: int) -> np.ndarray:
-    """Draw ``index`` of many streams at once; uniforms in (0, 1]."""
-    v = mix64_np(keys + np.uint64(((index + 1) * GOLDEN) & MASK64))
+def stream_uniforms(keys, index) -> np.ndarray:
+    """Draws ``index`` of the streams ``keys``, broadcast against each other
+    (``keys[:, None]`` against ``np.arange(k)``: k draws per key); in (0, 1]."""
+    idx = np.array(index, dtype=np.uint64, ndmin=1)     # an array: wraps silently
+    v = mix64_np(keys + (idx + _ONE) * _U64_GOLDEN)
     v >>= _S11
     v += _ONE
     return v.astype(np.float64) * _INV_2_53
@@ -124,8 +127,4 @@ def stream_uniforms(keys: np.ndarray, index: int) -> np.ndarray:
 
 def stream_uniform_block(key: int, n: int) -> np.ndarray:
     """First ``n`` uniforms of a single stream, as an array."""
-    idx = np.arange(n, dtype=np.uint64)
-    v = mix64_np(np.uint64(key & MASK64) + (idx + _ONE) * _U64_GOLDEN)
-    v >>= _S11
-    v += _ONE
-    return v.astype(np.float64) * _INV_2_53
+    return stream_uniforms(key & MASK64, np.arange(n))

@@ -13,7 +13,8 @@ Re-record the entry of this platform with
 
 which runs the acceptance criteria once and the CLI commands below.  When
 the digests are unchanged the SIMD signature is added to the entry; when
-they moved, the entry is replaced and lists only this signature.
+they moved, the entry is replaced and lists only this signature.  It prints
+the ``run1`` and ``cli`` files whose digests moved, or that none did.
 
     python3 tests/golden.py --numpy-path
 
@@ -125,13 +126,17 @@ def entry_or_skip() -> dict:
     return entry
 
 
+def moved(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """The file names whose digests differ between ``got`` and ``want``."""
+    return sorted(n for n in set(got) | set(want) if got.get(n) != want.get(n))
+
+
 def assert_digests(got: dict[str, str], entry: dict, section: str) -> None:
     """Fail with the moved file names when ``got`` differs from the entry."""
-    want = entry[section]
-    moved = sorted(n for n in set(got) | set(want) if got.get(n) != want.get(n))
-    assert not moved, (
+    moved_files = moved(got, entry[section])
+    assert not moved_files, (
         f"{section} bytes moved on {platform_key()} (SIMD {simd_signature()}; "
-        f"digests verified on {entry['simd_verified']}): {moved}. If the move "
+        f"digests verified on {entry['simd_verified']}): {moved_files}. If the move "
         "is intended, re-record with python3 tests/golden.py --write")
 
 
@@ -160,19 +165,22 @@ def check_numpy_path() -> None:
         assert_digests(got[section], entry, section)
 
 
-def write() -> dict:
-    """Record this platform's digests into ``golden_digests.json``."""
+def write() -> tuple[dict, list[str]]:
+    """Record this platform's digests into ``golden_digests.json``; returns
+    the entry and the moved files as ``section/name``."""
     entry = digest_runs()
     doc = _load()
     old = doc["platforms"].get(platform_key())
+    moved_files = [f"{s}/{n}" for s in ("run1", "cli")
+                   for n in moved(entry[s], old[s] if old else {})]
     signatures = {simd_signature()}
-    if old is not None and all(old[s] == entry[s] for s in ("run1", "cli")):
+    if old is not None and not moved_files:
         signatures |= set(old["simd_verified"])
     entry["simd_verified"] = sorted(signatures)
     doc["platforms"][platform_key()] = entry
     DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
-    return entry
+    return entry, moved_files
 
 
 def main(argv=None) -> int:
@@ -191,9 +199,10 @@ def main(argv=None) -> int:
             return 1
         print(f"{platform_key()}: run1 and CLI digests equal on the numpy path")
         return 0
-    entry = write()
+    entry, moved_files = write()
     print(f"{platform_key()}: {len(entry['run1'])} run1 and {len(entry['cli'])} "
           f"CLI digests, verified on {entry['simd_verified']} -> {DIGESTS}")
+    print("moved: " + ", ".join(moved_files) if moved_files else "no digest moved")
     return 0
 
 

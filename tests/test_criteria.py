@@ -510,6 +510,20 @@ def test_slab_exit_direct_all_censored_is_no_data():
     assert rep.fits[1.0] is None
 
 
+def test_slab_fit_of_two_points_has_no_interval():
+    # two points fit the line exactly and leave no residual degree of
+    # freedom: no slope error and no interval, not a zero-width one
+    fit = cr._fit_decay([4.0, 8.0], [1e-2, 1e-4], [0.1, 0.1], 1.0)
+    assert fit.n_points == 2
+    assert np.isclose(fit.slope, np.log(1e-2) / 4)
+    assert np.isnan(fit.slope_se)
+    assert isinstance(fit.slope_ci, tuple) and np.isnan(fit.slope_ci).all()
+    # a third point off the line gives an interval around the slope
+    fit = cr._fit_decay([4.0, 8.0, 12.0], [1e-2, 1e-4, 3e-6], [0.1] * 3, 1.0)
+    lo, hi = fit.slope_ci
+    assert fit.slope_se > 0 and lo < fit.slope < hi
+
+
 def test_slab_exit_splitting_pinned():
     # estimates (bit for bit) and censored counts recorded with the
     # two-predicate splitting levels (crossing set plus front region) that

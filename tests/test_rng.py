@@ -68,6 +68,14 @@ def test_stream_uniforms_match_block():
     karr = np.array([key], dtype=np.uint64)
     for i in range(50):
         assert rng.stream_uniforms(karr, i)[0] == blk[i]
+    # a column of keys against draw indices: row r holds the first k draws
+    # of stream r
+    keys = rng.derive_keys(5, "streams", n=7)
+    grid = rng.stream_uniforms(keys[:, None], np.arange(4))
+    assert grid.shape == (7, 4)
+    for r, k in enumerate(keys.tolist()):
+        for i in range(4):
+            assert grid[r, i] == stream_uniform(k, i)
 
 
 def test_uniforms_in_unit_interval_and_flat():
