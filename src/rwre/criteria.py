@@ -611,7 +611,13 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
 def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
                     walk_budget: int, key: int, level_width: float,
                     ) -> tuple[float, int]:
-    """One fixed-effort splitting pass for the quenched back-exit event."""
+    """One fixed-effort splitting pass for the quenched back-exit event.
+
+    Returns the estimate and the number of censored walks.  A level with a
+    censored walk has no passage frequency, so the pass then reads NaN
+    (insufficient data); its later levels still run, so that the censored
+    count covers the whole pass.
+    """
     d = env.dim
     ell = np.asarray(ell, dtype=float)
     m = max(1, int(np.ceil(b * L / level_width)))
@@ -628,12 +634,14 @@ def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
         keys = walk_keys(key, n_per_level, salt=f"split:{j}")
         res = run_until_batch(env, starts, keys, walk_budget, inside)
         censored += res.censored()
+        if res.censored():
+            prob = float("nan")
         hit_ids = np.nonzero((res.status == STATUS_EXITED)
                              & (res.final @ ell <= L))[0]
         k = len(hit_ids)
         prob *= k / n_per_level
         if k == 0:
-            return 0.0, censored
+            return prob, censored
         if not final_stage:
             u = rng.stream_uniform_block(rng.derive_key(key, "resample", j),
                                          n_per_level)
@@ -680,7 +688,8 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     side, multiplying conditional passage frequencies, so exponentially
     small probabilities remain estimable; the direct estimator is plain
     Monte Carlo over the walks that exit, and drops a replicate whose walks
-    are all censored (an L with none left reports NaN).  Fits of
+    are all censored (an L with none left reports NaN).  A splitting pass
+    with a censored walk reads NaN, and so does its L.  Fits of
     log-estimate against L^gamma are reported for each requested gamma.
     """
     if b <= 0 or any(L <= 0 for L in L_grid):

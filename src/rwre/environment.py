@@ -9,7 +9,9 @@ worker.  The master seed is one seed (the quenched field) or an array of
 per-walker seeds (the annealed law); both go through the same keyed field.
 
 ``Environment.transitions_batch`` is the reference evaluation of the field:
-site keys, all their uniforms in one draw, then the law's rows.  The walk
+site keys, all their uniforms in one draw, then the law's rows; a numpy
+walk step takes the same two stages with its walk uniforms in the draw.
+A row does not depend on the batch it is read in.  The walk
 engines step the four closed-form laws in the compiled loop of
 :mod:`rwre._kernel`, which evaluates each law's row in the same order as
 its ``pvecs_from_uniforms`` (the trap laws share ``_trap_rows`` and one case
@@ -61,8 +63,8 @@ def sample_trap_T(u, d: int):
 def normalize_rows(p: np.ndarray) -> np.ndarray:
     """Renormalize probability rows, rejecting sums off by more than 1e-9."""
     p = np.asarray(p, dtype=float)
-    s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > PROB_SUM_TOL) or np.any(p < 0):
+    s = np.add.reduce(p, axis=-1, keepdims=True)
+    if (np.abs(s - 1.0) > PROB_SUM_TOL).any() or (p < 0).any():
         raise ValueError("invalid transition vector (bad sum or negative entry)")
     return p / s
 
@@ -146,11 +148,11 @@ class Expl:
         invT = 1.0 / T
         i0 = np.minimum((U[:, 1] * 2 * d).astype(np.int64), 2 * d - 1)
         pos_has_i0 = i0 < d
-        # safe denominators; the d=1 "other" branch is never selected
-        pos_den = np.maximum(d - pos_has_i0.astype(np.int64), 1)
-        neg_den = np.maximum(d - (~pos_has_i0).astype(np.int64), 1)
-        pos_other = (1.0 - eps - np.where(pos_has_i0, invT, 0.0)) / pos_den
-        neg_other = (eps - np.where(~pos_has_i0, invT, 0.0)) / neg_den
+        # each half's other entries share its mass, less 1/T if i0 lies in
+        # it; the guard is for d = 1, where that half has no other entry
+        den = max(d - 1, 1)
+        pos_other = np.where(pos_has_i0, (1.0 - eps - invT) / den, (1.0 - eps) / d)
+        neg_other = np.where(pos_has_i0, eps / d, (eps - invT) / den)
         p = np.empty((n, 2 * d))
         p[:, :d] = pos_other[:, None]
         p[:, d:] = neg_other[:, None]
@@ -357,15 +359,23 @@ class Environment:
         ignores ``idx``.
         """
         X = np.asarray(X, dtype=np.int64)
-        n = X.shape[0]
-        nv = self._nvars
-        if nv == 0:
-            return self.law.pvecs_from_uniforms(np.empty((n, 0)))
+        if self._nvars == 0:
+            return self.law.pvecs_from_uniforms(np.empty((X.shape[0], 0)))
+        keys = self._site_keys(X, idx)
+        return self._rows(rng.stream_uniforms(keys[:, None], np.arange(self._nvars)))
+
+    # The two stages of a site row, shared with walk._step_batch, which draws
+    # the site uniforms and the walk uniform of a step in one call.
+
+    def _site_keys(self, X: np.ndarray, idx) -> np.ndarray:
+        """Site keys of the (N, dim) int64 sites X (``idx`` as above)."""
         base = self._base
         if isinstance(base, np.ndarray):
-            base = base[idx] if idx is not None else base[:n]
-        keys = rng.site_keys_from_base(base, X)
-        U = rng.stream_uniforms(keys[:, None], np.arange(nv))
+            base = base[idx] if idx is not None else base[:len(X)]
+        return rng.site_keys_from_base(base, X)
+
+    def _rows(self, U: np.ndarray) -> np.ndarray:
+        """Transition vectors from an (N, nvars) array of site uniforms."""
         return normalize_rows(self.law.pvecs_from_uniforms(U))
 
 

@@ -14,7 +14,10 @@ over the scalar functions: :func:`derive_keys` folds the scalar prefix once
 and then every index, :func:`base_keys` folds a tag onto many master seeds,
 and :func:`site_keys_from_base` chains coordinates onto a scalar base or a
 per-row base array.  Each equals its scalar counterpart bit for bit.  All
-uniforms come from one broadcast draw of keys against draw indices.
+uniforms come from one broadcast draw of keys against draw indices; a numpy
+walk step makes one such draw for the site uniforms and the walk uniform of
+all its walkers.  The vector paths mix in place on the arrays they have just
+made, and only the public :func:`mix64_np` copies its argument first.
 
 Note: numpy uint64 *array* arithmetic wraps silently, which is exactly
 what we want; only scalar numpy ops would warn, and the scalar paths here
@@ -48,7 +51,11 @@ def mix64(z: int) -> int:
 
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wrapping arithmetic)."""
-    z = z.astype(np.uint64, copy=True)
+    return _mix_np_inplace(z.astype(np.uint64, copy=True))
+
+
+def _mix_np_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64_np` in place, on a uint64 array the caller has just made."""
     z ^= z >> _S30
     z *= _M1
     z ^= z >> _S27
@@ -62,8 +69,12 @@ def fold(h: int, word: int) -> int:
     return mix64(((h ^ (word & MASK64)) + GOLDEN) & MASK64)
 
 
-def _fold_np(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return mix64_np((h ^ w) + _U64_GOLDEN)
+def _fold_np(h: np.ndarray, w) -> np.ndarray:
+    """:func:`fold` of the words w into the keys h, in place on h (a uint64
+    array the caller has just made)."""
+    h ^= w
+    h += _U64_GOLDEN
+    return _mix_np_inplace(h)
 
 
 def string_tag(s: str) -> int:
@@ -108,10 +119,10 @@ def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords)
     if coords.ndim == 1:
         coords = coords[None, :]
-    signed = coords.astype(np.int64, copy=False)
+    words = coords.astype(np.int64, copy=False).astype(np.uint64)
     h = np.full(coords.shape[0], base, dtype=np.uint64)
     for j in range(coords.shape[1]):
-        h = _fold_np(h, signed[:, j].astype(np.uint64))
+        _fold_np(h, words[:, j])
     return h
 
 
@@ -119,10 +130,10 @@ def stream_uniforms(keys, index) -> np.ndarray:
     """Draws ``index`` of the streams ``keys``, broadcast against each other
     (``keys[:, None]`` against ``np.arange(k)``: k draws per key); in (0, 1]."""
     idx = np.array(index, dtype=np.uint64, ndmin=1)     # an array: wraps silently
-    v = mix64_np(keys + (idx + _ONE) * _U64_GOLDEN)
+    v = _mix_np_inplace(keys + (idx + _ONE) * _U64_GOLDEN)
     v >>= _S11
     v += _ONE
-    return v.astype(np.float64) * _INV_2_53
+    return np.multiply(v, _INV_2_53, dtype=np.float64)
 
 
 def stream_uniform_block(key: int, n: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Walks are stepped in lockstep, W at a time, by two engines that share one
 stepping loop (:func:`_walk`) and one stepping rule (:func:`_step_batch`:
 inverse-CDF over the canonical direction order, one walk-stream uniform
-per step):
+per step, drawn in one call with the site uniforms):
 
 * :func:`run_fixed_batch` -- every walk takes exactly n steps, with
   optional position checkpoints and recorded step-index rows: the loop on
@@ -62,11 +62,26 @@ def walk_keys(master_seed: int, n: int, salt: str = "walk") -> np.ndarray:
 
 def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,
                 t: int, sv: np.ndarray, idx=None) -> np.ndarray:
-    """Advance every walk in pos one step in place; returns chosen indices."""
-    P = env.transitions_batch(pos, idx)
-    u = rng.stream_uniforms(keys, t)
-    cum = np.cumsum(P, axis=1)
-    idx = np.minimum((cum < u[:, None]).sum(axis=1), P.shape[1] - 1)
+    """Advance every walk in pos one step in place; returns chosen indices.
+
+    One draw per step: row i of the key grid holds walker i's site key in
+    its first nvars columns and its walk key in the last, drawn at indices
+    0..nvars-1 and t, so the site uniforms are those of
+    ``env.transitions_batch`` and the last column is draw t of the walk.
+    """
+    nv = env._nvars
+    if nv:
+        grid = np.empty((len(pos), nv + 1), dtype=np.uint64)
+        grid[:, :nv] = env._site_keys(pos, idx)[:, None]
+        grid[:, nv] = keys
+        draws = np.arange(nv + 1, dtype=np.uint64)
+        draws[nv] = t
+        U = rng.stream_uniforms(grid, draws)
+        P, u = env._rows(U[:, :nv]), U[:, nv]
+    else:
+        P, u = env.transitions_batch(pos, idx), rng.stream_uniforms(keys, t)
+    cum = P.cumsum(axis=1)
+    idx = np.minimum(np.add.reduce(cum < u[:, None], axis=1), P.shape[1] - 1)
     pos += sv[idx]
     return idx
 

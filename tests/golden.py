@@ -20,7 +20,8 @@ the ``run1`` and ``cli`` files whose digests moved, or that none did.
 
 makes the same runs with the compiled step kernel switched off, so that
 every walk steps with numpy, and checks them against this platform's
-entry.  It takes about 80 s, most of it c2's walk.
+entry.  It prints the wall time of the acceptance criteria and of the CLI
+runs: about 70 s in all, most of it c2's walk.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import pathlib
 import platform
 import sys
 import tempfile
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -140,27 +142,34 @@ def assert_digests(got: dict[str, str], entry: dict, section: str) -> None:
         "is intended, re-record with python3 tests/golden.py --write")
 
 
-def digest_runs() -> dict[str, dict[str, str]]:
-    """Digests of the seed-42 acceptance ``run1/`` files and of ``CLI_RUNS``."""
+def digest_runs() -> tuple[dict[str, dict[str, str]], dict[str, float]]:
+    """Digests of the seed-42 acceptance ``run1/`` files and of ``CLI_RUNS``,
+    and the wall seconds that each of the two sections took."""
     from rwre import acceptance
     with tempfile.TemporaryDirectory() as tmp:
         run1 = pathlib.Path(tmp) / "run1"
+        t0 = time.perf_counter()
         acceptance.run_criteria(ACCEPTANCE_SEED, str(run1))
-        return {"run1": digest_files(run1), "cli": run_cli(pathlib.Path(tmp) / "cli")}
+        t1 = time.perf_counter()
+        cli = run_cli(pathlib.Path(tmp) / "cli")
+        t2 = time.perf_counter()
+        return {"run1": digest_files(run1), "cli": cli}, {"run1": t1 - t0, "cli": t2 - t1}
 
 
 def check_numpy_path() -> None:
     """Fail unless the runs of :func:`digest_runs`, stepped with numpy alone,
-    give this platform's digests."""
+    give this platform's digests; prints their wall time."""
     from rwre import _kernel
     entry = _load()["platforms"].get(platform_key())
     if entry is None:
         raise AssertionError(f"no golden digests for platform {platform_key()}")
     loop, _kernel.loop = _kernel.loop, lambda *a: None
     try:
-        got = digest_runs()
+        got, seconds = digest_runs()
     finally:
         _kernel.loop = loop
+    print(f"numpy path: run1 criteria {seconds['run1']:.1f} s, "
+          f"CLI runs {seconds['cli']:.1f} s")
     for section in ("run1", "cli"):
         assert_digests(got[section], entry, section)
 
@@ -168,7 +177,7 @@ def check_numpy_path() -> None:
 def write() -> tuple[dict, list[str]]:
     """Record this platform's digests into ``golden_digests.json``; returns
     the entry and the moved files as ``section/name``."""
-    entry = digest_runs()
+    entry, _ = digest_runs()
     doc = _load()
     old = doc["platforms"].get(platform_key())
     moved_files = [f"{s}/{n}" for s in ("run1", "cli")
@@ -190,7 +199,7 @@ def main(argv=None) -> int:
                       help="re-record this platform's digests")
     mode.add_argument("--numpy-path", action="store_true",
                       help="check this platform's digests with every walk "
-                           "stepped by numpy (about 80 s)")
+                           "stepped by numpy (about 70 s)")
     if p.parse_args(argv).numpy_path:
         try:
             check_numpy_path()

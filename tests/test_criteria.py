@@ -525,33 +525,48 @@ def test_slab_fit_of_two_points_has_no_interval():
 
 
 def test_slab_exit_splitting_pinned():
-    # estimates (bit for bit) and censored counts recorded with the
-    # two-predicate splitting levels (crossing set plus front region) that
-    # the one-region levels replaced; level_width 0.3 is narrower than a
-    # projected step, so some walks start a level already past it
+    # censored counts recorded with the two-predicate splitting levels
+    # (crossing set plus front region) that the one-region levels replaced;
+    # level_width 0.3 is narrower than a projected step, so some walks
+    # start a level already past it.  Along an axis the walks land exactly
+    # on the levels, -bL and L, so the last case also pins which bounds are
+    # closed.  At these budgets some walks are censored, so each L reads
+    # NaN.  At 400 steps no walk is censored, and the estimates are pinned
+    # bit for bit as the splitting that counted censored walks as failures
+    # gave them (four of the eight equal its pins at the budgets above).
     ell = np.ones(2) / np.sqrt(2)
-    rep = cr.slab_exit(Expl(2, 0.2), ell, 1.0, [3.0, 5.0], 20, 2, 5,
-                       n_per_level=48, repeats=2)
-    assert [x.hex() for x in rep.estimates] == ["0x1.4d48b0fcd6e9ep-11",
-                                                "0x1.6482b8b69b372p-16"]
-    assert rep.censored == [21, 350]
-    rep = cr.slab_exit(Expl(2, 0.2), ell, 1.0, [3.0, 5.0], 20, 2, 5,
-                       n_per_level=48, repeats=2, level_width=0.3)
-    assert [x.hex() for x in rep.estimates] == ["0x1.10ded097b425fp-10",
-                                                "0x1.70c07e6b74f03p-17"]
-    assert rep.censored == [26, 337]
-    rep = cr.slab_exit(TrapSym(2), ell, 0.5, [2.0, 4.0], 30, 1, 8,
-                       n_per_level=40, repeats=3, level_width=0.5)
-    assert [x.hex() for x in rep.estimates] == ["0x1.947ae147ae148p-3",
-                                                "0x1.ad08dfea27985p-3"]
-    assert rep.censored == [6, 88]
-    # along an axis the walks land exactly on the levels, -bL and L, so
-    # this case also pins which bounds are closed
-    rep = cr.slab_exit(UniformDrift(2, 0.3), np.array([1.0, 0.0]), 1.0, [3.0, 4.0],
-                       40, 2, 6, n_per_level=40, repeats=2, level_width=1.0)
-    assert [x.hex() for x in rep.estimates] == ["0x1.0810624dd2f1ap-6",
-                                                "0x1.3d6bb98c7e282p-7"]
-    assert rep.censored == [3, 16]
+    cases = [
+        ((Expl(2, 0.2), ell, 1.0, [3.0, 5.0]), (20, 2, 5), dict(n_per_level=48, repeats=2),
+         [21, 350], ["0x1.4d48b0fcd6e9ep-11", "0x1.6482b8b69b372p-16"]),
+        ((Expl(2, 0.2), ell, 1.0, [3.0, 5.0]), (20, 2, 5),
+         dict(n_per_level=48, repeats=2, level_width=0.3),
+         [26, 337], ["0x1.10ded097b425fp-10", "0x1.7a8f54a1894e5p-17"]),
+        ((TrapSym(2), ell, 0.5, [2.0, 4.0]), (30, 1, 8),
+         dict(n_per_level=40, repeats=3, level_width=0.5),
+         [6, 88], ["0x1.947ae147ae148p-3", "0x1.cff7ced916873p-2"]),
+        ((UniformDrift(2, 0.3), np.array([1.0, 0.0]), 1.0, [3.0, 4.0]), (40, 2, 6),
+         dict(n_per_level=40, repeats=2, level_width=1.0),
+         [3, 16], ["0x1.0810624dd2f1ap-6", "0x1.4a305532617c1p-7"]),
+    ]
+    for slab, (budget, reps, seed), kw, censored, estimates_at_400 in cases:
+        rep = cr.slab_exit(*slab, budget, reps, seed, **kw)
+        assert rep.censored == censored
+        assert all(np.isnan(x) for x in rep.estimates)
+        rep = cr.slab_exit(*slab, 400, reps, seed, **kw)
+        assert rep.censored == [0, 0]
+        assert [x.hex() for x in rep.estimates] == estimates_at_400
+
+
+def test_slab_exit_splitting_censored_level_reads_nan():
+    # with a budget of one step only level crossings resolve, so every
+    # level censors walks: the L reads as insufficient data (it read
+    # 3.33e-6 when censored walks counted as failures), no fit is made, and
+    # every censored walk is still counted
+    rep = cr.slab_exit(UniformDrift(2), (1, 0), 1.0, [8.0], 1, 2, 3,
+                       estimator="splitting", n_per_level=50, repeats=2)
+    assert np.isnan(rep.estimates[0]) and np.isnan(rep.log_se[0])
+    assert rep.censored == [1352]
+    assert rep.fits == {1.0: None}
 
 
 def test_slab_exit_validates():

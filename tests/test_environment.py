@@ -92,6 +92,20 @@ def test_determinism_bit_identical(law):
     assert np.array_equal(P1, P2)
     one = env.transitions_at(tuple(X[7]))
     assert np.array_equal(one, P1[7])
+    # a row does not depend on the batch it is read in: one site at a time
+    # and in chunks of 1 to 8 rows give the rows of the whole batch, on one
+    # field and on per-walker fields (rows read with their walker ids)
+    assert np.array_equal(np.array([env.transitions_at(x) for x in X]), P1)
+    fields = Environment(law, rng.derive_keys(99, "walkers", n=len(X)))
+    Q = fields.transitions_batch(X)
+    for i, seed in enumerate(fields.master_seed.tolist()):
+        assert np.array_equal(Environment(law, seed).transitions_at(X[i]), Q[i])
+    for size in range(1, 9):
+        chunks = [np.arange(i, min(i + size, len(X))) for i in range(0, len(X), size)]
+        assert np.array_equal(np.concatenate([env.transitions_batch(X[c])
+                                              for c in chunks]), P1)
+        assert np.array_equal(np.concatenate([fields.transitions_batch(X[c], c)
+                                              for c in chunks]), Q)
 
 
 def test_different_seeds_different_fields():

@@ -3,7 +3,7 @@ import pytest
 
 from rwre import rng, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
-                              UniformDrift)
+                              TrapSym, TrapTransient, UniformDrift)
 from rwre.hypercube import analyze
 from rwre.lattice import Bounds, UnitHypercube, step_vectors
 
@@ -103,6 +103,47 @@ def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, regi
         with pytest.raises(ValueError, match=match):
             walk.run_until_batch(env, starts, keys, nsteps, region,
                                  count_visits_to=visit)
+
+
+def _step_two_draws(env, pos, keys, t, sv, idx):
+    """Oracle of walk._step_batch: the field's rows, then a separate draw t
+    of each walk stream, then the inverse-CDF choice."""
+    P = env.transitions_batch(pos, idx)
+    u = rng.stream_uniforms(keys, t)
+    cum = np.cumsum(P, axis=1)
+    choice = np.minimum((cum < u[:, None]).sum(axis=1), P.shape[1] - 1)
+    return choice, pos + sv[choice]
+
+
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+@pytest.mark.parametrize("law", [
+    UniformDrift(2, 0.3), Expl(2, 0.25), TrapSym(2), TrapTransient(1),
+    Dirichlet((1.0, 2.0, 0.5, 1.5)),
+    TableMixture(((0.3, (0.7, 0.1, 0.1, 0.1)), (0.7, (0.25,) * 4)))],
+    ids=lambda law: law.tag.split(":")[0])
+def test_one_draw_step_matches_two_draw_oracle(law, per_walker):
+    # _step_batch draws each walker's site uniforms and its walk uniform in
+    # one call; the chosen directions and the new positions must equal the
+    # two-draw oracle's bit for bit, at any width and draw index, and on
+    # per-walker fields with the live ids of a shuffled compaction
+    sv = step_vectors(law.dim)
+    for W in (1, 7, 200):
+        u = rng.stream_uniform_block(rng.derive_key(W, "oracle_sites"), W * law.dim)
+        pos = (np.floor(u * 2000) - 1000).astype(np.int64).reshape(W, law.dim)
+        keys = walk.walk_keys(W, W)
+        if per_walker:
+            env = Environment(law, rng.derive_keys(W, "oracle_fields", n=3 * W))
+            perm = np.argsort(rng.stream_uniform_block(rng.derive_key(W, "live"), 3 * W))
+            ids = [perm[:W], None]          # compacted live ids; walker i is row i
+        else:
+            env, ids = Environment(law, 11), [np.arange(W), None]
+        for idx in ids:
+            for t in (0, 1, 2 ** 40):
+                want, want_pos = _step_two_draws(env, pos, keys, t, sv, idx)
+                got_pos = pos.copy()
+                got = walk._step_batch(env, got_pos, keys, t, sv, idx)
+                assert np.array_equal(got, want)
+                assert np.array_equal(got_pos, want_pos)
 
 
 def test_engines_take_starts_in_any_memory_order():
