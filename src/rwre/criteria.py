@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import rng, stats
 from .environment import Environment, _require_one_field, transitions_for_seeds
@@ -759,6 +758,7 @@ def _fit_decay(Ls, est, lse, gamma: float) -> SlabFit | None:
     if dof:
         sigma2 = (w * resid ** 2).sum() / dof
         se_slope = float(np.sqrt(sigma2 / sxx))
+        from scipy import stats as sps
         tq = sps.t.ppf(0.975, dof)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = float(1.0 - (w * resid ** 2).sum() / ss_tot) if ss_tot > 0 else 1.0

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import rng
 
@@ -61,10 +60,11 @@ def sample_trap_T(u, d: int):
 
 
 def normalize_rows(p: np.ndarray) -> np.ndarray:
-    """Renormalize probability rows, rejecting sums off by more than 1e-9."""
+    """Renormalize probability rows, rejecting sums off by more than 1e-9,
+    negative entries and NaN (each test is written so that NaN fails it)."""
     p = np.asarray(p, dtype=float)
     s = np.add.reduce(p, axis=-1, keepdims=True)
-    if (np.abs(s - 1.0) > PROB_SUM_TOL).any() or (p < 0).any():
+    if not (np.abs(s - 1.0) <= PROB_SUM_TOL).all() or not (p >= 0).all():
         raise ValueError("invalid transition vector (bad sum or negative entry)")
     return p / s
 
@@ -278,6 +278,7 @@ class Dirichlet:
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
         # inverse-CDF gamma variates: fixed consumption, no rejection
+        from scipy.special import gammaincinv
         alpha = np.asarray(self.weights)
         g = gammaincinv(alpha[None, :], U)
         return g / g.sum(axis=1, keepdims=True)

@@ -18,9 +18,14 @@ dense linear solve:
 
 Which direction leaves corner j along axis i is read from one table,
 ``UnitHypercube.outward``; P and the exit probabilities are gathers on
-it.  All solvers are batched over environment replicates.  One private
-reduced-chain solve serves :func:`analyze_transitions`, once per corner,
-and :func:`escape_site_probs`, which needs only the start corner's chain
+it.  All solvers are batched over environment replicates.
+:func:`analyze_transitions` builds P, Q and the exit mass and rejects a
+closed corner set at once; each solve waits for the first read of a field
+of :class:`ExitAnalysis` that needs it, so a caller pays only for what it
+reads: N and the mean exit times cost one batched solve, the moments one
+per order, and Qtilde and the hitting probabilities one per corner each.
+One private reduced-chain solve serves ``Qtilde``, once per corner, and
+:func:`escape_site_probs`, which needs only the start corner's chain
 (the escape probabilities of the path bundles).  The Monte Carlo checks
 (:func:`visit_law_check`, non-integer :func:`fractional_moment`) walk on
 the keyed field with :func:`~rwre.walk.run_until_batch`, with
@@ -30,6 +35,7 @@ the keyed field with :func:`~rwre.walk.run_until_batch`, with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -78,19 +84,81 @@ def _check_absorbing(P: np.ndarray, exit_mass: np.ndarray) -> None:
             "corner with no escape route: zero exit mass reachable")
 
 
-@dataclass
 class ExitAnalysis:
-    """Exact solve products for a batch of quenched cubes (axis 0)."""
+    """Exact solve products for a batch of quenched cubes (axis 0).
 
-    d: int
-    Q: np.ndarray                # (R, m) max one-step exit prob per corner
-    Qtilde: np.ndarray           # (R, m, m)
-    Qtilde_row: np.ndarray       # (R, m)
-    mean_exit: np.ndarray        # (R, m)
-    fundamental: np.ndarray      # (R, m, m) expected visits E_{x0}[N(x)]
-    hit_before_exit: np.ndarray  # (R, m, m) P_{x0}[T_x < T_exit]
-    moments: np.ndarray          # (R, order+1, m); row k is E_x[T^k]
-    exit_mass: np.ndarray        # (R, m)
+    ``d``, ``Q`` (R, m: the largest one-step exit probability per corner)
+    and ``exit_mass`` (R, m) are set at construction.  Every other field
+    is solved on its first read and kept; m = 2^d, and each batched solve
+    is over all R cubes:
+
+    * ``fundamental`` (R, m, m), expected visits E_{x0}[N(x)], and
+      ``mean_exit`` (R, m), its row sums: one solve;
+    * ``moments`` (R, order+1, m), row k is E_x[T^k]: ``order`` solves;
+    * ``Qtilde`` (R, m, m) and ``Qtilde_row`` (R, m), its row sums: m
+      solves, one reduced chain per corner;
+    * ``hit_before_exit`` (R, m, m), P_{x0}[T_x < T_exit]: m solves.
+
+    A singular solve raises :class:`DegenerateEnvironmentError` on the
+    first read of the field that needs it.
+    """
+
+    def __init__(self, d: int, P: np.ndarray, exit_mass: np.ndarray,
+                 Q: np.ndarray, moment_order: int):
+        self.d = d
+        self.Q = Q
+        self.exit_mass = exit_mass
+        self._P = P
+        self._eye = np.broadcast_to(np.eye(P.shape[1]), P.shape)
+        self._A = self._eye - P
+        self._order = moment_order
+
+    @cached_property
+    def fundamental(self) -> np.ndarray:
+        return _solve(self._A, self._eye)
+
+    @cached_property
+    def mean_exit(self) -> np.ndarray:
+        return self.fundamental.sum(axis=2)
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        # (I - P) m_k = q + sum_{j<k} C(k, j) P m_j, m_0 = 1
+        P, q, A = self._P, self.exit_mass, self._A
+        R, m = q.shape
+        moments = np.empty((R, self._order + 1, m))
+        moments[:, 0] = 1.0
+        Pm = [np.einsum("rxy,ry->rx", P, moments[:, 0])]
+        for k in range(1, self._order + 1):
+            rhs = q + sum(comb(k, j) * Pm[j] for j in range(k))
+            moments[:, k] = _solve(A, rhs[..., None])[..., 0]
+            if k < self._order:
+                Pm.append(np.einsum("rxy,ry->rx", P, moments[:, k]))
+        return moments
+
+    @cached_property
+    def Qtilde(self) -> np.ndarray:
+        R, m = self.exit_mass.shape
+        Qtilde = np.empty((R, m, m))
+        for x in range(m):
+            Qtilde[:, x] = _escape_row(self._A, self._P, self.exit_mass, x)[2]
+        return Qtilde
+
+    @cached_property
+    def Qtilde_row(self) -> np.ndarray:
+        return self.Qtilde.sum(axis=2)
+
+    @cached_property
+    def hit_before_exit(self) -> np.ndarray:
+        # absorb at x, rhs = one-step probability into x
+        P = self._P
+        R, m = self.exit_mass.shape
+        hit = np.zeros((R, m, m))
+        for x in range(m):
+            idx, Ax = _reduced(self._A, x)
+            hit[:, idx, x] = _solve(Ax, P[:, idx, x][..., None])[..., 0]
+            hit[:, x, x] = 1.0
+        return hit
 
     def check_identities(self, tol: float = IDENTITY_TOL) -> dict[str, float]:
         """Max violations of the exact identities; all should be <= tol.
@@ -113,67 +181,50 @@ class ExitAnalysis:
 
 
 def analyze_transitions(d: int, trans: np.ndarray, moment_order: int = 2) -> ExitAnalysis:
-    """Full exact analysis of an (R, m, 2d) batch of quenched cubes."""
+    """Exact analysis of an (R, m, 2d) batch of quenched cubes.
+
+    The interior chain is built and checked for a closed corner set here;
+    the solves wait for the first read of the field that needs them.
+    """
     if moment_order < 1:
         raise ValueError("moment_order must be >= 1")
-    m = 1 << d
-    R = trans.shape[0]
     P = _interior_matrix(d, trans)
     exit_probs = _exit_probs(d, trans)
     q = exit_probs.sum(axis=2)
     _check_absorbing(P, q)
-    A = np.broadcast_to(np.eye(m), (R, m, m)) - P
-    eye = np.broadcast_to(np.eye(m), (R, m, m))
+    return ExitAnalysis(d, P, q, exit_probs.max(axis=2), moment_order)
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve``, with a singular matrix raised as degenerate."""
     try:
-        fundamental = np.linalg.solve(A, eye)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise DegenerateEnvironmentError(
-            "singular interior chain: a corner set has no exit mass") from exc
-    mean_exit = fundamental.sum(axis=2)
+            "singular chain: a corner set has no exit mass") from exc
 
-    # integer moments: (I - P) m_k = q + sum_{j<k} C(k, j) P m_j, m_0 = 1
-    moments = np.empty((R, moment_order + 1, m))
-    moments[:, 0] = 1.0
-    Pm = [np.einsum("rxy,ry->rx", P, moments[:, 0])]
-    for k in range(1, moment_order + 1):
-        rhs = q + sum(comb(k, j) * Pm[j] for j in range(k))
-        moments[:, k] = np.linalg.solve(A, rhs[..., None])[..., 0]
-        if k < moment_order:
-            Pm.append(np.einsum("rxy,ry->rx", P, moments[:, k]))
 
-    Q = exit_probs.max(axis=2)
-    Qtilde = np.empty((R, m, m))
-    hit = np.zeros((R, m, m))
-    for x in range(m):
-        idx, Ax, _, Qtilde[:, x] = _escape_row(A, P, q, x)
-        # hitting x before exit: absorb at x, rhs = one-step probability into x
-        hx = np.linalg.solve(Ax, P[:, idx, x][..., None])[..., 0]
-        hit[:, idx, x] = hx
-        hit[:, x, x] = 1.0
-    Qtilde_row = Qtilde.sum(axis=2)
-    return ExitAnalysis(d, Q, Qtilde, Qtilde_row, mean_exit, fundamental,
-                        hit, moments, q)
+def _reduced(A: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The corners other than x, and I - P restricted to them."""
+    m = A.shape[1]
+    idx = np.arange(m)[np.arange(m) != x]
+    return idx, A[:, idx][:, :, idx]
 
 
 def _escape_row(A: np.ndarray, P: np.ndarray, q: np.ndarray, x: int):
     """The chain with corner x turned absorbing, for an (R, m, m) batch.
 
-    Returns the other corners ``idx``, the reduced ``Ax`` (I - P on idx),
-    its inverse ``G`` (expected visits before x or exit) and the (R, m)
-    row x of Qtilde.
+    Returns the other corners ``idx``, the inverse ``G`` of the reduced
+    I - P (expected visits before x or exit) and the (R, m) row x of
+    Qtilde.
     """
     R, m = q.shape
-    idx = np.arange(m)[np.arange(m) != x]
-    Ax = A[:, idx][:, :, idx]
-    try:
-        G = np.linalg.solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateEnvironmentError(
-            "singular reduced chain while computing escape probabilities") from exc
+    idx, Ax = _reduced(A, x)
+    G = _solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
     row = np.empty((R, m))
     row[:, idx] = np.einsum("rz,rzy->ry", P[:, x, idx], G) * q[:, idx]
     row[:, x] = q[:, x]
-    return idx, Ax, G, row
+    return idx, G, row
 
 
 def analyze(env: Environment, cube: UnitHypercube,
@@ -206,7 +257,7 @@ def escape_site_probs(trans: np.ndarray,
     exit_probs = _exit_probs(d, trans[None])
     q = exit_probs.sum(axis=2)
     _check_absorbing(P, q)
-    idx, _, G, qtilde_row = _escape_row(np.eye(m) - P, P, q, from_corner)
+    idx, G, qtilde_row = _escape_row(np.eye(m) - P, P, q, from_corner)
     rho = np.zeros((m, d))
     rho[from_corner] = exit_probs[0, from_corner]
     # rho keeps the 1-D product and the Qtilde row the batched einsum: from one

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 
 @dataclass
@@ -92,6 +91,7 @@ def binomial_ci(k: int, n: int) -> tuple[float, float]:
     """
     if n == 0:
         return float("nan"), float("nan")
+    from scipy import stats as sps
     lo = sps.beta.ppf(0.025, k, n - k + 1) if k > 0 else 0.0
     hi = sps.beta.ppf(0.975, k + 1, n - k) if k < n else 1.0
     return float(lo), float(hi)
@@ -145,4 +145,5 @@ def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
     exp = n * probs
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(probs) - 1
+    from scipy import stats as sps
     return stat, dof, float(sps.chi2.sf(stat, dof))

@@ -1,9 +1,11 @@
 """Acceptance suite: every criterion at its pinned scale and tolerance.
 
 The driver runs all criteria twice into run1/run2, the second pass in a
-fresh interpreter (it backs the byte-identity determinism criterion), so
-this module is the slow part of the test suite (about 26 s on a 2-vCPU
-AMD EPYC host).  One PASS/FAIL line is printed per criterion.
+fresh interpreter started before the first and running beside it (it
+backs the byte-identity determinism criterion), so this module is the
+slow part of the test suite (about 29 s on a 2-vCPU Intel Xeon host, 49 s
+with the passes one after the other).  One PASS/FAIL line is printed per
+criterion.
 """
 
 import json

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from rwre import cli, criteria, hypercube, walk
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -14,6 +20,19 @@ def test_missing_seed_is_parameter_error(tmp_path, capsys):
                 "--out", str(tmp_path / "w.csv")])
     assert code == cli.EXIT_PARAM
     assert "seed" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the few functions that call it, so a CLI run
+    # that never reaches one does not pay for the import
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import sys, rwre, rwre.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_usage_error():

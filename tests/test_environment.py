@@ -73,6 +73,19 @@ def test_normalize_rows_rejects_drift_beyond_tolerance():
     assert abs(out.sum() - 1.0) < 1e-15
 
 
+def test_normalize_rows_rejects_nan_rows():
+    with pytest.raises(ValueError, match="invalid transition vector"):
+        normalize_rows(np.array([[np.nan, 0.5, 0.25, 0.25]]))
+    # a site uniform of exactly 1.0 makes an infinite gamma variate and a
+    # NaN entry in the Dirichlet row (inf / inf)
+    U = np.array([[1.0, 0.5, 0.5, 0.5]])
+    with np.errstate(invalid="ignore"):
+        row = Dirichlet((1.0,) * 4).pvecs_from_uniforms(U)
+    assert np.isnan(row).any()
+    with pytest.raises(ValueError, match="invalid transition vector"):
+        normalize_rows(row)
+
+
 # --- simplex and determinism invariants -------------------------------------
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.tag.split(":")[0])

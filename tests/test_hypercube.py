@@ -1,9 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 
 from rwre import hypercube as hc, rng, stats, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture, TrapSym,
-                              TrapTransient, UniformDrift)
+                              TrapTransient, UniformDrift, transitions_for_seeds)
 from rwre.lattice import UnitHypercube
 
 CUBE2 = UnitHypercube((0, 0))
@@ -42,6 +44,118 @@ def test_gathers_equal_the_corner_loops(d):
     trans = np.random.default_rng(d).dirichlet(np.ones(2 * d), size=(50, 1 << d))
     assert np.array_equal(hc._interior_matrix(d, trans), interior_matrix_loop(d, trans))
     assert np.array_equal(hc._exit_probs(d, trans), exit_probs_loop(d, trans))
+
+
+def eager_analysis(d, trans, moment_order):
+    """Reference for ``hc.analyze_transitions``: every field solved at once,
+    in the order the solves ran before the fields were solved on first
+    read.  Returns the fields by name."""
+    m = 1 << d
+    R = trans.shape[0]
+    P = hc._interior_matrix(d, trans)
+    exit_probs = hc._exit_probs(d, trans)
+    q = exit_probs.sum(axis=2)
+    A = np.broadcast_to(np.eye(m), (R, m, m)) - P
+    fundamental = np.linalg.solve(A, np.broadcast_to(np.eye(m), (R, m, m)))
+    moments = np.empty((R, moment_order + 1, m))
+    moments[:, 0] = 1.0
+    Pm = [np.einsum("rxy,ry->rx", P, moments[:, 0])]
+    for k in range(1, moment_order + 1):
+        rhs = q + sum(comb(k, j) * Pm[j] for j in range(k))
+        moments[:, k] = np.linalg.solve(A, rhs[..., None])[..., 0]
+        if k < moment_order:
+            Pm.append(np.einsum("rxy,ry->rx", P, moments[:, k]))
+    Qtilde = np.empty((R, m, m))
+    hit = np.zeros((R, m, m))
+    for x in range(m):
+        idx = np.arange(m)[np.arange(m) != x]
+        Ax = A[:, idx][:, :, idx]
+        G = np.linalg.solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
+        Qtilde[:, x, idx] = np.einsum("rz,rzy->ry", P[:, x, idx], G) * q[:, idx]
+        Qtilde[:, x, x] = q[:, x]
+        hit[:, idx, x] = np.linalg.solve(Ax, P[:, idx, x][..., None])[..., 0]
+        hit[:, x, x] = 1.0
+    return {"Q": exit_probs.max(axis=2), "Qtilde": Qtilde,
+            "Qtilde_row": Qtilde.sum(axis=2), "mean_exit": fundamental.sum(axis=2),
+            "fundamental": fundamental, "hit_before_exit": hit,
+            "moments": moments, "exit_mass": q}
+
+
+FIELDS = ["Q", "Qtilde", "Qtilde_row", "mean_exit", "fundamental",
+          "hit_before_exit", "moments", "exit_mass"]
+LAZY_LAWS = [UniformDrift(1), UniformDrift(2, 0.3), UniformDrift(3),
+             Dirichlet((1.0,) * 2), Dirichlet((2.0, 1.0, 1.0, 0.5)), Dirichlet((1.0,) * 6),
+             Expl(2, 0.3), Expl(3, 0.2), TrapSym(1), TrapSym(2), TrapSym(3)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("law", LAZY_LAWS, ids=lambda law: law.tag)
+def test_fields_read_on_demand_equal_the_eager_solves(law, order):
+    cube = UnitHypercube((0,) * law.dim)
+    seeds = [rng.derive_key(8, law.tag, i) for i in range(60)]
+    trans = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
+    want = eager_analysis(law.dim, trans, order)
+    for fields in (FIELDS, FIELDS[::-1]):
+        ana = hc.analyze_transitions(law.dim, trans, order)
+        for name in fields:
+            assert np.array_equal(getattr(ana, name), want[name]), name
+        for name in fields:                     # a second read is the same array
+            assert getattr(ana, name) is getattr(ana, name)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda *a, **k: calls.append(1) or solve(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_each_field_pays_only_for_its_own_solves(monkeypatch, d):
+    m, order = 1 << d, 2
+    cube = UnitHypercube((0,) * d)
+    trans = transitions_for_seeds(Dirichlet((1.0,) * (2 * d)), list(range(5)),
+                                  np.asarray(cube.corners, dtype=np.int64))
+    calls = _count_solves(monkeypatch)
+    ana = hc.analyze_transitions(d, trans, order)
+    assert len(calls) == 0
+    ana.Q, ana.exit_mass
+    assert len(calls) == 0
+    ana.mean_exit
+    assert len(calls) == 1
+    ana.fundamental
+    assert len(calls) == 1
+    ana.moments
+    assert len(calls) == 1 + order
+    ana.Qtilde_row
+    assert len(calls) == 1 + order + m
+    ana.hit_before_exit                         # no second solve for G
+    assert len(calls) == 1 + order + 2 * m
+    for name in FIELDS:
+        getattr(ana, name)
+    assert len(calls) == 1 + order + 2 * m
+    calls.clear()
+    hc.analyze_transitions(d, trans, order).check_identities()
+    assert len(calls) == 1 + 2 * m             # the moments are not checked
+
+
+def test_fractional_moment_makes_one_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    rep = hc.fractional_moment(TrapSym(2), 1.0, 50, 3)
+    assert len(calls) == 1 and len(rep.samples) == 50
+
+
+def test_singular_solve_raises_on_first_read(monkeypatch):
+    ana = hc.analyze(Environment(UniformDrift(2), 1), CUBE2, 1)
+
+    def singular(*a, **k):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for name in ("mean_exit", "fundamental", "moments", "Qtilde", "Qtilde_row",
+                 "hit_before_exit"):
+        with pytest.raises(hc.DegenerateEnvironmentError):
+            getattr(ana, name)
 
 
 def test_uniform_golden_values():
