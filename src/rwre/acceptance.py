@@ -108,11 +108,11 @@ IDENTITY_LAWS = [("uniform", lambda: UniformDrift(2)),
 
 def crit3_exact_identities(seed: int, outdir: str):
     cube = UnitHypercube((0, 0))
-    tol = 1e-10
+    tol = hypercube.IDENTITY_TOL
     worst: dict[str, dict] = {}
     for name, mk in IDENTITY_LAWS:
         seeds = rng.derive_keys(seed, "c3", name, n=1000)
-        worst[name] = hypercube.analyze_batch(mk(), seeds, cube, 2).check_identities(tol)
+        worst[name] = hypercube.analyze_batch(mk(), seeds, cube, 2).check_identities()
     passed = all(v <= tol for viol in worst.values() for v in viol.values())
     _save(outdir, "c03_exact_identities.json", seed,
           {"replicates": 1000, "tol": tol}, {"max_violations": worst})
@@ -221,7 +221,7 @@ def crit9_trap_tail(seed: int, outdir: str):
     est = stats.hill(samples, k=24)
     curve = {k: stats.hill(samples, k).index for k in (16, 20, 24, 32, 48)}
     _save(outdir, "c09_trap_tail.json", seed, {"replicates": 10_000, "k": 24},
-          {"hill": est.to_dict(), "target": [0.8, 1.2],
+          {"hill": asdict(est), "target": [0.8, 1.2],
            "hill_curve": {str(k): v for k, v in curve.items()}})
     return 0.8 <= est.index <= 1.2, {"hill_index": est.index}
 

@@ -5,10 +5,14 @@ Configuration is a JSON tree (see ``--config``); every flag overrides the
 corresponding config entry.  The master seed is mandatory (never the
 clock), outputs are CSV (tabular) and JSON (reports), and every output
 file embeds the config hash and tool version, so identical configs yield
-byte-identical artifacts.
+byte-identical artifacts.  Three files have no such header: ``regen``'s
+regeneration CSV and the acceptance suite's ``c01_regenerations_sample.csv``
+(both from ``regeneration.records_to_csv``) and ``walk``'s ``.traj.csv``
+(``walk.trajectory_to_csv``).
 
-Exit codes: 0 completed, 2 parameter/usage error, 3 insufficient data,
-4 degenerate environment (a corner set with no escape route).
+Exit codes: 0 completed, 1 internal failure (with its traceback),
+2 parameter/usage error, 3 insufficient data, 4 degenerate environment
+(a corner set with no escape route).
 """
 
 from __future__ import annotations
@@ -23,14 +27,10 @@ import numpy as np
 from . import __version__, criteria, hypercube, regeneration, rng, walk
 from .environment import (Dirichlet, Environment, Expl, TableMixture,
                           TrapSym, TrapTransient, UniformDrift)
+from .errors import ParameterError
 from .lattice import UnitHypercube
 
 EXIT_OK, EXIT_PARAM, EXIT_NODATA, EXIT_DEGENERATE = 0, 2, 3, 4
-
-
-class ParameterError(ValueError):
-    pass
-
 
 _REQUIRED = object()
 
@@ -281,55 +281,62 @@ def cmd_hypercube(args) -> int:
     return EXIT_OK
 
 
+# Per command-line flag, the criteria that do not read it, each with the
+# config key that sets what it reads instead (None: it reads nothing alike).
+# Config keys are not checked: one config may describe several criteria.
+_UNREAD_FLAGS = {"replicates": {"slab": "slab_replicates"},
+                 "exponent": {"e0": "etas", "eprime1": "phi", "pm": "M", "slab": None}}
+
+
 def cmd_criteria(args) -> int:
     config = load_config(args, {"replicates": 1000})
     law = _resolve_law(config)
     seed = _param(config, "seed", int)
     reps = _param(config, "replicates", int, at_least=1)
     name = config.get("criterion")
+    for flag, unread in _UNREAD_FLAGS.items():
+        if getattr(args, flag) is not None and name in unread:
+            key = unread[name]
+            raise ParameterError(f"criterion {name} does not read --{flag}"
+                                 + (f"; set {key} in the config" if key else ""))
     out = config.get("out", f"criterion_{name}.json")
-    if name in ("e0", "eprime1", "eprime1_probe", "ktilde1"):
-        if name == "e0":
-            # one eta for every direction, or a list of 2d
-            etas = _param(config, "etas",
-                         "list" if isinstance(config.get("etas"), list) else "number",
-                         0.1)
-            rep = criteria.check_e0(law, etas, reps, seed)
-        elif name == "eprime1":
-            phi = _param(config, "phi", "list", None)
-            if phi is None:
-                raise ParameterError("criterion eprime1 needs phi (2d positive "
-                                     "weights) in the config")
-            rep = criteria.check_eprime(law, phi, reps, seed)
-        elif name == "eprime1_probe":
-            rep = criteria.eprime_probe(law, _param(config, "exponent", "number", None),
-                                        reps, seed)
-        else:
-            rep = criteria.check_ktilde(law, _param(config, "exponent", float, 2.0),
-                                        reps, seed)
-        write_json(out, rep.to_dict(), config)
-        print(f"criteria {name}: {rep.verdict} -> {out}")
-        return EXIT_OK
-    if name == "slab":
-        ell = default_ell(law)
-        rep = criteria.slab_exit(law, ell, _param(config, "b", float, 1.0),
+    if name == "e0":
+        # one eta for every direction, or a list of 2d
+        etas = _param(config, "etas",
+                     "list" if isinstance(config.get("etas"), list) else "number",
+                     0.1)
+        rep = criteria.check_e0(law, etas, reps, seed)
+    elif name == "eprime1":
+        phi = _param(config, "phi", "list", None)
+        if phi is None:
+            raise ParameterError("criterion eprime1 needs phi (2d positive "
+                                 "weights) in the config")
+        rep = criteria.check_eprime(law, phi, reps, seed)
+    elif name == "eprime1_probe":
+        rep = criteria.eprime_probe(law, _param(config, "exponent", "number", None),
+                                    reps, seed)
+    elif name == "ktilde1":
+        rep = criteria.check_ktilde(law, _param(config, "exponent", float, 2.0),
+                                    reps, seed)
+    elif name == "slab":
+        rep = criteria.slab_exit(law, default_ell(law), _param(config, "b", float, 1.0),
                                  _param(config, "L_grid", "list", [8, 16, 32]),
                                  _param(config, "walk_budget", int, 30000),
                                  _param(config, "slab_replicates", int, 2), seed,
                                  estimator=config.get("estimator", "splitting"))
-        write_json(out, rep.to_dict(), config)
-        print(f"criteria slab: estimates {['%.3g' % e for e in rep.estimates]} -> {out}")
-        return EXIT_OK
-    if name == "pm":
-        ell = default_ell(law)
-        rep = criteria.polynomial_condition(law, ell, _param(config, "M", float, 1.0),
+    elif name == "pm":
+        rep = criteria.polynomial_condition(law, default_ell(law),
+                                            _param(config, "M", float, 1.0),
                                             _param(config, "L_grid", "list", [8, 16]),
                                             _param(config, "walk_budget", int, 20000),
                                             reps, seed)
-        write_json(out, rep.to_dict(), config)
-        print(f"criteria pm: {rep.verdict} -> {out}")
-        return EXIT_OK
-    raise ParameterError(f"unknown criterion {name!r}")
+    else:
+        raise ParameterError(f"unknown criterion {name!r}")
+    write_json(out, rep.to_dict(), config)
+    summary = (f"estimates {['%.3g' % e for e in rep.estimates]}" if name == "slab"
+               else rep.verdict)
+    print(f"criteria {name}: {summary} -> {out}")
+    return EXIT_OK
 
 
 def cmd_paths(args) -> int:
@@ -434,7 +441,7 @@ def main(argv=None) -> int:
     except hypercube.DegenerateEnvironmentError as exc:
         print(f"degenerate environment: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ParameterError, ValueError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAM
 

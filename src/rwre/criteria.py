@@ -14,7 +14,9 @@ through the inverse-Q check and the path bundles, not one composite
 check); escape path bundles with their quenched probabilities; box/slab
 exit estimators (including a level-splitting rare-event estimator, since
 backtracking probabilities decay exponentially and are invisible to direct
-Monte Carlo); and the tilted-box front-exit probe.
+Monte Carlo); and the tilted-box front-exit probe.  The box, direct slab
+and tilted-box estimators count their exits through one reader; the
+splitting levels read their own, since they resample the hit walks.
 
 Every verdict is Monte Carlo evidence with a confidence interval; nothing
 here "proves" an almost-sure or asymptotic statement.
@@ -22,12 +24,13 @@ here "proves" an almost-sure or asymptotic statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import rng, stats
 from .environment import Environment, _require_one_field, transitions_for_seeds
+from .errors import ParameterError
 from .hypercube import _exit_probs, escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
                       rotation_onto_e1, step_vectors)
@@ -140,7 +143,7 @@ def gamma_exponents(phi: np.ndarray, d: int) -> np.ndarray:
     """gamma_x = sum of phi over the directions leaving the cube at x."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2 * d,) or np.any(phi <= 0):
-        raise ValueError("phi must be a positive vector over the 2d directions")
+        raise ParameterError("phi must be a positive vector over the 2d directions")
     return phi[UnitHypercube((0,) * d).outward].sum(axis=1)
 
 
@@ -167,7 +170,7 @@ class EprimePolicy:
         if len(above) == 0:
             # some direction always carries >= 1/(2d) >= delta by default;
             # a custom delta above that can fail to fire
-            raise ValueError(f"no direction with p(0, e) >= delta={delta}")
+            raise ParameterError(f"no direction with p(0, e) >= delta={delta}")
         return int(above[0])       # 0-based canonical direction
 
     def _anchor(self, k0: int, d: int) -> Site:
@@ -240,7 +243,7 @@ def mark_sum(mmh: MarkedMarkovianHypercube, gammas) -> float:
     """Exact sum of gamma_x AND alpha_x over the corner offsets."""
     gammas = np.asarray(gammas, dtype=float)
     if gammas.shape != mmh.marks.shape:
-        raise ValueError("gammas must cover all corner offsets")
+        raise ParameterError("gammas must cover all corner offsets")
     return float(np.minimum(gammas, mmh.marks).sum())
 
 
@@ -278,7 +281,7 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     """
     n = _count(n, "n")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     _require_one_field(env, "paths")
     d = env.dim
     corners = np.asarray(mmh.cube.corners, dtype=np.int64)
@@ -332,10 +335,6 @@ class Estimate:
     n: int = 0
     censored: int = 0
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "n": self.n, "censored": self.censored}
-
 
 @dataclass
 class CriterionReport:
@@ -346,9 +345,7 @@ class CriterionReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"criterion": self.criterion, "params": self.params,
-                "estimates": [e.to_dict() for e in self.estimates],
-                "verdict": self.verdict, "details": self.details}
+        return asdict(self)
 
 
 def _origin_samples(law, replicates: int, master_seed: int, salt: str) -> np.ndarray:
@@ -396,9 +393,10 @@ def _origin_probes(law, exponents, replicates: int,
 
 def check_e0(law, etas, replicates: int, master_seed: int) -> CriterionReport:
     """Probe E[p(0,e)^(-eta_e)] < infinity for every direction."""
-    etas = np.broadcast_to(np.asarray(etas, dtype=float), (2 * law.dim,))
-    if np.any(etas <= 0):
-        raise ValueError("eta exponents must be positive")
+    etas = np.asarray(etas, dtype=float)
+    if etas.shape not in ((), (1,), (2 * law.dim,)) or np.any(etas <= 0):
+        raise ParameterError("etas must be one positive exponent or 2d of them")
+    etas = np.broadcast_to(etas, (2 * law.dim,))
     verdicts, ests = _origin_probes(law, etas.tolist(), replicates, master_seed)
     overall = _overall(set(verdicts) == {_FINITE}, _INFINITE in verdicts)
     return CriterionReport("E0", {"etas": etas.tolist(), "replicates": replicates},
@@ -417,7 +415,7 @@ def eprime_probe(law, exponent: float | None, replicates: int,
     if exponent is None:
         exponent = 1.0 / (4 * D)
     if exponent <= 0:
-        raise ValueError("exponent must be positive")
+        raise ParameterError("exponent must be positive")
     verdicts, ests = _origin_probes(law, [exponent] * (2 * D), replicates,
                                     master_seed)
     overall = _overall(set(verdicts) == {_FINITE}, set(verdicts) == {_INFINITE})
@@ -431,7 +429,7 @@ def check_eprime(law, phi, replicates: int, master_seed: int) -> CriterionReport
     D = law.dim
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2 * D,) or np.any(phi <= 0):
-        raise ValueError("phi must be positive over the 2d directions")
+        raise ParameterError("phi must be positive over the 2d directions")
     opp = np.concatenate([phi[D:], phi[:D]])
     margin = 2 * phi.sum() - (phi + opp).max()
     logP = np.log(_origin_samples(law, replicates, master_seed, "eprime_full"))
@@ -459,7 +457,7 @@ def check_ktilde(law, exponent: float, replicates: int,
     the origin from its corner x.
     """
     if exponent <= 1.0:
-        raise ValueError("exponent must exceed 1 (it plays 1 + eps)")
+        raise ParameterError("exponent must exceed 1 (it plays 1 + eps)")
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "ktilde", n=replicates)
     P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
@@ -495,9 +493,10 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
     default :class:`EprimePolicy`.
     """
     u_grid = [float(u) for u in u_grid]
+    horizon = {u: int(np.floor(eta * np.log(u))) for u in u_grid}
     for u in u_grid:
-        if int(np.floor(eta * np.log(u))) < 1:
-            raise ValueError(f"u={u} too small: floor(eta log u) < 1")
+        if horizon[u] < 1:
+            raise ParameterError(f"u={u} too small: floor(eta log u) < 1")
     policy = EprimePolicy()
     seeds = rng.derive_keys(master_seed, "attainability", n=replicates)
     maxpi: dict[float, list[float]] = {u: [] for u in u_grid}
@@ -505,15 +504,13 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
         env = Environment(law, seed)
         mmh = discover(env, policy)
         for u in u_grid:
-            n = int(np.floor(eta * np.log(u)))
-            maxpi[u].append(paths(env, mmh, n).max_pi())
+            maxpi[u].append(paths(env, mmh, horizon[u]).max_pi())
     out = []
     for u in u_grid:
-        n = int(np.floor(eta * np.log(u)))
         thr = u ** (-(alpha + 2 * delta) / (alpha + eps))
         freq = float(np.mean(np.asarray(maxpi[u]) < thr))
         bench = u ** (-(alpha + delta))
-        out.append(AttainabilityPoint(u, n, thr, freq, bench, freq <= bench))
+        out.append(AttainabilityPoint(u, horizon[u], thr, freq, bench, freq <= bench))
     return out
 
 
@@ -531,6 +528,17 @@ def _box_region(R: np.ndarray, L: float, Lp: float, Lt: float) -> Bounds:
 def _slab_region(ell: np.ndarray, b: float, L: float) -> Bounds:
     """The slab {-b L <= x.ell <= L} (bounds inclusive)."""
     return Bounds(ell, -b * L, L, True, True)
+
+
+def _exit_share(env, starts, keys, budget: int, region: Bounds,
+                event) -> tuple[int, int, int]:
+    """(hits, exited, censored) walks of a run until each leaves ``region``:
+    hits left it at a site where ``event``, a predicate on the (n, d) final
+    sites, holds, and censored ones spent the ``budget`` inside."""
+    res = run_until_batch(env, starts, keys, budget, inside=region)
+    exited = res.status == STATUS_EXITED
+    return (int((exited & event(res.final)).sum()), int(exited.sum()),
+            res.censored())
 
 
 @dataclass
@@ -558,9 +566,12 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     "insufficient-data".
     """
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ParameterError("M must be >= 1")
+    if any(L <= 0 for L in L_grid):
+        raise ParameterError("every box length L must be positive")
     ell = np.asarray(ell, dtype=float)
     R = rotation_onto_e1(ell)
+    origin = np.zeros(law.dim, dtype=np.int64)
     points: list[BoxExitPoint] = []
     verdict_ok = True
     unresolved = False
@@ -571,18 +582,12 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 Lp = fp * L
                 Lt = min(ft * L, 72.0 * L ** 3)
                 seeds = rng.derive_keys(master_seed, f"pm:{L}:{fp}:{ft}", n=replicates)
-                env = Environment(law, seeds)
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
-                res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
-                                      keys, walk_budget,
-                                      inside=_box_region(R, L, Lp, Lt))
-                exited = res.status == STATUS_EXITED
-                n_resolved = int(exited.sum())
-                bad = exited & ((res.final @ ell) < L)
-                p = float(bad.sum() / n_resolved) if n_resolved else float("nan")
-                hi = stats.binomial_ci(int(bad.sum()), n_resolved)[1]
-                grid.append(BoxExitPoint(L, Lp, Lt, p, hi, n_resolved,
-                                         res.censored()))
+                bad, n, cens = _exit_share(Environment(law, seeds), origin, keys,
+                                           walk_budget, _box_region(R, L, Lp, Lt),
+                                           lambda final: final @ ell < L)
+                grid.append(BoxExitPoint(L, Lp, Lt, bad / n if n else float("nan"),
+                                         stats.binomial_ci(bad, n)[1], n, cens))
         # a point without resolved runs has a NaN estimate and never wins
         resolved = [pt for pt in grid if pt.n]
         if not resolved:
@@ -595,10 +600,7 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
             verdict_ok = False
     ests = [Estimate(f"backtrack_exit_L={p.L}", p.estimate, ci_high=p.ci_high,
                      n=p.n, censored=p.censored) for p in points]
-    if unresolved:
-        verdict = "insufficient-data"
-    else:
-        verdict = "satisfied-empirically" if verdict_ok else "violated-empirically"
+    verdict = "insufficient-data" if unresolved else _overall(verdict_ok, True)
     return CriterionReport(
         "P_M", {"M": M, "L_grid": list(L_grid), "replicates": replicates},
         ests, verdict,
@@ -692,11 +694,11 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     log-estimate against L^gamma are reported for each requested gamma.
     """
     if b <= 0 or any(L <= 0 for L in L_grid):
-        raise ValueError("b and every slab length L must be positive")
+        raise ParameterError("b and every slab length L must be positive")
     if estimator not in ("splitting", "direct"):
-        raise ValueError(f"unknown estimator {estimator!r}")
+        raise ParameterError(f"unknown estimator {estimator!r}")
     if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise ParameterError("replicates must be >= 1")
     ell = np.asarray(ell, dtype=float)
     Ls, est, lse, cens = [], [], [], []
     for L in L_grid:
@@ -716,15 +718,13 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                 keys = walk_keys(rng.derive_key(master_seed, "slab_direct", r,
                                                 int(L * 64)),
                                  direct_runs)
-                res = run_until_batch(env, np.zeros(law.dim, dtype=np.int64),
-                                      keys, walk_budget,
-                                      inside=_slab_region(ell, b, float(L)))
-                exited = res.status == STATUS_EXITED
-                back = exited & ((res.final @ ell) < 0)
-                n_resolved = int(exited.sum())
-                ncens += res.censored()
-                if n_resolved:      # all censored: no data, not "no back exit"
-                    vals.append(float(back.sum() / n_resolved))
+                back, n, c = _exit_share(env, np.zeros(law.dim, dtype=np.int64),
+                                         keys, walk_budget,
+                                         _slab_region(ell, b, float(L)),
+                                         lambda final: final @ ell < 0)
+                ncens += c
+                if n:      # all censored: no data, not "no back exit"
+                    vals.append(back / n)
         v = np.asarray(vals, dtype=float)
         Ls.append(float(L))
         est.append(float(v.mean()) if len(v) else float("nan"))
@@ -782,18 +782,15 @@ def tilted_box_exit(env: Environment, center: Site, beta: float, L: float,
                     master_seed: int) -> FrontExitEstimate:
     """Quenched probability of leaving a tilted box through its front."""
     if L < 2:
-        raise ValueError("L must be >= 2")
+        raise ParameterError("L must be >= 2")
     center = _sites(center, "center")
     box = TiltedBox(tuple(center.tolist()), beta, L, tuple(float(v) for v in vhat))
     if walk_budget == 0:
         return FrontExitEstimate(float("nan"), float("nan"), float("nan"),
                                  0, 0, runs)
     keys = walk_keys(master_seed, runs, salt="tilted_box")
-    res = run_until_batch(env, center, keys, walk_budget, inside=box.region)
-    exited = res.status == STATUS_EXITED
-    front = exited & box.is_front_batch(res.final)
-    n_res = int(exited.sum())
-    n_front = int(front.sum())
-    p = n_front / n_res if n_res else float("nan")
-    lo, hi = stats.binomial_ci(n_front, n_res)
-    return FrontExitEstimate(p, lo, hi, n_front, n_res - n_front, res.censored())
+    n_front, n, cens = _exit_share(env, center, keys, walk_budget, box.region,
+                                   box.is_front_batch)
+    lo, hi = stats.binomial_ci(n_front, n)
+    return FrontExitEstimate(n_front / n if n else float("nan"), lo, hi,
+                             n_front, n - n_front, cens)

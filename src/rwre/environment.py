@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .errors import ParameterError
 
 PROB_SUM_TOL = 1e-9
 
@@ -79,11 +80,11 @@ class UniformDrift:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ParameterError("d must be >= 1")
         if not (0.0 <= self.strength < 1.0):
-            raise ValueError("strength must lie in [0, 1)")
+            raise ParameterError("strength must lie in [0, 1)")
         if not (1 <= self.axis <= self.d):
-            raise ValueError("axis must lie in [1, d]")
+            raise ParameterError("axis must lie in [1, d]")
 
     @property
     def dim(self) -> int:
@@ -123,11 +124,11 @@ class Expl:
 
     def __post_init__(self):
         if self.d < 2:
-            raise ValueError("d must be >= 2: in d = 1 the rows cannot sum to 1")
+            raise ParameterError("d must be >= 2: in d = 1 the rows cannot sum to 1")
         lo = 1.0 / (2 * self.d + 1)
         hi = 2 * self.d / (2 * self.d + 1)
         if not (lo <= self.eps <= hi):
-            raise ValueError(f"eps must lie in [{lo}, {hi}] for d={self.d}")
+            raise ParameterError(f"eps must lie in [{lo}, {hi}] for d={self.d}")
 
     @property
     def dim(self) -> int:
@@ -186,10 +187,10 @@ class TrapSym:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ParameterError("d must be >= 1")
         te = self.tail_exponent
         if te is not None and not (0.0 < te <= 1.0):
-            raise ValueError("tail_exponent must lie in (0, 1]")
+            raise ParameterError("tail_exponent must lie in (0, 1]")
 
     @property
     def dim(self) -> int:
@@ -226,7 +227,7 @@ class TrapTransient:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("d must be >= 1")
+            raise ParameterError("d must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -260,9 +261,9 @@ class Dirichlet:
         w = tuple(float(x) for x in self.weights)
         object.__setattr__(self, "weights", w)
         if len(w) % 2 != 0 or len(w) < 2:
-            raise ValueError("weights must have length 2d")
+            raise ParameterError("weights must have length 2d")
         if any(x <= 0 for x in w):
-            raise ValueError("Dirichlet weights must be positive")
+            raise ParameterError("Dirichlet weights must be positive")
 
     @property
     def dim(self) -> int:
@@ -294,12 +295,12 @@ class TableMixture:
         ent = tuple((float(w), tuple(float(x) for x in p)) for w, p in self.entries)
         object.__setattr__(self, "entries", ent)
         if not ent:
-            raise ValueError("mixture needs at least one component")
+            raise ParameterError("mixture needs at least one component")
         if any(w <= 0 for w, _ in ent):
-            raise ValueError("mixture weights must be positive")
+            raise ParameterError("mixture weights must be positive")
         lens = {len(p) for _, p in ent}
         if len(lens) != 1 or next(iter(lens)) % 2 != 0:
-            raise ValueError("all components must share an even length")
+            raise ParameterError("all components must share an even length")
         for _, p in ent:
             normalize_rows(np.asarray(p))
 
@@ -381,9 +382,9 @@ class Environment:
 
 
 def _require_one_field(env: Environment, what: str) -> None:
-    """ValueError unless ``env`` is one quenched field, not per-walker seeds."""
+    """ParameterError unless ``env`` is one quenched field, not per-walker seeds."""
     if np.ndim(env.master_seed):
-        raise ValueError(f"{what} needs one field, not per-walker seeds")
+        raise ParameterError(f"{what} needs one field, not per-walker seeds")
 
 
 def transitions_for_seeds(law, seeds, x) -> np.ndarray:
@@ -420,7 +421,7 @@ def ellipticity_profile(env: Environment, samples: int) -> EllipticityReport:
     1/2 and reports the largest with estimated probability above 1/2.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ParameterError("samples must be >= 1")
     _require_one_field(env, "ellipticity_profile")
     d = env.dim
     key = rng.derive_key(env.master_seed, "ellipticity_profile")

@@ -19,22 +19,25 @@ dense linear solve:
 Which direction leaves corner j along axis i is read from one table,
 ``UnitHypercube.outward``; P and the exit probabilities are gathers on
 it.  All solvers are batched over environment replicates.
-:func:`analyze_transitions` builds P, Q and the exit mass and rejects a
-closed corner set at once; each solve waits for the first read of a field
-of :class:`ExitAnalysis` that needs it, so a caller pays only for what it
-reads: N and the mean exit times cost one batched solve, the moments one
-per order, and Qtilde and the hitting probabilities one per corner each.
-One private reduced-chain solve serves ``Qtilde``, once per corner, and
-:func:`escape_site_probs`, which needs only the start corner's chain
-(the escape probabilities of the path bundles).  The Monte Carlo checks
-(:func:`visit_law_check`, non-integer :func:`fractional_moment`) walk on
-the keyed field with :func:`~rwre.walk.run_until_batch`, with
-``UnitHypercube.region`` as the region.
+Constructing an :class:`ExitAnalysis` builds P, the exit probabilities,
+Q and the exit mass and rejects a closed corner set at once;
+:func:`analyze_transitions` constructs one, and so does
+:func:`escape_site_probs`, which reads the chain from it.  Each solve
+waits for the first read of a field that needs it, so a caller pays only
+for what it reads: N and the mean exit times cost one batched solve, the
+moments one per order, and Qtilde and the hitting probabilities one per
+corner each.  One private reduced-chain solve serves ``Qtilde``, once per
+corner, and :func:`escape_site_probs`, which needs only the start
+corner's chain (the escape probabilities of the path bundles).  The Monte
+Carlo checks (:func:`visit_law_check`, non-integer
+:func:`fractional_moment`) walk on the keyed field with
+:func:`~rwre.walk.run_until_batch`, with ``UnitHypercube.region`` as the
+region.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
 
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
+from .errors import ParameterError
 from .lattice import UnitHypercube
 from .walk import run_until_batch, walk_keys
 
@@ -87,10 +91,11 @@ def _check_absorbing(P: np.ndarray, exit_mass: np.ndarray) -> None:
 class ExitAnalysis:
     """Exact solve products for a batch of quenched cubes (axis 0).
 
-    ``d``, ``Q`` (R, m: the largest one-step exit probability per corner)
-    and ``exit_mass`` (R, m) are set at construction.  Every other field
-    is solved on its first read and kept; m = 2^d, and each batched solve
-    is over all R cubes:
+    The constructor builds and checks the chain of the (R, m, 2d) corner
+    transitions and solves nothing: ``d``, ``exit_probs`` (R, m, d) and
+    their max ``Q`` and sum ``exit_mass`` (R, m) over the outward axes are
+    set there.  Every other field is solved on its first read and kept;
+    m = 2^d, and each batched solve is over all R cubes:
 
     * ``fundamental`` (R, m, m), expected visits E_{x0}[N(x)], and
       ``mean_exit`` (R, m), its row sums: one solve;
@@ -99,16 +104,17 @@ class ExitAnalysis:
       solves, one reduced chain per corner;
     * ``hit_before_exit`` (R, m, m), P_{x0}[T_x < T_exit]: m solves.
 
-    A singular solve raises :class:`DegenerateEnvironmentError` on the
-    first read of the field that needs it.
+    A closed corner set raises :class:`DegenerateEnvironmentError` at
+    construction, and a singular solve on the first read of its field.
     """
 
-    def __init__(self, d: int, P: np.ndarray, exit_mass: np.ndarray,
-                 Q: np.ndarray, moment_order: int):
+    def __init__(self, d: int, trans: np.ndarray, moment_order: int):
         self.d = d
-        self.Q = Q
-        self.exit_mass = exit_mass
-        self._P = P
+        self._P = P = _interior_matrix(d, trans)
+        self.exit_probs = _exit_probs(d, trans)
+        self.exit_mass = self.exit_probs.sum(axis=2)
+        self.Q = self.exit_probs.max(axis=2)
+        _check_absorbing(P, self.exit_mass)
         self._eye = np.broadcast_to(np.eye(P.shape[1]), P.shape)
         self._A = self._eye - P
         self._order = moment_order
@@ -161,7 +167,10 @@ class ExitAnalysis:
         return hit
 
     def check_identities(self, tol: float = IDENTITY_TOL) -> dict[str, float]:
-        """Max violations of the exact identities; all should be <= tol.
+        """Max violations of the exact identities.
+
+        ``tol`` is unused: the caller compares the violations with its own
+        tolerance, as the acceptance check does with ``IDENTITY_TOL``.
 
         visit:      N[x0, x] * Qtilde_row[x] = hit_before_exit[x0, x]
         total_time: mean_exit[x0] = sum_x N[x0, x]
@@ -181,18 +190,10 @@ class ExitAnalysis:
 
 
 def analyze_transitions(d: int, trans: np.ndarray, moment_order: int = 2) -> ExitAnalysis:
-    """Exact analysis of an (R, m, 2d) batch of quenched cubes.
-
-    The interior chain is built and checked for a closed corner set here;
-    the solves wait for the first read of the field that needs them.
-    """
+    """Exact analysis of an (R, m, 2d) batch of quenched cubes."""
     if moment_order < 1:
-        raise ValueError("moment_order must be >= 1")
-    P = _interior_matrix(d, trans)
-    exit_probs = _exit_probs(d, trans)
-    q = exit_probs.sum(axis=2)
-    _check_absorbing(P, q)
-    return ExitAnalysis(d, P, q, exit_probs.max(axis=2), moment_order)
+        raise ParameterError("moment_order must be >= 1")
+    return ExitAnalysis(d, trans, moment_order)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,18 +253,14 @@ def escape_site_probs(trans: np.ndarray,
     equal that row up to rounding.
     """
     d = trans.shape[1] // 2
-    m = 1 << d
-    P = _interior_matrix(d, trans[None])
-    exit_probs = _exit_probs(d, trans[None])
-    q = exit_probs.sum(axis=2)
-    _check_absorbing(P, q)
-    idx, G, qtilde_row = _escape_row(np.eye(m) - P, P, q, from_corner)
-    rho = np.zeros((m, d))
-    rho[from_corner] = exit_probs[0, from_corner]
+    ana = ExitAnalysis(d, trans[None], 1)
+    idx, G, qtilde_row = _escape_row(ana._A, ana._P, ana.exit_mass, from_corner)
+    rho = np.zeros((1 << d, d))
+    rho[from_corner] = ana.exit_probs[0, from_corner]
     # rho keeps the 1-D product and the Qtilde row the batched einsum: from one
     # G the two differ in the last bit, and each output must keep its bytes
-    visits = P[0, from_corner, idx] @ G[0]      # E[# visits to each y != start]
-    rho[idx] = visits[:, None] * exit_probs[0, idx]
+    visits = ana._P[0, from_corner, idx] @ G[0]     # E[# visits to each y != start]
+    rho[idx] = visits[:, None] * ana.exit_probs[0, idx]
     return rho, qtilde_row[0]
 
 
@@ -278,7 +275,7 @@ class FractionalMomentReport:
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "n": len(self.samples),
                 "verdict": self.verdict,
-                "hill": None if self.hill is None else self.hill.to_dict(),
+                "hill": None if self.hill is None else asdict(self.hill),
                 "censored_runs": self.censored_runs}
 
 
@@ -294,7 +291,7 @@ def fractional_moment(law, alpha: float, replicates: int,
     verdict at the package-wide thresholds.
     """
     if alpha <= 0:
-        raise ValueError("alpha must be positive")
+        raise ParameterError("alpha must be positive")
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "fractional_moment", n=replicates)
     censored = 0
@@ -342,7 +339,7 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     steps are censored; their visits so far enter the test.
     """
     if runs < 10_000:
-        raise ValueError("runs must be >= 10^4 for a stable test")
+        raise ParameterError("runs must be >= 10^4 for a stable test")
     qt = float(analyze(env, cube, 1).Qtilde_row[0, corner])
     site = cube.corners[corner]
     res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ParameterError
+
 Site = tuple[int, ...]
 
 
@@ -23,7 +25,7 @@ def _check_unit(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if not np.isfinite(norm) or abs(norm - 1.0) > tol:
-        raise ValueError(f"expected a unit vector, got norm {norm!r}")
+        raise ParameterError(f"expected a unit vector, got norm {norm!r}")
     return v
 
 
@@ -65,8 +67,8 @@ class Bounds:
         lo = np.array(self.lo, dtype=float)
         hi = np.array(self.hi, dtype=float)
         if A.ndim not in (1, 2) or lo.shape != A.shape[1:] or hi.shape != lo.shape:
-            raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} do not "
-                             f"match linear forms of shape {A.shape}")
+            raise ParameterError(f"bounds of shapes {lo.shape} and {hi.shape} do not "
+                                 f"match linear forms of shape {A.shape}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -100,7 +102,7 @@ class UnitHypercube:
         for i in range(self.d):
             off = site[i] - self.anchor[i]
             if off not in (0, 1):
-                raise ValueError(f"{site} is not a corner of {self}")
+                raise ParameterError(f"{site} is not a corner of {self}")
             j |= off << i
         return j
 
@@ -132,7 +134,7 @@ def projection_axis(vhat) -> tuple[int, int]:
     vhat = _check_unit(vhat)
     i0 = int(np.argmax(np.abs(vhat)))
     if vhat[i0] == 0.0:
-        raise ValueError("degenerate direction: all components vanish")
+        raise ParameterError("degenerate direction: all components vanish")
     return i0, (1 if vhat[i0] > 0 else -1)
 
 
@@ -149,9 +151,9 @@ class TiltedBox:
 
     def __post_init__(self):
         if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
+            raise ParameterError("beta must lie in (0, 1)")
         if self.L <= 0:
-            raise ValueError("L must be positive")
+            raise ParameterError("L must be positive")
         i0, sign = projection_axis(self.vhat)
         object.__setattr__(self, "i0", i0)
         object.__setattr__(self, "sign", sign)
@@ -202,7 +204,7 @@ def rotation_onto_e1(ell) -> np.ndarray:
             return np.eye(d)
         R = np.eye(d)
         if d < 2:
-            raise ValueError("cannot rotate e_1 onto -e_1 in dimension 1")
+            raise ParameterError("cannot rotate e_1 onto -e_1 in dimension 1")
         R[0, 0] = R[1, 1] = -1.0
         return R
     w = resid / s

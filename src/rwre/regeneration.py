@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import walk
+from .errors import ParameterError
 
 LEVEL_TOL = 1e-9
 
@@ -43,7 +44,7 @@ class RegenParams:
         a = self.a if self.a is not None else 3.0 * np.sqrt(d)
         lo, hi = 2.0 * np.sqrt(d), 10.0 * np.sqrt(d)
         if not (lo < a < hi):
-            raise ValueError(f"a={a} outside the mandated interval ({lo}, {hi})")
+            raise ParameterError(f"a={a} outside the mandated interval ({lo}, {hi})")
         return a
 
 
@@ -142,7 +143,7 @@ def regeneration_radii(record: RegenerationRecord,
     """
     times = record.certified_times
     if len(times) == 0:
-        raise ValueError("need at least one certified regeneration")
+        raise ParameterError("need at least one certified regeneration")
     bounds = np.concatenate([[0], times])
     out = np.empty(len(times), dtype=np.int64)
     for k in range(len(times)):

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass
 class TailIndexEstimate:
@@ -15,10 +17,6 @@ class TailIndexEstimate:
     ci_high: float
     k: int
     n: int
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "k": self.k, "n": self.n}
 
 
 class NoTailError(ValueError):
@@ -34,14 +32,14 @@ def hill(samples, k: int | None = None) -> TailIndexEstimate:
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or len(x) == 0:
-        raise ValueError("samples must be a nonempty 1-d array")
+        raise ParameterError("samples must be a nonempty 1-d array")
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
-        raise ValueError("Hill estimation needs positive finite samples")
+        raise ParameterError("Hill estimation needs positive finite samples")
     n = len(x)
     if k is None:
         k = int(np.sqrt(n))
     if k < 10 or k > n // 2:
-        raise ValueError(f"k={k} outside [10, n/2] for n={n}")
+        raise ParameterError(f"k={k} outside [10, n/2] for n={n}")
     xs = np.sort(x)
     top = xs[n - k:]
     ref = xs[n - k - 1]
@@ -66,7 +64,7 @@ def moment_verdict(samples, alpha: float,
     """
     x = np.asarray(samples, dtype=float)
     if np.any(x < 0):
-        raise ValueError("samples must be nonnegative")
+        raise ParameterError("samples must be nonnegative")
     x = x[x > 0]
     if len(x) < 30:
         return "inconclusive", None
@@ -103,7 +101,7 @@ def ks_two_sample(a, b, level: float = 0.01) -> tuple[float, float]:
     b = np.sort(np.asarray(b, dtype=float))
     n, m = len(a), len(b)
     if n == 0 or m == 0:
-        raise ValueError("both samples must be nonempty")
+        raise ParameterError("both samples must be nonempty")
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / n
     fb = np.searchsorted(b, grid, side="right") / m
@@ -120,12 +118,12 @@ def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
     """
     c = np.asarray(counts)
     if np.any(c < 1):
-        raise ValueError("geometric counts start at 1")
+        raise ParameterError("geometric counts start at 1")
     if q >= 1.0:
         # degenerate law: every count must be exactly 1
         return (0.0, 0, 1.0) if np.all(c == 1) else (float("inf"), 0, 0.0)
     if q <= 0.0:
-        raise ValueError("q must be positive")
+        raise ParameterError("q must be positive")
     n = len(c)
     bins = []
     j = 1

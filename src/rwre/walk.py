@@ -42,6 +42,7 @@ import numpy as np
 
 from . import _kernel, rng
 from .environment import Environment
+from .errors import ParameterError
 from .lattice import Bounds, Site, step_vectors
 
 
@@ -87,20 +88,20 @@ def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,
 
 
 def _count(n, what: str):
-    """A step count n, or ValueError unless it is an integer (Python or numpy)."""
+    """A step count n, or ParameterError unless it is a Python or numpy integer."""
     if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {n!r}")
+        raise ParameterError(f"{what} must be an integer, got {n!r}")
     return n
 
 
 def _sites(x, what: str) -> np.ndarray:
-    """x as a C-ordered int64 copy, or ValueError if a coordinate is not an
+    """x as a C-ordered int64 copy, or ParameterError if a coordinate is not an
     int64 integer; float arrays of integral values are sites too."""
     a = np.asarray(x)
     with np.errstate(invalid="ignore"):     # NaN and inf fail the comparison
         sites = np.array(a, dtype=np.int64, order="C")
     if not np.array_equal(sites, a):
-        raise ValueError(f"{what} must have integer coordinates, got {x!r}")
+        raise ParameterError(f"{what} must have integer coordinates, got {x!r}")
     return sites
 
 
@@ -108,16 +109,16 @@ def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
     """Validated (W, d) start positions and W walk keys of a batch."""
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim != 1:
-        raise ValueError("keys must be a 1-D array of walk keys")
+        raise ParameterError("keys must be a 1-D array of walk keys")
     pos = _sites(starts, "starts")
     if pos.ndim == 1:
         pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
     if pos.shape != (len(keys), env.dim):
-        raise ValueError(f"starts must have shape ({len(keys)}, {env.dim}) "
-                         f"for {len(keys)} walk keys, got {pos.shape}")
+        raise ParameterError(f"starts must have shape ({len(keys)}, {env.dim}) "
+                             f"for {len(keys)} walk keys, got {pos.shape}")
     if np.ndim(env.master_seed) and len(env.master_seed) < len(keys):
-        raise ValueError(f"{len(keys)} walkers but only {len(env.master_seed)} "
-                         "per-walker seeds")
+        raise ParameterError(f"{len(keys)} walkers but only {len(env.master_seed)} "
+                             "per-walker seeds")
     return pos, keys
 
 
@@ -137,12 +138,12 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
     snapshot; larger ones are ignored.
     """
     if _count(nsteps, "nsteps") < 0:
-        raise ValueError("nsteps must be >= 0")
+        raise ParameterError("nsteps must be >= 0")
     pos, keys = _batch(env, starts, keys)
     marks = sorted(m for m in set(checkpoints or [])
                    if _count(m, "checkpoints") <= nsteps)
     if marks and marks[0] < 1:
-        raise ValueError("checkpoints must be >= 1")
+        raise ParameterError("checkpoints must be >= 1")
     rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
     res, snaps = _walk(env, pos, keys, marks + [nsteps], None, rec=rec)
     return FixedBatchResult(res.final, {m: snaps[m] for m in marks}, rec)
@@ -176,17 +177,17 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
     region).
     """
     if _count(horizon, "horizon") < 1:
-        raise ValueError("horizon must be >= 1")
+        raise ParameterError("horizon must be >= 1")
     pos, keys = _batch(env, starts, keys)
     if not isinstance(inside, Bounds):
-        raise ValueError("inside must be a lattice.Bounds region, got "
-                         f"{type(inside).__name__}")
+        raise ParameterError("inside must be a lattice.Bounds region, got "
+                             f"{type(inside).__name__}")
     if inside.A.shape[0] != env.dim:
-        raise ValueError(f"region of dimension {inside.A.shape[0]} for "
-                         f"walks of dimension {env.dim}")
+        raise ParameterError(f"region of dimension {inside.A.shape[0]} for "
+                             f"walks of dimension {env.dim}")
     if count_visits_to is not None and np.shape(count_visits_to) != (env.dim,):
-        raise ValueError(f"count_visits_to must be one site of dimension "
-                         f"{env.dim}, got shape {np.shape(count_visits_to)}")
+        raise ParameterError(f"count_visits_to must be one site of dimension "
+                             f"{env.dim}, got shape {np.shape(count_visits_to)}")
     target = (_sites(count_visits_to, "count_visits_to")
               if count_visits_to is not None else None)
     return _walk(env, pos, keys, [horizon], inside, target)[0]

@@ -363,3 +363,81 @@ def test_empty_runs_are_parameter_errors(tmp_path, capsys, monkeypatch, no_walks
     assert run(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == cli.EXIT_PARAM
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_internal_value_error_is_not_a_parameter_error(tmp_path, capsys, monkeypatch):
+    # a ValueError from inside the program is a bug, not a user error: it
+    # leaves cli.main with its traceback instead of exit code 2
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(criteria, "check_ktilde", boom)
+    with pytest.raises(ValueError, match="boom"):
+        run(["criteria", "--criterion", "ktilde1", "--law", "expl", "--d", "2",
+             "--eps", "0.2", "--replicates", "50", "--seed", "1",
+             "--out", str(tmp_path / "k.json")])
+    assert "parameter error" not in capsys.readouterr().err
+
+
+def test_internal_failure_exits_1_with_its_traceback(tmp_path):
+    code = ("import sys\n"
+            "from rwre import cli, criteria\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise ValueError('boom')\n"
+            "criteria.check_ktilde = boom\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, "criteria", "--criterion", "ktilde1",
+                           "--law", "expl", "--d", "2", "--eps", "0.2", "--seed", "1",
+                           "--out", str(tmp_path / "k.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "ValueError: boom" in proc.stderr
+    assert "parameter error" not in proc.stderr
+
+
+# A command-line flag that the chosen criterion does not read is a parameter
+# error that names the config key to use, found before any work.
+UNREAD_FLAGS = [
+    ("slab", ["--replicates", "7"],
+     "criterion slab does not read --replicates; set slab_replicates in the config"),
+    ("e0", ["--exponent", "0.3"], "does not read --exponent; set etas"),
+    ("eprime1", ["--exponent", "0.3"], "does not read --exponent; set phi"),
+    ("pm", ["--exponent", "2"], "does not read --exponent; set M"),
+    ("slab", ["--exponent", "2"], "criterion slab does not read --exponent"),
+]
+
+
+@pytest.mark.parametrize("name, flag, message", UNREAD_FLAGS,
+                         ids=[f"{n}{f[0][1:]}" for n, f, _ in UNREAD_FLAGS])
+def test_criteria_rejects_a_flag_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                  name, flag, message):
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the flags were checked")
+
+    for estimator in ("check_e0", "check_eprime", "slab_exit", "polynomial_condition"):
+        monkeypatch.setattr(criteria, estimator, fail)
+    code = run(["criteria", "--criterion", name, "--law", "expl", "--d", "2",
+                "--eps", "0.2", "--seed", "1", "--out", str(tmp_path / "c.json")] + flag)
+    assert code == cli.EXIT_PARAM
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_criteria_config_keys_are_not_checked_per_criterion(tmp_path, monkeypatch):
+    # one config may describe several criteria, so slab leaves a config's
+    # replicates and exponent unread and runs its slab_replicates
+    seen = []
+
+    def slab_exit(law, ell, b, L_grid, walk_budget, replicates, *args, **kwargs):
+        seen.append(replicates)
+        return criteria.SlabExitReport([], [], [], [], {}, "splitting")
+
+    monkeypatch.setattr(criteria, "slab_exit", slab_exit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"replicates": 7, "exponent": 2.0}))
+    assert run(["criteria", "--criterion", "slab", "--config", str(cfg), "--law", "expl",
+                "--d", "2", "--eps", "0.2", "--seed", "1",
+                "--out", str(tmp_path / "c.json")]) == cli.EXIT_OK
+    assert seen == [2]

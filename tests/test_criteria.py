@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from rwre import cli, criteria as cr, hypercube as hc, rng
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
+from rwre.errors import ParameterError
 from rwre.hypercube import escape_site_probs
 from rwre.lattice import UnitHypercube, step_vectors
 
@@ -111,6 +114,47 @@ def test_audit_rejects_tampered_log():
                                       mmh.mark_reads)
     with pytest.raises(cr.MeasurabilityViolation):
         cr.audit_measurability(bad)
+
+
+def _log_with_third(mmh, entry):
+    log = list(mmh.discovery_log)
+    log[2] = entry
+    return replace(mmh, discovery_log=log)
+
+
+# Each case doctors one field of a valid discovery.  The audit's "origin
+# outside the cube" check has no case: the log must start at the origin
+# and cover exactly the cube's corners, so the origin is always a corner.
+DOCTORED_DISCOVERIES = [
+    ("short-log", lambda m: replace(m, discovery_log=m.discovery_log[:-1]),
+     "does not cover 2^d sites"),
+    ("late-origin", lambda m: replace(m, discovery_log=m.discovery_log[1:]
+                                      + m.discovery_log[:1]),
+     "must start at the origin"),
+    ("twice", lambda m: _log_with_third(m, m.discovery_log[1]), "discovered twice"),
+    # the step opposite the first one: adjacent to the origin, but the
+    # prefix then spans two lattice units along that axis
+    ("wide-prefix", lambda m: _log_with_third(
+        m, (tuple(-c for c in m.discovery_log[1][0]), ())),
+     "no longer fits inside a unit hypercube"),
+    ("other-cube", lambda m: replace(m, cube=UnitHypercube((5, 5))),
+     "not the stated hypercube"),
+    ("anchor", lambda m: replace(m, x0=(9, 9)), "anchor x0 does not match"),
+    ("mark-reads", lambda m: replace(m, mark_reads=((7, 7),)),
+     "marks used reads outside the hypercube"),
+    ("negative-marks", lambda m: replace(m, marks=-np.ones(4)),
+     "marks must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("doctor, message",
+                         [c[1:] for c in DOCTORED_DISCOVERIES],
+                         ids=[c[0] for c in DOCTORED_DISCOVERIES])
+def test_audit_rejects_each_doctored_discovery(doctor, message):
+    mmh = cr.discover(Environment(UniformDrift(2), 4), cr.EprimePolicy())
+    assert cr.audit_measurability(mmh)
+    with pytest.raises(cr.MeasurabilityViolation, match=re.escape(message)):
+        cr.audit_measurability(doctor(mmh))
 
 
 # --- gamma exponents and mark sums --------------------------------------------
@@ -272,6 +316,26 @@ def test_paths_uniform_law_bound_and_disjointness():
     assert len(flat) == len(set(flat))
 
 
+def _doctor_endpoint(rec):
+    sites = rec.sites.copy()
+    sites[-1] = 0
+    return replace(rec, sites=sites)
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (lambda recs: [recs[0], replace(recs[1], sites=recs[0].sites)] + recs[2:],
+     "path segments intersect"),
+    (lambda recs: [_doctor_endpoint(recs[0])] + recs[1:], "closer than n"),
+    (lambda recs: [replace(recs[0], pi=0.0)] + recs[1:], "fell below"),
+], ids=["intersect", "endpoint", "pi-bound"])
+def test_bundle_invariants_reject_doctored_records(doctor, message):
+    env = Environment(Expl(2, 0.2), 3)
+    bundle = cr.paths(env, cr.discover(env, cr.EprimePolicy()), 3)
+    cr._assert_bundle_invariants(bundle.records, 2, 3)
+    with pytest.raises(AssertionError, match=message):
+        cr._assert_bundle_invariants(doctor(bundle.records), 2, 3)
+
+
 def test_paths_rejects_bad_n():
     env = Environment(UniformDrift(2), 6)
     mmh = cr.discover(env, cr.EprimePolicy())
@@ -374,6 +438,12 @@ def test_check_eprime_dirichlet_satisfied():
                       (2.664512050660692, 4.411951151513646)])
 
 
+def test_check_e0_rejects_etas_of_the_wrong_length():
+    # one exponent for all 2d directions, or 2d of them
+    with pytest.raises(ParameterError, match="etas"):
+        cr.check_e0(Expl(2, 0.2), [0.1, 0.2], 50, 1)
+
+
 def test_check_eprime_rejects_bad_phi():
     with pytest.raises(ValueError):
         cr.check_eprime(UniformDrift(2), np.array([0.1, -0.1, 0.1, 0.1]), 100, 1)
@@ -435,6 +505,12 @@ def test_polynomial_condition_deterministic_forward():
     # 0 bad exits in 400 bounds the probability by the exact 95% limit
     assert rep.estimates[0].n == 400
     assert rep.estimates[0].ci_high == pytest.approx(1 - 0.025 ** (1 / 400), rel=1e-9)
+
+
+@pytest.mark.parametrize("L", [0, -4])
+def test_polynomial_condition_rejects_a_nonpositive_length(L):
+    with pytest.raises(ParameterError, match="box length"):
+        cr.polynomial_condition(UniformDrift(2), (1, 0), 1.0, [8, L], 100, 10, 1)
 
 
 def test_polynomial_condition_grid_caps():

@@ -58,6 +58,20 @@ def test_projection_axis_lower_bound():
 
 # --- rotations and slabs ---------------------------------------------------
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_rotation_onto_minus_e1(d):
+    # the degenerate span: a rotation by pi in the (e_1, e_2) plane
+    e1 = np.eye(d)[0]
+    R = lat.rotation_onto_e1(-e1)
+    assert np.array_equal(R @ e1, -e1)
+    assert np.array_equal(R.T @ R, np.eye(d))
+
+
+def test_rotation_onto_minus_e1_needs_a_second_axis():
+    with pytest.raises(ValueError, match="dimension 1"):
+        lat.rotation_onto_e1([-1.0])
+
+
 def test_rotation_orthogonal_and_maps_e1():
     rs = np.random.RandomState(4)
     for _ in range(50):
