@@ -11,7 +11,8 @@ ellipticity conditions (E)_0, (E')_1 and the inverse-Q condition, which
 share one capped-column probe and one verdict mapping; the mark sum of the
 marked-hypercube criterion (its corner Q moments and Qtilde are reached
 through the inverse-Q check and the path bundles, not one composite
-check); escape path bundles with their quenched probabilities; box/slab
+check); escape path bundles with their quenched probabilities, which read
+the field in windows, one read for all 2^d paths and several steps; box/slab
 exit estimators (including a level-splitting rare-event estimator, since
 backtracking probabilities decay exponentially and are invisible to direct
 Monte Carlo); and the tilted-box front-exit probe.  The box, direct slab
@@ -25,6 +26,9 @@ here "proves" an almost-sure or asymptotic statement.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cache
+from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -32,8 +36,8 @@ from . import rng, stats
 from .environment import Environment, _require_one_field, transitions_for_seeds
 from .errors import ParameterError
 from .hypercube import _exit_probs, escape_site_probs
-from .lattice import (Bounds, Site, TiltedBox, UnitHypercube,
-                      rotation_onto_e1, step_vectors)
+from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _frozen,
+                      _outward, rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
 
 
@@ -102,28 +106,30 @@ def audit_measurability(mmh: MarkedMarkovianHypercube) -> bool:
     if log[0][0] != origin:
         raise MeasurabilityViolation("discovery must start at the origin")
     prefix: list[Site] = []
+    seen: set[Site] = set()
+    lo = hi = origin                     # per-coordinate range of the prefix
     for i, (site, reads) in enumerate(log):
         if i > 0:
-            pref_set = set(prefix)
-            if site in pref_set:
+            if site in seen:
                 raise MeasurabilityViolation(f"site {site} discovered twice")
             adjacent = any(sum(abs(a - b) for a, b in zip(site, p)) == 1
                            for p in prefix)
             if not adjacent:
                 raise MeasurabilityViolation(f"{site} is not adjacent to the prefix")
-            if not set(reads) <= pref_set:
+            if not set(reads) <= seen:
                 raise MeasurabilityViolation(
                     f"choice of {site} used reads outside the prefix")
         prefix.append(site)
-        arr = np.asarray(prefix, dtype=np.int64)
-        if np.any(arr.max(axis=0) - arr.min(axis=0) > 1):
+        seen.add(site)
+        lo, hi = tuple(map(min, lo, site)), tuple(map(max, hi, site))
+        if any(h - l > 1 for l, h in zip(lo, hi)):
             raise MeasurabilityViolation(
                 "prefix no longer fits inside a unit hypercube")
     cube_sites = set(mmh.cube.corners)
-    if set(prefix) != cube_sites:
+    # the log starts at the origin and its sites are the cube's corners, so
+    # the cube contains the origin: no check of its own
+    if seen != cube_sites:
         raise MeasurabilityViolation("discovered set is not the stated hypercube")
-    if origin not in cube_sites:
-        raise MeasurabilityViolation("hypercube does not contain the origin")
     if tuple(mmh.x0) != mmh.cube.anchor:
         raise MeasurabilityViolation("anchor x0 does not match the cube")
     if not set(mmh.mark_reads) <= cube_sites:
@@ -133,10 +139,11 @@ def audit_measurability(mmh: MarkedMarkovianHypercube) -> bool:
     return True
 
 
-def _fill_order(d: int, start_bits: int) -> list[int]:
+@cache
+def _fill_order(d: int, start_bits: int) -> tuple[int, ...]:
     """Corner visit order by Hamming distance from the start corner."""
-    return sorted(range(1 << d),
-                  key=lambda j: (bin(j ^ start_bits).count("1"), j))
+    return tuple(sorted(range(1 << d),
+                        key=lambda j: (bin(j ^ start_bits).count("1"), j)))
 
 
 def gamma_exponents(phi: np.ndarray, d: int) -> np.ndarray:
@@ -144,7 +151,7 @@ def gamma_exponents(phi: np.ndarray, d: int) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (2 * d,) or np.any(phi <= 0):
         raise ParameterError("phi must be a positive vector over the 2d directions")
-    return phi[UnitHypercube((0,) * d).outward].sum(axis=1)
+    return phi[_outward(d)].sum(axis=1)
 
 
 class EprimePolicy:
@@ -268,6 +275,54 @@ class PathBundle:
         return max(r.pi for r in self.records)
 
 
+# Rows per field read of a path bundle.  A transitions_batch call on
+# Expl(2, 0.2) or Expl(3, 0.2) took about 55 us at 16 rows, 62-69 us at
+# 120, 72-81 us at 240, 91-105 us at 480, 133-151 us at 960 and 500-630 us
+# at 4000 (best of 300, 2-vCPU Intel Xeon VM, numpy 2.4.6): a fixed ~55 us
+# and ~0.1 us a row.  A 512-row window costs at most about twice a one-row
+# read, and its depth (14, 5 and 2 at d = 2, 3 and 4) is near the cheapest
+# cost per step of a long bundle; a bundle at d = 2, n <= 15 is one read.
+_WINDOW_ROWS = 512
+
+
+@cache
+def _window_depth(d: int) -> int:
+    """The deepest k whose window, 2^d C(k + d, d) rows, fits _WINDOW_ROWS;
+    0 (lockstep, the corners or the current sites alone) when none does."""
+    k = 0
+    while (1 << d) * comb(k + 1 + d, d) <= _WINDOW_ROWS:
+        k += 1
+    return k
+
+
+@cache
+def _window(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and step table of a depth-k read window, read-only.
+
+    Window row r is a multi-index c_r in N^d with |c_r| <= k, c_0 = 0.
+    ``offsets`` (M, 2^d, d) holds c_r along corner j's outward axes, so
+    window site (r, j) is path j's window center plus offsets[r, j]: every
+    site its greedy path can reach within k steps.  ``succ`` (M, d) is the
+    row of c_r + e_a, and -1 past depth k.
+    """
+    cs = [c for c in product(range(k + 1), repeat=d) if sum(c) <= k]
+    row = {c: r for r, c in enumerate(cs)}
+    succ = np.array([[row.get(c[:a] + (c[a] + 1,) + c[a + 1:], -1)
+                      for a in range(d)] for c in cs], dtype=np.intp)
+    signs = 1 - 2 * (_outward(d) >= d)          # +1 or -1 per corner and axis
+    offsets = np.array(cs, dtype=np.int64).reshape(-1, 1, d) * signs
+    return _frozen(offsets), _frozen(succ)
+
+
+@cache
+def _greedy_moves(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per corner, its outward directions smallest index first, their axes
+    and their step vectors (read-only)."""
+    outward = np.sort(_outward(d), axis=1)
+    return (_frozen(outward), _frozen(outward % d),
+            _frozen(step_vectors(d)[outward]))
+
+
 def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle:
     """The escape path bundle and its quenched probabilities.
 
@@ -276,38 +331,52 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     to the origin, exact solve), then walks outward, at every step taking
     the highest-probability direction that leaves the translated cube in
     which the current site plays the same corner role.  Ties break to the
-    smallest direction index.  The 2^d paths step together, one field read
-    of all current sites per step.
+    smallest direction index.  The 2^d paths step together and read the
+    field in windows: one read holds, for every path, its current site and
+    each site its greedy path can reach in the next k steps, k as deep as
+    ``_WINDOW_ROWS`` rows allow.  The first window starts at the corners
+    and also feeds the escape solve; at d = 2, n = 5 it is the only read.
     """
     n = _count(n, "n")
     if n < 1:
         raise ParameterError("n must be >= 1")
     _require_one_field(env, "paths")
     d = env.dim
-    corners = np.asarray(mmh.cube.corners, dtype=np.int64)
-    rho, qtilde_row = escape_site_probs(env.transitions_batch(corners),
-                                        mmh.origin_corner())
-    sv = step_vectors(d)
-    outward = np.sort(mmh.cube.outward, axis=1)     # smallest index first
-    rows = np.arange(len(corners))
-    probs = np.take_along_axis(rho, outward % d, axis=1)
-    best = np.argmax(probs, axis=1)                 # first max: smallest index
-    rho_y1 = probs[rows, best]
-    cur = corners + sv[outward[rows, best]]
-    sites = np.empty((len(corners), n, d), dtype=np.int64)
-    sites[:, 0] = cur
-    prod_q = np.ones(len(corners))
-    for i in range(1, n):
-        vals = np.take_along_axis(env.transitions_batch(cur), outward, axis=1)
-        bi = np.argmax(vals, axis=1)
-        prod_q = prod_q * vals[rows, bi]
-        cur = cur + sv[outward[rows, bi]]
-        sites[:, i] = cur
+    m = 1 << d
+    outward, axis, moves = _greedy_moves(d)
+    rows = np.arange(m)
+    col = rows[:, None]
+    cur = np.asarray(mmh.cube.corners, dtype=np.int64)
+    sites = np.empty((m, n, d), dtype=np.int64)
+    prod_q = np.ones(m)
+    depth = _window_depth(d)
+    for start in range(0, n, depth + 1):
+        # step i reads the site the paths stand on: the corners, then y_i
+        k = min(depth, n - 1 - start)
+        offsets, succ = _window(d, k)
+        window = env.transitions_batch((cur + offsets).reshape(-1, d))
+        window = window.reshape(len(offsets), m, 2 * d)
+        at = np.zeros(m, dtype=np.intp)             # each path's window row
+        for i in range(start, start + k + 1):
+            if i == 0:
+                rho, qtilde_row = escape_site_probs(window[0],
+                                                    mmh.origin_corner())
+                vals = rho[col, axis]
+            else:
+                vals = window[at[:, None], col, outward]
+            best = np.argmax(vals, axis=1)          # first max: smallest index
+            if i == 0:
+                rho_y1 = vals[rows, best]
+            else:
+                prod_q = prod_q * vals[rows, best]
+            cur = cur + moves[rows, best]
+            sites[:, i] = cur
+            at = succ[at, axis[rows, best]]
     pi = rho_y1 * prod_q
     records = [PathRecord(j, tuple(int(c) for c in sites[j, 0]), sites[j],
                           float(pi[j]), float(rho_y1[j]), float(qtilde_row[j]),
                           float(prod_q[j]))
-               for j in range(len(corners))]
+               for j in range(m)]
     _assert_bundle_invariants(records, d, n)
     return PathBundle(mmh, n, records)
 

@@ -17,8 +17,9 @@ dense linear solve:
   P_{x0}[T_x < T_exit].
 
 Which direction leaves corner j along axis i is read from one table,
-``UnitHypercube.outward``; P and the exit probabilities are gathers on
-it.  All solvers are batched over environment replicates.
+``UnitHypercube.outward``, built once per dimension; P and the exit
+probabilities are gathers on it whose index arrays are built once per
+dimension too.  All solvers are batched over environment replicates.
 Constructing an :class:`ExitAnalysis` builds P, the exit probabilities,
 Q and the exit mass and rejects a closed corner set at once;
 :func:`analyze_transitions` constructs one, and so does
@@ -27,8 +28,9 @@ waits for the first read of a field that needs it, so a caller pays only
 for what it reads: N and the mean exit times cost one batched solve, the
 moments one per order, and Qtilde and the hitting probabilities one per
 corner each.  One private reduced-chain solve serves ``Qtilde``, once per
-corner, and :func:`escape_site_probs`, which needs only the start
-corner's chain (the escape probabilities of the path bundles).  The Monte
+corner, :func:`escape_site_probs`, which needs only the start corner's
+chain (the escape probabilities of the path bundles), and
+:func:`visit_law_check`, which needs only the tested corner's.  The Monte
 Carlo checks (:func:`visit_law_check`, non-integer
 :func:`fractional_moment`) walk on the keyed field with
 :func:`~rwre.walk.run_until_batch`, with ``UnitHypercube.region`` as the
@@ -38,7 +40,7 @@ region.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -46,7 +48,7 @@ import numpy as np
 from . import rng, stats
 from .environment import Environment, transitions_for_seeds
 from .errors import ParameterError
-from .lattice import UnitHypercube
+from .lattice import UnitHypercube, _frozen, _outward
 from .walk import run_until_batch, walk_keys
 
 IDENTITY_TOL = 1e-10
@@ -56,26 +58,37 @@ class DegenerateEnvironmentError(ValueError):
     """Raised when (I - P) is singular: some corner set has no exit mass."""
 
 
+@cache
+def _interior_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner column j, its neighbors j ^ (1 << i) and the inward
+    directions toward them: the gather of the interior matrix, built once
+    per dimension."""
+    j = np.arange(1 << d)[:, None]
+    return (_frozen(j), _frozen(j ^ (1 << np.arange(d))),
+            _frozen((_outward(d) + d) % (2 * d)))
+
+
 def _interior_matrix(d: int, trans: np.ndarray) -> np.ndarray:
     """(R, m, m) substochastic interior matrices from (R, m, 2d) tensors."""
-    out = UnitHypercube((0,) * d).outward
-    j = np.arange(1 << d)[:, None]
+    j, nbr, inward = _interior_index(d)
     P = np.zeros((trans.shape[0], 1 << d, 1 << d))
-    P[:, j, j ^ (1 << np.arange(d))] = trans[:, j, (out + d) % (2 * d)]
+    P[:, j, nbr] = trans[:, j, inward]
     return P
 
 
 def _exit_probs(d: int, trans: np.ndarray) -> np.ndarray:
     """(R, m, d) probabilities of the d outward directions per corner."""
-    out = UnitHypercube((0,) * d).outward
-    return trans[:, np.arange(1 << d)[:, None], out]
+    return trans[:, _interior_index(d)[0], _outward(d)]
 
 
 def _check_absorbing(P: np.ndarray, exit_mass: np.ndarray) -> None:
     """Every corner must reach positive exit mass; otherwise I - P is
-    singular (a closed corner set traps the chain forever)."""
-    m = P.shape[1]
+    singular (a closed corner set traps the chain forever).  The reach
+    iteration runs only when some corner has no exit mass of its own."""
     reach = exit_mass > 0.0
+    if reach.all():
+        return
+    m = P.shape[1]
     adj = (P > 0.0).astype(np.float32)
     for _ in range(m):
         new = reach | (np.einsum("rxy,ry->rx", adj,
@@ -340,7 +353,8 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     """
     if runs < 10_000:
         raise ParameterError("runs must be >= 10^4 for a stable test")
-    qt = float(analyze(env, cube, 1).Qtilde_row[0, corner])
+    ana = analyze(env, cube, 1)      # only the tested corner's chain is solved
+    qt = float(_escape_row(ana._A, ana._P, ana.exit_mass, corner)[2].sum(axis=1)[0])
     site = cube.corners[corner]
     res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),
                           200_000, inside=cube.region,

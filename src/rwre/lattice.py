@@ -4,7 +4,10 @@ tilted boxes.
 Sites are tuples of python ints (hashable, exact); bulk math uses numpy.
 Directions are enumerated with the convention that direction i+d is the
 negative of direction i.  The canonical enumeration (+e_1..+e_d then
--e_1..-e_d) is the frame in which environment laws are specified.  Every
+-e_1..-e_d) is the frame in which environment laws are specified.  The
+step table, the corner offsets and a cube's outward table and corners are
+built once per dimension (corners once per anchor) and returned
+read-only: arrays that refuse writes, tuples in place of lists.  Every
 walk region -- a slab, a splitting level, a box, the unit hypercube and
 the tilted box -- is a :class:`Bounds`, whose membership test is
 vectorized over (N, d) arrays of sites.
@@ -13,6 +16,7 @@ vectorized over (N, d) arrays of sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -29,18 +33,35 @@ def _check_unit(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
 def step_vectors(d: int) -> np.ndarray:
-    """(2d, d) int64 table of steps in canonical direction order."""
-    out = np.zeros((2 * d, d), dtype=np.int64)
-    for i in range(d):
-        out[i, i] = 1
-        out[d + i, i] = -1
-    return out
+    """(2d, d) int64 table of steps in canonical direction order (read-only)."""
+    eye = np.eye(d, dtype=np.int64)
+    return _frozen(np.concatenate([eye, -eye]))
 
 
-def corner_offsets(d: int) -> list[Site]:
+@cache
+def corner_offsets(d: int) -> tuple[Site, ...]:
     """The 2^d corner offsets of a unit hypercube, in bit order."""
-    return [tuple((j >> i) & 1 for i in range(d)) for j in range(1 << d)]
+    return tuple(tuple((j >> i) & 1 for i in range(d)) for j in range(1 << d))
+
+
+@cache
+def _outward(d: int) -> np.ndarray:
+    """``UnitHypercube.outward`` of dimension d (read-only)."""
+    bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
+    return _frozen(np.arange(d) + d * (1 - bits))
+
+
+@lru_cache(maxsize=256)
+def _corners(anchor: Site) -> tuple[Site, ...]:
+    return tuple(tuple(a + o for a, o in zip(anchor, off))
+                 for off in corner_offsets(len(anchor)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +112,9 @@ class UnitHypercube:
         return len(self.anchor)
 
     @property
-    def corners(self) -> list[Site]:
-        a = self.anchor
-        return [tuple(a[i] + off[i] for i in range(self.d))
-                for off in corner_offsets(self.d)]
+    def corners(self) -> tuple[Site, ...]:
+        """The 2^d corner sites in bit order."""
+        return _corners(self.anchor)
 
     def corner_index(self, site: Site) -> int:
         """Bit index of a corner site (its offset pattern)."""
@@ -118,11 +138,9 @@ class UnitHypercube:
 
         It is i when bit i of j is set and d + i otherwise.  The inward
         direction along axis i is ``(outward + d) % (2 * d)``, and it leads
-        to corner ``j ^ (1 << i)``.
+        to corner ``j ^ (1 << i)``.  One read-only table per dimension.
         """
-        d = self.d
-        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
-        return np.arange(d) + d * (1 - bits)
+        return _outward(self.d)
 
 
 def projection_axis(vhat) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
 from rwre.errors import ParameterError
 from rwre.hypercube import escape_site_probs
-from rwre.lattice import UnitHypercube, step_vectors
+from rwre.lattice import UnitHypercube, corner_offsets, step_vectors
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -122,9 +123,7 @@ def _log_with_third(mmh, entry):
     return replace(mmh, discovery_log=log)
 
 
-# Each case doctors one field of a valid discovery.  The audit's "origin
-# outside the cube" check has no case: the log must start at the origin
-# and cover exactly the cube's corners, so the origin is always a corner.
+# Each case doctors one field of a valid discovery.
 DOCTORED_DISCOVERIES = [
     ("short-log", lambda m: replace(m, discovery_log=m.discovery_log[:-1]),
      "does not cover 2^d sites"),
@@ -240,7 +239,14 @@ def paths_reference(env, mmh, n):
 
 
 LOCKSTEP_LAWS = [UniformDrift(1), UniformDrift(2), UniformDrift(3), Expl(2, 0.2),
-                 Expl(3, 0.2), TrapSym(2), TrapTransient(3), Dirichlet((1.0,) * 6)]
+                 Expl(3, 0.2), TrapSym(2), TrapTransient(3), Dirichlet((1.0,) * 6),
+                 UniformDrift(4, strength=0.3), Expl(4, 0.2), TrapSym(4)]
+
+
+def _window_ns(d):
+    """Bundle lengths on both sides of the first two window boundaries."""
+    step = cr._window_depth(d) + 1
+    return sorted({1, 2, 5, 7, 12, 30, step, step + 1, 2 * step, 2 * step + 1})
 
 
 @pytest.mark.parametrize("law", LOCKSTEP_LAWS, ids=lambda law: law.tag)
@@ -249,7 +255,7 @@ def test_paths_equal_the_per_corner_reference(law):
     for seed in (1, 2, 3, 2**40 + 17):
         env = Environment(law, seed)
         mmh = cr.discover(env, cr.EprimePolicy())
-        for n in (1, 2, 5, 7):
+        for n in _window_ns(law.dim):
             got, want = cr.paths(env, mmh, n), paths_reference(env, mmh, n)
             assert got.n == want.n and len(got.records) == len(want.records)
             for g, w in zip(got.records, want.records):
@@ -261,9 +267,7 @@ def test_paths_equal_the_per_corner_reference(law):
                     (w.pi, w.rho_y1, w.qtilde, w.prod_q)
 
 
-def test_paths_read_the_field_once_per_step(monkeypatch):
-    env = Environment(Expl(3, 0.2), 5)
-    mmh = cr.discover(env, cr.EprimePolicy())
+def test_paths_read_the_field_once_per_window(monkeypatch):
     rows = []
     batch = Environment.transitions_batch
 
@@ -274,12 +278,48 @@ def test_paths_read_the_field_once_per_step(monkeypatch):
     def refuse(self, x):
         raise AssertionError("paths read a single site")
 
+    bundles = [(law, cr.discover(Environment(law, 5), cr.EprimePolicy()))
+               for law in (UniformDrift(1, strength=0.3), Expl(2, 0.2),
+                           Expl(3, 0.2), Expl(4, 0.2))]
     monkeypatch.setattr(Environment, "transitions_batch", counting)
     monkeypatch.setattr(Environment, "transitions_at", refuse)
-    for n in (1, 2, 5, 7):
-        rows.clear()
-        cr.paths(env, mmh, n)
-        assert rows == [8] * n      # the corners, then n - 1 lockstep steps
+    for law, mmh in bundles:
+        d, env = law.dim, Environment(law, 5)
+        depth = cr._window_depth(d)
+        for n in _window_ns(d):
+            rows.clear()
+            cr.paths(env, mmh, n)
+            # one read per window: 2^d paths, each with its current site and
+            # every site within k more steps, k = depth but for the last
+            assert rows == [(1 << d) * comb(min(depth, n - 1 - s) + d, d)
+                            for s in range(0, n, depth + 1)]
+            assert max(rows) <= cr._WINDOW_ROWS
+    # the default bundle is one read: the corners and depth 4
+    rows.clear()
+    cr.paths(Environment(Expl(2, 0.2), 5), bundles[1][1], 5)
+    assert rows == [60]
+    rows.clear()
+    cr.paths(Environment(Expl(4, 0.2), 5), bundles[3][1], 200)
+    assert len(rows) == -(-200 // (cr._window_depth(4) + 1))
+    assert max(rows) <= cr._WINDOW_ROWS
+
+
+def test_bundle_geometry_is_built_once_and_read_only():
+    a, b = UnitHypercube((0, 0, 0)), UnitHypercube((-1, 4, 2))
+    tables = [(a.outward, b.outward), (step_vectors(3), step_vectors(3)),
+              (cr._window(3, 2)[0], cr._window(3, 2)[0]),
+              (cr._window(3, 2)[1], cr._window(3, 2)[1])]
+    for x, y in tables:
+        assert x is y
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 7
+    assert corner_offsets(3) is corner_offsets(3)
+    assert a.corners is UnitHypercube((0, 0, 0)).corners
+    assert cr._fill_order(3, 5) is cr._fill_order(3, 5)
+    for t in (corner_offsets(3), a.corners, cr._fill_order(3, 5)):
+        assert isinstance(t, tuple)
+        with pytest.raises(TypeError):
+            t[0] = t[1]
 
 
 def test_paths_and_discover_reject_per_walker_fields():

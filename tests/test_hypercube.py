@@ -376,6 +376,37 @@ def test_visit_law_check_one_step_exit():
     assert rep.mean_visits == 1.0 and rep.qtilde == 1.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_escape_row_gives_the_qtilde_row_entry(d):
+    # visit_law_check reads Qtilde_row[corner] off its corner's chain alone
+    cube = UnitHypercube((0,) * d)
+    laws = (UniformDrift(d), TrapSym(d), Dirichlet((1.0,) * (2 * d)),
+            Expl(d, 0.2) if d > 1 else UniformDrift(1, 0.3))
+    for law in laws:
+        for seed in range(25):
+            ana = hc.analyze(Environment(law, seed), cube, 1)
+            for x in range(1 << d):
+                row = hc._escape_row(ana._A, ana._P, ana.exit_mass, x)[2]
+                assert row.sum(axis=1)[0] == ana.Qtilde_row[0, x]
+
+
+def test_visit_law_check_solves_one_chain(monkeypatch):
+    env = Environment(UniformDrift(2), 10)
+    calls = _count_solves(monkeypatch)
+    rep = hc.visit_law_check(env, CUBE2, 3, 10_000, 9)
+    assert len(calls) == 1 and abs(rep.qtilde - 6 / 7) < 1e-12
+
+
+def test_check_absorbing_needs_reach_only_without_own_exit():
+    # d = 1: corner 0 has no exit mass of its own and reaches corner 1's,
+    # until corner 1 steps only inward and closes the pair
+    open_pair = np.array([[1.0, 0.0], [0.5, 0.5]])
+    hc.analyze_transitions(1, open_pair[None], 1)
+    closed = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(hc.DegenerateEnvironmentError, match="no escape route"):
+        hc.analyze_transitions(1, closed[None], 1)
+
+
 def test_visit_law_check_requires_enough_runs():
     with pytest.raises(ValueError):
         hc.visit_law_check(Environment(UniformDrift(2), 1), CUBE2, 0, 100, 1)
