@@ -16,8 +16,8 @@ with numpy.
 
 A run of the loop has one state, the C struct ``run_t``: the field (law,
 base keys and site-row table), the region's forms, the walkers' output
-arrays, the two hand-back margins and the loop state (step, live rows and
-whether the region is settled there).  :func:`loop` builds it as a
+arrays, the step hand-back margin and the loop state (step, live rows
+and whether the region is settled there).  :func:`loop` builds it as a
 :class:`Loop`, which holds its ctypes mirror and the arrays it points to,
 or returns None when numpy must step the environment.  ``rwre_until``
 takes the run and only what changes between calls: the live walkers'
@@ -48,11 +48,10 @@ without a table.  ``UniformDrift``, whose row is the same at every site,
 has none.  The table belongs to one engine call; nothing carries over
 between calls.
 
-Region decisions equal ``Bounds.__call__``'s the same way.  A form (column
-of ``A``) with integer coefficients is evaluated exactly; a float form's
-value can differ from numpy's by a few ulps, so a walker whose value lies
-within ``REGION_MARGIN`` (relative to the size of its terms) of a bound
-hands the whole step's region evaluation back to numpy.
+Region decisions equal ``Bounds.__call__``'s exactly: each form's value
+is the left-to-right sum of ``lattice._dot``, which the C loop computes in
+the same order with no fused multiply-add (``-ffp-contract=off``), so the
+kernel decides every region itself.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ from .lattice import Bounds
 # this much farther away is decided alike by both, and a nearer one falls
 # on about 2^-37 of row-steps.
 GUARD_MARGIN = 2.0 ** -40
-# A float form's value of x @ A differs from numpy's by at most 2d ulps of
-# sum |x_i A_i|; one this much farther (relative to that sum) from a bound
-# is placed alike by both.
-REGION_MARGIN = 2.0 ** -40
 MAX_DIRS = 64
 # Entries of the site-row table per slot: a per-walker field has one slot
 # per seed, a shared field one slot.  Above TABLE_CAP entries in all, the
@@ -107,8 +102,9 @@ typedef union {
 /* The state of one compiled walk run.  Its field: the law, the base keys
    and the site-row table.  Its stopping region lo < x.a_j < hi (<= where
    closed) for its m forms a_j (none: the whole lattice).  The outputs of
-   its walkers, indexed by walker.  The hand-back margins, and the loop
-   state {t, rows, settled} that rwre_until resumes from and leaves. */
+   its walkers, indexed by walker.  The step hand-back margin, and the loop
+   state {t, rows, settled} that rwre_until resumes from; it leaves {t,
+   rows} with the region settled at t. */
 typedef struct {
     int32_t law, d, dim, nvars;
     double param;          /* Expl: eps; trap laws: the exponent of U_0 */
@@ -122,14 +118,13 @@ typedef struct {
     int32_t m, lo_closed, hi_closed, exited;
     const double *forms;    /* m rows of dim coefficients */
     const double *lo, *hi;
-    const int32_t *exact;   /* 1 where a form's coefficients are integers */
     int64_t n;              /* walkers of the run */
     uint8_t *status;
     int64_t *final, *steps_taken;
     int64_t *visits;        /* NULL when visits are not counted */
     const int64_t *target;
-    uint8_t *choice;        /* n bytes: each row's step or region test */
-    double margin, region_margin;
+    uint8_t *choice;        /* n bytes: each row's step */
+    double margin;
     int64_t t, rows, settled;
 } run_t;
 
@@ -318,40 +313,20 @@ static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice
     }
 }
 
-/* 1 inside, 0 outside, or -1 when numpy must decide.  An integer form has
-   coefficients of at most 2^20, so at sites with coordinates below 2^26 in
-   at most 32 dimensions its value is an integer below 2^51, exact in both;
-   a float form's dot product differs from numpy's by at most 2 dim ulps of
-   sum |x_i a_i|, so a value farther than margin times that sum (plus one)
-   from both bounds is decided alike by both. */
-static int region(const run_t *r, int dim, const int64_t *x, double margin)
+/* 1 inside, 0 outside.  Each form's value is summed left to right, as
+   lattice._dot sums it. */
+static int region(const run_t *r, int dim, const int64_t *x)
 {
-    int i, j, unsure = 0, small = 1;
-    for (i = 0; i < dim; i++)
-        small &= x[i] < (1 << 26) && x[i] > -(1 << 26);
+    int i, j;
     for (j = 0; j < r->m; j++) {
         const double *a = r->forms + j * dim;
         double v = 0.0, lo = r->lo[j], hi = r->hi[j];
-        if (r->exact[j] && small) {
-            for (i = 0; i < dim; i++)
-                v += (double)x[i] * a[i];
-        } else {
-            double s = 0.0, tol;
-            for (i = 0; i < dim; i++) {
-                double p = (double)x[i] * a[i];
-                v += p;
-                s += fabs(p);
-            }
-            tol = margin * (1.0 + s);
-            if (fabs(v - lo) < tol || fabs(v - hi) < tol) {
-                unsure = 1;
-                continue;
-            }
-        }
+        for (i = 0; i < dim; i++)
+            v += (double)x[i] * a[i];
         if (r->lo_closed ? !(lo <= v) : !(lo < v)) return 0;
         if (r->hi_closed ? !(v <= hi) : !(v < hi)) return 0;
     }
-    return unsure ? -1 : 1;
+    return 1;
 }
 
 static void count_visits(const run_t *r, int dim, const int64_t *walkers,
@@ -368,23 +343,23 @@ static void count_visits(const run_t *r, int dim, const int64_t *walkers,
 
 /* Run the run's rows live walkers (ids in walkers, keys and positions
    compacted alike) from its state {t, rows, settled} until all have left
-   the region, step horizon is reached or numpy must take over, writing
+   the region, step horizon is reached or numpy must take a step, writing
    each stopped walker's outputs and compacting the rest in order.  settled
    says whether the region has been evaluated at the positions of step t;
    a region with no forms is the whole lattice, which no walker leaves, so
    settling it only counts the start's visits.  Returns 0 with the state
-   reached: settled is 0 when numpy must evaluate the region at step t,
-   else step t is numpy's if t < horizon and walkers are left.  Returns -1
-   for more rows than walkers of the run or a walker index outside the run
-   or, for a per-walker field, its base keys; compaction only drops
-   walkers, so the check at entry holds for the whole call. */
+   reached, where the region is settled: step t is numpy's if t < horizon
+   and walkers are left.  Returns -1 for more rows than walkers of the run
+   or a walker index outside the run or, for a per-walker field, its base
+   keys; compaction only drops walkers, so the check at entry holds for the
+   whole call. */
 int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
                    int64_t horizon)
 {
     int dim = r->dim;
     int64_t t = r->t, rows = r->rows, settled = r->settled, i;
     uint8_t *choice = r->choice;
-    double margin = r->margin, region_margin = r->region_margin;
+    double margin = r->margin;
     if (rows > r->n) return -1;
     for (i = 0; i < rows; i++)
         if (walkers[i] < 0 || walkers[i] >= r->n
@@ -393,14 +368,9 @@ int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
         if (!settled && r->m) {
             int64_t kept = 0;
             for (i = 0; i < rows; i++) {
-                int in = region(r, dim, pos + i * dim, region_margin);
-                if (in < 0) goto out;
-                choice[i] = (uint8_t)in;
-            }
-            for (i = 0; i < rows; i++) {
                 int64_t w = walkers[i], *x = pos + i * dim;
                 int j;
-                if (!choice[i]) {
+                if (!region(r, dim, x)) {
                     r->status[w] = (uint8_t)r->exited;
                     for (j = 0; j < dim; j++)
                         r->final[w * dim + j] = x[j];
@@ -421,17 +391,15 @@ int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
         if (!settled && t == 0 && r->visits)
             count_visits(r, dim, walkers, rows, pos);
         settled = 1;
-        if (rows == 0 || t >= horizon) goto out;
-        if (!choose_rows(r, walkers, keys, rows, pos, t, choice, margin)) goto out;
+        if (rows == 0 || t >= horizon) break;
+        if (!choose_rows(r, walkers, keys, rows, pos, t, choice, margin)) break;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
         settled = 0;
     }
-out:
     r->t = t;
     r->rows = rows;
-    r->settled = settled;
     return 0;
 }
 """
@@ -449,9 +417,9 @@ _RUN_FIELDS = [(ctypes.c_int32, "law d dim nvars"), (ctypes.c_double, "param sum
                (ctypes.c_int64, "nbase"), (ctypes.c_int32, "per_walker bits"),
                (ctypes.c_void_p, "table"),
                (ctypes.c_int32, "m lo_closed hi_closed exited"),
-               (ctypes.c_void_p, "forms lo hi exact"), (ctypes.c_int64, "n"),
+               (ctypes.c_void_p, "forms lo hi"), (ctypes.c_int64, "n"),
                (ctypes.c_void_p, "status final steps_taken visits target choice"),
-               (ctypes.c_double, "margin region_margin"),
+               (ctypes.c_double, "margin"),
                (ctypes.c_int64, "t rows settled")]
 
 
@@ -489,10 +457,8 @@ class Loop:
         lo = np.ascontiguousarray(region.lo.reshape(-1))
         hi = np.ascontiguousarray(region.hi.reshape(-1))
         _check(forms, np.float64, (len(lo), dim), "region forms")
-        exact = np.array([np.all(f == np.round(f)) and np.all(np.abs(f) <= 2 ** 20)
-                          for f in forms], dtype=np.int32)
         choice = np.empty(n, dtype=np.uint8)
-        self.arrays = (base, forms, lo, hi, exact, status, final, steps_taken,
+        self.arrays = (base, forms, lo, hi, status, final, steps_taken,
                        visits, target, choice)
         ptr = (lambda a: None if a is None else a.ctypes.data)
         self.lib = lib
@@ -501,11 +467,11 @@ class Loop:
                         nbase=len(base), per_walker=int(per_walker), m=len(forms),
                         lo_closed=int(region.lo_closed),
                         hi_closed=int(region.hi_closed), exited=exited,
-                        forms=ptr(forms), lo=ptr(lo), hi=ptr(hi), exact=ptr(exact),
+                        forms=ptr(forms), lo=ptr(lo), hi=ptr(hi),
                         n=n, status=ptr(status), final=ptr(final),
                         steps_taken=ptr(steps_taken), visits=ptr(visits),
                         target=ptr(target), choice=ptr(choice),
-                        margin=GUARD_MARGIN, region_margin=REGION_MARGIN)
+                        margin=GUARD_MARGIN)
         # the site-row table: one word of flag, dim of site and 2 dim of
         # cumulative row per entry, zero (empty) until the kernel fills it
         self.table = None
@@ -524,16 +490,14 @@ class Loop:
                 self.run.table = self.table.ctypes.data
 
     def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
-                 t: int, settled: bool, horizon: int) -> tuple[int, int, bool]:
+                 t: int, settled: bool, horizon: int) -> tuple[int, int]:
         """Run the live rows from step ``t`` as far as the kernel can.
 
         ``pos``, ``keys`` and the walker ids ``walkers`` are compacted in
         place; ``settled`` says whether the region has already been
-        evaluated at step ``t``.  Returns the live rows left, the step
-        reached and whether the region is settled there.  Unless every
-        walker has stopped or step ``horizon`` is reached, numpy must take
-        over there: evaluate the region if it is not settled, else take
-        the step.
+        evaluated at step ``t``.  Returns the live rows left and the step
+        reached, where the region is settled.  Unless every walker has
+        stopped or step ``horizon`` is reached, numpy must take that step.
         """
         rows, run = len(pos), self.run
         _check(pos, np.int64, (rows, run.dim), "pos")
@@ -544,7 +508,7 @@ class Loop:
                                pos.ctypes.data, horizon) < 0:
             raise IndexError("more rows than walkers, or a walker index outside "
                              "the run or the environment's seeds")
-        return run.rows, run.t, bool(run.settled)
+        return run.rows, run.t
 
 
 def loop(env, region: Bounds | None, exited: int, status: np.ndarray,

@@ -36,7 +36,7 @@ from . import rng, stats
 from .environment import Environment, _require_one_field, transitions_for_seeds
 from .errors import ParameterError
 from .hypercube import _exit_probs, escape_site_probs
-from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _frozen,
+from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _dot, _frozen,
                       _outward, rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
 
@@ -382,17 +382,20 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
 
 
 def _assert_bundle_invariants(records, d, n) -> None:
-    seen: set[Site] = set()
-    for r in records:
-        pts = {tuple(int(c) for c in row) for row in r.sites}
-        if pts & seen:
-            raise AssertionError("post-hypercube path segments intersect")
-        seen |= pts
-        if np.abs(r.sites[-1]).sum() < n:
-            raise AssertionError("path endpoint closer than n in L1 norm")
-        lower = r.qtilde / d * r.prod_q
-        if r.pi < lower - 1e-12 * max(1.0, abs(lower)):
-            raise AssertionError("pi fell below its (1/d) Qtilde prod(Q) bound")
+    # a path never revisits its own site (each step moves outward in its
+    # corner's fixed orthant), so the paths are disjoint exactly when all
+    # their sites are distinct; each site is compared as one d-word row,
+    # which np.unique sorts several times faster than with axis=0
+    sites = np.stack([r.sites for r in records]).astype(np.int64, copy=False)
+    rows = sites.reshape(-1, d).view(np.dtype((np.void, 8 * d)))
+    if len(np.unique(rows)) < len(rows):
+        raise AssertionError("post-hypercube path segments intersect")
+    if (np.abs(sites[:, -1]).sum(axis=1) < n).any():
+        raise AssertionError("path endpoint closer than n in L1 norm")
+    pi, qtilde, prod_q = np.array([(r.pi, r.qtilde, r.prod_q) for r in records]).T
+    lower = qtilde / d * prod_q
+    if (pi < lower - 1e-12 * np.maximum(1.0, np.abs(lower))).any():
+        raise AssertionError("pi fell below its (1/d) Qtilde prod(Q) bound")
 
 
 @dataclass
@@ -654,7 +657,7 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
                 bad, n, cens = _exit_share(Environment(law, seeds), origin, keys,
                                            walk_budget, _box_region(R, L, Lp, Lt),
-                                           lambda final: final @ ell < L)
+                                           lambda final: _dot(final, ell) < L)
                 grid.append(BoxExitPoint(L, Lp, Lt, bad / n if n else float("nan"),
                                          stats.binomial_ci(bad, n)[1], n, cens))
         # a point without resolved runs has a NaN estimate and never wins
@@ -707,7 +710,7 @@ def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
         if res.censored():
             prob = float("nan")
         hit_ids = np.nonzero((res.status == STATUS_EXITED)
-                             & (res.final @ ell <= L))[0]
+                             & (_dot(res.final, ell) <= L))[0]
         k = len(hit_ids)
         prob *= k / n_per_level
         if k == 0:
@@ -790,7 +793,7 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                 back, n, c = _exit_share(env, np.zeros(law.dim, dtype=np.int64),
                                          keys, walk_budget,
                                          _slab_region(ell, b, float(L)),
-                                         lambda final: final @ ell < 0)
+                                         lambda final: _dot(final, ell) < 0)
                 ncens += c
                 if n:      # all censored: no data, not "no back exit"
                     vals.append(back / n)

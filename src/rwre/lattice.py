@@ -10,7 +10,10 @@ built once per dimension (corners once per anchor) and returned
 read-only: arrays that refuse writes, tuples in place of lists.  Every
 walk region -- a slab, a splitting level, a box, the unit hypercube and
 the tilted box -- is a :class:`Bounds`, whose membership test is
-vectorized over (N, d) arrays of sites.
+vectorized over (N, d) arrays of sites.  A linear form has one value,
+:func:`_dot`'s left-to-right sum, which the compiled walk loop computes
+too: a region's decisions and the events read off its exit sites do not
+depend on the host's BLAS.
 """
 
 from __future__ import annotations
@@ -64,6 +67,21 @@ def _corners(anchor: Site) -> tuple[Site, ...]:
                  for off in corner_offsets(len(anchor)))
 
 
+def _dot(X, A) -> np.ndarray:
+    """``X @ A`` as the left-to-right sum x_1 a_1 + ... + x_d a_d in float64.
+
+    Each product is rounded, then added in order, with no BLAS and no
+    fused multiply-add: the walk kernel's sum, bit for bit.  ``X`` is one
+    site (d,) or sites (N, d); ``A`` one form (d,) or forms (d, m).
+    """
+    X = np.asarray(X)
+    A = np.asarray(A, dtype=float)
+    V = np.multiply.outer(X[..., 0], A[0])
+    for i in range(1, len(A)):
+        V += np.multiply.outer(X[..., i], A[i])
+    return V
+
+
 @dataclass(frozen=True, eq=False)
 class Bounds:
     """The sites x with lo < x @ A < hi in every column of A.
@@ -71,10 +89,10 @@ class Bounds:
     ``A`` is one linear form of shape (d,) with scalar bounds, or m forms
     of shape (d, m) with m bounds each; ``lo_closed`` and ``hi_closed`` make
     the lower and upper bounds inclusive.  Called on an (N, d) array of
-    sites it returns the (N,) membership mask.  The walk engine's compiled
-    loop evaluates the same region and leaves to this call every site whose
-    ``x @ A`` it cannot place on one side of a bound exactly.  Compared by
-    identity, since its fields are arrays.
+    sites it returns the (N,) membership mask.  Each form's value is
+    :func:`_dot`'s, which the walk engine's compiled loop computes alike,
+    so both decide every site the same way.  Compared by identity, since
+    its fields are arrays.
     """
 
     A: np.ndarray
@@ -95,7 +113,7 @@ class Bounds:
         object.__setattr__(self, "hi", hi)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        V = np.asarray(X) @ self.A
+        V = _dot(X, self.A)
         ok = ((self.lo <= V) if self.lo_closed else (self.lo < V)) & (
             (V <= self.hi) if self.hi_closed else (V < self.hi))
         return ok if ok.ndim == 1 else ok.all(axis=1)
@@ -187,7 +205,7 @@ class TiltedBox:
         A = np.eye(d)
         A[i0] = -v / v[i0]
         A[i0, i0] = self.sign
-        c = np.asarray(self.center, dtype=float) @ A
+        c = _dot(self.center, A)
         lo, hi = c - width, c + width
         hi[i0] = c[i0] + self.L
         return Bounds(A, lo, hi, False, False)

@@ -21,12 +21,12 @@ Every region is a :class:`~rwre.lattice.Bounds`.  For ``UniformDrift``,
 ``Expl``, ``TrapSym`` and ``TrapTransient``, the steps are taken by one
 compiled run of :mod:`rwre._kernel` (``_kernel.loop``) per batch, one call
 per stop, with step sequences equal to :func:`_step_batch`'s by
-construction; the kernel evaluates the region, compacts, and hands back to
-numpy any step, or any region evaluation, it cannot decide exactly.  Other
-laws, hosts without a compiler and recorded runs step with numpy.  Both
-engines validate their batch (keys, start rows, dimension, integral
-lengths and sites, per-walker seeds, the visit-count site, the region's
-type and dimension) before the first step.
+construction; the kernel evaluates the region with ``Bounds``' own sums,
+so it decides every region itself, compacts, and hands back to numpy any
+step it cannot decide exactly.  Other laws, hosts without a compiler and
+recorded runs step with numpy.  Both engines validate their batch (keys,
+start rows, dimension, integral lengths and sites, per-walker seeds, the
+visit-count site, the region's type and dimension) before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
 recorded row into its path.  Budget exhaustion is a normal, flagged
@@ -245,21 +245,21 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
 
     # Each pass takes what numpy must decide: the region at step t when it
     # is not settled there, else step t.  The compiled loop, when there is
-    # one, runs until it needs numpy for either or the stop is reached.
+    # one, settles the region and runs until numpy must take a step or the
+    # stop is reached.
     snaps: dict[int, np.ndarray] = {}
     t, settled = 0, False
     for stop in stops:
         while True:
             if loop is not None and (not settled or (t < stop and len(live))):
-                rows, t, settled = loop(cur, ckeys, live, t, settled, stop)
+                rows, t = loop(cur, ckeys, live, t, settled, stop)
                 live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
-            if not settled:
+            elif not settled:
                 if inside is not None:
                     settle(t)
                 if t == 0 and visits is not None and len(live):
                     count_visits()
-                settled = True
-                continue
+            settled = True
             if t == stop or not len(live):
                 break
             choice = _step_batch(env, cur, ckeys, t, sv, live)

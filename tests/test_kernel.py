@@ -5,6 +5,7 @@ a last-ulp difference in a transition vector could change a choice, so
 positions, stopping times and visit counts must be equal bit for bit.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -257,9 +258,9 @@ def _assert_same_until(a, b, what):
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 @pytest.mark.parametrize("law", LAWS, ids=repr)
 def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
-    # a region runs in one kernel call unless numpy must take a step or a
-    # region evaluation, and equals numpy's run; a fixed run takes one call
-    # per stop
+    # a region runs in one kernel call unless numpy must take a step, and
+    # equals numpy's run; the kernel decides every region itself; a fixed
+    # run takes one call per stop
     for W in (1, 7, 200):
         env = Environment(law, rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
         keys = walk.walk_keys(9, W)
@@ -269,8 +270,9 @@ def test_compiled_regions_equal_the_numpy_path(monkeypatch, law, per_walker):
                 steps = _counting(m, walk, "_step_batch")
                 regions = _counting(m, lattice.Bounds, "__call__")
                 ours = _until(env, region, start, keys)
-            if steps or regions:
-                assert len(calls) <= 1 + len(steps) + len(regions), name
+            assert not regions, name
+            if steps:
+                assert len(calls) <= 1 + len(steps), name
             else:
                 assert len(calls) == 1, name
             theirs = _numpy_until(monkeypatch, env, region, start, keys)
@@ -292,16 +294,11 @@ def _counting(monkeypatch, obj, name):
 
 
 @needs_gcc
-@pytest.mark.parametrize("guard, region_margin, handed_back", [
-    (2.0, _kernel.REGION_MARGIN, "every_step"),
-    (0.01, _kernel.REGION_MARGIN, "some_steps"),
-    (_kernel.GUARD_MARGIN, 1e3, "every_region"),
-    (_kernel.GUARD_MARGIN, 1e-3, "some_regions"),
-])
-def test_compiled_regions_resume_identically_after_hand_backs(
-        monkeypatch, guard, region_margin, handed_back):
+@pytest.mark.parametrize("guard", [2.0, 0.01], ids=["every_step", "some_steps"])
+def test_compiled_regions_resume_identically_after_hand_backs(monkeypatch, guard):
+    # after each step numpy takes, the kernel settles the region again
     W = 7
-    handed = {"steps": 0, "regions": 0, "loop_steps": 0, "float_loop_steps": 0}
+    handed = loop_total = 0
     for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2), TrapTransient(1)):
         env = Environment(law, rng.derive_keys(4, "walkers", n=W))
         keys = walk.walk_keys(5, W)
@@ -309,39 +306,29 @@ def test_compiled_regions_resume_identically_after_hand_backs(
             reference = _numpy_until(monkeypatch, env, region, start, keys)
             with monkeypatch.context() as m:
                 m.setattr(_kernel, "GUARD_MARGIN", guard)
-                m.setattr(_kernel, "REGION_MARGIN", region_margin)
                 steps = _counting(m, walk, "_step_batch")
                 regions = _counting(m, lattice.Bounds, "__call__")
                 ours = _until(env, region, start, keys)
             _assert_same_until(ours, reference, (law, name))
+            assert not regions, (law, name)
             loop_steps = int(reference.steps_taken.max())
-            if handed_back == "every_step":
+            if guard == 2.0:
                 assert len(steps) == loop_steps
-            if name == "cube":      # an integer region is never handed back
-                assert not regions
-            else:
-                handed["float_loop_steps"] += loop_steps + 1
-            handed["steps"] += len(steps)
-            handed["regions"] += len(regions)
-            handed["loop_steps"] += loop_steps
-    if handed_back == "some_steps":
-        assert 0 < handed["steps"] < handed["loop_steps"]
-    elif handed_back == "every_region":
-        assert handed["regions"] == handed["float_loop_steps"]
-    elif handed_back == "some_regions":
-        assert 0 < handed["regions"] < handed["float_loop_steps"]
+            handed += len(steps)
+            loop_total += loop_steps
+    if guard < 2.0:
+        assert 0 < handed < loop_total
 
 
 @needs_gcc
-def test_region_hand_backs_are_rare(monkeypatch):
-    # the cube is an integer region: its visit-law walks never reach numpy's
-    # predicate; the float slab of the slab-decay criterion very rarely does
+def test_kernel_never_hands_back_a_region(monkeypatch):
+    # the cube's visit-law walks and the float slab and levels of the
+    # slab-decay criterion never reach numpy's predicate
     regions = _counting(monkeypatch, lattice.Bounds, "__call__")
     for law in (UniformDrift(2), Expl(2, 0.3), TrapSym(2)):
         rep = hypercube.visit_law_check(Environment(law, 7),
                                         lattice.UnitHypercube((0, 0)), 0, 10_000, 8)
         assert rep.n == 10_000
-    assert not regions
     walker_steps = []
     run = criteria.run_until_batch
 
@@ -355,7 +342,74 @@ def test_region_hand_backs_are_rare(monkeypatch):
                        2, 11, estimator="splitting", n_per_level=192, repeats=1,
                        level_width=0.7)
     assert sum(walker_steps) > 10 ** 5
-    assert len(regions) < 1e-3 * sum(walker_steps)
+    assert not regions
+
+
+@needs_gcc
+def test_walks_next_to_exact_ties_equal_the_numpy_path(monkeypatch):
+    # 0.6 x + 0.8 y hits the bounds 7, -7, 8, -3 exactly at some sites,
+    # where a product summed in another order can land one ulp off; walks
+    # start on those sites and their neighbours, all of them decided by
+    # the kernel alone
+    forms = np.array([[0.6, -0.8], [0.8, 0.6]])
+    ell = forms[:, 0].tolist()
+    grid = [(x, y) for x in range(-40, 41) for y in range(-40, 41)]
+    ties = {b: [x for x in grid if float(x[0]) * ell[0] + float(x[1]) * ell[1] == b]
+            for b in (7.0, -7.0, 8.0, -3.0)}
+    assert all(ties.values())
+    sites = np.array(sum(ties.values(), []), dtype=np.int64)
+    next_to = (sites[:, None] + lattice.step_vectors(2)).reshape(-1, 2)
+    starts = np.unique(np.concatenate([sites, next_to]), axis=0)
+    regions = [lattice.Bounds(ell, -7.0, 7.0, True, True),
+               lattice.Bounds(ell, -7.0, 7.0, False, False),
+               lattice.Bounds(ell, -3.0, 8.0, False, True),
+               lattice.Bounds(forms, [-3.0, -8.0], [7.0, 8.0], True, False)]
+    keys = walk.walk_keys(12, len(starts))
+    for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2), TrapTransient(1)):
+        env = Environment(law, 8)
+        for i, region in enumerate(regions):
+            with monkeypatch.context() as m:
+                calls = _counting(m, lattice.Bounds, "__call__")
+                ours = walk.run_until_batch(env, starts, keys, 60, region)
+            assert not calls, (law, i)
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "loop", lambda *a: None)
+                theirs = walk.run_until_batch(env, starts, keys, 60, region)
+            _assert_same_until(ours, theirs, (law, i))
+            assert (ours.steps_taken == 0).any() and (ours.steps_taken > 0).any()
+
+
+def test_splitting_hits_lie_below_the_front_by_bounds(monkeypatch):
+    # each level's hits are its exited walks at or below the front L as
+    # Bounds evaluates the form: the pass's estimate is the product of
+    # their shares, and the next level starts from them
+    ell, L, n = (0.6, 0.8), 7.0, 300
+    below = lattice.Bounds(ell, -np.inf, L, True, True)
+    runs = []
+    run = criteria.run_until_batch
+
+    def recorded(env, starts, keys, budget, inside):
+        res = run(env, starts, keys, budget, inside)
+        runs.append((np.broadcast_to(starts, res.final.shape), res))
+        return res
+
+    monkeypatch.setattr(criteria, "run_until_batch", recorded)
+    for law in (UniformDrift(2, 0.05), Expl(2, 0.4), TrapSym(2)):
+        runs.clear()
+        p, censored = criteria._splitting_once(Environment(law, 3), ell, 1.0, L, n,
+                                               20_000, 5, 1.5)
+        assert censored == 0 and len(runs) > 1
+        shares = []
+        for j, (starts, res) in enumerate(runs):
+            hits = (res.status == walk.STATUS_EXITED) & below(res.final)
+            shares.append(hits.sum() / n)
+            if j:
+                assert below(starts).all()
+                prev = runs[j - 1][1]
+                prev_hits = {tuple(x) for x in prev.final[
+                    (prev.status == walk.STATUS_EXITED) & below(prev.final)].tolist()}
+                assert {tuple(x) for x in starts.tolist()} <= prev_hits
+        assert p == math.prod(shares)
 
 
 @needs_gcc
@@ -370,8 +424,8 @@ def test_walker_ids_beyond_the_field_seeds_raise():
         return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, True, 10)
 
     seeds = rng.derive_keys(2, "walkers", n=3)
-    assert run(seeds, [0, 2]) == (2, 10, True)
-    assert run(5, [0, 4]) == (2, 10, True)
+    assert run(seeds, [0, 2]) == (2, 10)
+    assert run(5, [0, 4]) == (2, 10)
     with pytest.raises(IndexError, match="walker index"):
         run(seeds, [0, 4])
     # the run's scratch row buffer holds one byte per walker of the run

@@ -112,25 +112,39 @@ def test_slab_inclusive_bounds():
 
 
 # The predicates the walk regions replaced, kept as oracles: each region
-# must return the same mask, bit for bit, as the closure it stands for.
+# must return the same mask, bit for bit, as the closure it stands for.  A
+# form's value is the left-to-right sum of rounded products, which is what
+# a region decides by; numpy's X @ A goes to the host's BLAS, whose order
+# and fused multiply-adds can move a value at an exact tie by one ulp.
+
+def in_order(X, A):
+    """(N, m) values of the forms A (d,) or (d, m) at the sites X, each
+    the sum x_1 a_1 + ... + x_d a_d taken left to right."""
+    X = np.asarray(X, dtype=float)
+    A = np.asarray(A, dtype=float).reshape(X.shape[1], -1)
+    V = X[:, :1] * A[:1]
+    for i in range(1, X.shape[1]):
+        V = V + X[:, i:i + 1] * A[i:i + 1]
+    return V
+
 
 def slab_inside(ell, b, L):
     def inside(X):
-        t = X @ ell
+        t = in_order(X, ell)[:, 0]
         return (-b * L <= t) & (t <= L)
     return inside
 
 
 def level_inside(ell, lev, L):
     def inside(X):
-        t = X @ ell
+        t = in_order(X, ell)[:, 0]
         return (lev < t) & (t <= L)
     return inside
 
 
 def box_inside(R, L, Lp, Lt):
     def inside(X):
-        W = X @ R
+        W = in_order(X, R)
         return ((-Lp < W[:, 0]) & (W[:, 0] < L)
                 & (np.abs(W[:, 1:]).max(axis=1, initial=0.0) < Lt))
     return inside
@@ -185,7 +199,7 @@ def test_regions_equal_the_predicates_they_replace(d):
     for region, oracle, A, bounds in _region_pairs(d):
         # random sites, and every site of the grid whose value of some form
         # lies within one step of some bound
-        V = grid @ np.asarray(A).reshape(d, -1)
+        V = in_order(grid, A)
         near = np.zeros(len(grid), dtype=bool)
         for b in bounds:
             near |= (np.abs(V - b) <= 1.0).any(axis=1)
@@ -193,6 +207,41 @@ def test_regions_equal_the_predicates_they_replace(d):
         X = np.concatenate([rs.randint(-60, 61, size=(5000, d)), grid[near]])
         assert np.array_equal(region(X), oracle(X))
         assert region(X[:1]).shape == (1,) and region(X[:0]).shape == (0,)
+
+
+def scalar_form(x, a):
+    """A form's value at one site: float(x_i) * a_i, added in order."""
+    v = 0.0
+    for xi, ai in zip(x, a):
+        v += float(xi) * ai
+    return v
+
+
+def test_bounds_decide_exact_ties_by_the_left_to_right_sum():
+    # every site of the 81 x 81 grid where 0.6 x + 0.8 y equals 7, -7, 8,
+    # -8, 3 or -3 exactly: a region with such a bound, on this form alone
+    # or beside another, must place it as the scalar sum does
+    ell, other = [0.6, 0.8], [-0.8, 0.6]
+    grid = [(x, y) for x in range(-40, 41) for y in range(-40, 41)]
+    ties = {b: [x for x in grid if scalar_form(x, ell) == b]
+            for b in (7.0, -7.0, 8.0, -8.0, 3.0, -3.0)}
+    assert all(ties.values())
+
+    def placed(v, lo, hi, lo_closed, hi_closed):
+        return (lo <= v if lo_closed else lo < v) and (v <= hi if hi_closed else v < hi)
+
+    for lo, hi in ((-7.0, 7.0), (-8.0, 8.0), (-3.0, 7.0), (-8.0, 3.0)):
+        sites = ties[lo] + ties[hi]
+        X = np.array(sites, dtype=np.int64)
+        for lo_closed in (False, True):
+            for hi_closed in (False, True):
+                one = lat.Bounds(ell, lo, hi, lo_closed, hi_closed)
+                want = [placed(scalar_form(x, ell), lo, hi, lo_closed, hi_closed)
+                        for x in sites]
+                assert one(X).tolist() == want, (lo, hi, lo_closed, hi_closed)
+                two = lat.Bounds(np.array([ell, other]).T, [lo, -100.0], [hi, 100.0],
+                                 lo_closed, hi_closed)
+                assert two(X).tolist() == want
 
 
 def test_bounds_reject_mismatched_shapes():
