@@ -14,14 +14,20 @@ source's SHA-256, and loaded with ``ctypes``.  Without a compiler, or when
 the build or load fails, a warning is issued once and the engines step
 with numpy.
 
-A run of the loop has one state, the C struct ``run_t``: the field (law,
-base keys and site-row table), the region's forms, the walkers' output
-arrays, the step hand-back margin and the loop state (step, live rows
-and whether the region is settled there).  :func:`loop` builds it as a
-:class:`Loop`, which holds its ctypes mirror and the arrays it points to,
-or returns None when numpy must step the environment.  ``rwre_until``
-takes the run and only what changes between calls: the live walkers'
-ids, keys and positions, and the step to stop at.
+A field's compiled state is the C struct ``field_t``: the law, the base
+keys, the step hand-back margin and the site-row table (below).  The
+``Environment`` keeps it, as a :class:`Field`, from its first run on, so
+every later run on the same field starts from the rows the earlier ones
+stored; it is built again whenever anything its rows depend on differs
+from what it was built under (the law, the base keys, ``GUARD_MARGIN`` and
+the ``TABLE_*`` geometry).  A run's state is the C struct ``run_t``: the
+field it reads, the region's forms, the walkers' output arrays and the
+loop state (step, live rows and whether the region is settled there).
+:func:`loop` builds it as a :class:`Loop`, which holds its ctypes mirror
+and the arrays it points to, or returns None when numpy must step the
+environment.  ``rwre_until`` takes the run and only what changes between
+calls: the live walkers' ids, keys and positions, and the step to stop
+at.
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -45,8 +51,8 @@ which are the ones the derivation computes: the steps stay identical.
 Above ``TABLE_CAP`` entries in all (7.3 MB for walks on Z^2), the
 entries per slot are halved, and a field with more seeds than that runs
 without a table.  ``UniformDrift``, whose row is the same at every site,
-has none.  The table belongs to one engine call; nothing carries over
-between calls.
+has none.  A row depends only on the field and the site, so a table
+outlives the run that filled it: the field keeps it for every later run.
 
 Region decisions equal ``Bounds.__call__``'s exactly: each form's value
 is the left-to-right sum of ``lattice._dot``, which the C loop computes in
@@ -63,6 +69,7 @@ import pathlib
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -99,24 +106,31 @@ typedef union {
     double v;
 } word_t;
 
-/* The state of one compiled walk run.  Its field: the law, the base keys
-   and the site-row table.  Its stopping region lo < x.a_j < hi (<= where
-   closed) for its m forms a_j (none: the whole lattice).  The outputs of
-   its walkers, indexed by walker.  The step hand-back margin, and the loop
-   state {t, rows, settled} that rwre_until resumes from; it leaves {t,
-   rows} with the region settled at t. */
+/* A field, kept across runs: the law, its base keys (one shared, or one
+   per walker), the step hand-back margin and the site-row table, whose
+   rows that margin decides. */
 typedef struct {
     int32_t law, d, dim, nvars;
     double param;          /* Expl: eps; trap laws: the exponent of U_0 */
     double sum_tol;        /* normalize_rows' bound on |sum - 1| */
+    double margin;
     double cum[MAX_DIRS];  /* UniformDrift: numpy's cumulative row */
-    const uint64_t *base;  /* base keys: one shared, or one per walker */
+    const uint64_t *base;
     int64_t nbase;
     int32_t per_walker;
     int32_t bits;          /* log2 of the table's entries per slot */
     word_t *table;         /* site-row table (see row()), or NULL */
+} field_t;
+
+/* The state of one compiled walk run on a field.  Its stopping region
+   lo < x.a_j < hi (<= where closed) for its m forms a_j (none: the whole
+   lattice).  The outputs of its walkers, indexed by walker, and the loop
+   state {t, rows, settled} that rwre_until resumes from; it leaves {t,
+   rows} with the region settled at t. */
+typedef struct {
+    const field_t *field;
     int32_t m, lo_closed, hi_closed, exited;
-    const double *forms;    /* m rows of dim coefficients */
+    const double *forms;    /* dim rows of m coefficients: x.a_j sums column j */
     const double *lo, *hi;
     int64_t n;              /* walkers of the run */
     uint8_t *status;
@@ -124,7 +138,6 @@ typedef struct {
     int64_t *visits;        /* NULL when visits are not counted */
     const int64_t *target;
     uint8_t *choice;        /* n bytes: each row's step */
-    double margin;
     int64_t t, rows, settled;
 } run_t;
 
@@ -166,11 +179,11 @@ static inline int max1(int a)
 /* Unnormalized transition vector of one site, evaluated in numpy's order.
    Returns 0 when an entry obtained by a subtraction lies within margin of
    zero, where numpy's sign check could decide otherwise. */
-static int pvec(const run_t *r, const double *U, double *p, double margin)
+static int pvec(const field_t *f, const double *U, double *p, double margin)
 {
-    int d = r->d;
+    int d = f->d;
     int j;
-    switch (r->law) {
+    switch (f->law) {
     case EXPL: {
         double T = (double)(2 * d + 1) * power(U[0], -6.0 * d);
         double invT = 1.0 / T;
@@ -179,8 +192,8 @@ static int pvec(const run_t *r, const double *U, double *p, double margin)
         double po, ne;
         if (i0 > 2 * d - 1) i0 = 2 * d - 1;
         pos_has = i0 < d;
-        po = (1.0 - r->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
-        ne = (r->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
+        po = (1.0 - f->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
+        ne = (f->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
         for (j = 0; j < d; j++) {
             p[j] = po;
             p[d + j] = ne;
@@ -191,8 +204,8 @@ static int pvec(const run_t *r, const double *U, double *p, double margin)
         return 1;
     }
     default: { /* TRAP: TrapSym, or TrapTransient on Z^{d+1} when dim > d */
-        int D = r->dim;
-        double T = 0.5 * power(U[0], r->param);
+        int D = f->dim;
+        double T = 0.5 * power(U[0], f->param);
         double C = D > d ? (double)d + 3.0 * T : (double)d;
         double hard = T / C, easy = (1.0 - T) / C;
         for (j = 0; j < d; j++) {
@@ -216,24 +229,24 @@ static int pvec(const run_t *r, const double *U, double *p, double margin)
    checks below are stored, so a hit returns the very doubles the
    derivation would.  Kept out of line: inlined into choose(), it slows
    the UniformDrift loop, which never calls it, by 5 %. */
-static __attribute__((noinline)) int row(const run_t *r, int64_t slot,
+static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
                                          const int64_t *x, double *cum,
                                          double margin)
 {
-    int dim = r->dim, K = 2 * dim, j;
+    int dim = f->dim, K = 2 * dim, j;
     double p[MAX_DIRS], U[MAX_DIRS + 1];
     double s = 0.0, acc = 0.0;
-    uint64_t h = r->base[slot];
+    uint64_t h = f->base[slot];
     word_t *e = NULL;
-    if (r->table) {
-        int64_t at = slot << r->bits;
-        if (r->bits) {
+    if (f->table) {
+        int64_t at = slot << f->bits;
+        if (f->bits) {
             uint64_t g = 0;
             for (j = 0; j < dim; j++)
                 g = (g ^ (uint64_t)x[j]) * GOLDEN;
-            at |= (int64_t)(g >> (64 - r->bits));
+            at |= (int64_t)(g >> (64 - f->bits));
         }
-        e = r->table + at * (1 + dim + K);
+        e = f->table + at * (1 + dim + K);
         if (e[0].i) {
             for (j = 0; j < dim && e[1 + j].i == x[j]; j++)
                 ;
@@ -246,14 +259,14 @@ static __attribute__((noinline)) int row(const run_t *r, int64_t slot,
     }
     for (j = 0; j < dim; j++)
         h = fold(h, (uint64_t)x[j]);
-    for (j = 0; j < r->nvars; j++)
+    for (j = 0; j < f->nvars; j++)
         U[j] = uniform(h, j);
-    if (!pvec(r, U, p, margin)) return 0;
+    if (!pvec(f, U, p, margin)) return 0;
     for (j = 0; j < K; j++)
         s += p[j];
     /* these laws' rows sum to 1 within ulps: a row anywhere near
        normalize_rows' bound goes to numpy, which decides it */
-    if (!(fabs(s - 1.0) <= 0.5 * r->sum_tol)) return 0;
+    if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return 0;
     for (j = 0; j < K; j++) {
         acc = j ? acc + p[j] / s : p[j] / s;
         cum[j] = acc;
@@ -270,15 +283,15 @@ static __attribute__((noinline)) int row(const run_t *r, int64_t slot,
 
 /* Step index of a walker (seed slot) at site x with walk uniform u, or -1
    when numpy must take this step. */
-static int choose(const run_t *r, int64_t slot, const int64_t *x, double u,
+static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
                   double margin)
 {
-    int K = 2 * r->dim;
+    int K = 2 * f->dim;
     double cum[MAX_DIRS];
-    const double *c = r->cum;
+    const double *c = f->cum;
     int j, k = 0;
-    if (r->law != UNIFORM_DRIFT) {
-        if (!row(r, slot, x, cum, margin)) return -1;
+    if (f->law != UNIFORM_DRIFT) {
+        if (!row(f, slot, x, cum, margin)) return -1;
         c = cum;
     }
     for (j = 0; j < K; j++) {
@@ -290,14 +303,14 @@ static int choose(const run_t *r, int64_t slot, const int64_t *x, double u,
 
 /* Choose one step for each of the rows walkers at step t into choice.
    Returns 1, or 0 when numpy must take this step. */
-static int choose_rows(const run_t *r, const int64_t *walkers,
+static int choose_rows(const field_t *f, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int64_t slot = r->per_walker ? walkers[i] : 0;
-        int c = choose(r, slot, pos + i * r->dim, uniform(keys[i], t), margin);
+        int64_t slot = f->per_walker ? walkers[i] : 0;
+        int c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
     }
@@ -319,10 +332,9 @@ static int region(const run_t *r, int dim, const int64_t *x)
 {
     int i, j;
     for (j = 0; j < r->m; j++) {
-        const double *a = r->forms + j * dim;
         double v = 0.0, lo = r->lo[j], hi = r->hi[j];
         for (i = 0; i < dim; i++)
-            v += (double)x[i] * a[i];
+            v += (double)x[i] * r->forms[i * r->m + j];
         if (r->lo_closed ? !(lo <= v) : !(lo < v)) return 0;
         if (r->hi_closed ? !(v <= hi) : !(v < hi)) return 0;
     }
@@ -356,14 +368,15 @@ static void count_visits(const run_t *r, int dim, const int64_t *walkers,
 int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
                    int64_t horizon)
 {
-    int dim = r->dim;
+    const field_t *f = r->field;
+    int dim = f->dim;
     int64_t t = r->t, rows = r->rows, settled = r->settled, i;
     uint8_t *choice = r->choice;
-    double margin = r->margin;
+    double margin = f->margin;
     if (rows > r->n) return -1;
     for (i = 0; i < rows; i++)
         if (walkers[i] < 0 || walkers[i] >= r->n
-            || (r->per_walker && walkers[i] >= r->nbase)) return -1;
+            || (f->per_walker && walkers[i] >= f->nbase)) return -1;
     for (;;) {
         if (!settled && r->m) {
             int64_t kept = 0;
@@ -392,7 +405,7 @@ int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
             count_visits(r, dim, walkers, rows, pos);
         settled = 1;
         if (rows == 0 || t >= horizon) break;
-        if (!choose_rows(r, walkers, keys, rows, pos, t, choice, margin)) break;
+        if (!choose_rows(f, walkers, keys, rows, pos, t, choice, margin)) break;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
@@ -411,16 +424,21 @@ _LAWS = {UniformDrift: (0, lambda law: 0.0),
          TrapTransient: (2, lambda law: float(1 << law.d))}
 
 
-# run_t's fields in order, as (ctypes type, names)
-_RUN_FIELDS = [(ctypes.c_int32, "law d dim nvars"), (ctypes.c_double, "param sum_tol"),
-               (ctypes.c_double * MAX_DIRS, "cum"), (ctypes.c_void_p, "base"),
-               (ctypes.c_int64, "nbase"), (ctypes.c_int32, "per_walker bits"),
-               (ctypes.c_void_p, "table"),
+# field_t's and run_t's fields in order, as (ctypes type, names)
+_FIELD_FIELDS = [(ctypes.c_int32, "law d dim nvars"),
+                 (ctypes.c_double, "param sum_tol margin"),
+                 (ctypes.c_double * MAX_DIRS, "cum"), (ctypes.c_void_p, "base"),
+                 (ctypes.c_int64, "nbase"), (ctypes.c_int32, "per_walker bits"),
+                 (ctypes.c_void_p, "table")]
+_RUN_FIELDS = [(ctypes.c_void_p, "field"),
                (ctypes.c_int32, "m lo_closed hi_closed exited"),
                (ctypes.c_void_p, "forms lo hi"), (ctypes.c_int64, "n"),
                (ctypes.c_void_p, "status final steps_taken visits target choice"),
-               (ctypes.c_double, "margin"),
                (ctypes.c_int64, "t rows settled")]
+
+
+class _Field(ctypes.Structure):
+    _fields_ = [(name, ctype) for ctype, names in _FIELD_FIELDS for name in names.split()]
 
 
 class _Run(ctypes.Structure):
@@ -433,61 +451,85 @@ def _check(a: np.ndarray, dtype, shape, name: str) -> None:
                          f"array of shape {shape}")
 
 
-class Loop:
-    """The compiled loop of one walk run: its ``run_t`` and the arrays that
-    the struct points to, which live as long as the loop."""
+class Field:
+    """The compiled state of one environment's field, which every run on it
+    reads: its ``field_t`` and the base keys and site-row table that the
+    struct points to, built under the settings ``key``, and the lock that
+    lets one run at a time use the table."""
 
-    def __init__(self, lib, env, code: int, param: float, region: Bounds | None,
-                 exited: int, status: np.ndarray, final: np.ndarray,
-                 steps_taken: np.ndarray, visits: np.ndarray | None,
-                 target: np.ndarray | None):
-        n, dim = len(status), env.dim
-        if region is None:
-            region = Bounds(np.zeros((dim, 0)), np.zeros(0), np.zeros(0),
-                            False, False)
-        _check(status, np.uint8, (n,), "status")
-        _check(final, np.int64, (n, dim), "final")
-        _check(steps_taken, np.int64, (n,), "steps_taken")
-        if visits is not None:
-            _check(visits, np.int64, (n,), "visits")
-            _check(target, np.int64, (dim,), "target")
-        base = np.array(env._base, dtype=np.uint64, ndmin=1)
+    def __init__(self, env, code: int, param: float, key: tuple):
+        dim = env.dim
+        self.key, self.source = key, env._base
+        self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
         per_walker = np.ndim(env.master_seed) > 0
-        forms = np.ascontiguousarray(region.A.reshape(len(region.A), -1).T)
-        lo = np.ascontiguousarray(region.lo.reshape(-1))
-        hi = np.ascontiguousarray(region.hi.reshape(-1))
-        _check(forms, np.float64, (len(lo), dim), "region forms")
-        choice = np.empty(n, dtype=np.uint8)
-        self.arrays = (base, forms, lo, hi, status, final, steps_taken,
-                       visits, target, choice)
-        ptr = (lambda a: None if a is None else a.ctypes.data)
-        self.lib = lib
-        self.run = _Run(law=code, d=env.law.d, dim=dim, nvars=env.law.nvars,
-                        param=param, sum_tol=PROB_SUM_TOL, base=ptr(base),
-                        nbase=len(base), per_walker=int(per_walker), m=len(forms),
-                        lo_closed=int(region.lo_closed),
-                        hi_closed=int(region.hi_closed), exited=exited,
-                        forms=ptr(forms), lo=ptr(lo), hi=ptr(hi),
-                        n=n, status=ptr(status), final=ptr(final),
-                        steps_taken=ptr(steps_taken), visits=ptr(visits),
-                        target=ptr(target), choice=ptr(choice),
-                        margin=GUARD_MARGIN)
+        self.struct = _Field(law=code, d=env.law.d, dim=dim, nvars=env.law.nvars,
+                             param=param, sum_tol=PROB_SUM_TOL, margin=GUARD_MARGIN,
+                             base=self.base.ctypes.data, nbase=len(self.base),
+                             per_walker=int(per_walker))
+        self.address = ctypes.addressof(self.struct)
+        self.lock = threading.Lock()
         # the site-row table: one word of flag, dim of site and 2 dim of
         # cumulative row per entry, zero (empty) until the kernel fills it
         self.table = None
         if code == 0:
             P = env.transitions_batch(np.zeros((1, dim), dtype=np.int64))
-            self.run.cum[:2 * dim] = np.cumsum(P, axis=1)[0].tolist()
+            self.struct.cum[:2 * dim] = np.cumsum(P, axis=1)[0].tolist()
         else:
-            slots = len(base) if per_walker else 1
+            slots = len(self.base) if per_walker else 1
             per_slot = TABLE_PER_WALKER if per_walker else TABLE_SHARED
             while per_slot and slots * per_slot > TABLE_CAP:
                 per_slot //= 2
             if per_slot:
                 bits = per_slot.bit_length() - 1
                 self.table = np.zeros((slots << bits, 1 + 3 * dim), dtype=np.int64)
-                self.run.bits = bits
-                self.run.table = self.table.ctypes.data
+                self.struct.bits = bits
+                self.struct.table = self.table.ctypes.data
+
+
+def _field(env, code: int, param: float) -> Field:
+    """``env``'s kept :class:`Field`, built on its first run and again
+    whenever anything its rows depend on differs: the law, the base keys,
+    ``GUARD_MARGIN`` or the table geometry."""
+    key = (code, param, GUARD_MARGIN, TABLE_PER_WALKER, TABLE_SHARED, TABLE_CAP)
+    field = env._loop_field
+    if field is None or field.key != key or field.source is not env._base:
+        field = Field(env, code, param, key)
+        object.__setattr__(env, "_loop_field", field)
+    return field
+
+
+class Loop:
+    """The compiled loop of one walk run on a kept field: its ``run_t`` and
+    the arrays that the struct points to, which live as long as the loop."""
+
+    def __init__(self, lib, field: Field, region: Bounds | None, exited: int,
+                 status: np.ndarray, final: np.ndarray, steps_taken: np.ndarray,
+                 visits: np.ndarray | None, target: np.ndarray | None):
+        n, dim = len(status), field.struct.dim
+        _check(status, np.uint8, (n,), "status")
+        _check(final, np.int64, (n, dim), "final")
+        _check(steps_taken, np.int64, (n,), "steps_taken")
+        if visits is not None:
+            _check(visits, np.int64, (n,), "visits")
+            _check(target, np.int64, (dim,), "target")
+        choice = np.empty(n, dtype=np.uint8)
+        ptr = (lambda a: None if a is None else a.ctypes.data)
+        self.lib, self.field, self.dim = lib, field, dim
+        self.run = _Run(field=field.address, exited=exited, n=n, status=ptr(status),
+                        final=ptr(final), steps_taken=ptr(steps_taken),
+                        visits=ptr(visits), target=ptr(target), choice=ptr(choice))
+        if region is not None:
+            # a Bounds holds its m forms as the columns of a (dim, m) array
+            # (a (dim,) one for m = 1) and its bounds as arrays of shape (m,)
+            bounds = region.A.shape[1:]
+            _check(region.A, np.float64, (dim,) + bounds, "region forms")
+            _check(region.lo, np.float64, bounds, "region lower bounds")
+            _check(region.hi, np.float64, bounds, "region upper bounds")
+            run = self.run
+            run.m, run.lo_closed, run.hi_closed = (region.lo.size, region.lo_closed,
+                                                   region.hi_closed)
+            run.forms, run.lo, run.hi = ptr(region.A), ptr(region.lo), ptr(region.hi)
+        self.arrays = (region, status, final, steps_taken, visits, target, choice)
 
     def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
                  t: int, settled: bool, horizon: int) -> tuple[int, int]:
@@ -500,12 +542,16 @@ class Loop:
         stopped or step ``horizon`` is reached, numpy must take that step.
         """
         rows, run = len(pos), self.run
-        _check(pos, np.int64, (rows, run.dim), "pos")
+        _check(pos, np.int64, (rows, self.dim), "pos")
         _check(keys, np.uint64, (rows,), "keys")
         _check(walkers, np.int64, (rows,), "walkers")
         run.t, run.rows, run.settled = t, rows, settled
-        if self.lib.rwre_until(run, walkers.ctypes.data, keys.ctypes.data,
-                               pos.ctypes.data, horizon) < 0:
+        # the call releases the interpreter lock, and the runs on a field
+        # share its table: one at a time
+        with self.field.lock:
+            code = self.lib.rwre_until(run, walkers.ctypes.data, keys.ctypes.data,
+                                       pos.ctypes.data, horizon)
+        if code < 0:
             raise IndexError("more rows than walkers, or a walker index outside "
                              "the run or the environment's seeds")
         return run.rows, run.t
@@ -524,8 +570,8 @@ def loop(env, region: Bounds | None, exited: int, status: np.ndarray,
     if lib is None:
         return None
     code, param = entry
-    return Loop(lib, env, code, param(env.law), region, exited, status, final,
-                steps_taken, visits, target)
+    return Loop(lib, _field(env, code, param(env.law)), region, exited, status,
+                final, steps_taken, visits, target)
 
 
 _LIB = None      # the loaded kernel; False once building or loading failed

@@ -169,25 +169,30 @@ class EprimePolicy:
     def __init__(self, delta: float | None = None, phi=None):
         self.delta = delta
         self.phi = None if phi is None else np.asarray(phi, dtype=float)
+        self._event = (None, None, None)     # (origin row, delta, its event)
 
-    def _event_index(self, view: RecordingView, d: int) -> int:
+    def _event_cube(self, view: RecordingView, d: int) -> tuple[int, UnitHypercube]:
+        """The event index and the cube of the discovery that ``view``
+        serves.  Each call reads the origin through the view, so the read
+        is logged; they are computed once per origin row read."""
         delta = self.delta if self.delta is not None else 1.0 / (4 * d)
         p0 = view.transitions((0,) * d)
+        seen, seen_delta, event = self._event
+        if p0 is seen and delta == seen_delta:
+            return event
         above = np.nonzero(p0 >= delta)[0]
         if len(above) == 0:
             # some direction always carries >= 1/(2d) >= delta by default;
             # a custom delta above that can fail to fire
             raise ParameterError(f"no direction with p(0, e) >= delta={delta}")
-        return int(above[0])       # 0-based canonical direction
-
-    def _anchor(self, k0: int, d: int) -> Site:
-        return (0,) * d if k0 < d else (-1,) * d
+        k0 = int(above[0])         # 0-based canonical direction
+        event = k0, UnitHypercube((0,) * d if k0 < d else (-1,) * d)
+        self._event = (p0, delta, event)
+        return event
 
     def choose_next(self, view: RecordingView, prefix) -> Site:
         d = view.env.dim
-        k0 = self._event_index(view, d)
-        anchor = self._anchor(k0, d)
-        cube = UnitHypercube(anchor)
+        cube = self._event_cube(view, d)[1]
         order = _fill_order(d, cube.corner_index((0,) * d))
         return cube.corners[order[len(prefix)]]
 
@@ -195,7 +200,7 @@ class EprimePolicy:
         d = cube.d
         if self.phi is None:
             return np.zeros(1 << d)
-        k0 = self._event_index(view, d)
+        k0 = self._event_cube(view, d)[0]
         gam = gamma_exponents(self.phi, d)
         axis, positive = k0 % d, k0 < d
         sv = step_vectors(d)
@@ -217,7 +222,7 @@ class EprimePolicy:
         return marks
 
     def stash_meta(self, view: RecordingView, meta: dict) -> None:
-        meta["event_index"] = self._event_index(view, view.env.dim) + 1  # 1-based
+        meta["event_index"] = self._event_cube(view, view.env.dim)[0] + 1  # 1-based
 
 
 def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
@@ -233,8 +238,7 @@ def discover(env: Environment, policy) -> MarkedMarkovianHypercube:
         nxt = tuple(int(c) for c in policy.choose_next(view, tuple(prefix)))
         log.append((nxt, view.reads()))
         prefix.append(nxt)
-    arr = np.asarray(prefix, dtype=np.int64)
-    anchor = tuple(int(c) for c in arr.min(axis=0))
+    anchor = tuple(map(min, *prefix))
     cube = UnitHypercube(anchor)
     view.begin(cube.corners)
     marks = np.asarray(policy.marks(view, cube), dtype=float)
@@ -334,8 +338,10 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     smallest direction index.  The 2^d paths step together and read the
     field in windows: one read holds, for every path, its current site and
     each site its greedy path can reach in the next k steps, k as deep as
-    ``_WINDOW_ROWS`` rows allow.  The first window starts at the corners
-    and also feeds the escape solve; at d = 2, n = 5 it is the only read.
+    ``_WINDOW_ROWS`` rows allow.  One argmax takes the greedy choice of
+    every window site, and each path then walks that table.  The first
+    window starts at the corners and also feeds the escape solve; at
+    d = 2, n = 5 it is the only read.
     """
     n = _count(n, "n")
     if n < 1:
@@ -344,11 +350,10 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
     d = env.dim
     m = 1 << d
     outward, axis, moves = _greedy_moves(d)
-    rows = np.arange(m)
-    col = rows[:, None]
+    col = np.arange(m)[:, None]
     cur = np.asarray(mmh.cube.corners, dtype=np.int64)
     sites = np.empty((m, n, d), dtype=np.int64)
-    prod_q = np.ones(m)
+    prod_q = [1.0] * m
     depth = _window_depth(d)
     for start in range(0, n, depth + 1):
         # step i reads the site the paths stand on: the corners, then y_i
@@ -356,46 +361,56 @@ def paths(env: Environment, mmh: MarkedMarkovianHypercube, n: int) -> PathBundle
         offsets, succ = _window(d, k)
         window = env.transitions_batch((cur + offsets).reshape(-1, d))
         window = window.reshape(len(offsets), m, 2 * d)
-        at = np.zeros(m, dtype=np.intp)             # each path's window row
+        vals = window[:, col, outward]              # (M, m, d) outward rows
+        if start == 0:
+            rho, qtilde_row = escape_site_probs(window[0], mmh.origin_corner())
+            vals[0] = rho[col, axis]
+        # each window site's greedy choice (first max: smallest index), its
+        # probability and the window row it leads to
+        row = np.arange(len(offsets))[:, None]
+        best = vals.argmax(axis=2)
+        q = vals[row, col.T, best].tolist()
+        nxt = succ[row, axis[col.T, best]].tolist()
+        at = [0] * m                                # each path's window row
+        rows = []
         for i in range(start, start + k + 1):
+            rows.append(at)
+            factors = [q[r][j] for j, r in enumerate(at)]
             if i == 0:
-                rho, qtilde_row = escape_site_probs(window[0],
-                                                    mmh.origin_corner())
-                vals = rho[col, axis]
+                rho_y1 = factors
             else:
-                vals = window[at[:, None], col, outward]
-            best = np.argmax(vals, axis=1)          # first max: smallest index
-            if i == 0:
-                rho_y1 = vals[rows, best]
-            else:
-                prod_q = prod_q * vals[rows, best]
-            cur = cur + moves[rows, best]
-            sites[:, i] = cur
-            at = succ[at, axis[rows, best]]
-    pi = rho_y1 * prod_q
-    records = [PathRecord(j, tuple(int(c) for c in sites[j, 0]), sites[j],
-                          float(pi[j]), float(rho_y1[j]), float(qtilde_row[j]),
-                          float(prod_q[j]))
-               for j in range(m)]
-    _assert_bundle_invariants(records, d, n)
+                prod_q = [p * f for p, f in zip(prod_q, factors)]
+            at = [nxt[r][j] for j, r in enumerate(at)]
+        # the site of each step: where the path stood, plus its move
+        rows = np.array(rows).T
+        sites[:, start:start + k + 1] = (cur[:, None] + offsets[rows, col]
+                                         + moves[col, best[rows, col]])
+        cur = sites[:, start + k]
+    pi = [r * p for r, p in zip(rho_y1, prod_q)]
+    qtilde = qtilde_row.tolist()
+    _assert_bundle_invariants(sites, pi, qtilde, prod_q, n)
+    records = [PathRecord(j, tuple(y1), sites[j], pi[j], rho_y1[j], qtilde[j], prod_q[j])
+               for j, y1 in enumerate(sites[:, 0].tolist())]
     return PathBundle(mmh, n, records)
 
 
-def _assert_bundle_invariants(records, d, n) -> None:
+def _assert_bundle_invariants(sites, pi, qtilde, prod_q, n) -> None:
+    """Check a bundle: ``sites`` (2^d, n, d) holds each path's sites and
+    ``pi``, ``qtilde`` and ``prod_q`` its probability, Qtilde and product
+    of Q factors."""
     # a path never revisits its own site (each step moves outward in its
     # corner's fixed orthant), so the paths are disjoint exactly when all
-    # their sites are distinct; each site is compared as one d-word row,
-    # which np.unique sorts several times faster than with axis=0
-    sites = np.stack([r.sites for r in records]).astype(np.int64, copy=False)
-    rows = sites.reshape(-1, d).view(np.dtype((np.void, 8 * d)))
-    if len(np.unique(rows)) < len(rows):
+    # their sites are distinct
+    d = sites.shape[2]
+    rows = sites.reshape(-1, d).tolist()
+    if len(set(map(tuple, rows))) < len(rows):
         raise AssertionError("post-hypercube path segments intersect")
-    if (np.abs(sites[:, -1]).sum(axis=1) < n).any():
+    if any(sum(map(abs, y)) < n for y in sites[:, -1].tolist()):
         raise AssertionError("path endpoint closer than n in L1 norm")
-    pi, qtilde, prod_q = np.array([(r.pi, r.qtilde, r.prod_q) for r in records]).T
-    lower = qtilde / d * prod_q
-    if (pi < lower - 1e-12 * np.maximum(1.0, np.abs(lower))).any():
-        raise AssertionError("pi fell below its (1/d) Qtilde prod(Q) bound")
+    for p, q, pq in zip(pi, qtilde, prod_q):
+        lower = q / d * pq
+        if p < lower - 1e-12 * max(1.0, abs(lower)):
+            raise AssertionError("pi fell below its (1/d) Qtilde prod(Q) bound")
 
 
 @dataclass
@@ -641,8 +656,10 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
         raise ParameterError("M must be >= 1")
     if any(L <= 0 for L in L_grid):
         raise ParameterError("every box length L must be positive")
-    ell = np.asarray(ell, dtype=float)
     R = rotation_onto_e1(ell)
+    # the box's front form: it can differ from ell in the last bit, and the
+    # event must place a site exactly as the region does
+    front = R[:, 0]
     origin = np.zeros(law.dim, dtype=np.int64)
     points: list[BoxExitPoint] = []
     verdict_ok = True
@@ -657,7 +674,7 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
                 keys = walk_keys(master_seed, replicates, salt=f"pm_walk:{L}:{fp}:{ft}")
                 bad, n, cens = _exit_share(Environment(law, seeds), origin, keys,
                                            walk_budget, _box_region(R, L, Lp, Lt),
-                                           lambda final: _dot(final, ell) < L)
+                                           lambda final: _dot(final, front) < L)
                 grid.append(BoxExitPoint(L, Lp, Lt, bad / n if n else float("nan"),
                                          stats.binomial_ci(bad, n)[1], n, cens))
         # a point without resolved runs has a NaN estimate and never wins
@@ -706,8 +723,9 @@ def _splitting_once(env, ell, b: float, L: float, n_per_level: int,
                   else Bounds(ell, lev, L, False, True))
         keys = walk_keys(key, n_per_level, salt=f"split:{j}")
         res = run_until_batch(env, starts, keys, walk_budget, inside)
-        censored += res.censored()
-        if res.censored():
+        c = res.censored()
+        censored += c
+        if c:
             prob = float("nan")
         hit_ids = np.nonzero((res.status == STATUS_EXITED)
                              & (_dot(res.final, ell) <= L))[0]
@@ -762,8 +780,10 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     small probabilities remain estimable; the direct estimator is plain
     Monte Carlo over the walks that exit, and drops a replicate whose walks
     are all censored (an L with none left reports NaN).  A splitting pass
-    with a censored walk reads NaN, and so does its L.  Fits of
-    log-estimate against L^gamma are reported for each requested gamma.
+    with a censored walk reads NaN, and so does its L.  Each replicate's
+    field is built once, for every L: the walks of all its passes read one
+    field and its kept site-row table.  Fits of log-estimate against
+    L^gamma are reported for each requested gamma.
     """
     if b <= 0 or any(L <= 0 for L in L_grid):
         raise ParameterError("b and every slab length L must be positive")
@@ -772,20 +792,20 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     if replicates < 1:
         raise ParameterError("replicates must be >= 1")
     ell = np.asarray(ell, dtype=float)
-    Ls, est, lse, cens = [], [], [], []
-    for L in L_grid:
-        vals = []
-        ncens = 0
-        for r in range(replicates):
-            seed = rng.derive_key(master_seed, "slab_env", r)
-            env = Environment(law, seed)
+    vals: list[list[float]] = [[] for _ in L_grid]
+    cens = [0] * len(L_grid)
+    # one field per replicate, whatever L: its walks, the levels of every
+    # pass included, share the field's kept site-row table
+    for r in range(replicates):
+        env = Environment(law, rng.derive_key(master_seed, "slab_env", r))
+        for i, L in enumerate(L_grid):
             if estimator == "splitting":
                 for k in range(repeats):
                     key = rng.derive_key(master_seed, "slab_split", r, k, int(L * 64))
                     p, c = _splitting_once(env, ell, b, float(L), n_per_level,
                                            walk_budget, key, level_width)
-                    vals.append(p)
-                    ncens += c
+                    vals[i].append(p)
+                    cens[i] += c
             else:
                 keys = walk_keys(rng.derive_key(master_seed, "slab_direct", r,
                                                 int(L * 64)),
@@ -794,16 +814,16 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
                                          keys, walk_budget,
                                          _slab_region(ell, b, float(L)),
                                          lambda final: _dot(final, ell) < 0)
-                ncens += c
+                cens[i] += c
                 if n:      # all censored: no data, not "no back exit"
-                    vals.append(back / n)
-        v = np.asarray(vals, dtype=float)
-        Ls.append(float(L))
+                    vals[i].append(back / n)
+    Ls, est, lse = [float(L) for L in L_grid], [], []
+    for row in vals:
+        v = np.asarray(row, dtype=float)
         est.append(float(v.mean()) if len(v) else float("nan"))
         pos = v[v > 0]
         lse.append(float(np.log(pos).std(ddof=1) / np.sqrt(len(pos)))
                    if len(pos) > 1 else float("nan"))
-        cens.append(ncens)
     fits = {float(g): _fit_decay(Ls, est, lse, float(g)) for g in gammas}
     return SlabExitReport(Ls, est, lse, cens, fits, estimator)
 

@@ -348,6 +348,9 @@ class Environment:
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_nvars", self.law.nvars)
         object.__setattr__(self, "dim", self.law.dim)
+        # the compiled walk loop's state of this field (rwre._kernel.Field),
+        # its site-row table included, kept from the field's first run on
+        object.__setattr__(self, "_loop_field", None)
 
     def transitions_at(self, x) -> np.ndarray:
         return self.transitions_batch(np.asarray(x, dtype=np.int64)[None, :])[0]
@@ -383,7 +386,7 @@ class Environment:
 
 def _require_one_field(env: Environment, what: str) -> None:
     """ParameterError unless ``env`` is one quenched field, not per-walker seeds."""
-    if np.ndim(env.master_seed):
+    if isinstance(env._base, np.ndarray):       # one base key per walker
         raise ParameterError(f"{what} needs one field, not per-walker seeds")
 
 

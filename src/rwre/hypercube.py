@@ -22,8 +22,9 @@ probabilities are gathers on it whose index arrays are built once per
 dimension too.  All solvers are batched over environment replicates.
 Constructing an :class:`ExitAnalysis` builds P, the exit probabilities,
 Q and the exit mass and rejects a closed corner set at once;
-:func:`analyze_transitions` constructs one, and so does
-:func:`escape_site_probs`, which reads the chain from it.  Each solve
+:func:`analyze_transitions` constructs one.  :func:`escape_site_probs`
+builds only P, the exit probabilities and the exit mass, with the same
+gathers and check, for the one chain it solves.  Each solve
 waits for the first read of a field that needs it, so a caller pays only
 for what it reads: N and the mean exit times cost one batched solve, the
 moments one per order, and Qtilde and the hitting probabilities one per
@@ -218,10 +219,15 @@ def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             "singular chain: a corner set has no exit mass") from exc
 
 
+@cache
+def _others(m: int, x: int) -> np.ndarray:
+    """The corners other than x of a cube of m corners (read-only)."""
+    return _frozen(np.delete(np.arange(m), x))
+
+
 def _reduced(A: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The corners other than x, and I - P restricted to them."""
-    m = A.shape[1]
-    idx = np.arange(m)[np.arange(m) != x]
+    idx = _others(A.shape[1], x)
     return idx, A[:, idx][:, :, idx]
 
 
@@ -234,7 +240,7 @@ def _escape_row(A: np.ndarray, P: np.ndarray, q: np.ndarray, x: int):
     """
     R, m = q.shape
     idx, Ax = _reduced(A, x)
-    G = _solve(Ax, np.broadcast_to(np.eye(m - 1), (R, m - 1, m - 1)))
+    G = _solve(Ax, np.eye(m - 1))        # one identity, broadcast over the batch
     row = np.empty((R, m))
     row[:, idx] = np.einsum("rz,rzy->ry", P[:, x, idx], G) * q[:, idx]
     row[:, x] = q[:, x]
@@ -263,17 +269,23 @@ def escape_site_probs(trans: np.ndarray,
     (m, d) matrix rho[w, a], the probability of leaving the cube from
     corner w along its a-th outward axis before returning to the start
     corner, and the (m,) row Qtilde[from_corner]; row sums of rho over a
-    equal that row up to rounding.
+    equal that row up to rounding.  Only the start corner's reduced chain
+    is built and solved, with the gathers, the closed-set check and the
+    solve of :class:`ExitAnalysis`, so its Qtilde row equals that class's
+    bit for bit.
     """
     d = trans.shape[1] // 2
-    ana = ExitAnalysis(d, trans[None], 1)
-    idx, G, qtilde_row = _escape_row(ana._A, ana._P, ana.exit_mass, from_corner)
+    P = _interior_matrix(d, trans[None])
+    exit_probs = _exit_probs(d, trans[None])
+    exit_mass = exit_probs.sum(axis=2)
+    _check_absorbing(P, exit_mass)
+    idx, G, qtilde_row = _escape_row(np.eye(1 << d) - P, P, exit_mass, from_corner)
     rho = np.zeros((1 << d, d))
-    rho[from_corner] = ana.exit_probs[0, from_corner]
+    rho[from_corner] = exit_probs[0, from_corner]
     # rho keeps the 1-D product and the Qtilde row the batched einsum: from one
     # G the two differ in the last bit, and each output must keep its bytes
-    visits = ana._P[0, from_corner, idx] @ G[0]     # E[# visits to each y != start]
-    rho[idx] = visits[:, None] * ana.exit_probs[0, idx]
+    visits = P[0, from_corner, idx] @ G[0]      # E[# visits to each y != start]
+    rho[idx] = visits[:, None] * exit_probs[0, idx]
     return rho, qtilde_row[0]
 
 

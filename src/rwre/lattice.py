@@ -102,7 +102,7 @@ class Bounds:
     hi_closed: bool
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
+        A = np.array(self.A, dtype=float, order="C")    # the walk kernel reads it
         lo = np.array(self.lo, dtype=float)
         hi = np.array(self.hi, dtype=float)
         if A.ndim not in (1, 2) or lo.shape != A.shape[1:] or hi.shape != lo.shape:

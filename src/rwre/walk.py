@@ -20,7 +20,8 @@ corner) all run on :func:`run_until_batch`, and each reads its event
 Every region is a :class:`~rwre.lattice.Bounds`.  For ``UniformDrift``,
 ``Expl``, ``TrapSym`` and ``TrapTransient``, the steps are taken by one
 compiled run of :mod:`rwre._kernel` (``_kernel.loop``) per batch, one call
-per stop, with step sequences equal to :func:`_step_batch`'s by
+per stop, on the compiled field the environment keeps across batches, with
+step sequences equal to :func:`_step_batch`'s by
 construction; the kernel evaluates the region with ``Bounds``' own sums,
 so it decides every region itself, compacts, and hands back to numpy any
 step it cannot decide exactly.  Other laws, hosts without a compiler and
@@ -98,6 +99,8 @@ def _sites(x, what: str) -> np.ndarray:
     """x as a C-ordered int64 copy, or ParameterError if a coordinate is not an
     int64 integer; float arrays of integral values are sites too."""
     a = np.asarray(x)
+    if a.dtype == np.int64:
+        return np.array(a, order="C")
     with np.errstate(invalid="ignore"):     # NaN and inf fail the comparison
         sites = np.array(a, dtype=np.int64, order="C")
     if not np.array_equal(sites, a):
@@ -112,7 +115,8 @@ def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError("keys must be a 1-D array of walk keys")
     pos = _sites(starts, "starts")
     if pos.ndim == 1:
-        pos = np.broadcast_to(pos, (len(keys), len(pos))).copy()
+        start, pos = pos, np.empty((len(keys), len(pos)), dtype=np.int64)
+        pos[:] = start
     if pos.shape != (len(keys), env.dim):
         raise ParameterError(f"starts must have shape ({len(keys)}, {env.dim}) "
                              f"for {len(keys)} walk keys, got {pos.shape}")

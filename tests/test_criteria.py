@@ -11,7 +11,8 @@ from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
 from rwre.errors import ParameterError
 from rwre.hypercube import escape_site_probs
-from rwre.lattice import UnitHypercube, corner_offsets, step_vectors
+from rwre.lattice import (UnitHypercube, _dot, corner_offsets, rotation_onto_e1,
+                          step_vectors)
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -234,8 +235,16 @@ def paths_reference(env, mmh, n):
         records.append(cr.PathRecord(j, tuple(int(c) for c in y1), sites, pi,
                                      float(probs[best]), float(qtilde_row[j]),
                                      prod_q))
-    cr._assert_bundle_invariants(records, d, n)
+    _assert_invariants(records, n)
     return cr.PathBundle(mmh, n, records)
+
+
+def _assert_invariants(records, n):
+    """The bundle check on the arrays of a list of path records."""
+    cr._assert_bundle_invariants(np.stack([r.sites for r in records]),
+                                 [r.pi for r in records],
+                                 [r.qtilde for r in records],
+                                 [r.prod_q for r in records], n)
 
 
 LOCKSTEP_LAWS = [UniformDrift(1), UniformDrift(2), UniformDrift(3), Expl(2, 0.2),
@@ -371,9 +380,9 @@ def _doctor_endpoint(rec):
 def test_bundle_invariants_reject_doctored_records(doctor, message):
     env = Environment(Expl(2, 0.2), 3)
     bundle = cr.paths(env, cr.discover(env, cr.EprimePolicy()), 3)
-    cr._assert_bundle_invariants(bundle.records, 2, 3)
+    _assert_invariants(bundle.records, 3)
     with pytest.raises(AssertionError, match=message):
-        cr._assert_bundle_invariants(doctor(bundle.records), 2, 3)
+        _assert_invariants(doctor(bundle.records), 3)
 
 
 def test_paths_rejects_bad_n():
@@ -576,6 +585,37 @@ def test_polynomial_condition_runs_in_d1():
                                   200, 50, 3)
     assert rep.verdict == "satisfied-empirically"
     assert all(p["n"] == 50 for p in rep.details["points"])
+
+
+def test_polynomial_condition_event_reads_the_box_front_form(monkeypatch):
+    # rotation_onto_e1(ell)[:, 0] differs from ell in the last bit for most
+    # unit vectors in d = 3; at a site whose front value is exactly L the
+    # walk left through the front, which x . ell can read as a value < L
+    ell = None
+    for v in np.random.default_rng(5).normal(size=(50, 3)):
+        v = v / np.linalg.norm(v)
+        if not np.array_equal(rotation_onto_e1(v)[:, 0], v):
+            ell = v
+            break
+    front = rotation_onto_e1(ell)[:, 0]
+    g = np.arange(-12, 13)
+    X = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3)
+    by_front, by_ell = _dot(X, front), _dot(X, ell)
+    site = X[(by_ell < by_front) & (by_front > 1.0)][0]
+    L = float(_dot(site, front))
+    runs = []
+
+    def recorded(env, starts, keys, budget, region, event):
+        runs.append((region, event))
+        return 0, 1, 0
+
+    monkeypatch.setattr(cr, "_exit_share", recorded)
+    cr.polynomial_condition(UniformDrift(3), ell, 1.0, [L], 10, 2, 1)
+    assert len(runs) == 9
+    for region, event in runs:
+        assert _dot(site, region.A[:, 0]) == L and not region(site[None])[0]
+        assert not event(site[None])[0]
+        assert _dot(site, ell) < L
 
 
 def test_polynomial_condition_symmetric_violated():

@@ -9,12 +9,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import rwre
 from rwre import _kernel, criteria, hypercube, lattice, rng, walk
+from rwre.lattice import _dot
 from rwre.environment import (Environment, Expl, TrapSym, TrapTransient,
                               UniformDrift)
 
@@ -108,10 +111,10 @@ def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
                                    else _kernel.TABLE_SHARED)
             for loop in loops:
                 if isinstance(law, UniformDrift):
-                    assert loop.table is None
+                    assert loop.field.table is None
                 else:
-                    assert loop.table.shape == (slots * per_slot, 1 + 3 * env.dim)
-                    assert loop.table[:, 0].any()
+                    assert loop.field.table.shape == (slots * per_slot, 1 + 3 * env.dim)
+                    assert loop.field.table[:, 0].any()
 
 
 @needs_gcc
@@ -166,8 +169,8 @@ def test_handed_back_steps_resume_identically(monkeypatch, margin):
                 # a margin of 2 fails every Expl row's own check (entries
                 # within margin of 0): those rows go to numpy and are not kept
                 kept = not (isinstance(law, Expl) and margin == 2.0)
-                assert all(loop.table[:, 0].any() == kept for loop in loops
-                           if loop.table is not None)
+                assert all(loop.field.table[:, 0].any() == kept for loop in loops
+                           if loop.field.table is not None)
 
 
 @needs_gcc
@@ -191,7 +194,7 @@ def test_long_trapped_walks_step_like_numpy(monkeypatch):
     for row in theirs.steps:    # each site is visited about ten times
         assert len({tuple(x) for x in walk.positions((0, 0), row).tolist()}) < n // 5
     (loop,) = loops
-    assert loop.table.shape[0] == _kernel.TABLE_SHARED
+    assert loop.field.table.shape[0] == _kernel.TABLE_SHARED
 
 
 @needs_gcc
@@ -211,10 +214,10 @@ def test_tables_stay_within_the_cap(monkeypatch):
             _assert_same(ours, reference)
             for loop in loops:
                 if per_seed:
-                    assert loop.table.shape[0] == W * per_seed <= cap
-                    assert loop.table[:, 0].any()
+                    assert loop.field.table.shape[0] == W * per_seed <= cap
+                    assert loop.field.table[:, 0].any()
                 else:
-                    assert loop.table is None
+                    assert loop.field.table is None
 
 
 def _regions(dim):
@@ -412,6 +415,227 @@ def test_splitting_hits_lie_below_the_front_by_bounds(monkeypatch):
         assert p == math.prod(shares)
 
 
+def _sequence(env, W):
+    """Fixed and stopping runs on several regions, one after another on
+    ``env``: every output of each, in order."""
+    keys = walk.walk_keys(9, W)
+    start = np.zeros(env.dim, dtype=np.int64)
+    regions = {name: (bounds, at) for name, bounds, at in _regions(env.dim)}
+    fixed = walk.run_fixed_batch(env, start, 150, keys, checkpoints=[1, 40, 41])
+    out = [fixed.final, *fixed.checkpoints.values()]
+    for name in ("slab", "cube", "box", "level", "slab"):
+        bounds, at = regions[name]
+        res = _until(env, bounds, at, keys)
+        out += [res.status, res.final, res.steps_taken, res.visits]
+    out.append(walk.run_fixed_batch(env, start, 60, keys).final)
+    res = walk.run_until_batch(env, start, keys, 150, _box(env.dim))
+    return out + [res.status, res.final, res.steps_taken]
+
+
+@needs_gcc
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+def test_kept_field_runs_equal_fresh_and_numpy_runs(monkeypatch, per_walker):
+    # one environment keeps its field, site-row table included, across a
+    # sequence of fixed and stopping runs on different regions; each run
+    # equals the same run on a fresh environment and on the numpy path
+    W = 7
+    seeds = rng.derive_keys(3, "walkers", n=W) if per_walker else 5
+    for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2), TrapTransient(1)):
+        env = Environment(law, seeds)
+        with monkeypatch.context() as m:
+            loops = _loops(m)
+            kept = _sequence(env, W)
+        assert len(loops) == 8
+        assert all(loop.field is env._loop_field for loop in loops)
+        with monkeypatch.context() as m:
+            run = _kernel.loop
+            # a fresh environment for every run
+            m.setattr(_kernel, "loop",
+                      lambda env, *a: run(Environment(env.law, env.master_seed), *a))
+            fresh = _sequence(Environment(law, seeds), W)
+        with monkeypatch.context() as m:
+            m.setattr(_kernel, "loop", lambda *a: None)
+            reference = _sequence(Environment(law, seeds), W)
+        for i, (a, b, c) in enumerate(zip(kept, fresh, reference, strict=True)):
+            if a is None:
+                assert b is None and c is None
+                continue
+            assert np.array_equal(a, b) and np.array_equal(a, c), (law, i)
+
+
+@needs_gcc
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+def test_tables_are_never_reused_under_other_settings(monkeypatch, per_walker):
+    # a field is rebuilt whenever GUARD_MARGIN or a TABLE_* setting differs
+    # from the one it was built under, and its rows go with it: a margin of
+    # 2 fails every Expl row's check, so its fresh table stays empty
+    W = 7
+    env = Environment(Expl(2, 0.3),
+                      rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
+    settings = [{}, {"GUARD_MARGIN": 2.0}, {}, {"TABLE_PER_WALKER": 2, "TABLE_SHARED": 2},
+                {"TABLE_CAP": 2 ** 6}, {}, {}]
+    reference = _numpy_runs(monkeypatch, env, W)
+    fields = []
+    for setting in settings:
+        with monkeypatch.context() as m:
+            for name, value in setting.items():
+                m.setattr(_kernel, name, value)
+            loops = _loops(m)
+            ours = _runs(env, W)
+        _assert_same(ours, reference)
+        (field,) = {loop.field for loop in loops}
+        fields.append(field)
+        table = field.table
+        if "GUARD_MARGIN" in setting:
+            assert not table[:, 0].any()
+        elif "TABLE_CAP" in setting:
+            assert table.shape[0] == (7 * 8 if per_walker else 2 ** 6)
+        else:
+            assert table[:, 0].any()
+            per_slot = setting.get("TABLE_PER_WALKER" if per_walker else "TABLE_SHARED")
+            if per_slot:
+                assert table.shape[0] == (W if per_walker else 1) * per_slot
+    # a new field at every change of setting, and only there
+    assert len({id(f) for f in fields}) == 6 and fields[5] is fields[6]
+
+
+@st.composite
+def _laws(draw):
+    """A covered law with its parameters drawn from their whole valid
+    range, edges included, for d from 1 to 4."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["uniform", "expl", "trap_sym", "trap_transient"]))
+    if kind == "uniform":
+        return UniformDrift(d, draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)),
+                            draw(st.integers(1, d)))
+    if kind == "expl":
+        d = max(d, 2)       # Expl rejects d = 1
+        lo, hi = 1 / (2 * d + 1), 2 * d / (2 * d + 1)
+        return Expl(d, draw(st.sampled_from([lo, hi]) | st.floats(lo, hi)))
+    if kind == "trap_sym":
+        return TrapSym(d, draw(st.none() | st.just(1.0)
+                               | st.floats(0.0, 1.0, exclude_min=True)))
+    return TrapTransient(d)
+
+
+@st.composite
+def _calls(draw, dim):
+    """One engine call: a fixed run with checkpoints, or a stopping run on
+    an integer box, a float form with a bound at or next to the start's
+    value, or a unit cube entered at a corner, with an optional visit
+    target at or next to the start."""
+    n = draw(st.integers(0, 200))
+    start = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)),
+                     dtype=np.int64)
+    kind = draw(st.sampled_from(["fixed", "box", "form", "cube"]))
+    if kind == "fixed":
+        return kind, None, start, n, draw(st.lists(st.integers(1, 200), max_size=3))
+    closed = draw(st.booleans()), draw(st.booleans())
+    if kind == "box":
+        lo = draw(st.lists(st.integers(-5, 0), min_size=dim, max_size=dim))
+        hi = draw(st.lists(st.integers(0, 5), min_size=dim, max_size=dim))
+        region = lattice.Bounds(np.eye(dim), lo, hi, *closed)
+    elif kind == "form":
+        a = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        at = float(_dot(start, a))
+        nudge = draw(st.sampled_from([-np.inf, 0.0, np.inf]))
+        bound = np.nextafter(at, nudge) if nudge else at
+        width = draw(st.floats(0.5, 6.0))
+        lo, hi = (bound, at + width) if draw(st.booleans()) else (at - width, bound)
+        region = lattice.Bounds(a, lo, hi, *closed)
+    else:
+        anchor = tuple(start.tolist())
+        region = lattice.UnitHypercube(anchor).region
+        start = start + np.array(lattice.corner_offsets(dim)[
+            draw(st.integers(0, (1 << dim) - 1))])
+    target = draw(st.none() | st.sampled_from(
+        [start] + [start + v for v in lattice.step_vectors(dim)]))
+    return kind, region, start, max(n, 1), target
+
+
+def _call(env, call, keys):
+    """Every output of one engine call."""
+    kind, region, start, n, extra = call
+    if kind == "fixed":
+        res = walk.run_fixed_batch(env, start, n, keys, checkpoints=extra)
+        return [res.final, *res.checkpoints.values()]
+    target = None if extra is None else tuple(extra.tolist())
+    res = walk.run_until_batch(env, start, keys, n, region, count_visits_to=target)
+    return [res.status, res.final, res.steps_taken, res.visits]
+
+
+@st.composite
+def _cases(draw):
+    law = draw(_laws())
+    W = draw(st.integers(1, 16))
+    seeds = (rng.derive_keys(draw(st.integers(0, 9)), "walkers",
+                             n=W + draw(st.integers(0, 3)))
+             if draw(st.booleans()) else draw(st.integers(0, 2 ** 64 - 1)))
+    guard = draw(st.sampled_from([_kernel.GUARD_MARGIN, 0.01]))
+    return law, seeds, W, [draw(_calls(law.dim)) for _ in range(2)], guard
+
+
+@needs_gcc
+@settings(deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cases())
+def test_kernel_equals_numpy_at_drawn_parameters(case):
+    # two consecutive calls on one environment, the second on the field
+    # and site-row table the first kept, against the numpy path, with the
+    # default step hand-back margin or one wide enough to hand steps back
+    # mid-run; about 100 examples here, many more under
+    # --hypothesis-profile=kernel-soak
+    law, seeds, W, calls, guard = case
+    env = Environment(law, seeds)
+    keys = walk.walk_keys(2, W)
+    loop, margin = _kernel.loop, _kernel.GUARD_MARGIN
+    _kernel.GUARD_MARGIN = guard
+    try:
+        ours = [_call(env, calls[0], keys)]
+        field = env._loop_field
+        ours.append(_call(env, calls[1], keys))
+        _kernel.loop = lambda *a: None
+        reference = [_call(Environment(law, seeds), call, keys) for call in calls]
+    finally:
+        _kernel.loop, _kernel.GUARD_MARGIN = loop, margin
+    assert field is not None and env._loop_field is field
+    for got, want in zip(ours, reference, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@needs_gcc
+def test_threads_sharing_a_field_step_like_numpy(monkeypatch):
+    # the kernel call releases the interpreter lock; runs on one field from
+    # more threads than cores take its table one at a time
+    env = Environment(TrapSym(2), 17)
+    keys = [walk.walk_keys(s, 50) for s in range(6)]
+
+    def runs(out, i):
+        out[i] = walk.run_fixed_batch(env, np.zeros(2), 3000, keys[i]).final
+
+    reference = {}
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "loop", lambda *a: None)
+        for i in range(len(keys)):
+            runs(reference, i)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(6):
+            out = {}
+            threads = [threading.Thread(target=runs, args=(out, i))
+                       for i in range(len(keys))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert all(np.array_equal(out[i], reference[i]) for i in range(len(keys)))
+    finally:
+        sys.setswitchinterval(old)
+
+
 @needs_gcc
 def test_walker_ids_beyond_the_field_seeds_raise():
     # a run of 5 walkers on a per-walker field of 3 seeds refuses walker 4,
@@ -493,7 +717,7 @@ for law, table in [(law, table)
         reference = runs()
         _kernel.loop = loop_of
         assert len(loops) == 1 + len(regions)
-        assert all(loop.table is None or loop.table.shape[0] <= _kernel.TABLE_CAP
+        assert all(loop.field.table is None or loop.field.table.shape[0] <= _kernel.TABLE_CAP
                    for loop in loops)
         assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), law
 print("ok")
