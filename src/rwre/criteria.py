@@ -36,8 +36,8 @@ from . import rng, stats
 from .environment import Environment, _require_one_field, transitions_for_seeds
 from .errors import ParameterError
 from .hypercube import _exit_probs, escape_site_probs
-from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _dot, _frozen,
-                      _outward, rotation_onto_e1, step_vectors)
+from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _check_unit, _dot,
+                      _frozen, _outward, rotation_onto_e1, step_vectors)
 from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
 
 
@@ -435,7 +435,13 @@ class CriterionReport:
         return asdict(self)
 
 
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ParameterError("replicates must be >= 1")
+
+
 def _origin_samples(law, replicates: int, master_seed: int, salt: str) -> np.ndarray:
+    _check_replicates(replicates)
     seeds = rng.derive_keys(master_seed, salt, n=replicates)
     return transitions_for_seeds(law, seeds, np.zeros(law.dim, dtype=np.int64))
 
@@ -545,10 +551,11 @@ def check_ktilde(law, exponent: float, replicates: int,
     """
     if exponent <= 1.0:
         raise ParameterError("exponent must exceed 1 (it plays 1 + eps)")
+    _check_replicates(replicates)
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "ktilde", n=replicates)
     P = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-    Q = _exit_probs(law.dim, P).max(axis=2)
+    Q = _exit_probs(P).max(axis=2)
     verdicts, ests = _probe_columns((f"inv_moment_Q_corner_{j}", Q[:, j] ** (-exponent))
                                     for j in range(Q.shape[1]))
     overall = _overall(_FINITE in verdicts, set(verdicts) == {_INFINITE})
@@ -654,8 +661,9 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     """
     if M < 1:
         raise ParameterError("M must be >= 1")
-    if any(L <= 0 for L in L_grid):
-        raise ParameterError("every box length L must be positive")
+    if not len(L_grid) or any(L <= 0 for L in L_grid):
+        raise ParameterError("every box length L must be positive, "
+                             "and L_grid nonempty")
     R = rotation_onto_e1(ell)
     # the box's front form: it can differ from ell in the last bit, and the
     # event must place a site exactly as the region does
@@ -785,13 +793,13 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
     field and its kept site-row table.  Fits of log-estimate against
     L^gamma are reported for each requested gamma.
     """
-    if b <= 0 or any(L <= 0 for L in L_grid):
-        raise ParameterError("b and every slab length L must be positive")
+    if b <= 0 or not len(L_grid) or any(L <= 0 for L in L_grid):
+        raise ParameterError("b and every slab length L must be positive, "
+                             "and L_grid nonempty")
     if estimator not in ("splitting", "direct"):
         raise ParameterError(f"unknown estimator {estimator!r}")
-    if replicates < 1:
-        raise ParameterError("replicates must be >= 1")
-    ell = np.asarray(ell, dtype=float)
+    _check_replicates(replicates)
+    ell = _check_unit(ell)
     vals: list[list[float]] = [[] for _ in L_grid]
     cens = [0] * len(L_grid)
     # one field per replicate, whatever L: its walks, the levels of every
@@ -829,14 +837,15 @@ def slab_exit(law, ell, b: float, L_grid, walk_budget: int, replicates: int,
 
 
 def _fit_decay(Ls, est, lse, gamma: float) -> SlabFit | None:
-    """Weighted least squares of log(estimate) against L^gamma."""
+    """Weighted least squares of log(estimate) against L^gamma; None unless
+    the positive estimates span at least two values of L^gamma."""
     x, y, w = [], [], []
     for L, p, se in zip(Ls, est, lse):
         if p > 0:
             x.append(L ** gamma)
             y.append(np.log(p))
             w.append(1.0 / max(se ** 2, 1e-6) if np.isfinite(se) else 1.0)
-    if len(x) < 2:
+    if len(set(x)) < 2:
         return None
     x, y, w = map(np.asarray, (x, y, w))
     W = w.sum()

@@ -17,22 +17,21 @@ dense linear solve:
   P_{x0}[T_x < T_exit].
 
 Which direction leaves corner j along axis i is read from one table,
-``UnitHypercube.outward``, built once per dimension; P and the exit
+``lattice._outward``, built once per dimension; P and the exit
 probabilities are gathers on it whose index arrays are built once per
 dimension too.  All solvers are batched over environment replicates.
-Constructing an :class:`ExitAnalysis` builds P, the exit probabilities,
-Q and the exit mass and rejects a closed corner set at once;
-:func:`analyze_transitions` constructs one.  :func:`escape_site_probs`
-builds only P, the exit probabilities and the exit mass, with the same
-gathers and check, for the one chain it solves.  Each solve
-waits for the first read of a field that needs it, so a caller pays only
-for what it reads: N and the mean exit times cost one batched solve, the
-moments one per order, and Qtilde and the hitting probabilities one per
-corner each.  One private reduced-chain solve serves ``Qtilde``, once per
-corner, :func:`escape_site_probs`, which needs only the start corner's
-chain (the escape probabilities of the path bundles), and
-:func:`visit_law_check`, which needs only the tested corner's.  The Monte
-Carlo checks (:func:`visit_law_check`, non-integer
+One private builder reads d off an (R, 2^d, 2d) corner tensor, rejects
+any other shape, gathers P, the exit probabilities and the exit mass and
+rejects a closed corner set; an :class:`ExitAnalysis`, constructed by
+:func:`analyze_transitions`, and :func:`escape_site_probs` are built on
+it.  An analysis waits with each solve for the first read of a field
+that needs it, so a caller pays only for what it reads: N and the mean
+exit times cost one batched solve, the moments one per order, and Qtilde
+and the hitting probabilities one per corner each.  One private
+reduced-chain solve serves ``Qtilde``, once per corner, and
+:func:`escape_site_probs`, which solves the start corner's chain alone
+for the path bundles and :func:`visit_law_check`.  The Monte Carlo
+checks (:func:`visit_law_check`, non-integer
 :func:`fractional_moment`) walk on the keyed field with
 :func:`~rwre.walk.run_until_batch`, with ``UnitHypercube.region`` as the
 region.
@@ -69,16 +68,18 @@ def _interior_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _frozen((_outward(d) + d) % (2 * d)))
 
 
-def _interior_matrix(d: int, trans: np.ndarray) -> np.ndarray:
+def _interior_matrix(trans: np.ndarray) -> np.ndarray:
     """(R, m, m) substochastic interior matrices from (R, m, 2d) tensors."""
-    j, nbr, inward = _interior_index(d)
-    P = np.zeros((trans.shape[0], 1 << d, 1 << d))
+    R, m, two_d = trans.shape
+    j, nbr, inward = _interior_index(two_d // 2)
+    P = np.zeros((R, m, m))
     P[:, j, nbr] = trans[:, j, inward]
     return P
 
 
-def _exit_probs(d: int, trans: np.ndarray) -> np.ndarray:
+def _exit_probs(trans: np.ndarray) -> np.ndarray:
     """(R, m, d) probabilities of the d outward directions per corner."""
+    d = trans.shape[2] // 2
     return trans[:, _interior_index(d)[0], _outward(d)]
 
 
@@ -102,6 +103,19 @@ def _check_absorbing(P: np.ndarray, exit_mass: np.ndarray) -> None:
             "corner with no escape route: zero exit mass reachable")
 
 
+def _chain(trans: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """d >= 1, P, the exit probabilities and the exit mass of the absorbing
+    chains of an (R, 2^d, 2d) corner tensor; any other shape is refused."""
+    d = trans.shape[-1] // 2 if trans.ndim == 3 else 0
+    if d < 1 or trans.shape[1:] != (1 << d, 2 * d):
+        raise ParameterError(f"corner tensor of shape {trans.shape}, not (R, 2^d, 2d)")
+    P = _interior_matrix(trans)
+    exit_probs = _exit_probs(trans)
+    exit_mass = exit_probs.sum(axis=2)
+    _check_absorbing(P, exit_mass)
+    return d, P, exit_probs, exit_mass
+
+
 class ExitAnalysis:
     """Exact solve products for a batch of quenched cubes (axis 0).
 
@@ -122,15 +136,11 @@ class ExitAnalysis:
     construction, and a singular solve on the first read of its field.
     """
 
-    def __init__(self, d: int, trans: np.ndarray, moment_order: int):
-        self.d = d
-        self._P = P = _interior_matrix(d, trans)
-        self.exit_probs = _exit_probs(d, trans)
-        self.exit_mass = self.exit_probs.sum(axis=2)
+    def __init__(self, trans: np.ndarray, moment_order: int):
+        self.d, self._P, self.exit_probs, self.exit_mass = _chain(trans)
         self.Q = self.exit_probs.max(axis=2)
-        _check_absorbing(P, self.exit_mass)
-        self._eye = np.broadcast_to(np.eye(P.shape[1]), P.shape)
-        self._A = self._eye - P
+        self._eye = np.broadcast_to(np.eye(1 << self.d), self._P.shape)
+        self._A = self._eye - self._P
         self._order = moment_order
 
     @cached_property
@@ -203,11 +213,11 @@ class ExitAnalysis:
                 "row_lower": float(row_lo), "row_upper": float(row_hi)}
 
 
-def analyze_transitions(d: int, trans: np.ndarray, moment_order: int = 2) -> ExitAnalysis:
-    """Exact analysis of an (R, m, 2d) batch of quenched cubes."""
+def analyze_transitions(trans: np.ndarray, moment_order: int = 2) -> ExitAnalysis:
+    """Exact analysis of an (R, 2^d, 2d) batch of quenched cubes."""
     if moment_order < 1:
         raise ParameterError("moment_order must be >= 1")
-    return ExitAnalysis(d, trans, moment_order)
+    return ExitAnalysis(trans, moment_order)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,14 +261,14 @@ def analyze(env: Environment, cube: UnitHypercube,
             moment_order: int = 2) -> ExitAnalysis:
     """Exact analysis of one quenched cube (batch of size 1)."""
     trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
-    return analyze_transitions(cube.d, trans[None], moment_order)
+    return analyze_transitions(trans[None], moment_order)
 
 
 def analyze_batch(law, seeds, cube: UnitHypercube,
                   moment_order: int = 2) -> ExitAnalysis:
     """Exact analysis of one cube per replicate master seed."""
     trans = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
-    return analyze_transitions(cube.d, trans, moment_order)
+    return analyze_transitions(trans, moment_order)
 
 
 def escape_site_probs(trans: np.ndarray,
@@ -270,15 +280,10 @@ def escape_site_probs(trans: np.ndarray,
     corner w along its a-th outward axis before returning to the start
     corner, and the (m,) row Qtilde[from_corner]; row sums of rho over a
     equal that row up to rounding.  Only the start corner's reduced chain
-    is built and solved, with the gathers, the closed-set check and the
-    solve of :class:`ExitAnalysis`, so its Qtilde row equals that class's
-    bit for bit.
+    is solved, on the chain that :class:`ExitAnalysis` builds and with its
+    solve, so the Qtilde row equals that class's bit for bit.
     """
-    d = trans.shape[1] // 2
-    P = _interior_matrix(d, trans[None])
-    exit_probs = _exit_probs(d, trans[None])
-    exit_mass = exit_probs.sum(axis=2)
-    _check_absorbing(P, exit_mass)
+    d, P, exit_probs, exit_mass = _chain(trans[None])
     idx, G, qtilde_row = _escape_row(np.eye(1 << d) - P, P, exit_mass, from_corner)
     rho = np.zeros((1 << d, d))
     rho[from_corner] = exit_probs[0, from_corner]
@@ -317,12 +322,14 @@ def fractional_moment(law, alpha: float, replicates: int,
     """
     if alpha <= 0:
         raise ParameterError("alpha must be positive")
+    if replicates < 1:
+        raise ParameterError("replicates must be >= 1")
     cube = UnitHypercube((0,) * law.dim)
     seeds = rng.derive_keys(master_seed, "fractional_moment", n=replicates)
     censored = 0
     if float(alpha).is_integer():
         order = int(alpha)
-        ana = analyze_batch(law, seeds, cube, moment_order=max(order, 1))
+        ana = analyze_batch(law, seeds, cube, moment_order=order)
         samples = ana.moments[:, order].max(axis=1)
     else:
         vals = np.empty(replicates)
@@ -365,8 +372,8 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     """
     if runs < 10_000:
         raise ParameterError("runs must be >= 10^4 for a stable test")
-    ana = analyze(env, cube, 1)      # only the tested corner's chain is solved
-    qt = float(_escape_row(ana._A, ana._P, ana.exit_mass, corner)[2].sum(axis=1)[0])
+    trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
+    qt = float(escape_site_probs(trans, corner)[1].sum())   # one chain, one solve
     site = cube.corners[corner]
     res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),
                           200_000, inside=cube.region,

@@ -56,7 +56,10 @@ def corner_offsets(d: int) -> tuple[Site, ...]:
 
 @cache
 def _outward(d: int) -> np.ndarray:
-    """``UnitHypercube.outward`` of dimension d (read-only)."""
+    """(2^d, d) table of the direction leaving corner j of a unit cube
+    along axis i: i when bit i of j is set and d + i otherwise.  The inward
+    direction, ``(_outward(d) + d) % (2 * d)``, leads to corner
+    ``j ^ (1 << i)``.  One read-only table per dimension."""
     bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
     return _frozen(np.arange(d) + d * (1 - bits))
 
@@ -149,16 +152,6 @@ class UnitHypercube:
         """The cube as a walk region: anchor_i <= x_i <= anchor_i + 1."""
         a = np.asarray(self.anchor, dtype=float)
         return Bounds(np.eye(self.d), a, a + 1.0, True, True)
-
-    @property
-    def outward(self) -> np.ndarray:
-        """(2^d, d) table of the direction leaving corner j along axis i.
-
-        It is i when bit i of j is set and d + i otherwise.  The inward
-        direction along axis i is ``(outward + d) % (2 * d)``, and it leads
-        to corner ``j ^ (1 << i)``.  One read-only table per dimension.
-        """
-        return _outward(self.d)
 
 
 def projection_axis(vhat) -> tuple[int, int]:

@@ -365,6 +365,18 @@ def test_empty_runs_are_parameter_errors(tmp_path, capsys, monkeypatch, no_walks
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["pm", "slab"])
+def test_an_empty_L_grid_is_a_parameter_error(tmp_path, capsys, no_walks, name):
+    # no length to estimate is a user error, found before anything is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L_grid": []}))
+    code = run(["criteria", "--criterion", name, "--law", "uniform", "--d", "2",
+                "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_PARAM
+    assert "L_grid nonempty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_internal_value_error_is_not_a_parameter_error(tmp_path, capsys, monkeypatch):
     # a ValueError from inside the program is a bug, not a user error: it
     # leaves cli.main with its traceback instead of exit code 2

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from dataclasses import replace
 from math import comb
 
@@ -11,8 +12,8 @@ from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
 from rwre.errors import ParameterError
 from rwre.hypercube import escape_site_probs
-from rwre.lattice import (UnitHypercube, _dot, corner_offsets, rotation_onto_e1,
-                          step_vectors)
+from rwre.lattice import (UnitHypercube, _dot, _outward, corner_offsets,
+                          rotation_onto_e1, step_vectors)
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -214,7 +215,7 @@ def paths_reference(env, mmh, n):
     rho, qtilde_row = escape_site_probs(env.transitions_batch(corners),
                                         mmh.origin_corner())
     sv = step_vectors(d)
-    outward = np.sort(mmh.cube.outward, axis=1)     # smallest index first
+    outward = np.sort(_outward(d), axis=1)     # smallest index first
     records = []
     for j, (corner, exit_dirs) in enumerate(zip(corners, outward)):
         probs = rho[j, exit_dirs % d]
@@ -314,8 +315,8 @@ def test_paths_read_the_field_once_per_window(monkeypatch):
 
 
 def test_bundle_geometry_is_built_once_and_read_only():
-    a, b = UnitHypercube((0, 0, 0)), UnitHypercube((-1, 4, 2))
-    tables = [(a.outward, b.outward), (step_vectors(3), step_vectors(3)),
+    a = UnitHypercube((0, 0, 0))
+    tables = [(_outward(3), _outward(3)), (step_vectors(3), step_vectors(3)),
               (cr._window(3, 2)[0], cr._window(3, 2)[0]),
               (cr._window(3, 2)[1], cr._window(3, 2)[1])]
     for x, y in tables:
@@ -400,7 +401,7 @@ def test_paths_solves_without_the_full_cube_analysis(monkeypatch):
         env = Environment(law, seed)
         mmh = cr.discover(env, cr.EprimePolicy())
         trans = env.transitions_batch(np.asarray(mmh.cube.corners, dtype=np.int64))
-        ana = hc.analyze_transitions(law.dim, trans[None], 1)
+        ana = hc.analyze_transitions(trans[None], 1)
         cases.append((env, mmh, ana.Qtilde[0, mmh.origin_corner()]))
 
     def refuse(*args, **kwargs):
@@ -556,10 +557,11 @@ def test_polynomial_condition_deterministic_forward():
     assert rep.estimates[0].ci_high == pytest.approx(1 - 0.025 ** (1 / 400), rel=1e-9)
 
 
-@pytest.mark.parametrize("L", [0, -4])
-def test_polynomial_condition_rejects_a_nonpositive_length(L):
+@pytest.mark.parametrize("L_grid", [[8, 0], [8, -4], []], ids=["0", "-4", "empty"])
+def test_polynomial_condition_rejects_a_nonpositive_length(L_grid):
+    # an empty grid has no length to estimate, so no verdict to give
     with pytest.raises(ParameterError, match="box length"):
-        cr.polynomial_condition(UniformDrift(2), (1, 0), 1.0, [8, L], 100, 10, 1)
+        cr.polynomial_condition(UniformDrift(2), (1, 0), 1.0, L_grid, 100, 10, 1)
 
 
 def test_polynomial_condition_grid_caps():
@@ -729,10 +731,15 @@ def test_slab_exit_validates():
     with pytest.raises(ValueError):
         cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), -1.0, [4.0],
                      100, 1, 1)
-    for L in (0.0, -4.0):       # an empty or one-point slab
+    # an empty or one-point slab, or no length to estimate at all
+    for L_grid in ([4.0, 0.0], [4.0, -4.0], []):
         with pytest.raises(ValueError, match="slab length"):
-            cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0, L],
+            cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, L_grid,
                          100, 1, 1)
+    # a longer ell would run a thinner slab than the one reported
+    for ell in ((1, 1), (0.5, 0.0), (0, 0), (np.nan, 1.0)):
+        with pytest.raises(ParameterError, match="unit vector"):
+            cr.slab_exit(UniformDrift(2), ell, 1.0, [4.0], 100, 1, 1)
     # checked before any walk, even when no replicate would run
     for replicates in (1, 0):
         with pytest.raises(ValueError, match="unknown estimator 'nonsense'"):
@@ -742,6 +749,36 @@ def test_slab_exit_validates():
         with pytest.raises(ValueError, match="replicates must be >= 1"):
             cr.slab_exit(UniformDrift(2), np.array([1.0, 0.0]), 1.0, [4.0],
                          100, 0, 1, estimator=estimator)
+
+
+def test_slab_fit_needs_two_values_of_L_gamma():
+    # equal lengths, or gamma = 0, leave no slope: no fit, not a NaN slope
+    assert cr._fit_decay([4.0, 4.0], [1e-2, 1e-4], [0.1, 0.1], 1.0) is None
+    assert cr._fit_decay([4.0, 8.0], [1e-2, 1e-4], [0.1, 0.1], 0.0) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = cr.slab_exit(UniformDrift(2), (1, 0), 1.0, [4, 4], 400, 1, 3,
+                           estimator="direct", direct_runs=500, gammas=(1.0, 0.0))
+    assert rep.estimates[0] == rep.estimates[1] > 0
+    assert rep.fits == {1.0: None, 0.0: None}
+
+
+REPLICATED = {
+    "check_e0": lambda n: cr.check_e0(Expl(2, 0.2), 0.1, n, 1),
+    "eprime_probe": lambda n: cr.eprime_probe(Expl(2, 0.2), None, n, 1),
+    "check_eprime": lambda n: cr.check_eprime(Dirichlet((2.0,) * 4), [0.3] * 4, n, 1),
+    "check_ktilde": lambda n: cr.check_ktilde(Expl(2, 0.2), 2.0, n, 1),
+    "fractional_moment": lambda n: hc.fractional_moment(TrapSym(2), 1.0, n, 1),
+    "fractional_moment_mc": lambda n: hc.fractional_moment(TrapSym(2), 1.5, n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("probe", REPLICATED.values(), ids=REPLICATED.keys())
+def test_a_replicate_count_below_one_is_a_parameter_error(probe, n):
+    # no replicate leaves no sample to judge
+    with pytest.raises(ParameterError, match="replicates must be >= 1"):
+        probe(n)
 
 
 # --- tilted box -----------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from rwre import hypercube as hc, rng, stats, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture, TrapSym,
                               TrapTransient, UniformDrift, transitions_for_seeds)
-from rwre.lattice import UnitHypercube
+from rwre.errors import ParameterError
+from rwre.lattice import UnitHypercube, _outward
 
 CUBE2 = UnitHypercube((0, 0))
 
@@ -42,8 +43,8 @@ def exit_probs_loop(d, trans):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_gathers_equal_the_corner_loops(d):
     trans = np.random.default_rng(d).dirichlet(np.ones(2 * d), size=(50, 1 << d))
-    assert np.array_equal(hc._interior_matrix(d, trans), interior_matrix_loop(d, trans))
-    assert np.array_equal(hc._exit_probs(d, trans), exit_probs_loop(d, trans))
+    assert np.array_equal(hc._interior_matrix(trans), interior_matrix_loop(d, trans))
+    assert np.array_equal(hc._exit_probs(trans), exit_probs_loop(d, trans))
 
 
 def eager_analysis(d, trans, moment_order):
@@ -52,8 +53,8 @@ def eager_analysis(d, trans, moment_order):
     read.  Returns the fields by name."""
     m = 1 << d
     R = trans.shape[0]
-    P = hc._interior_matrix(d, trans)
-    exit_probs = hc._exit_probs(d, trans)
+    P = hc._interior_matrix(trans)
+    exit_probs = hc._exit_probs(trans)
     q = exit_probs.sum(axis=2)
     A = np.broadcast_to(np.eye(m), (R, m, m)) - P
     fundamental = np.linalg.solve(A, np.broadcast_to(np.eye(m), (R, m, m)))
@@ -96,7 +97,7 @@ def test_fields_read_on_demand_equal_the_eager_solves(law, order):
     trans = transitions_for_seeds(law, seeds, np.asarray(cube.corners, dtype=np.int64))
     want = eager_analysis(law.dim, trans, order)
     for fields in (FIELDS, FIELDS[::-1]):
-        ana = hc.analyze_transitions(law.dim, trans, order)
+        ana = hc.analyze_transitions(trans, order)
         for name in fields:
             assert np.array_equal(getattr(ana, name), want[name]), name
         for name in fields:                     # a second read is the same array
@@ -118,7 +119,7 @@ def test_each_field_pays_only_for_its_own_solves(monkeypatch, d):
     trans = transitions_for_seeds(Dirichlet((1.0,) * (2 * d)), list(range(5)),
                                   np.asarray(cube.corners, dtype=np.int64))
     calls = _count_solves(monkeypatch)
-    ana = hc.analyze_transitions(d, trans, order)
+    ana = hc.analyze_transitions(trans, order)
     assert len(calls) == 0
     ana.Q, ana.exit_mass
     assert len(calls) == 0
@@ -136,7 +137,7 @@ def test_each_field_pays_only_for_its_own_solves(monkeypatch, d):
         getattr(ana, name)
     assert len(calls) == 1 + order + 2 * m
     calls.clear()
-    hc.analyze_transitions(d, trans, order).check_identities()
+    hc.analyze_transitions(trans, order).check_identities()
     assert len(calls) == 1 + 2 * m             # the moments are not checked
 
 
@@ -193,20 +194,20 @@ def test_visit_identity_is_cross_solver():
 
 def test_exit_mass_and_interior_degree():
     trans = _corner_transitions(Environment(Expl(2, 0.25), 9), CUBE2)[None]
-    P = hc._interior_matrix(2, trans)[0]
+    P = hc._interior_matrix(trans)[0]
     assert np.all((P > 0).sum(axis=1) == 2)      # d interior neighbors
-    exit_mass = hc.analyze_transitions(2, trans, 1).exit_mass[0]
+    exit_mass = hc.analyze_transitions(trans, 1).exit_mass[0]
     assert np.max(np.abs(P.sum(axis=1) + exit_mass - 1.0)) < 1e-12
 
 
-@pytest.mark.parametrize("solve", [lambda t: hc.analyze_transitions(2, t[None], 1),
+@pytest.mark.parametrize("solve", [lambda t: hc.analyze_transitions(t[None], 1),
                                    lambda t: hc.escape_site_probs(t, 0)],
                          ids=["analyze_transitions", "escape_site_probs"])
 def test_degenerate_environment_raises(solve):
     # hand-built corner transitions with zero exit mass everywhere
     trans = np.zeros((4, 4))
     for j in range(4):
-        inward = [k for k in range(4) if k not in CUBE2.outward[j]]
+        inward = [k for k in range(4) if k not in _outward(2)[j]]
         trans[j, inward] = 0.5
     with pytest.raises(hc.DegenerateEnvironmentError):
         solve(trans)
@@ -214,7 +215,7 @@ def test_degenerate_environment_raises(solve):
 
 def test_escape_site_probs_consistency():
     trans = _corner_transitions(Environment(Dirichlet((1.0,) * 4), 77), CUBE2)
-    ana = hc.analyze_transitions(2, trans[None], 1)
+    ana = hc.analyze_transitions(trans[None], 1)
     for c in range(4):
         rho, qtilde_row = hc.escape_site_probs(trans, from_corner=c)
         assert np.array_equal(qtilde_row, ana.Qtilde[0, c])
@@ -384,10 +385,21 @@ def test_one_escape_row_gives_the_qtilde_row_entry(d):
             Expl(d, 0.2) if d > 1 else UniformDrift(1, 0.3))
     for law in laws:
         for seed in range(25):
-            ana = hc.analyze(Environment(law, seed), cube, 1)
+            trans = _corner_transitions(Environment(law, seed), cube)
+            ana = hc.analyze_transitions(trans[None], 1)
             for x in range(1 << d):
-                row = hc._escape_row(ana._A, ana._P, ana.exit_mass, x)[2]
-                assert row.sum(axis=1)[0] == ana.Qtilde_row[0, x]
+                assert hc.escape_site_probs(trans, x)[1].sum() == ana.Qtilde_row[0, x]
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4, 3), (8, 4), (4, 2), (1, 0), (4,),
+                                   (1, 4, 4)], ids=str)
+def test_a_corner_table_of_another_shape_is_a_parameter_error(shape):
+    # d is read off the last axis, and the corner count must be 2^d
+    table = np.full(shape, 0.25)
+    with pytest.raises(ParameterError, match="corner tensor"):
+        hc.analyze_transitions(table[None], 1)
+    with pytest.raises(ParameterError, match="corner tensor"):
+        hc.escape_site_probs(table, 0)
 
 
 def test_visit_law_check_solves_one_chain(monkeypatch):
@@ -401,10 +413,10 @@ def test_check_absorbing_needs_reach_only_without_own_exit():
     # d = 1: corner 0 has no exit mass of its own and reaches corner 1's,
     # until corner 1 steps only inward and closes the pair
     open_pair = np.array([[1.0, 0.0], [0.5, 0.5]])
-    hc.analyze_transitions(1, open_pair[None], 1)
+    hc.analyze_transitions(open_pair[None], 1)
     closed = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(hc.DegenerateEnvironmentError, match="no escape route"):
-        hc.analyze_transitions(1, closed[None], 1)
+        hc.analyze_transitions(closed[None], 1)
 
 
 def test_visit_law_check_requires_enough_runs():

@@ -14,7 +14,7 @@ def test_unit_hypercube_structure():
         assert np.max(np.abs(np.array(c) - anchor)) <= 1
     j = cube.corner_index((1, 0, 1))
     assert j == 0b101
-    assert sorted(cube.outward[j]) == sorted([0, 3 + 1, 2])
+    assert sorted(lat._outward(3)[j]) == sorted([0, 3 + 1, 2])
     # the region: corners inside; exterior neighbours, negative offsets and
     # far sites outside
     for d in (1, 2, 3):
@@ -37,7 +37,7 @@ def test_boundary_partition_by_corner():
         corners = set(cube.corners)
         sv = lat.step_vectors(d)
         exits = [tuple(int(c) for c in np.add(x, sv[k])) for x in cube.corners
-                 for k in cube.outward[cube.corner_index(x)]]
+                 for k in lat._outward(d)[cube.corner_index(x)]]
         outer = {tuple(int(c) for c in np.add(x, s)) for x in corners
                  for s in sv} - corners
         assert len(exits) == len(set(exits)) == d * (1 << d)

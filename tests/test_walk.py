@@ -5,7 +5,7 @@ from rwre import rng, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
 from rwre.hypercube import analyze
-from rwre.lattice import Bounds, UnitHypercube, step_vectors
+from rwre.lattice import Bounds, UnitHypercube, _outward, step_vectors
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
 
@@ -247,7 +247,7 @@ def test_hit_before_return_matches_exact_escape():
     assert qt == pytest.approx(6.0 / 7.0, abs=1e-12)
     sv = step_vectors(2)
     exterior = [tuple(np.add(c, sv[k])) for c in cube.corners
-                for k in cube.outward[cube.corner_index(c)]]
+                for k in _outward(2)[cube.corner_index(c)]]
     # the walk stops on an exterior neighbour or on its return to the
     # origin, the cube's corners off the origin being the closed region
     # 0 <= x_1, x_2 <= 1 <= x_1 + x_2 <= 2; a stop away from the origin is
