@@ -7,7 +7,12 @@ law's transition vector, ``normalize_rows`` and the inverse-CDF choice;
 the loop counts visits, evaluates a ``lattice.Bounds`` region and compacts
 the stopped walkers in order, writing each one's status, final site, exit
 step and visit count.  A region with no forms is the whole lattice, which
-the fixed-length runs use.  The library is compiled with the system
+the fixed-length runs use.  The loop is written once, with the lattice
+dimension as a parameter of always-inline functions, and ``rwre_until``
+runs it through one instance per dimension from 1 to 4, where the compiler
+unrolls every loop over the dimension, and one generic instance for larger
+lattices; the instances make the same float operations in the same order,
+so they take the same steps.  The library is compiled with the system
 ``gcc`` on first use, cached under ``$XDG_CACHE_HOME/rwre`` (default
 ``~/.cache/rwre``, else the temporary directory) in a file named after the
 source's SHA-256, and loaded with ``ctypes``.  Without a compiler, or when
@@ -119,7 +124,7 @@ typedef struct {
     int64_t nbase;
     int32_t per_walker;
     int32_t bits;          /* log2 of the table's entries per slot */
-    word_t *table;         /* site-row table (see row()), or NULL */
+    word_t *table;         /* site-row table (see row_body()), or NULL */
 } field_t;
 
 /* The state of one compiled walk run on a field.  Its stopping region
@@ -176,10 +181,17 @@ static inline int max1(int a)
     return a > 1 ? a : 1;
 }
 
-/* Unnormalized transition vector of one site, evaluated in numpy's order.
-   Returns 0 when an entry obtained by a subtraction lies within margin of
-   zero, where numpy's sign check could decide otherwise. */
-static int pvec(const field_t *f, const double *U, double *p, double margin)
+/* The functions below that take dim are written once for every lattice
+   dimension and inlined into each caller, so that rwre_until's instances
+   for dims 1 to 4 see dim as a constant and unroll every loop over it.
+   The instances make the same float operations in the same order. */
+#define INLINE static inline __attribute__((always_inline))
+
+/* Unnormalized transition vector over 2 dim directions of one site,
+   evaluated in numpy's order.  Returns 0 when an entry obtained by a
+   subtraction lies within margin of zero, where numpy's sign check could
+   decide otherwise. */
+INLINE int pvec(const field_t *f, int dim, const double *U, double *p, double margin)
 {
     int d = f->d;
     int j;
@@ -204,18 +216,17 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
         return 1;
     }
     default: { /* TRAP: TrapSym, or TrapTransient on Z^{d+1} when dim > d */
-        int D = f->dim;
         double T = 0.5 * power(U[0], f->param);
-        double C = D > d ? (double)d + 3.0 * T : (double)d;
+        double C = dim > d ? (double)d + 3.0 * T : (double)d;
         double hard = T / C, easy = (1.0 - T) / C;
         for (j = 0; j < d; j++) {
             int plus = U[1 + j] <= 0.5;
             p[j] = plus ? hard : easy;
-            p[D + j] = plus ? easy : hard;
+            p[dim + j] = plus ? easy : hard;
         }
-        if (D > d) {
+        if (dim > d) {
             p[d] = 2.0 * T / C;
-            p[D + d] = hard;
+            p[dim + d] = hard;
         }
         return 1;
     }
@@ -227,13 +238,11 @@ static int pvec(const field_t *f, const double *U, double *p, double margin)
    The table holds, per slot, 2^bits direct-mapped entries of {filled, x,
    cumulative row}, indexed by a hash of x.  Only rows that pass both
    checks below are stored, so a hit returns the very doubles the
-   derivation would.  Kept out of line: inlined into choose(), it slows
-   the UniformDrift loop, which never calls it, by 5 %. */
-static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
-                                         const int64_t *x, double *cum,
-                                         double margin)
+   derivation would. */
+INLINE int row_body(const field_t *f, int dim, int64_t slot, const int64_t *x,
+                    double *cum, double margin)
 {
-    int dim = f->dim, K = 2 * dim, j;
+    int K = 2 * dim, j;
     double p[MAX_DIRS], U[MAX_DIRS + 1];
     double s = 0.0, acc = 0.0;
     uint64_t h = f->base[slot];
@@ -261,7 +270,7 @@ static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
         h = fold(h, (uint64_t)x[j]);
     for (j = 0; j < f->nvars; j++)
         U[j] = uniform(h, j);
-    if (!pvec(f, U, p, margin)) return 0;
+    if (!pvec(f, dim, U, p, margin)) return 0;
     for (j = 0; j < K; j++)
         s += p[j];
     /* these laws' rows sum to 1 within ulps: a row anywhere near
@@ -281,12 +290,30 @@ static __attribute__((noinline)) int row(const field_t *f, int64_t slot,
     return 1;
 }
 
+/* The row function of each instance: row1 to row4 for a constant dim,
+   rown for any dim.  Kept out of line: inlined, it made c5's UniformDrift
+   cube walks, which never call it, slower (45 against 31-36 ns per
+   walker-step). */
+typedef int (*row_fn)(const field_t *, int64_t, const int64_t *, double *, double);
+#define ROW(name, DIM)                                                          \
+    static __attribute__((noinline)) int name(const field_t *f, int64_t slot,  \
+                                              const int64_t *x, double *cum,   \
+                                              double margin)                   \
+    {                                                                           \
+        return row_body(f, DIM, slot, x, cum, margin);                         \
+    }
+ROW(row1, 1)
+ROW(row2, 2)
+ROW(row3, 3)
+ROW(row4, 4)
+ROW(rown, f->dim)
+
 /* Step index of a walker (seed slot) at site x with walk uniform u, or -1
    when numpy must take this step. */
-static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
-                  double margin)
+INLINE int choose(const field_t *f, int dim, row_fn row, int64_t slot,
+                  const int64_t *x, double u, double margin)
 {
-    int K = 2 * f->dim;
+    int K = 2 * dim;
     double cum[MAX_DIRS];
     const double *c = f->cum;
     int j, k = 0;
@@ -303,21 +330,21 @@ static int choose(const field_t *f, int64_t slot, const int64_t *x, double u,
 
 /* Choose one step for each of the rows walkers at step t into choice.
    Returns 1, or 0 when numpy must take this step. */
-static int choose_rows(const field_t *f, const int64_t *walkers,
+INLINE int choose_rows(const field_t *f, int dim, row_fn row, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
         int64_t slot = f->per_walker ? walkers[i] : 0;
-        int c = choose(f, slot, pos + i * f->dim, uniform(keys[i], t), margin);
+        int c = choose(f, dim, row, slot, pos + i * dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
     }
     return 1;
 }
 
-static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice)
+INLINE void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
@@ -328,7 +355,7 @@ static void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice
 
 /* 1 inside, 0 outside.  Each form's value is summed left to right, as
    lattice._dot sums it. */
-static int region(const run_t *r, int dim, const int64_t *x)
+INLINE int region(const run_t *r, int dim, const int64_t *x)
 {
     int i, j;
     for (j = 0; j < r->m; j++) {
@@ -341,7 +368,7 @@ static int region(const run_t *r, int dim, const int64_t *x)
     return 1;
 }
 
-static void count_visits(const run_t *r, int dim, const int64_t *walkers,
+INLINE void count_visits(const run_t *r, int dim, const int64_t *walkers,
                          int64_t rows, const int64_t *pos)
 {
     int64_t i;
@@ -353,23 +380,12 @@ static void count_visits(const run_t *r, int dim, const int64_t *walkers,
     }
 }
 
-/* Run the run's rows live walkers (ids in walkers, keys and positions
-   compacted alike) from its state {t, rows, settled} until all have left
-   the region, step horizon is reached or numpy must take a step, writing
-   each stopped walker's outputs and compacting the rest in order.  settled
-   says whether the region has been evaluated at the positions of step t;
-   a region with no forms is the whole lattice, which no walker leaves, so
-   settling it only counts the start's visits.  Returns 0 with the state
-   reached, where the region is settled: step t is numpy's if t < horizon
-   and walkers are left.  Returns -1 for more rows than walkers of the run
-   or a walker index outside the run or, for a per-walker field, its base
-   keys; compaction only drops walkers, so the check at entry holds for the
-   whole call. */
-int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
-                   int64_t horizon)
+/* The loop of rwre_until for walks of dimension dim, whose rows row()
+   derives. */
+INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
+                     uint64_t *keys, int64_t *pos, int64_t horizon)
 {
     const field_t *f = r->field;
-    int dim = f->dim;
     int64_t t = r->t, rows = r->rows, settled = r->settled, i;
     uint8_t *choice = r->choice;
     double margin = f->margin;
@@ -405,7 +421,8 @@ int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
             count_visits(r, dim, walkers, rows, pos);
         settled = 1;
         if (rows == 0 || t >= horizon) break;
-        if (!choose_rows(f, walkers, keys, rows, pos, t, choice, margin)) break;
+        if (!choose_rows(f, dim, row, walkers, keys, rows, pos, t, choice, margin))
+            break;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
@@ -414,6 +431,30 @@ int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
     r->t = t;
     r->rows = rows;
     return 0;
+}
+
+/* Run the run's rows live walkers (ids in walkers, keys and positions
+   compacted alike) from its state {t, rows, settled} until all have left
+   the region, step horizon is reached or numpy must take a step, writing
+   each stopped walker's outputs and compacting the rest in order.  settled
+   says whether the region has been evaluated at the positions of step t;
+   a region with no forms is the whole lattice, which no walker leaves, so
+   settling it only counts the start's visits.  Returns 0 with the state
+   reached, where the region is settled: step t is numpy's if t < horizon
+   and walkers are left.  Returns -1 for more rows than walkers of the run
+   or a walker index outside the run or, for a per-walker field, its base
+   keys; compaction only drops walkers, so the check at entry holds for the
+   whole call.  Dims 1 to 4 run their own instance of the loop. */
+int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
+                   int64_t horizon)
+{
+    switch (r->field->dim) {
+    case 1: return until(r, 1, row1, walkers, keys, pos, horizon);
+    case 2: return until(r, 2, row2, walkers, keys, pos, horizon);
+    case 3: return until(r, 3, row3, walkers, keys, pos, horizon);
+    case 4: return until(r, 4, row4, walkers, keys, pos, horizon);
+    default: return until(r, r->field->dim, rown, walkers, keys, pos, horizon);
+    }
 }
 """
 

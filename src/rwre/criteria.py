@@ -586,6 +586,7 @@ def attainability(law, u_grid, delta: float, eta: float, alpha: float,
     the u^{-(alpha+delta)} benchmark.  Cubes are discovered with the
     default :class:`EprimePolicy`.
     """
+    _check_replicates(replicates)
     u_grid = [float(u) for u in u_grid]
     horizon = {u: int(np.floor(eta * np.log(u))) for u in u_grid}
     for u in u_grid:
@@ -661,6 +662,7 @@ def polynomial_condition(law, ell, M: float, L_grid, walk_budget: int,
     """
     if M < 1:
         raise ParameterError("M must be >= 1")
+    _check_replicates(replicates)
     if not len(L_grid) or any(L <= 0 for L in L_grid):
         raise ParameterError("every box length L must be positive, "
                              "and L_grid nonempty")

@@ -143,5 +143,5 @@ def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
     exp = n * probs
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(probs) - 1
-    from scipy import stats as sps
-    return stat, dof, float(sps.chi2.sf(stat, dof))
+    from scipy import special     # chdtrc is what chi2.sf evaluates
+    return stat, dof, float(special.chdtrc(dof, stat))

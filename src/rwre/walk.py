@@ -205,12 +205,14 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     leaves) or at the last stop.  ``target`` is the site whose visits are
     counted; ``rec`` (whole-lattice runs only) receives each step's chosen
     indices.  Returns the result and the positions of the live walkers at
-    each stop.
+    each stop but the last.
     """
     W = len(pos)
-    status = np.zeros(W, dtype=np.uint8)
-    final = pos.copy()
-    steps_taken = np.zeros(W, dtype=np.int64)
+    # every walker's status, final site and step count are written where it
+    # stops, or at the last stop
+    status = np.empty(W, dtype=np.uint8)
+    final = np.empty_like(pos)
+    steps_taken = np.empty(W, dtype=np.int64)
     visits = np.zeros(W, dtype=np.int64) if target is not None else None
     # Recorded runs step with numpy for now: with the kernel, the benchmark's
     # ballistic_cli pass (rwre regen) ends within one interval of its
@@ -253,7 +255,7 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     # stop is reached.
     snaps: dict[int, np.ndarray] = {}
     t, settled = 0, False
-    for stop in stops:
+    for i, stop in enumerate(stops):
         while True:
             if loop is not None and (not settled or (t < stop and len(live))):
                 rows, t = loop(cur, ckeys, live, t, settled, stop)
@@ -273,7 +275,8 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
                 count_visits()
             t += 1
             settled = inside is None
-        snaps[stop] = cur.copy()
+        if i < len(stops) - 1:
+            snaps[stop] = cur.copy()
     if len(live):
         status[live] = STATUS_BUDGET
         final[live] = cur

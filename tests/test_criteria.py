@@ -770,9 +770,16 @@ REPLICATED = {
     "check_ktilde": lambda n: cr.check_ktilde(Expl(2, 0.2), 2.0, n, 1),
     "fractional_moment": lambda n: hc.fractional_moment(TrapSym(2), 1.0, n, 1),
     "fractional_moment_mc": lambda n: hc.fractional_moment(TrapSym(2), 1.5, n, 1),
+    # these two gave NaN frequencies with "Mean of empty slice" warnings and
+    # an "insufficient-data" verdict
+    "attainability": lambda n: cr.attainability(UniformDrift(2), [100.0], 0.1, 1.0,
+                                                1.0, 0.1, n, 1),
+    "polynomial_condition": lambda n: cr.polynomial_condition(UniformDrift(2), (1, 0),
+                                                              1.0, [4.0], 100, n, 1),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("probe", REPLICATED.values(), ids=REPLICATED.keys())
 def test_a_replicate_count_below_one_is_a_parameter_error(probe, n):

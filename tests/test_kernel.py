@@ -117,6 +117,59 @@ def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
                     assert loop.field.table[:, 0].any()
 
 
+# every covered law on Z^dim for dim 1 to 5 (Expl rejects d = 1, and
+# TrapTransient(d) walks on Z^{d+1})
+LAWS_BY_DIM = [law for dim in range(1, 6)
+               for law in (UniformDrift(dim, 0.3), Expl(max(dim, 2), 0.3), TrapSym(dim),
+                           TrapTransient(max(dim - 1, 1)))
+               if law.dim == dim]
+
+
+@needs_gcc
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+@pytest.mark.parametrize("law", LAWS_BY_DIM, ids=lambda law: f"dim{law.dim}-{law!r}")
+def test_every_dimension_instance_steps_like_numpy(monkeypatch, law, per_walker):
+    # the kernel runs dims 1 to 4 on instances compiled for that dim and
+    # larger ones on the instance that reads dim from the field: each runs
+    # a fixed run with checkpoints, a stopping run on a unit cube that
+    # counts visits to its start corner, and the fixed run again with a
+    # margin that hands steps back to numpy mid-run
+    dim = law.dim
+    W, n, marks = 16, 300, [1, 77, 150, 300]
+    env = Environment(law, rng.derive_keys(7, "walkers", n=W) if per_walker else 7)
+    keys = walk.walk_keys(4, W)
+    start = np.zeros(dim, dtype=np.int64)
+    cube = lattice.UnitHypercube((0,) * dim).region
+
+    def runs():
+        fixed = walk.run_fixed_batch(env, start, n, keys, checkpoints=marks)
+        until = walk.run_until_batch(env, start, keys, n, cube,
+                                     count_visits_to=tuple(start.tolist()))
+        return [fixed.final, *fixed.checkpoints.values(), until.status, until.final,
+                until.steps_taken, until.visits]
+
+    def same(a, b):
+        assert len(a) == len(b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "loop", lambda *a: None)
+        reference = runs()
+    with monkeypatch.context() as m:
+        loops = _loops(m)
+        steps = _counting(m, walk, "_step_batch")
+        same(runs(), reference)
+    assert len(loops) == 2 and all(loop.field.struct.dim == dim for loop in loops)
+    assert not steps
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "GUARD_MARGIN", 0.01)
+        loops = _loops(m)
+        steps = _counting(m, walk, "_step_batch")
+        fixed = walk.run_fixed_batch(env, start, n, keys, checkpoints=marks)
+    same([fixed.final, *fixed.checkpoints.values()], reference[:1 + len(marks)])
+    assert len(loops) == 1 and 0 < len(steps) < n
+
+
 @needs_gcc
 def test_invalid_rows_raise_like_numpy(monkeypatch):
     # in d = 1 the Expl row sums to 1 - eps + 1/T or eps + 1/T, never 1:

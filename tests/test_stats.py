@@ -78,6 +78,21 @@ def test_ks_two_sample():
     assert crit == pytest.approx(1.6276 * np.sqrt(2 / 30_000), rel=1e-3)
 
 
+def test_chi_square_p_value_is_scipys_chi2_sf():
+    # chi_square_geometric evaluates chdtrc, the function behind
+    # scipy.stats.chi2.sf, without the distribution's argument machinery:
+    # the p-values must be the oracle's bit for bit
+    from scipy import special, stats as sps
+    grid = np.concatenate([[0.0], np.logspace(-4, 3, 2003)])
+    for dof in range(1, 12):
+        assert np.array_equal(special.chdtrc(dof, grid), sps.chi2.sf(grid, dof)), dof
+    rs = np.random.RandomState(8)
+    for q in (0.05, 0.3, 0.55, 0.9):
+        for n in (60, 500, 100_000):     # each with a bin besides the tail
+            stat, dof, p = stats.chi_square_geometric(rs.geometric(q, n), q)
+            assert dof >= 1 and p == float(sps.chi2.sf(stat, dof)), (q, n)
+
+
 def test_chi_square_geometric():
     rs = np.random.RandomState(7)
     q = 0.4
