@@ -9,10 +9,11 @@ the stopped walkers in order, writing each one's status, final site, exit
 step and visit count.  A region with no forms is the whole lattice, which
 the fixed-length runs use.  The loop is written once, with the lattice
 dimension as a parameter of always-inline functions, and ``rwre_until``
-runs it through one instance per dimension from 1 to 4, where the compiler
-unrolls every loop over the dimension, and one generic instance for larger
-lattices; the instances make the same float operations in the same order,
-so they take the same steps.  The library is compiled with the system
+runs it through an instance for dimension 2, where every walk of the
+criteria and the benchmark runs and the compiler unrolls every loop over
+the dimension, and one generic instance for every other dimension; the
+instances make the same float operations in the same order, so they take
+the same steps.  The library is compiled with the system
 ``gcc`` on first use, cached under ``$XDG_CACHE_HOME/rwre`` (default
 ``~/.cache/rwre``, else the temporary directory) in a file named after the
 source's SHA-256, and loaded with ``ctypes``.  Without a compiler, or when
@@ -182,8 +183,8 @@ static inline int max1(int a)
 }
 
 /* The functions below that take dim are written once for every lattice
-   dimension and inlined into each caller, so that rwre_until's instances
-   for dims 1 to 4 see dim as a constant and unroll every loop over it.
+   dimension and inlined into each caller, so that rwre_until's instance
+   for dim 2 sees dim as a constant and unrolls every loop over it.
    The instances make the same float operations in the same order. */
 #define INLINE static inline __attribute__((always_inline))
 
@@ -290,23 +291,24 @@ INLINE int row_body(const field_t *f, int dim, int64_t slot, const int64_t *x,
     return 1;
 }
 
-/* The row function of each instance: row1 to row4 for a constant dim,
-   rown for any dim.  Kept out of line: inlined, it made c5's UniformDrift
-   cube walks, which never call it, slower (45 against 31-36 ns per
-   walker-step). */
+/* The row function of each instance: row2 for dim 2, rown for any dim.
+   Kept out of line: inlined, it made c5's UniformDrift cube walks, which
+   never call it, slower (45 against 31-36 ns per walker-step). */
 typedef int (*row_fn)(const field_t *, int64_t, const int64_t *, double *, double);
-#define ROW(name, DIM)                                                          \
-    static __attribute__((noinline)) int name(const field_t *f, int64_t slot,  \
-                                              const int64_t *x, double *cum,   \
-                                              double margin)                   \
-    {                                                                           \
-        return row_body(f, DIM, slot, x, cum, margin);                         \
-    }
-ROW(row1, 1)
-ROW(row2, 2)
-ROW(row3, 3)
-ROW(row4, 4)
-ROW(rown, f->dim)
+
+static __attribute__((noinline)) int row2(const field_t *f, int64_t slot,
+                                          const int64_t *x, double *cum,
+                                          double margin)
+{
+    return row_body(f, 2, slot, x, cum, margin);
+}
+
+static __attribute__((noinline)) int rown(const field_t *f, int64_t slot,
+                                          const int64_t *x, double *cum,
+                                          double margin)
+{
+    return row_body(f, f->dim, slot, x, cum, margin);
+}
 
 /* Step index of a walker (seed slot) at site x with walk uniform u, or -1
    when numpy must take this step. */
@@ -444,17 +446,13 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
    and walkers are left.  Returns -1 for more rows than walkers of the run
    or a walker index outside the run or, for a per-walker field, its base
    keys; compaction only drops walkers, so the check at entry holds for the
-   whole call.  Dims 1 to 4 run their own instance of the loop. */
+   whole call.  Dim 2 runs its own instance of the loop. */
 int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
                    int64_t horizon)
 {
-    switch (r->field->dim) {
-    case 1: return until(r, 1, row1, walkers, keys, pos, horizon);
-    case 2: return until(r, 2, row2, walkers, keys, pos, horizon);
-    case 3: return until(r, 3, row3, walkers, keys, pos, horizon);
-    case 4: return until(r, 4, row4, walkers, keys, pos, horizon);
-    default: return until(r, r->field->dim, rown, walkers, keys, pos, horizon);
-    }
+    if (r->field->dim == 2)
+        return until(r, 2, row2, walkers, keys, pos, horizon);
+    return until(r, r->field->dim, rown, walkers, keys, pos, horizon);
 }
 """
 

@@ -168,10 +168,8 @@ def _trap_rows(U: np.ndarray, T: np.ndarray, C, dim: int) -> np.ndarray:
     plus_in_b0 = U[:, 1:] <= 0.5
     hard, easy = (T / C)[:, None], ((1.0 - T) / C)[:, None]
     p = np.empty((U.shape[0], 2 * dim))
-    p[:, :d] = easy
-    np.copyto(p[:, :d], hard, where=plus_in_b0)
-    p[:, dim:dim + d] = hard
-    np.copyto(p[:, dim:dim + d], easy, where=plus_in_b0)
+    p[:, :d] = np.where(plus_in_b0, hard, easy)
+    p[:, dim:dim + d] = np.where(plus_in_b0, easy, hard)
     return p
 
 

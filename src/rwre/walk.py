@@ -205,7 +205,7 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     leaves) or at the last stop.  ``target`` is the site whose visits are
     counted; ``rec`` (whole-lattice runs only) receives each step's chosen
     indices.  Returns the result and the positions of the live walkers at
-    each stop but the last.
+    each stop.
     """
     W = len(pos)
     # every walker's status, final site and step count are written where it
@@ -255,7 +255,7 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     # stop is reached.
     snaps: dict[int, np.ndarray] = {}
     t, settled = 0, False
-    for i, stop in enumerate(stops):
+    for stop in stops:
         while True:
             if loop is not None and (not settled or (t < stop and len(live))):
                 rows, t = loop(cur, ckeys, live, t, settled, stop)
@@ -275,8 +275,7 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
                 count_visits()
             t += 1
             settled = inside is None
-        if i < len(stops) - 1:
-            snaps[stop] = cur.copy()
+        snaps[stop] = cur.copy()
     if len(live):
         status[live] = STATUS_BUDGET
         final[live] = cur

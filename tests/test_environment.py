@@ -189,36 +189,6 @@ def test_trap_transient_bias_identity():
     assert np.all(inv_C >= 1.0 / 4 - 1e-12)
 
 
-def _trap_rows_by_where(U, T, C, dim):
-    """Oracle of ``environment._trap_rows``: its rows as the broadcast
-    ``np.where`` built them, with NaN in the entries it leaves unset."""
-    d = U.shape[1] - 1
-    plus_in_b0 = U[:, 1:] <= 0.5
-    hard, easy = (T / C)[:, None], ((1.0 - T) / C)[:, None]
-    p = np.full((U.shape[0], 2 * dim), np.nan)
-    p[:, :d] = np.where(plus_in_b0, hard, easy)
-    p[:, dim:dim + d] = np.where(plus_in_b0, easy, hard)
-    return p
-
-
-@pytest.mark.parametrize("law", [law for d in range(1, 5)
-                                 for law in (TrapSym(d), TrapTransient(d))], ids=repr)
-def test_trap_rows_equal_the_broadcast_where_rows(law):
-    d = law.d
-    keys = rng.derive_keys(5, "trap_rows", n=40_000)
-    U = rng.stream_uniforms(keys[:, None], np.arange(1 + d, dtype=np.uint64))
-    U[::7, 1:] = 0.5        # on the boundary, the plus side is in B_0
-    if isinstance(law, TrapSym):
-        T, C, dim = 0.5 * U[:, 0] ** (1.0 / law._texp), d, d
-    else:
-        T = sample_trap_T(U[:, 0], d)
-        C, dim = d + 3.0 * T, d + 1
-    want = _trap_rows_by_where(U, T, C, dim)
-    if dim > d:
-        want[:, d], want[:, 2 * d + 1] = 2.0 * T / C, T / C
-    assert law.pvecs_from_uniforms(U).tobytes() == want.tobytes()
-
-
 def test_dirichlet_uniform_weights_moments():
     env = Environment(Dirichlet((1.0,) * 4), 12)
     P = env.transitions_batch(_sites(50_000, 2))

@@ -129,8 +129,8 @@ LAWS_BY_DIM = [law for dim in range(1, 6)
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 @pytest.mark.parametrize("law", LAWS_BY_DIM, ids=lambda law: f"dim{law.dim}-{law!r}")
 def test_every_dimension_instance_steps_like_numpy(monkeypatch, law, per_walker):
-    # the kernel runs dims 1 to 4 on instances compiled for that dim and
-    # larger ones on the instance that reads dim from the field: each runs
+    # the kernel runs dim 2 on an instance compiled for it and every other
+    # dim on the instance that reads dim from the field: each case runs
     # a fixed run with checkpoints, a stopping run on a unit cube that
     # counts visits to its start corner, and the fixed run again with a
     # margin that hands steps back to numpy mid-run
