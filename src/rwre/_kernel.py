@@ -24,16 +24,16 @@ A field's compiled state is the C struct ``field_t``: the law, the base
 keys, the step hand-back margin and the site-row table (below).  The
 ``Environment`` keeps it, as a :class:`Field`, from its first run on, so
 every later run on the same field starts from the rows the earlier ones
-stored; it is built again whenever anything its rows depend on differs
-from what it was built under (the law, the base keys, ``GUARD_MARGIN`` and
-the ``TABLE_*`` geometry).  A run's state is the C struct ``run_t``: the
-field it reads, the region's forms, the walkers' output arrays and the
-loop state (step, live rows and whether the region is settled there).
+stored; as an ``Environment`` and its law are frozen, it is built again
+only when ``GUARD_MARGIN`` or the ``TABLE_*`` geometry differs.  A run's
+state is the C struct ``run_t``: the field it reads, the region's forms,
+the walkers' output arrays and the loop state (step and live rows).
 :func:`loop` builds it as a :class:`Loop`, which holds its ctypes mirror
 and the arrays it points to, or returns None when numpy must step the
 environment.  ``rwre_until`` takes the run and only what changes between
 calls: the live walkers' ids, keys and positions, and the step to stop
-at.
+at.  Each call, like each pass of ``walk._walk``, starts by evaluating the
+region where it starts.
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -97,7 +97,7 @@ TABLE_SHARED = 2 ** 14
 TABLE_CAP = 2 ** 17
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n" + r"""
+SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n#define SUM_TOL {PROB_SUM_TOL!r}\n" + r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -118,7 +118,6 @@ typedef union {
 typedef struct {
     int32_t law, d, dim, nvars;
     double param;          /* Expl: eps; trap laws: the exponent of U_0 */
-    double sum_tol;        /* normalize_rows' bound on |sum - 1| */
     double margin;
     double cum[MAX_DIRS];  /* UniformDrift: numpy's cumulative row */
     const uint64_t *base;
@@ -131,8 +130,7 @@ typedef struct {
 /* The state of one compiled walk run on a field.  Its stopping region
    lo < x.a_j < hi (<= where closed) for its m forms a_j (none: the whole
    lattice).  The outputs of its walkers, indexed by walker, and the loop
-   state {t, rows, settled} that rwre_until resumes from; it leaves {t,
-   rows} with the region settled at t. */
+   state {t, rows} that rwre_until resumes from. */
 typedef struct {
     const field_t *field;
     int32_t m, lo_closed, hi_closed, exited;
@@ -144,7 +142,7 @@ typedef struct {
     int64_t *visits;        /* NULL when visits are not counted */
     const int64_t *target;
     uint8_t *choice;        /* n bytes: each row's step */
-    int64_t t, rows, settled;
+    int64_t t, rows;
 } run_t;
 
 static inline uint64_t mix64(uint64_t z)
@@ -276,7 +274,7 @@ INLINE int row_body(const field_t *f, int dim, int64_t slot, const int64_t *x,
         s += p[j];
     /* these laws' rows sum to 1 within ulps: a row anywhere near
        normalize_rows' bound goes to numpy, which decides it */
-    if (!(fabs(s - 1.0) <= 0.5 * f->sum_tol)) return 0;
+    if (!(fabs(s - 1.0) <= 0.5 * SUM_TOL)) return 0;
     for (j = 0; j < K; j++) {
         acc = j ? acc + p[j] / s : p[j] / s;
         cum[j] = acc;
@@ -388,7 +386,7 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
                      uint64_t *keys, int64_t *pos, int64_t horizon)
 {
     const field_t *f = r->field;
-    int64_t t = r->t, rows = r->rows, settled = r->settled, i;
+    int64_t t = r->t, rows = r->rows, i;
     uint8_t *choice = r->choice;
     double margin = f->margin;
     if (rows > r->n) return -1;
@@ -396,7 +394,7 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
         if (walkers[i] < 0 || walkers[i] >= r->n
             || (f->per_walker && walkers[i] >= f->nbase)) return -1;
     for (;;) {
-        if (!settled && r->m) {
+        if (r->m) {
             int64_t kept = 0;
             for (i = 0; i < rows; i++) {
                 int64_t w = walkers[i], *x = pos + i * dim;
@@ -419,16 +417,14 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
             rows = kept;
         }
         /* the start counts as a visit only inside the region */
-        if (!settled && t == 0 && r->visits)
+        if (t == 0 && r->visits)
             count_visits(r, dim, walkers, rows, pos);
-        settled = 1;
         if (rows == 0 || t >= horizon) break;
         if (!choose_rows(f, dim, row, walkers, keys, rows, pos, t, choice, margin))
             break;
         move_rows(dim, rows, pos, choice);
         t++;
         if (r->visits) count_visits(r, dim, walkers, rows, pos);
-        settled = 0;
     }
     r->t = t;
     r->rows = rows;
@@ -436,14 +432,13 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
 }
 
 /* Run the run's rows live walkers (ids in walkers, keys and positions
-   compacted alike) from its state {t, rows, settled} until all have left
-   the region, step horizon is reached or numpy must take a step, writing
-   each stopped walker's outputs and compacting the rest in order.  settled
-   says whether the region has been evaluated at the positions of step t;
-   a region with no forms is the whole lattice, which no walker leaves, so
-   settling it only counts the start's visits.  Returns 0 with the state
-   reached, where the region is settled: step t is numpy's if t < horizon
-   and walkers are left.  Returns -1 for more rows than walkers of the run
+   compacted alike) from its state {t, rows} until all have left the
+   region, step horizon is reached or numpy must take a step, writing each
+   stopped walker's outputs and compacting the rest in order.  Every pass,
+   the first included, evaluates the region at step t (none for no forms)
+   and at t = 0 counts the start's visits, so a run enters at 0 once.
+   Returns 0 with the state reached: step t is numpy's if t < horizon and
+   walkers are left.  Returns -1 for more rows than walkers of the run
    or a walker index outside the run or, for a per-walker field, its base
    keys; compaction only drops walkers, so the check at entry holds for the
    whole call.  Dim 2 runs its own instance of the loop. */
@@ -465,7 +460,7 @@ _LAWS = {UniformDrift: (0, lambda law: 0.0),
 
 # field_t's and run_t's fields in order, as (ctypes type, names)
 _FIELD_FIELDS = [(ctypes.c_int32, "law d dim nvars"),
-                 (ctypes.c_double, "param sum_tol margin"),
+                 (ctypes.c_double, "param margin"),
                  (ctypes.c_double * MAX_DIRS, "cum"), (ctypes.c_void_p, "base"),
                  (ctypes.c_int64, "nbase"), (ctypes.c_int32, "per_walker bits"),
                  (ctypes.c_void_p, "table")]
@@ -473,7 +468,7 @@ _RUN_FIELDS = [(ctypes.c_void_p, "field"),
                (ctypes.c_int32, "m lo_closed hi_closed exited"),
                (ctypes.c_void_p, "forms lo hi"), (ctypes.c_int64, "n"),
                (ctypes.c_void_p, "status final steps_taken visits target choice"),
-               (ctypes.c_int64, "t rows settled")]
+               (ctypes.c_int64, "t rows")]
 
 
 class _Field(ctypes.Structure):
@@ -498,11 +493,11 @@ class Field:
 
     def __init__(self, env, code: int, param: float, key: tuple):
         dim = env.dim
-        self.key, self.source = key, env._base
+        self.key = key
         self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
         per_walker = np.ndim(env.master_seed) > 0
         self.struct = _Field(law=code, d=env.law.d, dim=dim, nvars=env.law.nvars,
-                             param=param, sum_tol=PROB_SUM_TOL, margin=GUARD_MARGIN,
+                             param=param, margin=GUARD_MARGIN,
                              base=self.base.ctypes.data, nbase=len(self.base),
                              per_walker=int(per_walker))
         self.address = ctypes.addressof(self.struct)
@@ -527,11 +522,11 @@ class Field:
 
 def _field(env, code: int, param: float) -> Field:
     """``env``'s kept :class:`Field`, built on its first run and again
-    whenever anything its rows depend on differs: the law, the base keys,
-    ``GUARD_MARGIN`` or the table geometry."""
-    key = (code, param, GUARD_MARGIN, TABLE_PER_WALKER, TABLE_SHARED, TABLE_CAP)
+    whenever ``GUARD_MARGIN`` or the table geometry differs (the law and
+    the base keys of a frozen ``Environment`` cannot)."""
+    key = (GUARD_MARGIN, TABLE_PER_WALKER, TABLE_SHARED, TABLE_CAP)
     field = env._loop_field
-    if field is None or field.key != key or field.source is not env._base:
+    if field is None or field.key != key:
         field = Field(env, code, param, key)
         object.__setattr__(env, "_loop_field", field)
     return field
@@ -571,20 +566,20 @@ class Loop:
         self.arrays = (region, status, final, steps_taken, visits, target, choice)
 
     def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
-                 t: int, settled: bool, horizon: int) -> tuple[int, int]:
-        """Run the live rows from step ``t`` as far as the kernel can.
+                 t: int, horizon: int) -> tuple[int, int]:
+        """Evaluate the region at step ``t`` and run the live rows from
+        there as far as the kernel can.
 
         ``pos``, ``keys`` and the walker ids ``walkers`` are compacted in
-        place; ``settled`` says whether the region has already been
-        evaluated at step ``t``.  Returns the live rows left and the step
-        reached, where the region is settled.  Unless every walker has
-        stopped or step ``horizon`` is reached, numpy must take that step.
+        place.  Returns the live rows left and the step reached, where the
+        region has been evaluated.  Unless every walker has stopped or step
+        ``horizon`` is reached, numpy must take that step.
         """
         rows, run = len(pos), self.run
         _check(pos, np.int64, (rows, self.dim), "pos")
         _check(keys, np.uint64, (rows,), "keys")
         _check(walkers, np.int64, (rows,), "walkers")
-        run.t, run.rows, run.settled = t, rows, settled
+        run.t, run.rows = t, rows
         # the call releases the interpreter lock, and the runs on a field
         # share its table: one at a time
         with self.field.lock:

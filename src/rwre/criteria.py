@@ -861,8 +861,8 @@ def _fit_decay(Ls, est, lse, gamma: float) -> SlabFit | None:
     if dof:
         sigma2 = (w * resid ** 2).sum() / dof
         se_slope = float(np.sqrt(sigma2 / sxx))
-        from scipy import stats as sps
-        tq = sps.t.ppf(0.975, dof)
+        from scipy import special     # stdtrit is what t.ppf evaluates
+        tq = special.stdtrit(dof, 0.975)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = float(1.0 - (w * resid ** 2).sum() / ss_tot) if ss_tot > 0 else 1.0
     return SlabFit(gamma, float(slope), se_slope,

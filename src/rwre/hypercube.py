@@ -197,7 +197,8 @@ class ExitAnalysis:
         tolerance, as the acceptance check does with ``IDENTITY_TOL``.
 
         visit:      N[x0, x] * Qtilde_row[x] = hit_before_exit[x0, x]
-        total_time: mean_exit[x0] = sum_x N[x0, x]
+        total_time: mean_exit[x0] = sum_x N[x0, x], which is how mean_exit
+                    is defined: it reads 0 by construction
         sandwich:   1/Qtilde_row[x0] <= mean_exit[x0] <= sum_y 1/Qtilde_row[y]
         row_bound:  Qtilde[x, y] <= Qtilde_row[x] <= 2^d max_y Qtilde[x, y]
         """

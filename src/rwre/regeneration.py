@@ -25,13 +25,14 @@ import numpy as np
 
 from . import walk
 from .errors import ParameterError
+from .lattice import _check_unit
 
 LEVEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class RegenParams:
-    """Direction and ladder step a (default 3 sqrt(d)).
+    """Unit direction ell and ladder step a (default 3 sqrt(d)).
 
     a must lie in (2 sqrt(d), 10 sqrt(d)), the interval that keeps the
     regeneration covariance of the CLT non-degenerate.
@@ -41,6 +42,11 @@ class RegenParams:
     a: float | None = None
 
     def resolved_a(self, d: int) -> float:
+        """a for walks on Z^d, after checking that ell is a unit vector of
+        d entries, since the levels x . ell are compared with a."""
+        if np.shape(self.ell) != (d,):
+            raise ParameterError(f"ell must have {d} entries, got {self.ell!r}")
+        _check_unit(self.ell)
         a = self.a if self.a is not None else 3.0 * np.sqrt(d)
         lo, hi = 2.0 * np.sqrt(d), 10.0 * np.sqrt(d)
         if not (lo < a < hi):
@@ -192,8 +198,11 @@ def renewal_velocity(records) -> VelocityEstimate:
 
 
 def direct_velocity(finals: np.ndarray, nsteps: int) -> VelocityEstimate:
-    """Mean of X_n / n over walks, with a normal CI per component."""
+    """Mean of X_n / n over walks, with a normal CI per component; not ok
+    for fewer than two walks, whose spread says nothing."""
     V = np.asarray(finals, dtype=float) / float(nsteps)
+    if V.shape[0] < 2:
+        return VelocityEstimate(False, reason=f"{V.shape[0]} walks, need >= 2")
     v = V.mean(axis=0)
     se = V.std(axis=0, ddof=1) / np.sqrt(V.shape[0])
     return VelocityEstimate(True, v, v - 1.96 * se, v + 1.96 * se, V.shape[0])
@@ -203,7 +212,7 @@ def run_regenerations(env, keys, nsteps: int, params: RegenParams):
     """One recorded walk of ``nsteps`` from the origin per key: the
     regeneration records, and the renewal and direct velocity estimates
     (the direct one is None when the renewal one is not ok, as for no
-    walks or no steps).  ``a`` is checked before the first step."""
+    walks or no steps).  ``ell`` and ``a`` are checked before the first step."""
     d = env.dim
     params.resolved_a(d)
     res = walk.run_fixed_batch(env, np.zeros(d, dtype=np.int64), nsteps, keys,

@@ -89,9 +89,9 @@ def binomial_ci(k: int, n: int) -> tuple[float, float]:
     """
     if n == 0:
         return float("nan"), float("nan")
-    from scipy import stats as sps
-    lo = sps.beta.ppf(0.025, k, n - k + 1) if k > 0 else 0.0
-    hi = sps.beta.ppf(0.975, k + 1, n - k) if k < n else 1.0
+    from scipy import special     # betaincinv is what beta.ppf evaluates
+    lo = special.betaincinv(k, n - k + 1, 0.025) if k > 0 else 0.0
+    hi = special.betaincinv(k + 1, n - k, 0.975) if k < n else 1.0
     return float(lo), float(hi)
 
 

@@ -149,7 +149,7 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
     if marks and marks[0] < 1:
         raise ParameterError("checkpoints must be >= 1")
     rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
-    res, snaps = _walk(env, pos, keys, marks + [nsteps], None, rec=rec)
+    res, snaps = _walk(env, pos, keys, sorted({*marks, nsteps}), None, rec=rec)
     return FixedBatchResult(res.final, {m: snaps[m] for m in marks}, rec)
 
 
@@ -199,7 +199,7 @@ def run_until_batch(env: Environment, starts: np.ndarray, keys: np.ndarray,
 
 def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
           target=None, rec=None) -> tuple[UntilBatchResult, dict[int, np.ndarray]]:
-    """Run a validated batch through the step counts ``stops`` in turn.
+    """Run a validated batch through the increasing step counts ``stops``.
 
     Walks stop on leaving ``inside`` (None: the whole lattice, which no walk
     leaves) or at the last stop.  ``target`` is the site whose visits are
@@ -249,23 +249,22 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
         if at.any():
             visits[live.compress(at)] += 1
 
-    # Each pass takes what numpy must decide: the region at step t when it
-    # is not settled there, else step t.  The compiled loop, when there is
-    # one, settles the region and runs until numpy must take a step or the
-    # stop is reached.
+    # Each pass evaluates the region at step t (and counts the start's
+    # visits at t = 0), then breaks at the stop or takes step t with numpy.
+    # The compiled loop, when there is one, makes the pass's start and runs
+    # on until numpy must take a step or the stop is reached.
     snaps: dict[int, np.ndarray] = {}
-    t, settled = 0, False
+    t = 0
     for stop in stops:
         while True:
-            if loop is not None and (not settled or (t < stop and len(live))):
-                rows, t = loop(cur, ckeys, live, t, settled, stop)
+            if loop is not None:
+                rows, t = loop(cur, ckeys, live, t, stop)
                 live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
-            elif not settled:
+            else:
                 if inside is not None:
                     settle(t)
                 if t == 0 and visits is not None and len(live):
                     count_visits()
-            settled = True
             if t == stop or not len(live):
                 break
             choice = _step_batch(env, cur, ckeys, t, sv, live)
@@ -274,7 +273,6 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
             if visits is not None:
                 count_visits()
             t += 1
-            settled = inside is None
         snaps[stop] = cur.copy()
     if len(live):
         status[live] = STATUS_BUDGET

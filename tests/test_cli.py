@@ -35,6 +35,22 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_intervals_load_no_scipy_stats():
+    # the binomial interval and the slab fit's t quantile evaluate
+    # scipy.special alone; scipy.stats would add about 0.5 s to first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from rwre import criteria, stats; "
+            "assert 0 < stats.binomial_ci(3, 10)[0]; "
+            "fit = criteria._fit_decay([4, 8, 12], [1e-2, 1e-4, 3e-6], [0.1] * 3, 1.0); "
+            "assert fit.slope_ci[0] < fit.slope; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 def test_unknown_flag_is_usage_error():
     assert run(["walk", "--nonsense"]) == cli.EXIT_PARAM
     assert run(["frobnicate"]) == cli.EXIT_PARAM

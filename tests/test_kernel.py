@@ -7,6 +7,7 @@ positions, stopping times and visit counts must be equal bit for bit.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -372,6 +373,23 @@ def test_compiled_regions_resume_identically_after_hand_backs(monkeypatch, guard
                 assert len(steps) == loop_steps
             handed += len(steps)
             loop_total += loop_steps
+        if guard == 2.0:
+            # a stop at every step, each reached by numpy's step, so every
+            # stop's last call starts at the stop and returns at once
+            n, start, marks = 60, np.zeros(env.dim), range(1, 61)
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "loop", lambda *a: None)
+                reference = walk.run_fixed_batch(env, start, n, keys, checkpoints=marks)
+            with monkeypatch.context() as m:
+                m.setattr(_kernel, "GUARD_MARGIN", guard)
+                calls = _counting(m, _kernel.Loop, "__call__")
+                steps = _counting(m, walk, "_step_batch")
+                ours = walk.run_fixed_batch(env, start, n, keys, checkpoints=marks)
+            assert ours.checkpoints.keys() == reference.checkpoints.keys()
+            for t, snap in ours.checkpoints.items():
+                assert np.array_equal(snap, reference.checkpoints[t]), (law, t)
+            assert np.array_equal(ours.final, reference.final), law
+            assert len(steps) == n and len(calls) <= len(marks) + len(steps), law
     if guard < 2.0:
         assert 0 < handed < loop_total
 
@@ -689,6 +707,25 @@ def test_threads_sharing_a_field_step_like_numpy(monkeypatch):
         sys.setswitchinterval(old)
 
 
+def _members(struct: str) -> list[str]:
+    """The member names of the C struct ``struct`` in ``_kernel.SOURCE``,
+    in order."""
+    body = re.search(r"typedef struct \{([^{}]*)\} " + struct + ";", _kernel.SOURCE)
+    names = []
+    for decl in re.sub(r"/\*.*?\*/", "", body.group(1), flags=re.S).split(";")[:-1]:
+        declarators = re.fullmatch(r"\s*(?:const\s+)?\w+\s+(.*?)\s*", decl, re.S).group(1)
+        names += [re.fullmatch(r"\**(\w+)(?:\[\w+\])?", d.strip()).group(1)
+                  for d in declarators.split(",")]
+    return names
+
+
+def test_ctypes_mirrors_list_the_c_members_in_order():
+    # a member added to, dropped from or moved in field_t or run_t must be
+    # mirrored, or every member after it is read at the wrong offset
+    for mirror, struct in ((_kernel._Field, "field_t"), (_kernel._Run, "run_t")):
+        assert [name for name, _ in mirror._fields_] == _members(struct), struct
+
+
 @needs_gcc
 def test_walker_ids_beyond_the_field_seeds_raise():
     # a run of 5 walkers on a per-walker field of 3 seeds refuses walker 4,
@@ -698,7 +735,7 @@ def test_walker_ids_beyond_the_field_seeds_raise():
                             *_outputs(5, 2))
         pos = np.zeros((len(walkers), 2), dtype=np.int64)
         keys = walk.walk_keys(1, len(walkers))
-        return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, True, 10)
+        return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, 10)
 
     seeds = rng.derive_keys(2, "walkers", n=3)
     assert run(seeds, [0, 2]) == (2, 10)

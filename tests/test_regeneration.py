@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwre import regeneration as rg, walk
+from rwre.errors import ParameterError
 from rwre.environment import Environment, Expl, TableMixture, UniformDrift
 
 FORWARD = TableMixture(((1.0, (1.0, 0.0, 0.0, 0.0)),))
@@ -71,6 +72,23 @@ def test_a_range_enforced():
     with pytest.raises(ValueError):
         rg.RegenParams((1.0, 0.0), a=2.0).resolved_a(2)     # below 2 sqrt(2)
     assert rg.RegenParams((1.0, 0.0)).resolved_a(2) == pytest.approx(3 * np.sqrt(2))
+
+
+@pytest.mark.parametrize("ell", [(1.0, 0.0, 0.0), (1.0, 1.0), (0.0, 0.0)],
+                         ids=["three_entries", "norm_sqrt2", "zero"])
+def test_ell_is_checked_before_the_first_step(monkeypatch, ell):
+    # a wrong length used to fail in the level product after the whole
+    # walk, a norm of sqrt(2) stretched every level against a, and a zero
+    # direction found no regenerations
+    steps = []
+    step = walk._step_batch
+    monkeypatch.setattr(walk, "_step_batch", lambda *a: steps.append(1) or step(*a))
+    with pytest.raises(ParameterError, match="ell must have|unit vector"):
+        rg.run_regenerations(Environment(Expl(2, 0.2), 3), walk.walk_keys(5, 2), 200,
+                             rg.RegenParams(ell))
+    assert not steps
+    with pytest.raises(ParameterError):
+        rg.extract_from_steps(_forward_steps(8), (0, 0), rg.RegenParams(ell, a=3.0), 8)
 
 
 def test_fast_matches_reference_on_random_walks():
@@ -145,6 +163,20 @@ def test_velocity_insufficient_data():
                                 np.array([False]))
     est2 = rg.renewal_velocity([rec])
     assert not est2.ok
+
+
+@pytest.mark.filterwarnings("error")
+def test_direct_velocity_needs_two_walks():
+    # one walk has no sample spread: no NaN interval and no numpy warning
+    for finals in (np.zeros((0, 2)), np.array([[120, 80]])):
+        est = rg.direct_velocity(finals, 200)
+        assert not est.ok and est.v is None and "need >= 2" in est.reason
+    _, ren, direct = rg.run_regenerations(Environment(Expl(2, 0.2), 3),
+                                          walk.walk_keys(5, 1), 20_000,
+                                          rg.RegenParams((2 ** -0.5, 2 ** -0.5)))
+    assert ren.ok and not direct.ok
+    est = rg.direct_velocity(np.array([[120, 80], [100, 100]]), 200)
+    assert est.ok and np.all(est.ci_low < est.v) and np.all(est.v < est.ci_high)
 
 
 def test_regeneration_radii_forward_walk():

@@ -93,6 +93,29 @@ def test_chi_square_p_value_is_scipys_chi2_sf():
             assert dof >= 1 and p == float(sps.chi2.sf(stat, dof)), (q, n)
 
 
+def test_binomial_ci_and_slab_t_quantile_are_scipys_ppf():
+    # binomial_ci evaluates betaincinv and the slab fit stdtrit, the
+    # functions behind scipy.stats' beta.ppf and t.ppf: the bounds and the
+    # quantiles must be the oracle's bit for bit
+    from scipy import stats as sps
+    from rwre import criteria
+    k, n = np.array([(k, m) for m in np.unique(np.geomspace(1, 20_000, 60).astype(int))
+                     for k in np.unique(np.linspace(0, m, 41).astype(int))]).T
+    lo = sps.beta.ppf(0.025, k, n - k + 1)
+    hi = sps.beta.ppf(0.975, k + 1, n - k)
+    got = np.array([stats.binomial_ci(int(a), int(b)) for a, b in zip(k, n)])
+    assert len(k) > 1500
+    assert np.array_equal(got[:, 0], np.where(k > 0, lo, 0.0))
+    assert np.array_equal(got[:, 1], np.where(k < n, hi, 1.0))
+    Ls = [4.0 * (i + 1) for i in range(200)]
+    est = np.exp(-np.array(Ls) / 3.0) * np.exp(np.sin(Ls))     # off the line
+    for dof in range(1, 199):
+        fit = criteria._fit_decay(Ls[:dof + 2], est[:dof + 2], [0.1] * (dof + 2), 1.0)
+        tq = sps.t.ppf(0.975, dof)
+        assert fit.slope_ci == (float(fit.slope - tq * fit.slope_se),
+                                float(fit.slope + tq * fit.slope_se)), dof
+
+
 def test_chi_square_geometric():
     rs = np.random.RandomState(7)
     q = 0.4
