@@ -27,13 +27,27 @@ every later run on the same field starts from the rows the earlier ones
 stored; as an ``Environment`` and its law are frozen, it is built again
 only when ``GUARD_MARGIN`` or the ``TABLE_*`` geometry differs.  A run's
 state is the C struct ``run_t``: the field it reads, the region's forms,
-the walkers' output arrays and the loop state (step and live rows).
-:func:`loop` builds it as a :class:`Loop`, which holds its ctypes mirror
-and the arrays it points to, or returns None when numpy must step the
-environment.  ``rwre_until`` takes the run and only what changes between
-calls: the live walkers' ids, keys and positions, and the step to stop
-at.  Each call, like each pass of ``walk._walk``, starts by evaluating the
-region where it starts.
+the walkers' output arrays, their rows (ids, keys and sites) and the loop
+state (step and live rows).  :func:`loop` builds it as a :class:`Loop`,
+which holds its ctypes mirror and the arrays it points to, or returns
+None when numpy must step the environment.  ``rwre_until`` takes the run
+and the step to stop at; between calls, numpy steps the rows that
+:meth:`Loop.rows` hands it, in place.  Each call, like each pass of
+``walk._walk``, starts by evaluating the region where it starts.
+
+A run copies nothing up front.  The caller's keys are read in place
+until the first compaction moves the rows' ids and keys into the run's
+buffers; until then row i is walker i.  Walkers that share one start are
+settled once, at the first call: one region test and one visit test for
+all of them, after which the start is written into every row.  Stopped
+rows are compacted away in order in the pass that evaluates the region,
+so every return, a hand-back included, leaves numpy only live rows.
+Where walkers stop at random, often (a cube left within a few steps),
+that pass and the visit count take no branch on a row's site, since a
+mispredicted branch per row costs more than the pass; a pass after a
+step that stopped fewer than 1/16 of its rows (``STOP_OFTEN`` in the C
+source) branches on the region, which is cheaper where walkers stop
+rarely (a slab).
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -103,6 +117,8 @@ SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n#define SUM_TOL {PROB_SUM_TOL!r}\n" + r"
 #include <stdint.h>
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
+#define SETTLE_BLOCK 256    /* rows per block of a region pass without branches */
+#define STOP_OFTEN 16       /* a step that stops 1/16 of the rows: no branches next */
 
 enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP = 2 };
 
@@ -129,8 +145,12 @@ typedef struct {
 
 /* The state of one compiled walk run on a field.  Its stopping region
    lo < x.a_j < hi (<= where closed) for its m forms a_j (none: the whole
-   lattice).  The outputs of its walkers, indexed by walker, and the loop
-   state {t, rows} that rwre_until resumes from. */
+   lattice).  The outputs of its n walkers, indexed by walker.  Its rows:
+   while rows = n, row i is walker i with key keys[i] (the caller's, read
+   only); once compacted (rows < n), the rows' ids and keys are in walkers
+   and row_keys.  pos holds the rows' sites, except before the first step
+   of a run whose walkers share the site start.  The loop state {t, rows}
+   that rwre_until resumes from. */
 typedef struct {
     const field_t *field;
     int32_t m, lo_closed, hi_closed, exited;
@@ -141,7 +161,12 @@ typedef struct {
     int64_t *final, *steps_taken;
     int64_t *visits;        /* NULL when visits are not counted */
     const int64_t *target;
-    uint8_t *choice;        /* n bytes: each row's step */
+    const int64_t *start;   /* the walkers' shared start, or NULL */
+    const uint64_t *keys;   /* n walk keys */
+    int64_t *walkers;       /* n: the compacted rows' walker ids */
+    uint64_t *row_keys;     /* n: the compacted rows' keys */
+    int64_t *pos;           /* n x dim: the rows' sites */
+    uint8_t *choice;        /* n: each row's step */
     int64_t t, rows;
 } run_t;
 
@@ -328,15 +353,19 @@ INLINE int choose(const field_t *f, int dim, row_fn row, int64_t slot,
     return k < K ? k : K - 1;
 }
 
-/* Choose one step for each of the rows walkers at step t into choice.
-   Returns 1, or 0 when numpy must take this step. */
+/* The walker of row i: rows never compacted (walkers NULL) are the
+   walkers in order. */
+#define WALKER(walkers, i) ((walkers) ? (walkers)[i] : (i))
+
+/* Choose one step for each of the rows at step t into choice.  Returns
+   1, or 0 when numpy must take this step. */
 INLINE int choose_rows(const field_t *f, int dim, row_fn row, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int64_t slot = f->per_walker ? walkers[i] : 0;
+        int64_t slot = f->per_walker ? WALKER(walkers, i) : 0;
         int c = choose(f, dim, row, slot, pos + i * dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
@@ -368,86 +397,199 @@ INLINE int region(const run_t *r, int dim, const int64_t *x)
     return 1;
 }
 
+/* region() without a branch on x. */
+INLINE int region_flag(const run_t *r, int dim, const int64_t *x)
+{
+    int i, j, in = 1;
+    for (j = 0; j < r->m; j++) {
+        double v = 0.0, lo = r->lo[j], hi = r->hi[j];
+        for (i = 0; i < dim; i++)
+            v += (double)x[i] * r->forms[i * r->m + j];
+        in &= (r->lo_closed ? lo <= v : lo < v) & (r->hi_closed ? v <= hi : v < hi);
+    }
+    return in;
+}
+
+INLINE int at_target(const run_t *r, int dim, const int64_t *x)
+{
+    int j, at = 1;
+    for (j = 0; j < dim; j++)
+        at &= x[j] == r->target[j];
+    return at;
+}
+
+/* Visits fall at random in a walk that leaves within a few steps, where a
+   mispredicted branch per row would cost more than the rest of the pass:
+   each row adds 0 or 1. */
 INLINE void count_visits(const run_t *r, int dim, const int64_t *walkers,
                          int64_t rows, const int64_t *pos)
 {
     int64_t i;
+    for (i = 0; i < rows; i++)
+        r->visits[WALKER(walkers, i)] += at_target(r, dim, pos + i * dim);
+}
+
+/* Write the outputs of walker w, stopped at site x at step t. */
+INLINE void stop(const run_t *r, int dim, int64_t w, const int64_t *x, int64_t t)
+{
     int j;
+    r->status[w] = (uint8_t)r->exited;
+    for (j = 0; j < dim; j++)
+        r->final[w * dim + j] = x[j];
+    r->steps_taken[w] = t;
+}
+
+/* Where the rows' walker ids and keys are read: walkers NULL and the
+   caller's keys until the first compaction, which moves them into the
+   run's buffers, once per run (take_rows). */
+typedef struct {
+    const int64_t *walkers;
+    const uint64_t *keys;
+} ids_t;
+
+INLINE void take_rows(run_t *r, ids_t *ids, int64_t rows)
+{
+    int64_t i;
+    if (ids->walkers) return;
     for (i = 0; i < rows; i++) {
-        for (j = 0; j < dim && pos[i * dim + j] == r->target[j]; j++)
-            ;
-        if (j == dim) r->visits[walkers[i]]++;
+        r->walkers[i] = i;
+        r->row_keys[i] = ids->keys[i];
     }
+    ids->walkers = r->walkers;
+    ids->keys = r->row_keys;
+}
+
+INLINE void move_row(run_t *r, int dim, int64_t to, int64_t from)
+{
+    int j;
+    r->walkers[to] = r->walkers[from];
+    r->row_keys[to] = r->row_keys[from];
+    for (j = 0; j < dim; j++)
+        r->pos[to * dim + j] = r->pos[from * dim + j];
+}
+
+/* Stop the rows outside the region at step t and compact the others in
+   order.  Returns the rows kept.  The branch on each row's region is
+   taken rarely once walkers stop rarely. */
+INLINE int64_t settle_rows(run_t *r, int dim, ids_t *ids, int64_t rows, int64_t t)
+{
+    int64_t i, kept = 0;
+    for (i = 0; i < rows; i++) {
+        const int64_t *x = r->pos + i * dim;
+        if (!region(r, dim, x)) {
+            stop(r, dim, WALKER(ids->walkers, i), x, t);
+            take_rows(r, ids, rows);
+            continue;
+        }
+        if (kept != i) move_row(r, dim, kept, i);
+        kept++;
+    }
+    return kept;
+}
+
+/* settle_rows without a branch on the region, for walks that stop at
+   random, often: the rows are tested in blocks, each listing its stopped
+   rows and flagging the others, whose outputs are then written and which
+   are then moved down. */
+INLINE int64_t settle_blocks(run_t *r, int dim, ids_t *ids, int64_t rows, int64_t t)
+{
+    int64_t b, i, kept = 0, stopped[SETTLE_BLOCK];
+    uint8_t in[SETTLE_BLOCK];
+    for (b = 0; b < rows; b += SETTLE_BLOCK) {
+        int64_t end = rows - b < SETTLE_BLOCK ? rows : b + SETTLE_BLOCK, g = 0;
+        for (i = b; i < end; i++) {
+            int ok = region_flag(r, dim, r->pos + i * dim);
+            in[i - b] = (uint8_t)ok;
+            stopped[g] = i;
+            g += !ok;
+        }
+        if (!g && kept == b) {
+            kept = end;
+            continue;
+        }
+        for (i = 0; i < g; i++)
+            stop(r, dim, WALKER(ids->walkers, stopped[i]), r->pos + stopped[i] * dim, t);
+        take_rows(r, ids, rows);
+        for (i = b; i < end; i++) {
+            move_row(r, dim, kept, i);
+            kept += in[i - b];
+        }
+    }
+    return kept;
 }
 
 /* The loop of rwre_until for walks of dimension dim, whose rows row()
    derives. */
-INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t *walkers,
-                     uint64_t *keys, int64_t *pos, int64_t horizon)
+INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
 {
     const field_t *f = r->field;
     int64_t t = r->t, rows = r->rows, i;
+    int64_t *pos = r->pos;
     uint8_t *choice = r->choice;
     double margin = f->margin;
-    if (rows > r->n) return -1;
-    for (i = 0; i < rows; i++)
-        if (walkers[i] < 0 || walkers[i] >= r->n
-            || (f->per_walker && walkers[i] >= f->nbase)) return -1;
+    ids_t ids = {rows < r->n ? r->walkers : NULL, rows < r->n ? r->row_keys : r->keys};
+    int settle = 1, often = 1;
+    if (rows > r->n || (f->per_walker && r->n > f->nbase)) return -1;
+    /* a shared start is settled once for all the walkers: one region test
+       and one visit test, then its site is written into every row */
+    if (t == 0 && r->start) {
+        const int64_t *x = r->start;
+        int j;
+        if (r->m && !region(r, dim, x)) {
+            for (i = 0; i < rows; i++)
+                stop(r, dim, i, x, 0);
+            rows = 0;
+        }
+        for (i = 0; i < rows; i++)
+            for (j = 0; j < dim; j++)
+                pos[i * dim + j] = x[j];
+        if (r->visits && at_target(r, dim, x))
+            for (i = 0; i < rows; i++)
+                r->visits[i]++;
+        settle = 0;
+    }
     for (;;) {
-        if (r->m) {
-            int64_t kept = 0;
-            for (i = 0; i < rows; i++) {
-                int64_t w = walkers[i], *x = pos + i * dim;
-                int j;
-                if (!region(r, dim, x)) {
-                    r->status[w] = (uint8_t)r->exited;
-                    for (j = 0; j < dim; j++)
-                        r->final[w * dim + j] = x[j];
-                    r->steps_taken[w] = t;
-                    continue;
-                }
-                if (kept != i) {
-                    walkers[kept] = w;
-                    keys[kept] = keys[i];
-                    for (j = 0; j < dim; j++)
-                        pos[kept * dim + j] = x[j];
-                }
-                kept++;
-            }
+        if (settle && r->m) {
+            int64_t kept = often ? settle_blocks(r, dim, &ids, rows, t)
+                                 : settle_rows(r, dim, &ids, rows, t);
+            /* a pass after a step that stopped at least 1/STOP_OFTEN of
+               its rows is followed by one without a branch on the region */
+            if (t)
+                often = (rows - kept) * STOP_OFTEN >= rows;
             rows = kept;
         }
         /* the start counts as a visit only inside the region */
-        if (t == 0 && r->visits)
-            count_visits(r, dim, walkers, rows, pos);
+        if (settle && t == 0 && r->visits)
+            count_visits(r, dim, ids.walkers, rows, pos);
+        settle = 1;
         if (rows == 0 || t >= horizon) break;
-        if (!choose_rows(f, dim, row, walkers, keys, rows, pos, t, choice, margin))
+        if (!choose_rows(f, dim, row, ids.walkers, ids.keys, rows, pos, t, choice, margin))
             break;
         move_rows(dim, rows, pos, choice);
         t++;
-        if (r->visits) count_visits(r, dim, walkers, rows, pos);
+        if (r->visits)
+            count_visits(r, dim, ids.walkers, rows, pos);
     }
     r->t = t;
     r->rows = rows;
     return 0;
 }
 
-/* Run the run's rows live walkers (ids in walkers, keys and positions
-   compacted alike) from its state {t, rows} until all have left the
-   region, step horizon is reached or numpy must take a step, writing each
-   stopped walker's outputs and compacting the rest in order.  Every pass,
-   the first included, evaluates the region at step t (none for no forms)
-   and at t = 0 counts the start's visits, so a run enters at 0 once.
-   Returns 0 with the state reached: step t is numpy's if t < horizon and
-   walkers are left.  Returns -1 for more rows than walkers of the run
-   or a walker index outside the run or, for a per-walker field, its base
-   keys; compaction only drops walkers, so the check at entry holds for the
-   whole call.  Dim 2 runs its own instance of the loop. */
-int64_t rwre_until(run_t *r, int64_t *walkers, uint64_t *keys, int64_t *pos,
-                   int64_t horizon)
+/* Run the run's live rows from its state {t, rows} until all have left
+   the region, step horizon is reached or numpy must take a step, writing
+   each stopped walker's outputs and compacting the rest in order.  Every
+   call, the first included, evaluates the region at step t (none for no
+   forms), and the one at t = 0, which is the first, counts the start's
+   visits and settles a shared start once.  Returns 0 with the state
+   reached: step t is numpy's if t < horizon and walkers are left.
+   Returns -1 for more rows than walkers of the run, or more walkers than
+   the base keys of a per-walker field.  Dim 2 runs its own instance of
+   the loop. */
+int64_t rwre_until(run_t *r, int64_t horizon)
 {
     if (r->field->dim == 2)
-        return until(r, 2, row2, walkers, keys, pos, horizon);
-    return until(r, r->field->dim, rown, walkers, keys, pos, horizon);
+        return until(r, 2, row2, horizon);
+    return until(r, r->field->dim, rown, horizon);
 }
 """
 
@@ -467,7 +609,8 @@ _FIELD_FIELDS = [(ctypes.c_int32, "law d dim nvars"),
 _RUN_FIELDS = [(ctypes.c_void_p, "field"),
                (ctypes.c_int32, "m lo_closed hi_closed exited"),
                (ctypes.c_void_p, "forms lo hi"), (ctypes.c_int64, "n"),
-               (ctypes.c_void_p, "status final steps_taken visits target choice"),
+               (ctypes.c_void_p, "status final steps_taken visits target start keys "
+                                 "walkers row_keys pos choice"),
                (ctypes.c_int64, "t rows")]
 
 
@@ -534,24 +677,42 @@ def _field(env, code: int, param: float) -> Field:
 
 class Loop:
     """The compiled loop of one walk run on a kept field: its ``run_t`` and
-    the arrays that the struct points to, which live as long as the loop."""
+    the arrays that the struct points to, which live as long as the loop.
+
+    ``starts`` is the walkers' shared (dim,) start, which the kernel
+    settles once, or their (n, dim) starts, which become the rows' sites
+    and are moved in place; ``keys`` is only read.
+    """
 
     def __init__(self, lib, field: Field, region: Bounds | None, exited: int,
                  status: np.ndarray, final: np.ndarray, steps_taken: np.ndarray,
-                 visits: np.ndarray | None, target: np.ndarray | None):
+                 visits: np.ndarray | None, target: np.ndarray | None,
+                 starts: np.ndarray, keys: np.ndarray):
         n, dim = len(status), field.struct.dim
         _check(status, np.uint8, (n,), "status")
         _check(final, np.int64, (n, dim), "final")
         _check(steps_taken, np.int64, (n,), "steps_taken")
+        _check(keys, np.uint64, (n,), "keys")
         if visits is not None:
             _check(visits, np.int64, (n,), "visits")
             _check(target, np.int64, (dim,), "target")
+        if starts.ndim == 1:
+            _check(starts, np.int64, (dim,), "start")
+            start, pos = starts, np.empty((n, dim), dtype=np.int64)
+        else:
+            _check(starts, np.int64, (n, dim), "starts")
+            start, pos = None, starts
+        walkers = np.empty(n, dtype=np.int64)
+        row_keys = np.empty(n, dtype=np.uint64)
         choice = np.empty(n, dtype=np.uint8)
         ptr = (lambda a: None if a is None else a.ctypes.data)
-        self.lib, self.field, self.dim = lib, field, dim
+        self.lib, self.field = lib, field
+        self.keys, self.walkers, self.row_keys, self.pos = keys, walkers, row_keys, pos
         self.run = _Run(field=field.address, exited=exited, n=n, status=ptr(status),
                         final=ptr(final), steps_taken=ptr(steps_taken),
-                        visits=ptr(visits), target=ptr(target), choice=ptr(choice))
+                        visits=ptr(visits), target=ptr(target), start=ptr(start),
+                        keys=ptr(keys), walkers=ptr(walkers), row_keys=ptr(row_keys),
+                        pos=ptr(pos), choice=ptr(choice), rows=n)
         if region is not None:
             # a Bounds holds its m forms as the columns of a (dim, m) array
             # (a (dim,) one for m = 1) and its bounds as arrays of shape (m,)
@@ -563,40 +724,43 @@ class Loop:
             run.m, run.lo_closed, run.hi_closed = (region.lo.size, region.lo_closed,
                                                    region.hi_closed)
             run.forms, run.lo, run.hi = ptr(region.A), ptr(region.lo), ptr(region.hi)
-        self.arrays = (region, status, final, steps_taken, visits, target, choice)
+        self.arrays = (region, status, final, steps_taken, visits, target, start, choice)
 
-    def __call__(self, pos: np.ndarray, keys: np.ndarray, walkers: np.ndarray,
-                 t: int, horizon: int) -> tuple[int, int]:
+    def __call__(self, t: int, horizon: int) -> int:
         """Evaluate the region at step ``t`` and run the live rows from
         there as far as the kernel can.
 
-        ``pos``, ``keys`` and the walker ids ``walkers`` are compacted in
-        place.  Returns the live rows left and the step reached, where the
-        region has been evaluated.  Unless every walker has stopped or step
-        ``horizon`` is reached, numpy must take that step.
+        Returns the step reached, where the region has been evaluated.
+        Unless every walker has stopped or step ``horizon`` is reached,
+        numpy must take that step, on :meth:`rows`.
         """
-        rows, run = len(pos), self.run
-        _check(pos, np.int64, (rows, self.dim), "pos")
-        _check(keys, np.uint64, (rows,), "keys")
-        _check(walkers, np.int64, (rows,), "walkers")
-        run.t, run.rows = t, rows
+        run = self.run
+        run.t = t
         # the call releases the interpreter lock, and the runs on a field
         # share its table: one at a time
         with self.field.lock:
-            code = self.lib.rwre_until(run, walkers.ctypes.data, keys.ctypes.data,
-                                       pos.ctypes.data, horizon)
+            code = self.lib.rwre_until(run, horizon)
         if code < 0:
-            raise IndexError("more rows than walkers, or a walker index outside "
-                             "the run or the environment's seeds")
-        return run.rows, run.t
+            raise IndexError("more rows than walkers, or more walkers than the "
+                             "environment's seeds")
+        return run.t
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The live rows' walker ids, keys and sites, in order; the sites
+        are a view, which a numpy step moves in place."""
+        rows = self.run.rows
+        if rows == len(self.keys):
+            return np.arange(rows, dtype=np.int64), self.keys, self.pos
+        return self.walkers[:rows], self.row_keys[:rows], self.pos[:rows]
 
 
 def loop(env, region: Bounds | None, exited: int, status: np.ndarray,
          final: np.ndarray, steps_taken: np.ndarray, visits: np.ndarray | None,
-         target: np.ndarray | None) -> Loop | None:
+         target: np.ndarray | None, starts: np.ndarray, keys: np.ndarray) -> Loop | None:
     """The compiled loop of one walk run on ``env`` in ``region`` (None: the
-    whole lattice), writing each walker's outputs into the arrays passed,
-    or None when numpy must step ``env``."""
+    whole lattice) from ``starts`` with walk ``keys``, writing each
+    walker's outputs into the arrays passed, or None when numpy must step
+    ``env``."""
     entry = _LAWS.get(type(env.law))
     if entry is None or 2 * env.dim > MAX_DIRS:
         return None
@@ -605,7 +769,7 @@ def loop(env, region: Bounds | None, exited: int, status: np.ndarray,
         return None
     code, param = entry
     return Loop(lib, _field(env, code, param(env.law)), region, exited, status,
-                final, steps_taken, visits, target)
+                final, steps_taken, visits, target, starts, keys)
 
 
 _LIB = None      # the loaded kernel; False once building or loading failed
@@ -675,7 +839,7 @@ def build(path, flags=CFLAGS) -> pathlib.Path:
 
 def _load(path):
     lib = ctypes.CDLL(str(path))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.rwre_until.argtypes = [ctypes.POINTER(_Run), ptr, ptr, ptr, i64]
+    i64 = ctypes.c_int64
+    lib.rwre_until.argtypes = [ctypes.POINTER(_Run), i64]
     lib.rwre_until.restype = i64
     return lib

@@ -117,7 +117,7 @@ def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
     drops below 5.  Returns (statistic, dof, p-value).
     """
     c = np.asarray(counts)
-    if np.any(c < 1):
+    if c.size and c.min() < 1:
         raise ParameterError("geometric counts start at 1")
     if q >= 1.0:
         # degenerate law: every count must be exactly 1
@@ -136,10 +136,9 @@ def chi_square_geometric(counts, q: float) -> tuple[float, int, float]:
         j += 1
     if not bins:
         return 0.0, 0, 1.0
-    probs = np.array(bins + [(1 - q) ** (len(bins))])
-    obs = np.concatenate([np.bincount(np.clip(c, 1, len(bins) + 1),
-                                      minlength=len(bins) + 2)[1:len(bins) + 1],
-                          [np.sum(c > len(bins))]])
+    k = len(bins)
+    probs = np.array(bins + [(1 - q) ** k])
+    obs = np.bincount(np.minimum(c, k + 1), minlength=k + 2)[1:]   # 1..k, then > k
     exp = n * probs
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(probs) - 1

@@ -24,9 +24,15 @@ per stop, on the compiled field the environment keeps across batches, with
 step sequences equal to :func:`_step_batch`'s by
 construction; the kernel evaluates the region with ``Bounds``' own sums,
 so it decides every region itself, compacts, and hands back to numpy any
-step it cannot decide exactly.  Other laws, hosts without a compiler and
-recorded runs step with numpy.  Both engines validate their batch (keys,
-start rows, dimension, integral lengths and sites, per-walker seeds, the
+step it cannot decide exactly.  Walkers that share one start keep it as
+one (d,) site: the kernel settles it once for all of them (one region
+and one visit test) and writes it into its rows, and it reads the
+caller's keys in place until a compaction moves them; it compacts the
+stopped walkers in the pass that finds them, so a step handed back to
+numpy moves live rows only.  Neither engine writes into the caller's
+keys or starts.  Other laws, hosts without a compiler and recorded runs
+step with numpy.  Both engines validate their batch (integer keys, start
+rows, dimension, integral lengths and sites, per-walker seeds, the
 visit-count site, the region's type and dimension) before the first step.
 
 A single walk is a batch of width one, and :func:`positions` turns a
@@ -109,17 +115,19 @@ def _sites(x, what: str) -> np.ndarray:
 
 
 def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (W, d) start positions and W walk keys of a batch."""
+    """Validated starts of a batch, one shared (d,) start or (W, d) starts
+    (a copy either way), and its W walk keys (the caller's array when it
+    is one of contiguous uint64)."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu":
+        raise ParameterError(f"keys must be integer walk keys, got dtype {keys.dtype}")
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     if keys.ndim != 1:
         raise ParameterError("keys must be a 1-D array of walk keys")
     pos = _sites(starts, "starts")
-    if pos.ndim == 1:
-        start, pos = pos, np.empty((len(keys), len(pos)), dtype=np.int64)
-        pos[:] = start
-    if pos.shape != (len(keys), env.dim):
-        raise ParameterError(f"starts must have shape ({len(keys)}, {env.dim}) "
-                             f"for {len(keys)} walk keys, got {pos.shape}")
+    if pos.shape not in ((env.dim,), (len(keys), env.dim)):
+        raise ParameterError(f"starts must have shape ({env.dim},) or ({len(keys)}, "
+                             f"{env.dim}) for {len(keys)} walk keys, got {pos.shape}")
     if np.ndim(env.master_seed) and len(env.master_seed) < len(keys):
         raise ParameterError(f"{len(keys)} walkers but only {len(env.master_seed)} "
                              "per-walker seeds")
@@ -148,7 +156,7 @@ def run_fixed_batch(env: Environment, starts: np.ndarray, nsteps: int,
                    if _count(m, "checkpoints") <= nsteps)
     if marks and marks[0] < 1:
         raise ParameterError("checkpoints must be >= 1")
-    rec = np.empty((len(pos), nsteps), dtype=np.uint8) if record_steps else None
+    rec = np.empty((len(keys), nsteps), dtype=np.uint8) if record_steps else None
     res, snaps = _walk(env, pos, keys, sorted({*marks, nsteps}), None, rec=rec)
     return FixedBatchResult(res.final, {m: snaps[m] for m in marks}, rec)
 
@@ -201,29 +209,32 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
           target=None, rec=None) -> tuple[UntilBatchResult, dict[int, np.ndarray]]:
     """Run a validated batch through the increasing step counts ``stops``.
 
-    Walks stop on leaving ``inside`` (None: the whole lattice, which no walk
-    leaves) or at the last stop.  ``target`` is the site whose visits are
-    counted; ``rec`` (whole-lattice runs only) receives each step's chosen
-    indices.  Returns the result and the positions of the live walkers at
-    each stop.
+    ``pos`` is the walkers' shared start or their starts, which are moved
+    in place; ``keys`` is only read.  Walks stop on leaving ``inside``
+    (None: the whole lattice, which no walk leaves) or at the last stop.
+    ``target`` is the site whose visits are counted; ``rec`` (whole-lattice
+    runs only) receives each step's chosen indices.  Returns the result
+    and the positions of the live walkers at each stop.
     """
-    W = len(pos)
+    W = len(keys)
     # every walker's status, final site and step count are written where it
     # stops, or at the last stop
     status = np.empty(W, dtype=np.uint8)
-    final = np.empty_like(pos)
+    final = np.empty((W, env.dim), dtype=np.int64)
     steps_taken = np.empty(W, dtype=np.int64)
     visits = np.zeros(W, dtype=np.int64) if target is not None else None
     # Recorded runs step with numpy for now: with the kernel, the benchmark's
     # ballistic_cli pass (rwre regen) ends within one interval of its
     # host-speed sampler, which then has nothing to rescale the pass by.
     loop = (_kernel.loop(env, inside, STATUS_EXITED, status, final, steps_taken,
-                         visits, target) if rec is None else None)
+                         visits, target, pos, keys) if rec is None else None)
     sv = step_vectors(env.dim)
 
-    live = np.arange(W, dtype=np.int64)
-    cur = pos
-    ckeys = keys.copy()     # the compiled loop compacts the keys in place
+    # the live walkers' ids, keys and sites, which numpy steps: the
+    # compiled loop keeps its own rows and hands them over after each call
+    if loop is None:
+        live, ckeys = np.arange(W, dtype=np.int64), keys
+        cur = np.broadcast_to(pos, (W, env.dim)).copy() if pos.ndim == 1 else pos
 
     # compress() rather than boolean indexing, and the visit test one column
     # at a time: both are several times cheaper on wide batches of walks
@@ -258,8 +269,8 @@ def _walk(env: Environment, pos: np.ndarray, keys: np.ndarray, stops, inside,
     for stop in stops:
         while True:
             if loop is not None:
-                rows, t = loop(cur, ckeys, live, t, stop)
-                live, cur, ckeys = live[:rows], cur[:rows], ckeys[:rows]
+                t = loop(t, stop)
+                live, ckeys, cur = loop.rows()
             else:
                 if inside is not None:
                     settle(t)

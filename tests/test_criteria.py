@@ -841,6 +841,27 @@ def test_tilted_box_exit_counts_of_the_diagonal_demo_box():
     s = 1 / np.sqrt(2)
     est = cr.tilted_box_exit(env, (0, 0), 0.6, 12.0, (s, s), 20_000, 3000, 13)
     assert (est.n_front, est.n_other, est.n_censored) == (423, 2577, 0)
+    assert [est.p_hat.hex(), est.ci_low.hex(), est.ci_high.hex()] == [
+        "0x1.20c49ba5e353fp-3", "0x1.07a5e3ce7f2d3p-3", "0x1.3b54ba0bca0edp-3"]
+
+
+def test_tilted_box_exit_pinned():
+    # p_hat and its interval bit for bit, with the counts, beside demo 06's
+    # box above: a TrapSym box whose budget censors one walk, and a box off
+    # the origin on a per-walker field
+    cases = [
+        ((Environment(TrapSym(2), 8), (0, 0), 0.5, 3.0, (1.0, 0.0), 25, 600, 4),
+         ["0x1.bc7960290743fp-4", "0x1.5b259c3516882p-4", "0x1.16f774ddeb548p-3"],
+         (65, 534, 1)),
+        ((Environment(UniformDrift(2, 0.3), rng.derive_keys(5, "tb", n=400)), (3, -2),
+          0.7, 5.0, (0.6, 0.8), 2000, 400, 9),
+         ["0x1.1eb851eb851ecp-5", "0x1.3ba1077d84f0bp-6", "0x1.db5bfce67a271p-5"],
+         (14, 386, 0)),
+    ]
+    for args, floats, counts in cases:
+        est = cr.tilted_box_exit(*args)
+        assert [est.p_hat.hex(), est.ci_low.hex(), est.ci_high.hex()] == floats
+        assert (est.n_front, est.n_other, est.n_censored) == counts
 
 
 def test_tilted_box_exit_validates_L():

@@ -83,9 +83,9 @@ def _loops(monkeypatch):
 
 def _outputs(n, dim):
     """Zeroed status, final, steps_taken, visits and target arrays of a run
-    of n walkers that counts no visits."""
+    of n walkers that counts no visits, and its shared start and keys."""
     return (np.zeros(n, np.uint8), np.zeros((n, dim), np.int64), np.zeros(n, np.int64),
-            None, None)
+            None, None, np.zeros(dim, np.int64), walk.walk_keys(1, n))
 
 
 @needs_gcc
@@ -453,6 +453,41 @@ def test_walks_next_to_exact_ties_equal_the_numpy_path(monkeypatch):
             assert (ours.steps_taken == 0).any() and (ours.steps_taken > 0).any()
 
 
+@needs_gcc
+@pytest.mark.parametrize("guard", [2.0 ** -40, 0.01], ids=["default", "wide_guard"])
+def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard):
+    # 300 walkers, more rows than one block of the kernel's region pass
+    # without branches: the first 256 start on, next to or just outside the
+    # edge of a box, so that the first steps stop many of them, and the
+    # rest at its centre, which none leave for a while; then walkers that
+    # share a start outside the box, and a unit cube's start corner, where
+    # their visits are counted
+    W = 300
+    box = lattice.Bounds(np.eye(2), [-6.0, -6.0], [6.0, 6.0], True, False)
+    i = np.arange(W)
+    starts = np.where((i < 256)[:, None],
+                      np.stack([4 + i % 3, (i // 3) % 11 - 5], axis=1), 0)
+    cube = lattice.UnitHypercube((2, -1))
+    calls = [(starts, box, (5, 0)), (starts, box, None), (np.array([6, 0]), box, (6, 0)),
+             (np.array(cube.corners[0]), cube.region, cube.corners[0])]
+    keys = walk.walk_keys(13, W)
+    for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2)):
+        for seeds in (3, rng.derive_keys(3, "walkers", n=W)):
+            env = Environment(law, seeds)
+            for starts_, region, target in calls:
+                def run():
+                    return walk.run_until_batch(env, starts_, keys, 400, region,
+                                                count_visits_to=target)
+                with monkeypatch.context() as m:
+                    m.setattr(_kernel, "loop", lambda *a: None)
+                    theirs = run()
+                with monkeypatch.context() as m:
+                    m.setattr(_kernel, "GUARD_MARGIN", guard)
+                    ours = run()
+                _assert_same_until(ours, theirs, (law, target))
+                assert (ours.steps_taken <= 2).sum() > W // 4
+
+
 def test_splitting_hits_lie_below_the_front_by_bounds(monkeypatch):
     # each level's hits are its exited walks at or below the front L as
     # Bounds evaluates the form: the pass's estimate is the product of
@@ -589,18 +624,30 @@ def _laws(draw):
     return TrapTransient(d)
 
 
+def _starts(draw, start, W):
+    """The walkers' shared start, or W starts each at it or a step or two
+    away."""
+    if not draw(st.booleans()):
+        return start
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return start + np.random.default_rng(seed).integers(-2, 3, size=(W, len(start)))
+
+
 @st.composite
-def _calls(draw, dim):
+def _calls(draw, dim, W):
     """One engine call: a fixed run with checkpoints, or a stopping run on
     an integer box, a float form with a bound at or next to the start's
     value, or a unit cube entered at a corner, with an optional visit
-    target at or next to the start."""
+    target at or next to the start; from that start, or from starts around
+    it, so that wide batches stop at step 0 or 1 beside walkers that go
+    on."""
     n = draw(st.integers(0, 200))
     start = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)),
                      dtype=np.int64)
     kind = draw(st.sampled_from(["fixed", "box", "form", "cube"]))
     if kind == "fixed":
-        return kind, None, start, n, draw(st.lists(st.integers(1, 200), max_size=3))
+        return (kind, None, _starts(draw, start, W), n,
+                draw(st.lists(st.integers(1, 200), max_size=3)))
     closed = draw(st.booleans()), draw(st.booleans())
     if kind == "box":
         lo = draw(st.lists(st.integers(-5, 0), min_size=dim, max_size=dim))
@@ -621,7 +668,7 @@ def _calls(draw, dim):
             draw(st.integers(0, (1 << dim) - 1))])
     target = draw(st.none() | st.sampled_from(
         [start] + [start + v for v in lattice.step_vectors(dim)]))
-    return kind, region, start, max(n, 1), target
+    return kind, region, _starts(draw, start, W), max(n, 1), target
 
 
 def _call(env, call, keys):
@@ -638,12 +685,16 @@ def _call(env, call, keys):
 @st.composite
 def _cases(draw):
     law = draw(_laws())
-    W = draw(st.integers(1, 16))
+    # narrow batches, and wide ones whose rows mostly stop at step 0 or 1
+    # around a region's edge, which the kernel settles without branches
+    W = draw(st.integers(1, 16) | st.integers(100, 300))
     seeds = (rng.derive_keys(draw(st.integers(0, 9)), "walkers",
                              n=W + draw(st.integers(0, 3)))
              if draw(st.booleans()) else draw(st.integers(0, 2 ** 64 - 1)))
-    guard = draw(st.sampled_from([_kernel.GUARD_MARGIN, 0.01]))
-    return law, seeds, W, [draw(_calls(law.dim)) for _ in range(2)], guard
+    # a wide guard hands steps to numpy mid-run, before and after the
+    # first compaction, on every step (0.01) or on some (1e-4) of a wide one
+    guard = draw(st.sampled_from([_kernel.GUARD_MARGIN, 1e-4, 0.01]))
+    return law, seeds, W, [draw(_calls(law.dim, W)) for _ in range(2)], guard
 
 
 @needs_gcc
@@ -728,23 +779,23 @@ def test_ctypes_mirrors_list_the_c_members_in_order():
 
 @needs_gcc
 def test_walker_ids_beyond_the_field_seeds_raise():
-    # a run of 5 walkers on a per-walker field of 3 seeds refuses walker 4,
-    # which has no seed; on a shared field walker 4 walks
-    def run(seeds, walkers):
+    # a run of 5 walkers on a per-walker field of 3 seeds is refused, as
+    # walkers 3 and 4 have no seed; on a shared field walker 4 walks
+    def run(seeds):
         loop = _kernel.loop(Environment(TrapSym(2), seeds), None, walk.STATUS_EXITED,
                             *_outputs(5, 2))
-        pos = np.zeros((len(walkers), 2), dtype=np.int64)
-        keys = walk.walk_keys(1, len(walkers))
-        return loop(pos, keys, np.array(walkers, dtype=np.int64), 0, 10)
+        return loop(0, 10), loop.run.rows
 
-    seeds = rng.derive_keys(2, "walkers", n=3)
-    assert run(seeds, [0, 2]) == (2, 10)
-    assert run(5, [0, 4]) == (2, 10)
-    with pytest.raises(IndexError, match="walker index"):
-        run(seeds, [0, 4])
-    # the run's scratch row buffer holds one byte per walker of the run
+    assert run(5) == (10, 5)
+    assert run(rng.derive_keys(2, "walkers", n=5)) == (10, 5)
+    with pytest.raises(IndexError, match="more walkers than the environment's seeds"):
+        run(rng.derive_keys(2, "walkers", n=3))
+    # the run's buffers hold one row per walker of the run
+    loop = _kernel.loop(Environment(TrapSym(2), 5), None, walk.STATUS_EXITED,
+                        *_outputs(5, 2))
+    loop.run.rows = 6
     with pytest.raises(IndexError, match="more rows than walkers"):
-        run(5, [0, 1, 2, 3, 4, 4])
+        loop(0, 10)
 
 
 def test_missing_compiler_falls_back_to_numpy_once(monkeypatch, tmp_path):

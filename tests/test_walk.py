@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rwre import rng, walk
+from rwre import _kernel, rng, walk
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
+from rwre.errors import ParameterError
 from rwre.hypercube import analyze
 from rwre.lattice import Bounds, UnitHypercube, _outward, step_vectors
 
@@ -103,6 +104,56 @@ def test_engines_reject_malformed_batches(env, starts, keys, nsteps, visit, regi
         with pytest.raises(ValueError, match=match):
             walk.run_until_batch(env, starts, keys, nsteps, region,
                                  count_visits_to=visit)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "numpy"])
+def test_engines_refuse_keys_that_are_not_integers(monkeypatch, engine):
+    # the keys [1.5, 2.5] used to walk as [1, 2]; integral floats and
+    # booleans are refused too, and integer keys of any width walk as their
+    # uint64 bits
+    if engine == "numpy":
+        monkeypatch.setattr(_kernel, "loop", lambda *a: None)
+    for keys in ([1.5, 2.5], np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ParameterError, match="keys must be integer walk keys"):
+            walk.run_fixed_batch(_ENV, np.zeros(2), 5, keys)
+        with pytest.raises(ParameterError, match="keys must be integer walk keys"):
+            walk.run_until_batch(_ENV, np.zeros(2), keys, 5, _FAR)
+    unsigned = walk.run_fixed_batch(_ENV, np.zeros(2), 30,
+                                    np.array([1, 2, 2 ** 64 - 1], dtype=np.uint64)).final
+    for keys in ([1, 2, -1], np.array([1, 2, -1], dtype=np.int32)):
+        got = walk.run_fixed_batch(_ENV, np.zeros(2), 30, keys).final
+        assert np.array_equal(got, unsigned)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "numpy", "handed_back"])
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+def test_engines_leave_the_callers_keys_and_starts_alone(monkeypatch, engine,
+                                                         per_walker):
+    # the kernel reads the caller's keys in place and moves its rows in a
+    # copy of the starts; neither array may change, through stops at many
+    # steps (compactions) and, with a wide guard, steps handed to numpy
+    W = 300
+    env = Environment(Expl(2, 0.3), rng.derive_keys(6, "w", n=W) if per_walker else 6)
+    keys = walk.walk_keys(4, W)
+    loops = []
+    if engine == "numpy":
+        monkeypatch.setattr(_kernel, "loop", lambda *a: None)
+    else:
+        inner = _kernel.loop
+        monkeypatch.setattr(_kernel, "loop", lambda *a: loops.append(inner(*a)) or loops[-1])
+    if engine == "handed_back":
+        monkeypatch.setattr(_kernel, "GUARD_MARGIN", 0.002)
+    shared = np.array([1, 0], dtype=np.int64)
+    spread = (np.arange(2 * W, dtype=np.int64).reshape(W, 2) % 5) - 2
+    box = Bounds(np.eye(2), [-2.0, -2.0], [3.0, 2.0], False, False)
+    for starts in (shared, spread):
+        given = [keys.copy(), starts.copy()]
+        res = walk.run_until_batch(env, starts, keys, 400, box, count_visits_to=(1, 0))
+        assert len(set(res.steps_taken.tolist())) > 5
+        walk.run_fixed_batch(env, starts, 40, keys, checkpoints=[1, 7])
+        assert np.array_equal(keys, given[0]) and np.array_equal(starts, given[1])
+    assert all(loop.keys is keys for loop in loops)
+    assert len(loops) == (0 if engine == "numpy" else 4)
 
 
 def _step_two_draws(env, pos, keys, t, sv, idx):
