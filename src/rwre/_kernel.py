@@ -35,19 +35,19 @@ and the step to stop at; between calls, numpy steps the rows that
 :meth:`Loop.rows` hands it, in place.  Each call, like each pass of
 ``walk._walk``, starts by evaluating the region where it starts.
 
-A run copies nothing up front.  The caller's keys are read in place
-until the first compaction moves the rows' ids and keys into the run's
-buffers; until then row i is walker i.  Walkers that share one start are
-settled once, at the first call: one region test and one visit test for
-all of them, after which the start is written into every row.  Stopped
-rows are compacted away in order in the pass that evaluates the region,
-so every return, a hand-back included, leaves numpy only live rows.
-Where walkers stop at random, often (a cube left within a few steps),
-that pass and the visit count take no branch on a row's site, since a
-mispredicted branch per row costs more than the pass; a pass after a
-step that stopped fewer than 1/16 of its rows (``STOP_OFTEN`` in the C
-source) branches on the region, which is cheaper where walkers stop
-rarely (a slab).
+A run copies nothing up front in Python: the first call fills the rows'
+ids and keys from the caller's keys, which it only reads.  Walkers that
+share one start are settled once, at that call: one region test and one
+visit test for all of them, after which the start is written into every
+row.  Stopped rows are compacted away in order in the pass that
+evaluates the region, so every return, a hand-back included, leaves
+numpy only live rows.  Where walkers stop at random, often (a cube left
+within a few steps), a mispredicted branch per row costs more than the
+pass, so that pass takes no branch on a row's site, in blocks of
+``SETTLE_BLOCK`` rows, and the visit count adds 0 or 1 per row; a pass
+after a step that stopped fewer than 1/``STOP_OFTEN`` of its rows (both
+in the C source) branches on the region, which is cheaper where walkers
+stop rarely (a slab's levels).
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -146,11 +146,10 @@ typedef struct {
 /* The state of one compiled walk run on a field.  Its stopping region
    lo < x.a_j < hi (<= where closed) for its m forms a_j (none: the whole
    lattice).  The outputs of its n walkers, indexed by walker.  Its rows:
-   while rows = n, row i is walker i with key keys[i] (the caller's, read
-   only); once compacted (rows < n), the rows' ids and keys are in walkers
-   and row_keys.  pos holds the rows' sites, except before the first step
-   of a run whose walkers share the site start.  The loop state {t, rows}
-   that rwre_until resumes from. */
+   their walker ids, keys and sites (walkers, row_keys, pos), which the
+   first call fills from the caller's keys (read only) and the shared
+   start, if any.  The loop state {t, rows} that rwre_until resumes
+   from. */
 typedef struct {
     const field_t *field;
     int32_t m, lo_closed, hi_closed, exited;
@@ -163,8 +162,8 @@ typedef struct {
     const int64_t *target;
     const int64_t *start;   /* the walkers' shared start, or NULL */
     const uint64_t *keys;   /* n walk keys */
-    int64_t *walkers;       /* n: the compacted rows' walker ids */
-    uint64_t *row_keys;     /* n: the compacted rows' keys */
+    int64_t *walkers;       /* n: the rows' walker ids */
+    uint64_t *row_keys;     /* n: the rows' keys */
     int64_t *pos;           /* n x dim: the rows' sites */
     uint8_t *choice;        /* n: each row's step */
     int64_t t, rows;
@@ -353,10 +352,6 @@ INLINE int choose(const field_t *f, int dim, row_fn row, int64_t slot,
     return k < K ? k : K - 1;
 }
 
-/* The walker of row i: rows never compacted (walkers NULL) are the
-   walkers in order. */
-#define WALKER(walkers, i) ((walkers) ? (walkers)[i] : (i))
-
 /* Choose one step for each of the rows at step t into choice.  Returns
    1, or 0 when numpy must take this step. */
 INLINE int choose_rows(const field_t *f, int dim, row_fn row, const int64_t *walkers,
@@ -365,7 +360,7 @@ INLINE int choose_rows(const field_t *f, int dim, row_fn row, const int64_t *wal
 {
     int64_t i;
     for (i = 0; i < rows; i++) {
-        int64_t slot = f->per_walker ? WALKER(walkers, i) : 0;
+        int64_t slot = f->per_walker ? walkers[i] : 0;
         int c = choose(f, dim, row, slot, pos + i * dim, uniform(keys[i], t), margin);
         if (c < 0) return 0;
         choice[i] = (uint8_t)c;
@@ -382,23 +377,9 @@ INLINE void move_rows(int dim, int64_t rows, int64_t *pos, const uint8_t *choice
     }
 }
 
-/* 1 inside, 0 outside.  Each form's value is summed left to right, as
-   lattice._dot sums it. */
+/* 1 inside, 0 outside, without a branch on x.  Each form's value is
+   summed left to right, as lattice._dot sums it. */
 INLINE int region(const run_t *r, int dim, const int64_t *x)
-{
-    int i, j;
-    for (j = 0; j < r->m; j++) {
-        double v = 0.0, lo = r->lo[j], hi = r->hi[j];
-        for (i = 0; i < dim; i++)
-            v += (double)x[i] * r->forms[i * r->m + j];
-        if (r->lo_closed ? !(lo <= v) : !(lo < v)) return 0;
-        if (r->hi_closed ? !(v <= hi) : !(v < hi)) return 0;
-    }
-    return 1;
-}
-
-/* region() without a branch on x. */
-INLINE int region_flag(const run_t *r, int dim, const int64_t *x)
 {
     int i, j, in = 1;
     for (j = 0; j < r->m; j++) {
@@ -421,12 +402,11 @@ INLINE int at_target(const run_t *r, int dim, const int64_t *x)
 /* Visits fall at random in a walk that leaves within a few steps, where a
    mispredicted branch per row would cost more than the rest of the pass:
    each row adds 0 or 1. */
-INLINE void count_visits(const run_t *r, int dim, const int64_t *walkers,
-                         int64_t rows, const int64_t *pos)
+INLINE void count_visits(const run_t *r, int dim, int64_t rows)
 {
     int64_t i;
     for (i = 0; i < rows; i++)
-        r->visits[WALKER(walkers, i)] += at_target(r, dim, pos + i * dim);
+        r->visits[r->walkers[i]] += at_target(r, dim, r->pos + i * dim);
 }
 
 /* Write the outputs of walker w, stopped at site x at step t. */
@@ -439,26 +419,6 @@ INLINE void stop(const run_t *r, int dim, int64_t w, const int64_t *x, int64_t t
     r->steps_taken[w] = t;
 }
 
-/* Where the rows' walker ids and keys are read: walkers NULL and the
-   caller's keys until the first compaction, which moves them into the
-   run's buffers, once per run (take_rows). */
-typedef struct {
-    const int64_t *walkers;
-    const uint64_t *keys;
-} ids_t;
-
-INLINE void take_rows(run_t *r, ids_t *ids, int64_t rows)
-{
-    int64_t i;
-    if (ids->walkers) return;
-    for (i = 0; i < rows; i++) {
-        r->walkers[i] = i;
-        r->row_keys[i] = ids->keys[i];
-    }
-    ids->walkers = r->walkers;
-    ids->keys = r->row_keys;
-}
-
 INLINE void move_row(run_t *r, int dim, int64_t to, int64_t from)
 {
     int j;
@@ -469,36 +429,36 @@ INLINE void move_row(run_t *r, int dim, int64_t to, int64_t from)
 }
 
 /* Stop the rows outside the region at step t and compact the others in
-   order.  Returns the rows kept.  The branch on each row's region is
-   taken rarely once walkers stop rarely. */
-INLINE int64_t settle_rows(run_t *r, int dim, ids_t *ids, int64_t rows, int64_t t)
+   order; returns the rows kept.  One branch per row on its region, which
+   is predicted where rows stop rarely (a slab). */
+INLINE int64_t settle_rows(run_t *r, int dim, int64_t rows, int64_t t)
 {
     int64_t i, kept = 0;
     for (i = 0; i < rows; i++) {
-        const int64_t *x = r->pos + i * dim;
-        if (!region(r, dim, x)) {
-            stop(r, dim, WALKER(ids->walkers, i), x, t);
-            take_rows(r, ids, rows);
+        if (!region(r, dim, r->pos + i * dim)) {
+            stop(r, dim, r->walkers[i], r->pos + i * dim, t);
             continue;
         }
-        if (kept != i) move_row(r, dim, kept, i);
+        if (kept != i)
+            move_row(r, dim, kept, i);
         kept++;
     }
     return kept;
 }
 
-/* settle_rows without a branch on the region, for walks that stop at
-   random, often: the rows are tested in blocks, each listing its stopped
-   rows and flagging the others, whose outputs are then written and which
-   are then moved down. */
-INLINE int64_t settle_blocks(run_t *r, int dim, ids_t *ids, int64_t rows, int64_t t)
+/* settle_rows without a branch on a row's region, for rows that stop at
+   random, often (a cube left within a few steps), where a mispredicted
+   branch per row costs more than the pass: the rows are tested in
+   blocks, each listing its stopped rows and flagging the others, then
+   writing the stopped rows' outputs and moving the others down. */
+INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
 {
     int64_t b, i, kept = 0, stopped[SETTLE_BLOCK];
     uint8_t in[SETTLE_BLOCK];
     for (b = 0; b < rows; b += SETTLE_BLOCK) {
         int64_t end = rows - b < SETTLE_BLOCK ? rows : b + SETTLE_BLOCK, g = 0;
         for (i = b; i < end; i++) {
-            int ok = region_flag(r, dim, r->pos + i * dim);
+            int ok = region(r, dim, r->pos + i * dim);
             in[i - b] = (uint8_t)ok;
             stopped[g] = i;
             g += !ok;
@@ -508,8 +468,7 @@ INLINE int64_t settle_blocks(run_t *r, int dim, ids_t *ids, int64_t rows, int64_
             continue;
         }
         for (i = 0; i < g; i++)
-            stop(r, dim, WALKER(ids->walkers, stopped[i]), r->pos + stopped[i] * dim, t);
-        take_rows(r, ids, rows);
+            stop(r, dim, r->walkers[stopped[i]], r->pos + stopped[i] * dim, t);
         for (i = b; i < end; i++) {
             move_row(r, dim, kept, i);
             kept += in[i - b];
@@ -519,20 +478,25 @@ INLINE int64_t settle_blocks(run_t *r, int dim, ids_t *ids, int64_t rows, int64_
 }
 
 /* The loop of rwre_until for walks of dimension dim, whose rows row()
-   derives. */
+   derives.  A call's first two region passes run in blocks, and every
+   later one after a step that stopped at least 1/STOP_OFTEN of the rows,
+   as the steps before predict the next. */
 INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
 {
     const field_t *f = r->field;
     int64_t t = r->t, rows = r->rows, i;
     int64_t *pos = r->pos;
-    uint8_t *choice = r->choice;
-    double margin = f->margin;
-    ids_t ids = {rows < r->n ? r->walkers : NULL, rows < r->n ? r->row_keys : r->keys};
-    int settle = 1, often = 1;
+    int first = t == 0, often = 1;
     if (rows > r->n || (f->per_walker && r->n > f->nbase)) return -1;
+    if (first) {
+        for (i = 0; i < rows; i++) {
+            r->walkers[i] = i;
+            r->row_keys[i] = r->keys[i];
+        }
+    }
     /* a shared start is settled once for all the walkers: one region test
        and one visit test, then its site is written into every row */
-    if (t == 0 && r->start) {
+    if (first && r->start) {
         const int64_t *x = r->start;
         int j;
         if (r->m && !region(r, dim, x)) {
@@ -546,29 +510,27 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
         if (r->visits && at_target(r, dim, x))
             for (i = 0; i < rows; i++)
                 r->visits[i]++;
-        settle = 0;
-    }
-    for (;;) {
-        if (settle && r->m) {
-            int64_t kept = often ? settle_blocks(r, dim, &ids, rows, t)
-                                 : settle_rows(r, dim, &ids, rows, t);
-            /* a pass after a step that stopped at least 1/STOP_OFTEN of
-               its rows is followed by one without a branch on the region */
-            if (t)
-                often = (rows - kept) * STOP_OFTEN >= rows;
-            rows = kept;
-        }
+    } else {
+        if (r->m)
+            rows = settle_blocks(r, dim, rows, t);
         /* the start counts as a visit only inside the region */
-        if (settle && t == 0 && r->visits)
-            count_visits(r, dim, ids.walkers, rows, pos);
-        settle = 1;
-        if (rows == 0 || t >= horizon) break;
-        if (!choose_rows(f, dim, row, ids.walkers, ids.keys, rows, pos, t, choice, margin))
+        if (first && r->visits)
+            count_visits(r, dim, rows);
+    }
+    while (rows && t < horizon) {
+        if (!choose_rows(f, dim, row, r->walkers, r->row_keys, rows, pos, t, r->choice,
+                         f->margin))
             break;
-        move_rows(dim, rows, pos, choice);
+        move_rows(dim, rows, pos, r->choice);
         t++;
         if (r->visits)
-            count_visits(r, dim, ids.walkers, rows, pos);
+            count_visits(r, dim, rows);
+        if (r->m) {
+            int64_t kept = often ? settle_blocks(r, dim, rows, t)
+                                 : settle_rows(r, dim, rows, t);
+            often = (rows - kept) * STOP_OFTEN >= rows;
+            rows = kept;
+        }
     }
     r->t = t;
     r->rows = rows;
@@ -579,8 +541,8 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
    the region, step horizon is reached or numpy must take a step, writing
    each stopped walker's outputs and compacting the rest in order.  Every
    call, the first included, evaluates the region at step t (none for no
-   forms), and the one at t = 0, which is the first, counts the start's
-   visits and settles a shared start once.  Returns 0 with the state
+   forms), and the one at t = 0, which is the first, fills the rows,
+   counts the start's visits and settles a shared start once.  Returns 0 with the state
    reached: step t is numpy's if t < horizon and walkers are left.
    Returns -1 for more rows than walkers of the run, or more walkers than
    the base keys of a per-walker field.  Dim 2 runs its own instance of
@@ -626,6 +588,18 @@ def _check(a: np.ndarray, dtype, shape, name: str) -> None:
     if a.dtype != dtype or a.shape != shape or not a.flags.c_contiguous:
         raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} "
                          f"array of shape {shape}")
+
+
+def _address(a: np.ndarray | None) -> int | None:
+    """The address of ``a``'s data, or None for None: ``a.ctypes.data``,
+    which costs about 1.3 us a call, in about 0.4 us where ``a`` is a
+    writable array of at least one byte, and a run points at a dozen."""
+    if a is None:
+        return None
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):     # read-only or empty
+        return a.ctypes.data
 
 
 class Field:
@@ -705,14 +679,13 @@ class Loop:
         walkers = np.empty(n, dtype=np.int64)
         row_keys = np.empty(n, dtype=np.uint64)
         choice = np.empty(n, dtype=np.uint8)
-        ptr = (lambda a: None if a is None else a.ctypes.data)
         self.lib, self.field = lib, field
-        self.keys, self.walkers, self.row_keys, self.pos = keys, walkers, row_keys, pos
-        self.run = _Run(field=field.address, exited=exited, n=n, status=ptr(status),
-                        final=ptr(final), steps_taken=ptr(steps_taken),
-                        visits=ptr(visits), target=ptr(target), start=ptr(start),
-                        keys=ptr(keys), walkers=ptr(walkers), row_keys=ptr(row_keys),
-                        pos=ptr(pos), choice=ptr(choice), rows=n)
+        self.walkers, self.row_keys, self.pos = walkers, row_keys, pos
+        self.run = _Run(field=field.address, exited=exited, n=n, status=_address(status),
+                        final=_address(final), steps_taken=_address(steps_taken),
+                        visits=_address(visits), target=_address(target), start=_address(start),
+                        keys=_address(keys), walkers=_address(walkers), row_keys=_address(row_keys),
+                        pos=_address(pos), choice=_address(choice), rows=n)
         if region is not None:
             # a Bounds holds its m forms as the columns of a (dim, m) array
             # (a (dim,) one for m = 1) and its bounds as arrays of shape (m,)
@@ -723,8 +696,10 @@ class Loop:
             run = self.run
             run.m, run.lo_closed, run.hi_closed = (region.lo.size, region.lo_closed,
                                                    region.hi_closed)
-            run.forms, run.lo, run.hi = ptr(region.A), ptr(region.lo), ptr(region.hi)
-        self.arrays = (region, status, final, steps_taken, visits, target, start, choice)
+            run.forms, run.lo, run.hi = (_address(region.A), _address(region.lo),
+                                         _address(region.hi))
+        self.arrays = (region, status, final, steps_taken, visits, target, start, keys,
+                       choice)
 
     def __call__(self, t: int, horizon: int) -> int:
         """Evaluate the region at step ``t`` and run the live rows from
@@ -749,8 +724,6 @@ class Loop:
         """The live rows' walker ids, keys and sites, in order; the sites
         are a view, which a numpy step moves in place."""
         rows = self.run.rows
-        if rows == len(self.keys):
-            return np.arange(rows, dtype=np.int64), self.keys, self.pos
         return self.walkers[:rows], self.row_keys[:rows], self.pos[:rows]
 
 

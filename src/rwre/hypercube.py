@@ -28,9 +28,9 @@ it.  An analysis waits with each solve for the first read of a field
 that needs it, so a caller pays only for what it reads: N and the mean
 exit times cost one batched solve, the moments one per order, and Qtilde
 and the hitting probabilities one per corner each.  One private
-reduced-chain solve serves ``Qtilde``, once per corner, and the start
-corner's chain alone, which :func:`escape_site_probs` solves for the path
-bundles and :func:`visit_law_check` for its Qtilde row.  The Monte Carlo
+reduced-chain solve serves ``Qtilde``, once per corner, and
+:func:`escape_site_probs`, which solves the start corner's chain alone
+for the path bundles and :func:`visit_law_check`.  The Monte Carlo
 checks (:func:`visit_law_check`, non-integer
 :func:`fractional_moment`) walk on the keyed field with
 :func:`~rwre.walk.run_until_batch`, with ``UnitHypercube.region`` as the
@@ -284,24 +284,15 @@ def escape_site_probs(trans: np.ndarray,
     is solved, on the chain that :class:`ExitAnalysis` builds and with its
     solve, so the Qtilde row equals that class's bit for bit.
     """
-    P, exit_probs, idx, G, qtilde_row = _start_chain(trans, from_corner)
-    rho = np.zeros(exit_probs.shape)
-    rho[from_corner] = exit_probs[from_corner]
+    d, P, exit_probs, exit_mass = _chain(trans[None])
+    idx, G, qtilde_row = _escape_row(np.eye(1 << d) - P, P, exit_mass, from_corner)
+    rho = np.zeros((1 << d, d))
+    rho[from_corner] = exit_probs[0, from_corner]
     # rho keeps the 1-D product and the Qtilde row the batched einsum: from one
     # G the two differ in the last bit, and each output must keep its bytes
-    visits = P[from_corner, idx] @ G      # E[# visits to each y != start]
-    rho[idx] = visits[:, None] * exit_probs[idx]
-    return rho, qtilde_row
-
-
-def _start_chain(trans: np.ndarray, from_corner: int):
-    """The chain of one quenched cube's (m, 2d) corner transitions with
-    ``from_corner`` turned absorbing: P, the exit probabilities, and
-    :func:`_escape_row`'s other corners, G and Qtilde row, all of the
-    one cube."""
-    d, P, exit_probs, exit_mass = _chain(trans[None])
-    idx, G, row = _escape_row(np.eye(1 << d) - P, P, exit_mass, from_corner)
-    return P[0], exit_probs[0], idx, G[0], row[0]
+    visits = P[0, from_corner, idx] @ G[0]      # E[# visits to each y != start]
+    rho[idx] = visits[:, None] * exit_probs[0, idx]
+    return rho, qtilde_row[0]
 
 
 @dataclass
@@ -383,7 +374,7 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     if runs < 10_000:
         raise ParameterError("runs must be >= 10^4 for a stable test")
     trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
-    qt = float(_start_chain(trans, corner)[4].sum())   # one chain, one solve
+    qt = float(escape_site_probs(trans, corner)[1].sum())   # one chain, one solve
     site = cube.corners[corner]
     res = run_until_batch(env, site, walk_keys(master_seed, runs, salt="cube_walk"),
                           200_000, inside=cube.region,

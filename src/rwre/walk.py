@@ -26,10 +26,10 @@ construction; the kernel evaluates the region with ``Bounds``' own sums,
 so it decides every region itself, compacts, and hands back to numpy any
 step it cannot decide exactly.  Walkers that share one start keep it as
 one (d,) site: the kernel settles it once for all of them (one region
-and one visit test) and writes it into its rows, and it reads the
-caller's keys in place until a compaction moves them; it compacts the
-stopped walkers in the pass that finds them, so a step handed back to
-numpy moves live rows only.  Neither engine writes into the caller's
+and one visit test) and writes it into its rows, and it copies the
+caller's keys into its rows itself; it compacts the stopped walkers in
+the pass that finds them, so a step handed back to numpy moves live rows
+only.  Neither engine writes into the caller's
 keys or starts.  Other laws, hosts without a compiler and recorded runs
 step with numpy.  Both engines validate their batch (integer keys, start
 rows, dimension, integral lengths and sites, per-walker seeds, the
@@ -118,10 +118,16 @@ def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:
     """Validated starts of a batch, one shared (d,) start or (W, d) starts
     (a copy either way), and its W walk keys (the caller's array when it
     is one of contiguous uint64)."""
-    keys = np.asarray(keys)
-    if keys.dtype.kind not in "iu":
-        raise ParameterError(f"keys must be integer walk keys, got dtype {keys.dtype}")
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    a = np.asarray(keys)
+    if a.dtype.kind not in "iu":
+        # numpy makes float64 of a list that mixes keys below 2**63 with
+        # keys at or above it: such a list is converted key by key
+        if (isinstance(keys, np.ndarray) or a.ndim != 1
+                or not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                           for k in keys)):
+            raise ParameterError(f"keys must be integer walk keys, got dtype {a.dtype}")
+        a = np.array(keys, dtype=np.uint64)
+    keys = np.ascontiguousarray(a, dtype=np.uint64)
     if keys.ndim != 1:
         raise ParameterError("keys must be a 1-D array of walk keys")
     pos = _sites(starts, "starts")

@@ -120,17 +120,21 @@ def test_engines_refuse_keys_that_are_not_integers(monkeypatch, engine):
             walk.run_until_batch(_ENV, np.zeros(2), keys, 5, _FAR)
     unsigned = walk.run_fixed_batch(_ENV, np.zeros(2), 30,
                                     np.array([1, 2, 2 ** 64 - 1], dtype=np.uint64)).final
-    for keys in ([1, 2, -1], np.array([1, 2, -1], dtype=np.int32)):
+    for keys in ([1, 2, -1], np.array([1, 2, -1], dtype=np.int32),
+                 [1, 2, 2 ** 64 - 1], [np.int8(1), 2, np.uint64(2 ** 64 - 1)]):
+        # numpy makes float64 of the mixed-width lists: they walk all the same
         got = walk.run_fixed_batch(_ENV, np.zeros(2), 30, keys).final
         assert np.array_equal(got, unsigned)
+    with pytest.raises(ParameterError, match="keys must be integer walk keys"):
+        walk.run_fixed_batch(_ENV, np.zeros(2), 5, [1, 2.5, 2 ** 64 - 1])
 
 
 @pytest.mark.parametrize("engine", ["kernel", "numpy", "handed_back"])
 @pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
 def test_engines_leave_the_callers_keys_and_starts_alone(monkeypatch, engine,
                                                          per_walker):
-    # the kernel reads the caller's keys in place and moves its rows in a
-    # copy of the starts; neither array may change, through stops at many
+    # the kernel reads the caller's keys in place and moves its rows in its
+    # own buffer or a copy of the starts; neither array may change, through stops at many
     # steps (compactions) and, with a wide guard, steps handed to numpy
     W = 300
     env = Environment(Expl(2, 0.3), rng.derive_keys(6, "w", n=W) if per_walker else 6)
@@ -152,7 +156,8 @@ def test_engines_leave_the_callers_keys_and_starts_alone(monkeypatch, engine,
         assert len(set(res.steps_taken.tolist())) > 5
         walk.run_fixed_batch(env, starts, 40, keys, checkpoints=[1, 7])
         assert np.array_equal(keys, given[0]) and np.array_equal(starts, given[1])
-    assert all(loop.keys is keys for loop in loops)
+    # the kernel read the caller's keys array itself, not a copy
+    assert all(loop.run.keys == keys.ctypes.data for loop in loops)
     assert len(loops) == (0 if engine == "numpy" else 4)
 
 
