@@ -777,6 +777,18 @@ def test_ctypes_mirrors_list_the_c_members_in_order():
         assert [name for name, _ in mirror._fields_] == _members(struct), struct
 
 
+def test_run_addresses_equal_ctypes_data():
+    # the run's pointers come from a writable array's buffer, or from
+    # ndarray.ctypes where there is none to take: read-only, empty, strided
+    base = np.arange(12, dtype=np.int64)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    for a in (base, base[3:], base.reshape(3, 4)[1], np.full((), 0.5),
+              np.zeros(0), frozen, np.broadcast_to(base[:2], (3, 2)), base[::2]):
+        assert _kernel._address(a) == a.ctypes.data
+    assert _kernel._address(None) is None
+
+
 @needs_gcc
 def test_walker_ids_beyond_the_field_seeds_raise():
     # a run of 5 walkers on a per-walker field of 3 seeds is refused, as
