@@ -43,11 +43,11 @@ row.  Stopped rows are compacted away in order in the pass that
 evaluates the region, so every return, a hand-back included, leaves
 numpy only live rows.  Where walkers stop at random, often (a cube left
 within a few steps), a mispredicted branch per row costs more than the
-pass, so that pass takes no branch on a row's site, in blocks of
-``SETTLE_BLOCK`` rows, and the visit count adds 0 or 1 per row; a pass
-after a step that stopped fewer than 1/``STOP_OFTEN`` of its rows (both
-in the C source) branches on the region, which is cheaper where walkers
-stop rarely (a slab's levels).
+pass, so that pass, the only one, takes no branch on a row's site, in
+blocks of ``SETTLE_BLOCK`` rows (in the C source), and the visit count
+adds 0 or 1 per row.  Rows before a pass's first stop stay where they
+are, which is most of the pass where walkers stop rarely (a slab's
+levels).
 
 The step sequences equal those of ``walk._step_batch`` by construction.
 Integer hashing and the uniforms are exact; the transition vectors are
@@ -118,7 +118,6 @@ SOURCE = f"#define MAX_DIRS {MAX_DIRS}\n#define SUM_TOL {PROB_SUM_TOL!r}\n" + r"
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
 #define SETTLE_BLOCK 256    /* rows per block of a region pass without branches */
-#define STOP_OFTEN 16       /* a step that stops 1/16 of the rows: no branches next */
 
 enum { UNIFORM_DRIFT = 0, EXPL = 1, TRAP = 2 };
 
@@ -193,15 +192,8 @@ static inline double uniform(uint64_t key, int64_t index)
 static inline double power(double u, double e)
 {
     if (e == 2.0) return u * u;
-    if (e == 0.5) return sqrt(u);
     if (e == 1.0) return u;
-    if (e == -1.0) return 1.0 / u;
     return pow(u, e);
-}
-
-static inline int max1(int a)
-{
-    return a > 1 ? a : 1;
 }
 
 /* The functions below that take dim are written once for every lattice
@@ -227,8 +219,8 @@ INLINE int pvec(const field_t *f, int dim, const double *U, double *p, double ma
         double po, ne;
         if (i0 > 2 * d - 1) i0 = 2 * d - 1;
         pos_has = i0 < d;
-        po = (1.0 - f->param - (pos_has ? invT : 0.0)) / (double)max1(d - pos_has);
-        ne = (f->param - (pos_has ? 0.0 : invT)) / (double)max1(d - !pos_has);
+        po = (1.0 - f->param - (pos_has ? invT : 0.0)) / (double)(d - pos_has);
+        ne = (f->param - (pos_has ? 0.0 : invT)) / (double)(d - !pos_has);
         for (j = 0; j < d; j++) {
             p[j] = po;
             p[d + j] = ne;
@@ -429,28 +421,14 @@ INLINE void move_row(run_t *r, int dim, int64_t to, int64_t from)
 }
 
 /* Stop the rows outside the region at step t and compact the others in
-   order; returns the rows kept.  One branch per row on its region, which
-   is predicted where rows stop rarely (a slab). */
-INLINE int64_t settle_rows(run_t *r, int dim, int64_t rows, int64_t t)
-{
-    int64_t i, kept = 0;
-    for (i = 0; i < rows; i++) {
-        if (!region(r, dim, r->pos + i * dim)) {
-            stop(r, dim, r->walkers[i], r->pos + i * dim, t);
-            continue;
-        }
-        if (kept != i)
-            move_row(r, dim, kept, i);
-        kept++;
-    }
-    return kept;
-}
-
-/* settle_rows without a branch on a row's region, for rows that stop at
-   random, often (a cube left within a few steps), where a mispredicted
-   branch per row costs more than the pass: the rows are tested in
-   blocks, each listing its stopped rows and flagging the others, then
-   writing the stopped rows' outputs and moving the others down. */
+   order; returns the rows kept.  Rows stop at random where a cube is left
+   within a few steps, and a mispredicted branch per row would cost more
+   than the pass, so the pass takes no branch on a row's region: the rows
+   are tested in blocks, each listing its stopped rows and flagging the
+   others, then writing the stopped rows' outputs and moving the others
+   down.  Rows before the pass's first stop stay where they are, so a
+   pass moves only the rows after it: where rows stop rarely (a slab's
+   levels), most passes move none, and the others part of the rows. */
 INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
 {
     int64_t b, i, kept = 0, stopped[SETTLE_BLOCK];
@@ -469,7 +447,10 @@ INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
         }
         for (i = 0; i < g; i++)
             stop(r, dim, r->walkers[stopped[i]], r->pos + stopped[i] * dim, t);
-        for (i = b; i < end; i++) {
+        i = b;
+        if (kept == b)          /* no row stopped before this block */
+            kept = i = stopped[0];
+        for (; i < end; i++) {
             move_row(r, dim, kept, i);
             kept += in[i - b];
         }
@@ -478,15 +459,13 @@ INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
 }
 
 /* The loop of rwre_until for walks of dimension dim, whose rows row()
-   derives.  A call's first two region passes run in blocks, and every
-   later one after a step that stopped at least 1/STOP_OFTEN of the rows,
-   as the steps before predict the next. */
+   derives.  Every region pass is settle_blocks. */
 INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
 {
     const field_t *f = r->field;
     int64_t t = r->t, rows = r->rows, i;
     int64_t *pos = r->pos;
-    int first = t == 0, often = 1;
+    int first = t == 0;
     if (rows > r->n || (f->per_walker && r->n > f->nbase)) return -1;
     if (first) {
         for (i = 0; i < rows; i++) {
@@ -525,12 +504,8 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
         t++;
         if (r->visits)
             count_visits(r, dim, rows);
-        if (r->m) {
-            int64_t kept = often ? settle_blocks(r, dim, rows, t)
-                                 : settle_rows(r, dim, rows, t);
-            often = (rows - kept) * STOP_OFTEN >= rows;
-            rows = kept;
-        }
+        if (r->m)
+            rows = settle_blocks(r, dim, rows, t);
     }
     r->t = t;
     r->rows = rows;

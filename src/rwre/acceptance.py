@@ -157,7 +157,7 @@ def crit6_regeneration_structure(seed: int, outdir: str):
     its = [rec.inter_times for rec in records]
     a = np.concatenate([it[:len(it) // 2] for it in its]).astype(float)
     b = np.concatenate([it[len(it) // 2:] for it in its]).astype(float)
-    ks_stat, ks_crit = stats.ks_two_sample(a, b, level=0.01)
+    ks_stat, ks_crit = stats.ks_two_sample(a, b)
     ell0 = np.ones(2)
     vr, vd = float(ren.v @ ell0), float(direct.v @ ell0)
     hw_r = float(np.abs(ren.ci_high - ren.v) @ np.abs(ell0))

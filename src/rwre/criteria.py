@@ -37,8 +37,8 @@ from .environment import Environment, _require_one_field, transitions_for_seeds
 from .errors import ParameterError
 from .hypercube import _exit_probs, escape_site_probs
 from .lattice import (Bounds, Site, TiltedBox, UnitHypercube, _check_unit, _dot,
-                      _frozen, _outward, rotation_onto_e1, step_vectors)
-from .walk import STATUS_EXITED, _count, _sites, run_until_batch, walk_keys
+                      _frozen, _outward, _sites, rotation_onto_e1, step_vectors)
+from .walk import STATUS_EXITED, _count, run_until_batch, walk_keys
 
 
 class MeasurabilityViolation(RuntimeError):

@@ -42,6 +42,7 @@ import numpy as np
 
 from . import rng
 from .errors import ParameterError
+from .lattice import _sites
 
 PROB_SUM_TOL = 1e-9
 
@@ -149,11 +150,9 @@ class Expl:
         invT = 1.0 / T
         i0 = np.minimum((U[:, 1] * 2 * d).astype(np.int64), 2 * d - 1)
         pos_has_i0 = i0 < d
-        # each half's other entries share its mass, less 1/T if i0 lies in
-        # it; the guard is for d = 1, where that half has no other entry
-        den = max(d - 1, 1)
-        pos_other = np.where(pos_has_i0, (1.0 - eps - invT) / den, (1.0 - eps) / d)
-        neg_other = np.where(pos_has_i0, eps / d, (eps - invT) / den)
+        # each half's other entries share its mass, less 1/T if i0 lies in it
+        pos_other = np.where(pos_has_i0, (1.0 - eps - invT) / (d - 1), (1.0 - eps) / d)
+        neg_other = np.where(pos_has_i0, eps / d, (eps - invT) / (d - 1))
         p = np.empty((n, 2 * d))
         p[:, :d] = pos_other[:, None]
         p[:, d:] = neg_other[:, None]
@@ -353,17 +352,20 @@ class Environment:
         object.__setattr__(self, "_loop_field", None)
 
     def transitions_at(self, x) -> np.ndarray:
-        return self.transitions_batch(np.asarray(x, dtype=np.int64)[None, :])[0]
+        return self.transitions_batch(np.asarray(x)[None])[0]
 
     def transitions_batch(self, X: np.ndarray, idx=None) -> np.ndarray:
-        """Transition vectors for an (N, dim) array of sites.
+        """Transition vectors for an (N, dim) array of sites, or
+        ParameterError unless X is one of integral coordinates.
 
         With per-walker seeds, row i reads the field of walker ``idx[i]``,
         or of walker i when ``idx`` is None; walk engines that compact
         finished walkers pass the surviving walker indices.  A single field
         ignores ``idx``.
         """
-        X = np.asarray(X, dtype=np.int64)
+        X = _sites(X, "sites")
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ParameterError(f"sites must have shape (N, {self.dim}), got {X.shape}")
         if self._nvars == 0:
             return self.law.pvecs_from_uniforms(np.empty((X.shape[0], 0)))
         keys = self._site_keys(X, idx)

@@ -28,12 +28,25 @@ from .errors import ParameterError
 Site = tuple[int, ...]
 
 
-def _check_unit(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _check_unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm) or abs(norm - 1.0) > tol:
+    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
         raise ParameterError(f"expected a unit vector, got norm {norm!r}")
     return v
+
+
+def _sites(x, what: str) -> np.ndarray:
+    """x as a C-ordered int64 copy, or ParameterError if a coordinate is not an
+    int64 integer; float arrays of integral values are sites too."""
+    a = np.asarray(x)
+    if a.dtype == np.int64:
+        return np.array(a, order="C")
+    with np.errstate(invalid="ignore"):     # NaN and inf fail the comparison
+        sites = np.array(a, dtype=np.int64, order="C")
+    if not np.array_equal(sites, a):
+        raise ParameterError(f"{what} must have integer coordinates, got {x!r}")
+    return sites
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -162,8 +175,6 @@ def projection_axis(vhat) -> tuple[int, int]:
     """
     vhat = _check_unit(vhat)
     i0 = int(np.argmax(np.abs(vhat)))
-    if vhat[i0] == 0.0:
-        raise ParameterError("degenerate direction: all components vanish")
     return i0, (1 if vhat[i0] > 0 else -1)
 
 

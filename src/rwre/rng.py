@@ -117,8 +117,6 @@ def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
     of N per-row keys, e.g. from :func:`base_keys`.
     """
     coords = np.asarray(coords)
-    if coords.ndim == 1:
-        coords = coords[None, :]
     words = coords.astype(np.int64, copy=False).astype(np.uint64)
     h = np.full(coords.shape[0], base, dtype=np.uint64)
     for j in range(coords.shape[1]):

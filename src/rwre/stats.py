@@ -95,8 +95,8 @@ def binomial_ci(k: int, n: int) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def ks_two_sample(a, b, level: float = 0.01) -> tuple[float, float]:
-    """Two-sample KS statistic and its critical value at the given level."""
+def ks_two_sample(a, b) -> tuple[float, float]:
+    """Two-sample KS statistic and its critical value at level 0.01."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     n, m = len(a), len(b)
@@ -106,7 +106,7 @@ def ks_two_sample(a, b, level: float = 0.01) -> tuple[float, float]:
     fa = np.searchsorted(a, grid, side="right") / n
     fb = np.searchsorted(b, grid, side="right") / m
     stat = float(np.max(np.abs(fa - fb)))
-    c = np.sqrt(-np.log(level / 2.0) / 2.0)
+    c = np.sqrt(-np.log(0.01 / 2.0) / 2.0)
     return stat, float(c * np.sqrt((n + m) / (n * m)))
 
 

@@ -50,7 +50,7 @@ import numpy as np
 from . import _kernel, rng
 from .environment import Environment
 from .errors import ParameterError
-from .lattice import Bounds, Site, step_vectors
+from .lattice import Bounds, Site, _sites, step_vectors
 
 
 def positions(start, steps: np.ndarray) -> np.ndarray:
@@ -99,19 +99,6 @@ def _count(n, what: str):
     if not isinstance(n, (int, np.integer)):
         raise ParameterError(f"{what} must be an integer, got {n!r}")
     return n
-
-
-def _sites(x, what: str) -> np.ndarray:
-    """x as a C-ordered int64 copy, or ParameterError if a coordinate is not an
-    int64 integer; float arrays of integral values are sites too."""
-    a = np.asarray(x)
-    if a.dtype == np.int64:
-        return np.array(a, order="C")
-    with np.errstate(invalid="ignore"):     # NaN and inf fail the comparison
-        sites = np.array(a, dtype=np.int64, order="C")
-    if not np.array_equal(sites, a):
-        raise ParameterError(f"{what} must have integer coordinates, got {x!r}")
-    return sites
 
 
 def _batch(env: Environment, starts, keys) -> tuple[np.ndarray, np.ndarray]:

@@ -172,10 +172,12 @@ def test_every_dimension_instance_steps_like_numpy(monkeypatch, law, per_walker)
 
 
 @needs_gcc
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_invalid_rows_raise_like_numpy(monkeypatch):
     # in d = 1 the Expl row sums to 1 - eps + 1/T or eps + 1/T, never 1:
     # the kernel hands the step back and numpy raises its own error.  Expl
-    # rejects d = 1, so the law is built past its check.
+    # rejects d = 1, so the law is built past its check; numpy's share of
+    # the other entries of i0's half divides by d - 1 = 0, and is unused.
     law = object.__new__(Expl)
     object.__setattr__(law, "d", 1)
     object.__setattr__(law, "eps", 0.5)
@@ -453,22 +455,35 @@ def test_walks_next_to_exact_ties_equal_the_numpy_path(monkeypatch):
             assert (ours.steps_taken == 0).any() and (ours.steps_taken > 0).any()
 
 
+def _stops_by_step(res):
+    """(t, walkers stopped in the region pass at step t, rows that pass
+    tested) for every step t of a stopping run."""
+    exited = res.status == walk.STATUS_EXITED
+    return [(t, int((exited & (res.steps_taken == t)).sum()), int((res.steps_taken >= t).sum()))
+            for t in range(int(res.steps_taken.max()) + 1)]
+
+
 @needs_gcc
 @pytest.mark.parametrize("guard", [2.0 ** -40, 0.01], ids=["default", "wide_guard"])
 def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard):
-    # 300 walkers, more rows than one block of the kernel's region pass
-    # without branches: the first 256 start on, next to or just outside the
-    # edge of a box, so that the first steps stop many of them, and the
-    # rest at its centre, which none leave for a while; then walkers that
-    # share a start outside the box, and a unit cube's start corner, where
-    # their visits are counted
-    W = 300
+    # 1024 walkers, four blocks of the kernel's region pass.  Per-walker
+    # starts: rows 356-511 and 562-767 start on, next to or just outside
+    # the edge of a box, the others at its centre, so that the pass at
+    # step 0 finds no stop in block 0, a first stop mid-block in block 1,
+    # one mid-block in block 2 after block 1's stops and none in block 3
+    # after those; later steps stop a few walkers among many, as a slab's
+    # levels do, and a slab from the same starts stops some at step 0 and
+    # few at each step after.  Then walkers that share a start outside the
+    # box, and a unit cube's start corner, where their visits are counted.
+    W = 1024
     box = lattice.Bounds(np.eye(2), [-6.0, -6.0], [6.0, 6.0], True, False)
+    slab = criteria._slab_region(np.array([0.6, 0.8]), 1.0, 7.0)
     i = np.arange(W)
-    starts = np.where((i < 256)[:, None],
-                      np.stack([4 + i % 3, (i // 3) % 11 - 5], axis=1), 0)
+    edge = (356 <= i) & (i < 512) | (562 <= i) & (i < 768)
+    starts = np.where(edge[:, None], np.stack([4 + i % 3, (i // 3) % 11 - 5], axis=1), 0)
     cube = lattice.UnitHypercube((2, -1))
-    calls = [(starts, box, (5, 0)), (starts, box, None), (np.array([6, 0]), box, (6, 0)),
+    calls = [(starts, box, (5, 0)), (starts, box, None), (starts, slab, (0, 0)),
+             (np.array([6, 0]), box, (6, 0)),
              (np.array(cube.corners[0]), cube.region, cube.corners[0])]
     keys = walk.walk_keys(13, W)
     for law in (UniformDrift(2, 0.2), Expl(2, 0.3), TrapSym(2)):
@@ -485,7 +500,15 @@ def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard)
                     m.setattr(_kernel, "GUARD_MARGIN", guard)
                     ours = run()
                 _assert_same_until(ours, theirs, (law, target))
-                assert (ours.steps_taken <= 2).sum() > W // 4
+                if starts_ is not starts:
+                    assert (ours.steps_taken <= 2).sum() > W // 4
+                    continue
+                passes = _stops_by_step(ours)
+                assert any(0 < stopped * 16 < rows for t, stopped, rows in passes[1:])
+                if region is box:
+                    at_once = np.flatnonzero(ours.steps_taken == 0)
+                    assert [at_once[(b <= at_once) & (at_once < b + 256)].min(initial=W)
+                            for b in range(0, W, 256)] == [W, 356, 563, W]
 
 
 def test_splitting_hits_lie_below_the_front_by_bounds(monkeypatch):
