@@ -426,6 +426,28 @@ def test_attainability_uniform_never_below_threshold():
         assert p.below_benchmark
 
 
+def test_attainability_pinned():
+    # each point's horizon, threshold, frequency and benchmark bit for bit,
+    # with the count of the 40 fields below the threshold, beside demo
+    # 05's call: a trap law, above its benchmark at both u, and the
+    # explicit law, below it at u = 5
+    thresholds = ["0x1.323f57992ab8bp-2", "0x1.b11969b9ee8f8p-4"]
+    benchmarks = ["0x1.11ea80df0678ap-3", "0x1.83603201d0eb9p-6"]
+    cases = [(TrapSym(2), ["0x1.0000000000000p-1", "0x1.4cccccccccccdp-2"], [20, 13],
+              [False, False]),
+             (Expl(2, 0.2), ["0x1.999999999999ap-4", "0x1.999999999999ap-5"], [4, 2],
+              [True, False])]
+    for law, freqs, counts, below in cases:
+        pts = cr.attainability(law, [5.0, 20.0], delta=0.25, eta=1.0, alpha=1.0, eps=1.0,
+                               replicates=40, master_seed=7)
+        assert [p.n for p in pts] == [1, 2]
+        assert [p.threshold.hex() for p in pts] == thresholds
+        assert [p.frequency.hex() for p in pts] == freqs
+        assert [round(p.frequency * 40) for p in pts] == counts
+        assert [p.benchmark.hex() for p in pts] == benchmarks
+        assert [p.below_benchmark for p in pts] == below
+
+
 def test_attainability_precondition():
     with pytest.raises(ValueError):
         cr.attainability(UniformDrift(2), [2.0], delta=0.5, eta=0.1,

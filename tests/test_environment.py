@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwre import rng, stats, walk
+from rwre.errors import ParameterError
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift,
                               ellipticity_profile, normalize_rows,
@@ -119,6 +120,27 @@ def test_determinism_bit_identical(law):
                                               for c in chunks]), P1)
         assert np.array_equal(np.concatenate([fields.transitions_batch(X[c], c)
                                               for c in chunks]), Q)
+
+
+def test_transitions_batch_refuses_sites_that_are_not_integral_rows():
+    # a 1-D site [0, 0] used to give 2 rows on UniformDrift(2) and 1 on
+    # Expl(2, 0.2), a (1, 3) array a row of a 2-D law, and a float
+    # coordinate its truncation; each is refused, on one field and on
+    # per-walker fields, and a float array of integral values is a site
+    for law in (UniformDrift(2), Expl(2, 0.2)):
+        for seeds in (5, rng.derive_keys(5, "walkers", n=4)):
+            env = Environment(law, seeds)
+            for bad in ([0, 0], np.zeros((1, 3), dtype=np.int64), np.zeros((1, 1)), 0,
+                        np.zeros((1, 2, 2)), [[0.5, 0.0]], [[2.0, np.nan]], [[np.inf, 0]]):
+                with pytest.raises(ParameterError):
+                    env.transitions_batch(bad)
+            for bad in ((0.5, 0), (0, 0, 0), 0):
+                with pytest.raises(ParameterError):
+                    env.transitions_at(bad)
+            rows = env.transitions_batch(np.array([[1, -2], [0, 3]]))
+            assert rows.shape == (2, 4)
+            assert np.array_equal(env.transitions_batch([[1.0, -2.0], [0.0, 3.0]]), rows)
+            assert np.array_equal(env.transitions_at((1, -2)), rows[0])
 
 
 def test_different_seeds_different_fields():
@@ -263,6 +285,27 @@ def test_ellipticity_profile_expl_flags_thin_tail():
     rep = ellipticity_profile(Environment(Expl(2, 0.25), 4), 20_000)
     assert rep.min_entry < 0.01          # 1/T can get arbitrarily small
     assert rep.kappa0 is not None
+
+
+def test_ellipticity_profile_pinned():
+    # the extreme entries and kappa0 bit for bit, and how many of the
+    # sampled sites are kappa-elliptic at each of the 40 kappas, beside
+    # demo 01's profiles: the explicit law and a Dirichlet law
+    cases = [
+        ((Expl(2, 0.2), 1, 1000),
+         ["0x1.1f2c8edf9a922p-113", "0x1.999999999999ap-1", "0x1.53b26dd17f1bcp-15"],
+         [629, 622, 612, 602, 589, 581, 573, 560, 537, 531, 522, 509, 496, 476, 460, 447,
+          430, 413, 393, 377, 361, 342, 331, 306, 284, 264, 238, 224, 203, 180, 157, 131,
+          105, 74, 41, 0, 0, 0, 0, 0]),
+        ((Dirichlet((1.0,) * 4), 6, 500),
+         ["0x1.c7f08bd676de6p-13", "0x1.cbf05c4e430a9p-1", "0x1.84919b1ab68e8p-5"],
+         [500] * 16 + [499, 499, 498, 498, 497, 494, 493, 493, 485, 476, 468, 452, 421, 393,
+                       357, 312, 265, 197, 121, 52, 6, 0, 0, 0]),
+    ]
+    for (law, seed, n), floats, counts in cases:
+        rep = ellipticity_profile(Environment(law, seed), n)
+        assert [rep.min_entry.hex(), rep.max_entry.hex(), rep.kappa0.hex()] == floats
+        assert rep.n == n and np.array_equal(rep.prob_elliptic, np.array(counts) / n)
 
 
 def test_ellipticity_profile_validates():

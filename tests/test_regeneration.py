@@ -188,6 +188,19 @@ def test_regeneration_radii_forward_walk():
     assert np.all(radii >= 1)
 
 
+def test_regeneration_radii_pinned():
+    # demo 03's radii on a recorded walk of the explicit law along the
+    # diagonal: its certified times and the L1 span of each block
+    n = 400
+    res = walk.run_fixed_batch(Environment(Expl(2, 0.2), 11), np.zeros(2, dtype=np.int64), n,
+                               walk.walk_keys(12, 1), record_steps=True)
+    rec = rg.extract_from_steps(res.steps[0], (0, 0), rg.RegenParams((2 ** -0.5, 2 ** -0.5)), n)
+    assert rec.certified_times.tolist() == [11, 29, 42, 53, 62, 71, 84, 95, 102, 156, 180, 189,
+                                            209, 222, 246, 253, 281, 290]
+    radii = rg.regeneration_radii(rec, walk.positions((0, 0), res.steps[0]))
+    assert radii.tolist() == [7, 14, 7, 7, 8, 7, 7, 7, 7, 28, 16, 7, 14, 7, 14, 7, 14, 7]
+
+
 def test_regeneration_radii_requires_certified():
     rec = rg.RegenerationRecord(np.empty(0, dtype=np.int64),
                                 np.empty((0, 2), dtype=np.int64),
