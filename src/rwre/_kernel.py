@@ -459,7 +459,7 @@ INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
 }
 
 /* The loop of rwre_until for walks of dimension dim, whose rows row()
-   derives.  Every region pass is settle_blocks. */
+   derives. */
 INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
 {
     const field_t *f = r->field;
