@@ -455,14 +455,6 @@ def test_walks_next_to_exact_ties_equal_the_numpy_path(monkeypatch):
             assert (ours.steps_taken == 0).any() and (ours.steps_taken > 0).any()
 
 
-def _stops_by_step(res):
-    """(t, walkers stopped in the region pass at step t, rows that pass
-    tested) for every step t of a stopping run."""
-    exited = res.status == walk.STATUS_EXITED
-    return [(t, int((exited & (res.steps_taken == t)).sum()), int((res.steps_taken >= t).sum()))
-            for t in range(int(res.steps_taken.max()) + 1)]
-
-
 @needs_gcc
 @pytest.mark.parametrize("guard", [2.0 ** -40, 0.01], ids=["default", "wide_guard"])
 def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard):
@@ -503,8 +495,12 @@ def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard)
                 if starts_ is not starts:
                     assert (ours.steps_taken <= 2).sum() > W // 4
                     continue
-                passes = _stops_by_step(ours)
-                assert any(0 < stopped * 16 < rows for t, stopped, rows in passes[1:])
+                # the pass at step t tests the rows of walkers that ran t steps
+                # or more, and stops those that exit at t
+                exited = ours.status == walk.STATUS_EXITED
+                assert any(0 < (exited & (ours.steps_taken == t)).sum() * 16
+                           < (ours.steps_taken >= t).sum()
+                           for t in range(1, ours.steps_taken.max() + 1))
                 if region is box:
                     at_once = np.flatnonzero(ours.steps_taken == 0)
                     assert [at_once[(b <= at_once) & (at_once < b + 256)].min(initial=W)
