@@ -139,7 +139,7 @@ typedef struct {
     int64_t nbase;
     int32_t per_walker;
     int32_t bits;          /* log2 of the table's entries per slot */
-    word_t *table;         /* site-row table (see row_body()), or NULL */
+    word_t *table;         /* site-row table (see entry()), or NULL */
 } field_t;
 
 /* The state of one compiled walk run on a field.  Its stopping region
@@ -248,39 +248,44 @@ INLINE int pvec(const field_t *f, int dim, const double *U, double *p, double ma
     }
 }
 
-/* Cumulative row of site x for the base key of slot (the walker's seed,
-   or 0 for a shared field) into cum, or 0 when numpy must take the step.
-   The table holds, per slot, 2^bits direct-mapped entries of {filled, x,
-   cumulative row}, indexed by a hash of x.  Only rows that pass both
-   checks below are stored, so a hit returns the very doubles the
-   derivation would. */
-INLINE int row_body(const field_t *f, int dim, int64_t slot, const int64_t *x,
-                    double *cum, double margin)
+/* The site-row table entry of site x for slot (the walker's seed, or 0
+   for a shared field), or NULL without a table.  The table holds, per
+   slot, 2^bits direct-mapped entries of {filled, x, cumulative row},
+   indexed by a hash of x. */
+INLINE word_t *entry(const field_t *f, int dim, int64_t slot, const int64_t *x)
+{
+    int64_t at = slot << f->bits;
+    int j;
+    if (!f->table) return NULL;
+    if (f->bits) {
+        uint64_t g = 0;
+        for (j = 0; j < dim; j++)
+            g = (g ^ (uint64_t)x[j]) * GOLDEN;
+        at |= (int64_t)(g >> (64 - f->bits));
+    }
+    return f->table + at * (1 + 3 * dim);
+}
+
+/* 1 if entry e holds the row of site x, else 0, without a branch */
+INLINE int holds(const word_t *e, int dim, const int64_t *x)
+{
+    int j, same = e[0].i != 0;
+    for (j = 0; j < dim; j++)
+        same &= e[1 + j].i == x[j];
+    return same;
+}
+
+/* Derive the cumulative row of site x for slot into cum and store it in
+   entry e (NULL: none), or return 0 when numpy must take the step.  Only
+   rows that pass both checks below are stored, so an entry holds the very
+   doubles the derivation computes. */
+INLINE int derive(const field_t *f, int dim, int64_t slot, const int64_t *x,
+                  word_t *e, double *cum, double margin)
 {
     int K = 2 * dim, j;
     double p[MAX_DIRS], U[MAX_DIRS + 1];
     double s = 0.0, acc = 0.0;
     uint64_t h = f->base[slot];
-    word_t *e = NULL;
-    if (f->table) {
-        int64_t at = slot << f->bits;
-        if (f->bits) {
-            uint64_t g = 0;
-            for (j = 0; j < dim; j++)
-                g = (g ^ (uint64_t)x[j]) * GOLDEN;
-            at |= (int64_t)(g >> (64 - f->bits));
-        }
-        e = f->table + at * (1 + dim + K);
-        if (e[0].i) {
-            for (j = 0; j < dim && e[1 + j].i == x[j]; j++)
-                ;
-            if (j == dim) {
-                for (j = 0; j < K; j++)
-                    cum[j] = e[1 + dim + j].v;
-                return 1;
-            }
-        }
-    }
     for (j = 0; j < dim; j++)
         h = fold(h, (uint64_t)x[j]);
     for (j = 0; j < f->nvars; j++)
@@ -305,38 +310,11 @@ INLINE int row_body(const field_t *f, int dim, int64_t slot, const int64_t *x,
     return 1;
 }
 
-/* The row function of each instance: row2 for dim 2, rown for any dim.
-   Kept out of line: inlined, it made c5's UniformDrift cube walks, which
-   never call it, slower (45 against 31-36 ns per walker-step). */
-typedef int (*row_fn)(const field_t *, int64_t, const int64_t *, double *, double);
-
-static __attribute__((noinline)) int row2(const field_t *f, int64_t slot,
-                                          const int64_t *x, double *cum,
-                                          double margin)
+/* Step index for walk uniform u on the K cumulative sums c, or -1 when u
+   lies within margin of one of them and numpy must take this step. */
+INLINE int pick(const double *c, int K, double u, double margin)
 {
-    return row_body(f, 2, slot, x, cum, margin);
-}
-
-static __attribute__((noinline)) int rown(const field_t *f, int64_t slot,
-                                          const int64_t *x, double *cum,
-                                          double margin)
-{
-    return row_body(f, f->dim, slot, x, cum, margin);
-}
-
-/* Step index of a walker (seed slot) at site x with walk uniform u, or -1
-   when numpy must take this step. */
-INLINE int choose(const field_t *f, int dim, row_fn row, int64_t slot,
-                  const int64_t *x, double u, double margin)
-{
-    int K = 2 * dim;
-    double cum[MAX_DIRS];
-    const double *c = f->cum;
     int j, k = 0;
-    if (f->law != UNIFORM_DRIFT) {
-        if (!row(f, slot, x, cum, margin)) return -1;
-        c = cum;
-    }
     for (j = 0; j < K; j++) {
         if (fabs(u - c[j]) < margin) return -1;
         k += c[j] < u;
@@ -345,17 +323,63 @@ INLINE int choose(const field_t *f, int dim, row_fn row, int64_t slot,
 }
 
 /* Choose one step for each of the rows at step t into choice.  Returns
-   1, or 0 when numpy must take this step. */
-INLINE int choose_rows(const field_t *f, int dim, row_fn row, const int64_t *walkers,
+   1, or 0 when numpy must take this step.  UniformDrift's row is f->cum.
+   The other laws' rows miss the table at random (about one in five on
+   c2's walks), where a mispredicted branch per row would cost more than
+   the lookup, so they go in blocks of SETTLE_BLOCK rows (fewer where a
+   row has more than 4 sums, so that cums holds a block at any dim), in
+   three passes: look every row up, copying its entry's row into cums and
+   listing the row as missed unless the entry holds its site, without a
+   branch on which; derive each missed row, unless an earlier miss of the
+   block has just stored its site; then choose every row's step from
+   cums, which a later miss's store cannot change. */
+INLINE int choose_rows(const field_t *f, int dim, const int64_t *walkers,
                        const uint64_t *keys, int64_t rows, const int64_t *pos,
                        int64_t t, uint8_t *choice, double margin)
 {
-    int64_t i;
-    for (i = 0; i < rows; i++) {
-        int64_t slot = f->per_walker ? walkers[i] : 0;
-        int c = choose(f, dim, row, slot, pos + i * dim, uniform(keys[i], t), margin);
-        if (c < 0) return 0;
-        choice[i] = (uint8_t)c;
+    int K = 2 * dim, j, g, missed[SETTLE_BLOCK];
+    int64_t block = K <= 4 ? SETTLE_BLOCK : SETTLE_BLOCK * 4 / K, b, i;
+    double cums[SETTLE_BLOCK * 4];
+    if (f->law == UNIFORM_DRIFT) {
+        for (i = 0; i < rows; i++) {
+            int c = pick(f->cum, K, uniform(keys[i], t), margin);
+            if (c < 0) return 0;
+            choice[i] = (uint8_t)c;
+        }
+        return 1;
+    }
+    for (b = 0; b < rows; b += block) {
+        int n = (int)(rows - b < block ? rows - b : block);
+        for (i = g = 0; i < n; i++) {           /* look up */
+            const int64_t *x = pos + (b + i) * dim;
+            const word_t *e = entry(f, dim, f->per_walker ? walkers[b + i] : 0, x);
+            int hit = 0;
+            if (e) {
+                hit = holds(e, dim, x);
+                for (j = 0; j < K; j++)
+                    cums[i * K + j] = e[1 + dim + j].v;
+            }
+            missed[g] = (int)i;
+            g += !hit;
+        }
+        for (j = 0; j < g; j++) {               /* derive */
+            int64_t row = b + missed[j], slot = f->per_walker ? walkers[row] : 0;
+            const int64_t *x = pos + row * dim;
+            word_t *e = entry(f, dim, slot, x);
+            double *cum = cums + missed[j] * K;
+            int k;
+            if (e && holds(e, dim, x)) {
+                for (k = 0; k < K; k++)
+                    cum[k] = e[1 + dim + k].v;
+            } else if (!derive(f, dim, slot, x, e, cum, margin)) {
+                return 0;
+            }
+        }
+        for (i = 0; i < n; i++) {               /* choose */
+            int c = pick(cums + i * K, K, uniform(keys[b + i], t), margin);
+            if (c < 0) return 0;
+            choice[b + i] = (uint8_t)c;
+        }
     }
     return 1;
 }
@@ -458,9 +482,8 @@ INLINE int64_t settle_blocks(run_t *r, int dim, int64_t rows, int64_t t)
     return kept;
 }
 
-/* The loop of rwre_until for walks of dimension dim, whose rows row()
-   derives. */
-INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
+/* The loop of rwre_until for walks of dimension dim. */
+INLINE int64_t until(run_t *r, int dim, int64_t horizon)
 {
     const field_t *f = r->field;
     int64_t t = r->t, rows = r->rows, i;
@@ -497,7 +520,7 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
             count_visits(r, dim, rows);
     }
     while (rows && t < horizon) {
-        if (!choose_rows(f, dim, row, r->walkers, r->row_keys, rows, pos, t, r->choice,
+        if (!choose_rows(f, dim, r->walkers, r->row_keys, rows, pos, t, r->choice,
                          f->margin))
             break;
         move_rows(dim, rows, pos, r->choice);
@@ -525,8 +548,8 @@ INLINE int64_t until(run_t *r, int dim, row_fn row, int64_t horizon)
 int64_t rwre_until(run_t *r, int64_t horizon)
 {
     if (r->field->dim == 2)
-        return until(r, 2, row2, horizon);
-    return until(r, r->field->dim, rown, horizon);
+        return until(r, 2, horizon);
+    return until(r, r->field->dim, horizon);
 }
 """
 

@@ -400,7 +400,7 @@ def transitions_for_seeds(law, seeds, x) -> np.ndarray:
     ``Environment(law, seeds[r])`` returns at those sites.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    x = np.asarray(x, dtype=np.int64)
+    x = _sites(x, "sites")
     sites = x.reshape(-1, x.shape[-1])
     walkers = np.repeat(np.arange(len(seeds)), len(sites))
     P = Environment(law, seeds).transitions_batch(np.tile(sites, (len(seeds), 1)),
