@@ -65,14 +65,26 @@ row) entries, indexed by a hash of the site, in slots of
 ``TABLE_SHARED`` for a shared field.  A site found there skips keying,
 the uniforms, ``pow`` and the normalization; any other row is derived and
 then stored, but only when it passed both hand-back checks above, so a
-row that goes to numpy goes every time.  The walk uniform and its
-``GUARD_MARGIN`` test still run on every step, on the stored doubles,
-which are the ones the derivation computes: the steps stay identical.
-Above ``TABLE_CAP`` entries in all (7.3 MB for walks on Z^2), the
-entries per slot are halved, and a field with more seeds than that runs
-without a table.  ``UniformDrift``, whose row is the same at every site,
-has none.  A row depends only on the field and the site, so a table
-outlives the run that filled it: the field keeps it for every later run.
+row that goes to numpy goes every time.  Which rows miss is random: 18 %
+of the 3.2 M lookups of the benchmark's ``annealed_trap`` pass and 13.8 %
+of c2's 2 * 10^8, where a mispredicted branch on hit or miss costs more
+than the lookup.  So a step takes its rows in blocks of ``SETTLE_BLOCK``
+(in the C source; fewer above dimension 2, so that a block's rows fit
+its buffer) and makes three passes over each: it looks every row up and
+copies its entry's row into the block's buffer, listing the row as
+missed without a branch; it derives the missed rows, each unless an
+earlier miss of the block has just stored its site; then it draws every
+row's walk uniform, applies the ``GUARD_MARGIN`` test and chooses the
+step from the buffer, which a later miss's store cannot change.  The
+test runs on every step, on the stored doubles, which are the ones the
+derivation computes: the steps stay identical.  A step handed back to
+numpy may already have stored some of its rows, which is harmless, as
+each is the derived row.  Above ``TABLE_CAP`` entries in all (7.3 MB for
+walks on Z^2), the entries per slot are halved, and a field with more
+seeds than that runs without a table.  ``UniformDrift``, whose row is the
+same at every site, has none and chooses each step from it.  A row
+depends only on the field and the site, so a table outlives the run that
+filled it: the field keeps it for every later run.
 
 Region decisions equal ``Bounds.__call__``'s exactly: each form's value
 is the left-to-right sum of ``lattice._dot``, which the C loop computes in

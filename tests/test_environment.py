@@ -249,6 +249,39 @@ def test_transitions_for_seeds_matches_environments():
             assert np.array_equal(Environment(law, int(many[w])).transitions_at(x), p)
 
 
+def test_transitions_for_seeds_refuses_sites_that_are_not_integral():
+    # a float coordinate used to be cast to its truncation, so (0.5, 0)
+    # gave the rows of (0, 0); float arrays of integral values are sites
+    sites = np.array([[1, -2], [0, 3]])
+    for law in (UniformDrift(2), Expl(2, 0.2)):
+        for bad in ((0.5, 0), [[1, -2], [0, 2.5]], (np.nan, 0), (np.inf, 0)):
+            with pytest.raises(ParameterError, match="integer coordinates"):
+                transitions_for_seeds(law, [1, 2], bad)
+        rows = transitions_for_seeds(law, [1, 2], sites)
+        assert np.array_equal(transitions_for_seeds(law, [1, 2], sites.astype(float)), rows)
+        assert np.array_equal(transitions_for_seeds(law, [1, 2], (1.0, -2.0)), rows[:, 0])
+
+
+@pytest.mark.parametrize("law, args, match", [
+    (UniformDrift, (0,), "d must be >= 1"),
+    (UniformDrift, (2, 0.2, 0), "axis"),
+    (UniformDrift, (2, 0.2, 3), "axis"),
+    (TrapSym, (0,), "d must be >= 1"),
+    (TrapSym, (2, 0.0), "tail_exponent"),
+    (TrapSym, (2, 1.5), "tail_exponent"),
+    (TrapTransient, (0,), "d must be >= 1"),
+    (TableMixture, ((),), "at least one component"),
+    (TableMixture, (((0.0, (0.5, 0.5)),),), "weights must be positive"),
+    (TableMixture, (((0.5, (0.5, 0.5)), (0.5, (0.25,) * 4)),), "even length"),
+    (TableMixture, (((1.0, (0.5, 0.25, 0.25)),),), "even length"),
+], ids=["drift-d0", "drift-axis0", "drift-axis3", "trapsym-d0", "trapsym-tail0",
+        "trapsym-tail1.5", "traptransient-d0", "mixture-empty", "mixture-weight0",
+        "mixture-lengths", "mixture-odd"])
+def test_law_parameters_out_of_range_raise(law, args, match):
+    with pytest.raises(ParameterError, match=match):
+        law(*args)
+
+
 def test_walker_batch_steps_match_single_walks():
     # W walkers on per-walker fields step exactly like W single walks, in
     # the fixed-length engine and in the stopping engine, whose compaction

@@ -507,6 +507,81 @@ def test_wide_batches_that_stop_at_once_equal_the_numpy_path(monkeypatch, guard)
                             for b in range(0, W, 256)] == [W, 356, 563, W]
 
 
+# rows per block of the kernel's step passes, fewer where a row has more
+# than four cumulative sums (dim 3 and up)
+SETTLE_BLOCK = int(re.search(r"#define SETTLE_BLOCK (\d+)", _kernel.SOURCE).group(1))
+
+
+def _failing_rows(env, snaps, keys, margin):
+    """For each step of a fixed run whose positions before each step are
+    ``snaps``, the rows whose walk uniform lies within ``margin`` of a
+    cumulative sum of their row: the steps the kernel hands back."""
+    walkers = np.arange(len(keys)) if np.ndim(env.master_seed) else None
+    out = []
+    for t, pos in enumerate(snaps):
+        cum = np.cumsum(env.transitions_batch(pos, walkers), axis=1)
+        u = rng.stream_uniforms(keys, t)
+        out.append(np.flatnonzero((np.abs(cum - u[:, None]) < margin).any(axis=1)))
+    return out
+
+
+@needs_gcc
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+@pytest.mark.parametrize("law", [TrapSym(1), Expl(2, 0.3), TrapTransient(2)],
+                         ids=lambda law: f"dim{law.dim}")
+def test_row_blocks_step_like_numpy(monkeypatch, law, per_walker):
+    # the kernel looks the rows of a step up in the site-row table, derives
+    # the missed ones and chooses every step, block by block: batches of a
+    # block less one row, one block, one more row and several blocks, on
+    # default tables and tables of one and two entries per slot, where a
+    # miss later in a block stores its row over the entry of an earlier hit
+    dim, K = law.dim, 2 * law.dim
+    block = min(SETTLE_BLOCK, SETTLE_BLOCK * 4 // K)
+    for W in (255, 256, 257, 600):
+        seeds = rng.derive_keys(3, "walkers", n=W) if per_walker else 5
+        env = Environment(law, seeds)
+        reference = _numpy_runs(monkeypatch, env, W, 60)
+        for entries in (None, 1, 2):
+            with monkeypatch.context() as m:
+                if entries:
+                    _table(m, entries)
+                _assert_same(_runs(env, W, 60), reference)
+    # the widest batch's field again, with a margin that hands back some
+    # steps whose first row within it lies in the second block: numpy
+    # takes exactly the steps that have such a row
+    margin, keys = 1e-4, walk.walk_keys(9, W)
+    snaps = [np.zeros((W, dim), dtype=np.int64)] + [reference[0].checkpoints[t]
+                                                     for t in range(1, 60)]
+    failing = _failing_rows(env, snaps, keys, margin)
+    assert any(len(rows) and block <= rows[0] < 2 * block for rows in failing)
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "GUARD_MARGIN", margin)
+        steps = _counting(m, walk, "_step_batch")
+        fixed = walk.run_fixed_batch(env, snaps[0][0], 60, keys)
+        assert [a[3] for a in steps] == [t for t, rows in enumerate(failing) if len(rows)]
+        _assert_same(_runs(env, W, 60), reference)
+    assert np.array_equal(fixed.final, reference[1].final)
+    # a fresh field's walkers all start on one site it does not hold: on a
+    # shared field the block's first miss stores the row the others find
+    keys = walk.walk_keys(6, W)
+    far = np.full(dim, 40, dtype=np.int64)
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "loop", lambda *a: None)
+        theirs = walk.run_fixed_batch(Environment(law, seeds), far, 30, keys,
+                                      checkpoints=[1, 2])
+    for entries in (None, 1):
+        with monkeypatch.context() as m:
+            if entries:
+                _table(m, entries)
+            loops = _loops(m)
+            ours = walk.run_fixed_batch(Environment(law, seeds), far, 30, keys,
+                                        checkpoints=[1, 2])
+        for t in (1, 2):
+            assert np.array_equal(ours.checkpoints[t], theirs.checkpoints[t]), (entries, t)
+        assert np.array_equal(ours.final, theirs.final), entries
+        assert loops[0].field.table[:, 1:1 + dim].max() >= 39
+
+
 def test_splitting_hits_lie_below_the_front_by_bounds(monkeypatch):
     # each level's hits are its exited walks at or below the front L as
     # Bounds evaluates the form: the pass's estimate is the product of
@@ -852,6 +927,32 @@ from rwre.environment import (Environment, Expl, TrapSym, TrapTransient,
                               UniformDrift)
 
 _kernel._LIB = _kernel._load(sys.argv[1])
+
+
+def check(env, keys, regions, n=300):
+    start = np.zeros(env.dim, dtype=np.int64)
+
+    def runs():
+        fixed = walk.run_fixed_batch(env, start, n, keys, checkpoints=[1, 40, 41])
+        out = [fixed.final, *fixed.checkpoints.values()]
+        for region in regions:
+            res = walk.run_until_batch(env, start, keys, n, inside=region,
+                                       count_visits_to=tuple(start.tolist()))
+            out += [res.status, res.final, res.steps_taken, res.visits]
+        return out
+
+    loops, loop_of = [], _kernel.loop
+    _kernel.loop = lambda *a: loops.append(loop_of(*a)) or loops[-1]
+    ours = runs()
+    _kernel.loop = lambda *a: None
+    reference = runs()
+    _kernel.loop = loop_of
+    assert len(loops) == 1 + len(regions)
+    assert all(loop.field.table is None or loop.field.table.shape[0] <= _kernel.TABLE_CAP
+               for loop in loops)
+    assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), env.law
+
+
 keys = walk.walk_keys(3, 7)
 # site-row tables of the default sizes, of one and two entries per slot
 # (every step collides), and capped to four entries per seed of 12 seeds
@@ -863,35 +964,23 @@ for law, table in [(law, table)
     (_kernel.TABLE_PER_WALKER, _kernel.TABLE_SHARED, _kernel.TABLE_CAP) = table
     for seeds in (5, np.arange(1, 13, dtype=np.uint64)):
         env = Environment(law, seeds)
-        start = np.zeros(env.dim, dtype=np.int64)
-
         ell = np.ones(env.dim) / np.sqrt(env.dim)
-        regions = [lattice.Bounds(np.eye(env.dim), [-4] * env.dim, [4] * env.dim,
-                                  False, False),
-                   lattice.Bounds(ell, -3.5, 4.0, True, False),
-                   lattice.Bounds(lattice.rotation_onto_e1(ell), [-3.0] * env.dim,
-                                  [4.0] * env.dim, False, False),
-                   lattice.UnitHypercube((0,) * env.dim).region]
-
-        def runs():
-            fixed = walk.run_fixed_batch(env, start, 300, keys, checkpoints=[1, 90, 91])
-            out = [fixed.final, *fixed.checkpoints.values()]
-            for region in regions:
-                res = walk.run_until_batch(env, start, keys, 300, inside=region,
-                                           count_visits_to=tuple(start.tolist()))
-                out += [res.status, res.final, res.steps_taken, res.visits]
-            return out
-
-        loops, loop_of = [], _kernel.loop
-        _kernel.loop = lambda *a: loops.append(loop_of(*a)) or loops[-1]
-        ours = runs()
-        _kernel.loop = lambda *a: None
-        reference = runs()
-        _kernel.loop = loop_of
-        assert len(loops) == 1 + len(regions)
-        assert all(loop.field.table is None or loop.field.table.shape[0] <= _kernel.TABLE_CAP
-                   for loop in loops)
-        assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), law
+        check(env, keys, [lattice.Bounds(np.eye(env.dim), [-4] * env.dim, [4] * env.dim,
+                                         False, False),
+                          lattice.Bounds(ell, -3.5, 4.0, True, False),
+                          lattice.Bounds(lattice.rotation_onto_e1(ell), [-3.0] * env.dim,
+                                         [4.0] * env.dim, False, False),
+                          lattice.UnitHypercube((0,) * env.dim).region])
+# 300 walkers: two blocks of a step's row passes in dim 1, and two of the
+# smaller blocks of dim 3, on default tables and one entry per slot
+keys = walk.walk_keys(4, 300)
+for law, table in [(law, table) for law in (TrapSym(1), TrapTransient(2))
+                   for table in [(64, 2 ** 14, 2 ** 17), (1, 1, 2 ** 17)]]:
+    (_kernel.TABLE_PER_WALKER, _kernel.TABLE_SHARED, _kernel.TABLE_CAP) = table
+    for seeds in (5, np.arange(1, 301, dtype=np.uint64)):
+        env = Environment(law, seeds)
+        check(env, keys, [lattice.Bounds(np.eye(env.dim), [-4] * env.dim, [4] * env.dim,
+                                         False, False)], n=80)
 print("ok")
 """
 
