@@ -16,9 +16,11 @@ from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift)
 from rwre.lattice import step_vectors
 
+# the six laws, and two whose eight-entry rows numpy sums pairwise
 LAWS = [UniformDrift(2, 0.3), Expl(2, 0.2), TrapSym(2), TrapTransient(1),
         Dirichlet((1.0, 2.0, 0.5, 1.5)),
-        TableMixture(((0.3, (0.7, 0.1, 0.1, 0.1)), (0.7, (0.25,) * 4)))]
+        TableMixture(((0.3, (0.7, 0.1, 0.1, 0.1)), (0.7, (0.25,) * 4))),
+        Expl(4, 0.2), TrapTransient(3)]
 WIDTHS = (1, 2, 257)
 
 
@@ -62,29 +64,35 @@ def _steps(law) -> str:
 
 
 PINNED = {
-    "uniform_drift": (
+    "uniform_drift:d=2:s=0.3:a=1": (
         "1ce4c828038bc7819c91bed97b38e147efa4a9e880b92152b9318d4c026d7002",
         "748abe9ddbfddbbf81d5f4b89915c16dc704fa964422a0125f63600d989766a9"),
-    "expl": (
+    "expl:d=2:eps=0.2": (
         "e865ce4aa6fe9dbb761354626c561bd8252e70f381ac8e1a95d3edb3258eb18e",
         "2172c4161efb5fa1377560b895306a802c28d199abe4b5d0a6c7edf0161e8311"),
-    "trap_sym": (
+    "trap_sym:d=2:t=0.25": (
         "92d719f27ae4b1bdec735e45d74853bad0ebc33b29d4df0f0f4b2a920e0b6e01",
         "a73399047270ece68455d9d5e974c88014dfd0e06750371fbc9eed6010fdf002"),
-    "trap_transient": (
+    "trap_transient:d=1": (
         "d09ff260b67112304fee7abb8a02a22a917e459a9c04ea4cd7741303615d892a",
         "8ba50023c65c3958bd192827575e3df35f79474900b18a39423220bdcb9c50d6"),
-    "dirichlet": (
+    "dirichlet:1.0,2.0,0.5,1.5": (
         "50895f370c8b4373746d8f331ea790704cdbcec3fde05f7810956cf3d5224e2c",
         "2fabc04afe70d31fc5293572d2b2d382c6a72e7d3d0fd4367aee0a939e454917"),
-    "table_mixture": (
+    "table_mixture:0.3:0.7,0.1,0.1,0.1|0.7:0.25,0.25,0.25,0.25": (
         "5e8a86a67264d6d8a72b7d21dffa8d152c0b5d9657ef93bcb94f41791ef3d4e1",
         "3665aa87829c3f1a1dc8117829541ee873e8e6bcdcf0fd3c4b1ad1df9b47015c"),
+    "expl:d=4:eps=0.2": (
+        "230cdffa60423d21f1c04981255696cbf539ab83d0b63fb4c71f909465fd5b28",
+        "da2bc6260c266865a56d410e7da860d972eef4bca3a2415a325b97de0fa3310f"),
+    "trap_transient:d=3": (
+        "2cc59216bd6d2c58f0ccb88b2f87ed96e91efd8ae2b90e84fea5ae4065b3e1b9",
+        "0a81f5253b9be50a3c3e9de1c1988b544c5b7609911ab6ddfa30ed8667ba5eff"),
 }
 
 
-@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.tag.split(":")[0])
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.tag)
 def test_field_rows_and_steps_are_pinned(law):
-    rows, steps = PINNED[law.tag.split(":")[0]]
+    rows, steps = PINNED[law.tag]
     assert _rows(law) == rows
     assert _steps(law) == steps
