@@ -37,12 +37,14 @@ Concrete laws:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
 from .errors import ParameterError
-from .lattice import _sites
+from .lattice import _frozen, _sites
 
 PROB_SUM_TOL = 1e-9
 
@@ -61,12 +63,17 @@ def sample_trap_T(u, d: int):
     return 0.5 * np.asarray(u, dtype=float) ** (1 << d)
 
 
+_ONE = np.array(1.0)
+
+
 def normalize_rows(p: np.ndarray) -> np.ndarray:
     """Renormalize probability rows, rejecting sums off by more than 1e-9,
     negative entries and NaN (each test is written so that NaN fails it)."""
     p = np.asarray(p, dtype=float)
     s = np.add.reduce(p, axis=-1, keepdims=True)
-    if not (np.abs(s - 1.0) <= PROB_SUM_TOL).all() or not (p >= 0).all():
+    # one float reduction per test, which NaN propagates through
+    if not (p.min(initial=0.0) >= 0.0
+            and abs(s - _ONE).max(initial=0.0) <= PROB_SUM_TOL):
         raise ValueError("invalid transition vector (bad sum or negative entry)")
     return p / s
 
@@ -108,6 +115,28 @@ class UniformDrift:
         return np.broadcast_to(self.pvec(), (U.shape[0], 2 * self.d)).copy()
 
 
+class _ExplConsts(NamedTuple):
+    power: np.ndarray           # -6d, the exponent of sample_expl_T
+    scale: np.ndarray           # 2d + 1
+    ndirs: np.ndarray           # 2d
+    own_share: np.ndarray       # d - 1 entries share i0's half
+    at_i0: np.ndarray           # (2d + 1,) i0 clipped to 2d - 1
+    own_mass: np.ndarray        # (2d + 1,) the mass of i0's half
+    other: np.ndarray           # (2d + 1,) an entry of the other half
+    in_own_half: np.ndarray     # (2d + 1, 2d) entries in i0's half
+
+
+@lru_cache(maxsize=64)
+def _expl_consts(d: int, eps: float) -> _ExplConsts:
+    """An Expl law's constants, as 0-d arrays and read-only tables."""
+    i0 = np.minimum(np.arange(2 * d + 1), 2 * d - 1)
+    neg = i0 >= d
+    return _ExplConsts(*(_frozen(np.asarray(a)) for a in (
+        float(-6 * d), float(2 * d + 1), float(2 * d), float(d - 1), i0,
+        np.where(neg, eps, 1.0 - eps), np.where(neg, (1.0 - eps) / d, eps / d),
+        (np.arange(2 * d) >= d) == neg[:, None])))
+
+
 @dataclass(frozen=True)
 class Expl:
     """The explicit ballistic example law.
@@ -144,19 +173,20 @@ class Expl:
         return f"expl:d={self.d}:eps={self.eps!r}"
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
-        d, eps = self.d, self.eps
-        n = U.shape[0]
-        T = sample_expl_T(U[:, 0], d)
-        invT = 1.0 / T
-        i0 = np.minimum((U[:, 1] * 2 * d).astype(np.int64), 2 * d - 1)
-        pos_has_i0 = i0 < d
-        # each half's other entries share its mass, less 1/T if i0 lies in it
-        pos_other = np.where(pos_has_i0, (1.0 - eps - invT) / (d - 1), (1.0 - eps) / d)
-        neg_other = np.where(pos_has_i0, eps / d, (eps - invT) / (d - 1))
-        p = np.empty((n, 2 * d))
-        p[:, :d] = pos_other[:, None]
-        p[:, d:] = neg_other[:, None]
-        p[np.arange(n), i0] = invT
+        # the float operations of sample_expl_T and the half masses, per
+        # row; which entries take which value is read off tables indexed by
+        # i0, whose row 2d repeats row 2d - 1 (i0 = 2d where U[:, 1] == 1)
+        (power, scale, ndirs, own_share, at_i0, own_mass, other,
+         in_own_half) = _expl_consts(self.d, self.eps)
+        T = U[:, 0] ** power
+        T *= scale
+        invT = np.divide(_ONE, T, out=T)
+        i0 = (U[:, 1] * ndirs).astype(np.intp)
+        own = own_mass.take(i0)             # i0's half: its mass less 1/T
+        own -= invT
+        own /= own_share
+        p = np.where(in_own_half.take(i0, axis=0), own[:, None], other.take(i0)[:, None])
+        p[np.arange(len(i0)), at_i0.take(i0)] = invT
         return p
 
 
@@ -302,6 +332,10 @@ class TableMixture:
             raise ParameterError("all components must share an even length")
         for _, p in ent:
             normalize_rows(np.asarray(p))
+        w = np.array([w for w, _ in ent])
+        object.__setattr__(self, "_cum", _frozen(np.cumsum(w / w.sum())))
+        object.__setattr__(self, "_table",
+                           _frozen(normalize_rows(np.array([p for _, p in ent]))))
 
     @property
     def dim(self) -> int:
@@ -317,11 +351,8 @@ class TableMixture:
         return "table_mixture:" + "|".join(parts)
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
-        w = np.array([w for w, _ in self.entries])
-        cum = np.cumsum(w / w.sum())
-        table = normalize_rows(np.array([p for _, p in self.entries]))
-        idx = np.minimum(np.searchsorted(cum, U[:, 0]), len(cum) - 1)
-        return table[idx]
+        cum = self._cum
+        return self._table[np.minimum(np.searchsorted(cum, U[:, 0]), len(cum) - 1)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +371,11 @@ class Environment:
 
     def __post_init__(self):
         tag = rng.string_tag(self.law.tag)
+        # one uint64 key per walker, or one 0-d uint64 key for every site
         if np.ndim(self.master_seed):
             base = rng.base_keys(self.master_seed, tag)
         else:
-            base = rng.base_key(self.master_seed, tag)
+            base = np.array(rng.base_key(self.master_seed, tag), dtype=np.uint64)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_nvars", self.law.nvars)
         object.__setattr__(self, "dim", self.law.dim)
@@ -369,16 +401,18 @@ class Environment:
         if self._nvars == 0:
             return self.law.pvecs_from_uniforms(np.empty((X.shape[0], 0)))
         keys = self._site_keys(X, idx)
-        return self._rows(rng.stream_uniforms(keys[:, None], np.arange(self._nvars)))
+        return self._rows(rng._uniforms(keys[:, None] + rng._offsets(self._nvars)))
 
     # The two stages of a site row, shared with walk._step_batch, which draws
-    # the site uniforms and the walk uniform of a step in one call.
+    # the site uniforms and the walk uniform of a step in one call.  The
+    # draws are rng.stream_uniforms(keys[:, None], np.arange(nvars)), with
+    # the counter offsets of those draw indices made once.
 
     def _site_keys(self, X: np.ndarray, idx) -> np.ndarray:
         """Site keys of the (N, dim) int64 sites X (``idx`` as above)."""
         base = self._base
-        if isinstance(base, np.ndarray):
-            base = base[idx] if idx is not None else base[:len(X)]
+        if base.ndim:
+            base = base.take(idx) if idx is not None else base[:len(X)]
         return rng.site_keys_from_base(base, X)
 
     def _rows(self, U: np.ndarray) -> np.ndarray:
@@ -388,7 +422,7 @@ class Environment:
 
 def _require_one_field(env: Environment, what: str) -> None:
     """ParameterError unless ``env`` is one quenched field, not per-walker seeds."""
-    if isinstance(env._base, np.ndarray):       # one base key per walker
+    if env._base.ndim:                          # one base key per walker
         raise ParameterError(f"{what} needs one field, not per-walker seeds")
 
 

@@ -19,6 +19,15 @@ walk step makes one such draw for the site uniforms and the walk uniform of
 all its walkers.  The vector paths mix in place on the arrays they have just
 made, and only the public :func:`mix64_np` copies its argument first.
 
+The vector paths' constants are 0-d uint64 (and float64) arrays, not numpy
+scalars or python ints.  At the widths a walk step works on, a numpy call
+costs more than its arithmetic, and an operand's type sets much of that
+cost: on a 2-vCPU Intel Xeon VM with numpy 2.4.6, ``z >> s`` on two keys
+takes 0.36 us with a 0-d array ``s``, 0.59 us with an ``np.uint64`` scalar
+and 0.74 us with a python int, and one SplitMix mix of two keys 4.5 us
+against 8.6 us with scalars (of 10^4 keys, 37 against 45 us).  The
+arithmetic, and so every bit, is the same.
+
 Note: numpy uint64 *array* arithmetic wraps silently, which is exactly
 what we want; only scalar numpy ops would warn, and the scalar paths here
 use plain python ints instead.  So a key taken out of a vector result and
@@ -28,17 +37,24 @@ column) must first become a python int: ``keys.tolist()`` or ``int(k)``.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
-_U64_GOLDEN = np.uint64(GOLDEN)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-_S30, _S27, _S31, _S11 = (np.uint64(s) for s in (30, 27, 31, 11))
-_ONE = np.uint64(1)
-_INV_2_53 = 2.0 ** -53
+
+def _u64(v: int) -> np.ndarray:
+    return np.array(v, dtype=np.uint64)
+
+
+_GOLDEN = _u64(GOLDEN)
+_M1 = _u64(0xBF58476D1CE4E5B9)
+_M2 = _u64(0x94D049BB133111EB)
+_S30, _S27, _S31, _S11 = (_u64(s) for s in (30, 27, 31, 11))
+_ONE = _u64(1)
+_INV_2_53 = np.array(2.0 ** -53)
 
 
 def mix64(z: int) -> int:
@@ -69,11 +85,10 @@ def fold(h: int, word: int) -> int:
     return mix64(((h ^ (word & MASK64)) + GOLDEN) & MASK64)
 
 
-def _fold_np(h: np.ndarray, w) -> np.ndarray:
-    """:func:`fold` of the words w into the keys h, in place on h (a uint64
-    array the caller has just made)."""
-    h ^= w
-    h += _U64_GOLDEN
+def _fold_np(h: np.ndarray) -> np.ndarray:
+    """:func:`fold` in place on h, which holds the keys xor the words (a
+    uint64 array the caller has just made)."""
+    h += _GOLDEN
     return _mix_np_inplace(h)
 
 
@@ -95,8 +110,9 @@ def derive_key(master: int, *words: int | str) -> int:
 
 def derive_keys(master: int, *words: int | str, n: int) -> np.ndarray:
     """``[derive_key(master, *words, i) for i in range(n)]`` as a uint64 array."""
-    h = np.full(n, derive_key(master, *words), dtype=np.uint64)
-    return _fold_np(h, np.arange(n, dtype=np.uint64))
+    h = np.arange(n, dtype=np.uint64)
+    h ^= _u64(derive_key(master, *words))
+    return _fold_np(h)
 
 
 def base_key(master: int, tag: int) -> int:
@@ -107,20 +123,22 @@ def base_key(master: int, tag: int) -> int:
 def base_keys(masters: np.ndarray, tag: int) -> np.ndarray:
     """Vectorized :func:`base_key` over a uint64 array of master seeds."""
     h = mix64_np(np.asarray(masters, dtype=np.uint64))
-    return _fold_np(h, np.uint64(tag))
+    h ^= _u64(tag)
+    return _fold_np(h)
 
 
 def site_keys_from_base(base, coords: np.ndarray) -> np.ndarray:
-    """Vectorized site keys for an (N, d) int array, given a folded base.
+    """Vectorized site keys for an (N, d) int array, d >= 1, given a folded base.
 
-    ``base`` is one key (python int) shared by every row, or a uint64 array
-    of N per-row keys, e.g. from :func:`base_keys`.
+    ``base`` is one key (python int or 0-d uint64 array) shared by every
+    row, or a uint64 array of N per-row keys, e.g. from :func:`base_keys`.
     """
-    coords = np.asarray(coords)
-    words = coords.astype(np.int64, copy=False).astype(np.uint64)
-    h = np.full(coords.shape[0], base, dtype=np.uint64)
-    for j in range(coords.shape[1]):
-        _fold_np(h, words[:, j])
+    # int64 coordinates read as uint64 words, as fold's ``word & MASK64``
+    words = np.asarray(coords).astype(np.int64, copy=False).view(np.uint64)
+    h = _fold_np(words[:, 0] ^ np.asarray(base, dtype=np.uint64))
+    for j in range(1, words.shape[1]):
+        h ^= words[:, j]
+        _fold_np(h)
     return h
 
 
@@ -128,10 +146,31 @@ def stream_uniforms(keys, index) -> np.ndarray:
     """Draws ``index`` of the streams ``keys``, broadcast against each other
     (``keys[:, None]`` against ``np.arange(k)``: k draws per key); in (0, 1]."""
     idx = np.array(index, dtype=np.uint64, ndmin=1)     # an array: wraps silently
-    v = _mix_np_inplace(keys + (idx + _ONE) * _U64_GOLDEN)
+    idx += _ONE
+    idx *= _GOLDEN
+    return _uniforms(keys + idx)
+
+
+def _uniforms(v: np.ndarray) -> np.ndarray:
+    """The uniforms of the counters v = key + (index + 1) * GOLDEN, made in
+    place on v (a uint64 array the caller has just made)."""
+    _mix_np_inplace(v)
     v >>= _S11
     v += _ONE
     return np.multiply(v, _INV_2_53, dtype=np.float64)
+
+
+@cache
+def _offsets(n: int) -> np.ndarray:
+    """The counter offsets ``(index + 1) * GOLDEN`` of draws 0..n-1 (read-only)."""
+    off = (np.arange(n, dtype=np.uint64) + _ONE) * _GOLDEN
+    off.flags.writeable = False
+    return off
+
+
+def _offset(index: int) -> np.ndarray:
+    """The counter offset of draw ``index``, as a 0-d uint64 array."""
+    return _u64((index + 1) * GOLDEN & MASK64)
 
 
 def stream_uniform_block(key: int, n: int) -> np.ndarray:

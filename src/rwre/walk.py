@@ -72,26 +72,29 @@ def _step_batch(env: Environment, pos: np.ndarray, keys: np.ndarray,
                 t: int, sv: np.ndarray, idx=None) -> np.ndarray:
     """Advance every walk in pos one step in place; returns chosen indices.
 
-    One draw per step: row i of the key grid holds walker i's site key in
-    its first nvars columns and its walk key in the last, drawn at indices
-    0..nvars-1 and t, so the site uniforms are those of
-    ``env.transitions_batch`` and the last column is draw t of the walk.
+    One draw per step: row i of the counter grid holds walker i's site key
+    plus the offsets of draws 0..nvars-1 in its first nvars columns and its
+    walk key plus the offset of draw t in the last, so the site uniforms
+    are those of ``env.transitions_batch`` and the last column is draw t of
+    the walk.  The choice is the inverse CDF over the row's cumulative sums,
+    the last of which counts as +inf: the number of sums below the walk
+    uniform, at most 2 dim - 1, is the index of the first that is not.
     """
     nv = env._nvars
     if nv:
         grid = np.empty((len(pos), nv + 1), dtype=np.uint64)
-        grid[:, :nv] = env._site_keys(pos, idx)[:, None]
-        grid[:, nv] = keys
-        draws = np.arange(nv + 1, dtype=np.uint64)
-        draws[nv] = t
-        U = rng.stream_uniforms(grid, draws)
-        P, u = env._rows(U[:, :nv]), U[:, nv]
+        np.add(env._site_keys(pos, idx)[:, None], rng._offsets(nv), out=grid[:, :nv])
+        np.add(keys, rng._offset(t), out=grid[:, nv])
+        U = rng._uniforms(grid)
+        P, u = env._rows(U[:, :nv]), U[:, nv:]
     else:
-        P, u = env.transitions_batch(pos, idx), rng.stream_uniforms(keys, t)
-    cum = P.cumsum(axis=1)
-    idx = np.minimum(np.add.reduce(cum < u[:, None], axis=1), P.shape[1] - 1)
-    pos += sv[idx]
-    return idx
+        P, u = env.transitions_batch(pos, idx), rng.stream_uniforms(keys, t)[:, None]
+    for j in range(1, P.shape[1] - 1):      # cumsum, in place on the rows' own array
+        P[:, j] += P[:, j - 1]
+    P[:, -1] = np.inf
+    choice = (P < u).argmin(axis=1)
+    pos += sv.take(choice, axis=0)
+    return choice
 
 
 def _count(n, what: str):

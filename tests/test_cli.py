@@ -4,9 +4,11 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rwre import cli, criteria, hypercube, walk
+from rwre import cli, criteria, hypercube, rng, walk
+from rwre.environment import Dirichlet, Environment, TrapTransient, UniformDrift
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -469,3 +471,56 @@ def test_criteria_config_keys_are_not_checked_per_criterion(tmp_path, monkeypatc
                 "--d", "2", "--eps", "0.2", "--seed", "1",
                 "--out", str(tmp_path / "c.json")]) == cli.EXIT_OK
     assert seen == [2]
+
+
+@pytest.mark.parametrize("spec, law", [
+    ({"kind": "trap_transient", "d": 2}, TrapTransient(2)),
+    ({"kind": "dirichlet", "weights": [1, 2.5, 1, 0.5]}, Dirichlet((1.0, 2.5, 1.0, 0.5)))],
+    ids=["trap_transient", "dirichlet"])
+def test_config_laws_walk(tmp_path, spec, law):
+    # a law given only in a config file: the walk's bytes are those of the
+    # law built directly, under the same seed
+    assert cli.law_from_spec(spec) == law
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": spec, "steps": 40, "walks": 3, "seed": 5}))
+    out = tmp_path / "w.csv"
+    assert run(["walk", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    env = Environment(law, 5)
+    keys = walk.walk_keys(rng.derive_key(5, "cli_walk"), 3)
+    final = walk.run_fixed_batch(env, np.zeros(law.dim, dtype=np.int64), 40, keys).final
+    rows = out.read_text().splitlines()[2:]
+    assert [r.split(",")[1:] for r in rows] == [[str(v) for v in f] for f in final.tolist()]
+
+
+def test_default_ell_of_the_transient_trap_law_is_its_extra_axis():
+    assert cli.default_ell(TrapTransient(2)).tolist() == [0.0, 0.0, 1.0]
+    assert cli.default_ell(TrapTransient(1)).tolist() == [0.0, 1.0]
+
+
+def test_json_writer_encodes_numpy_scalars_and_refuses_other_objects(tmp_path):
+    path = tmp_path / "j.json"
+    cli.write_json(path, {"i": np.int64(3), "f": np.float32(0.5), "b": np.bool_(True),
+                          "a": np.arange(2), "t": True}, {})
+    doc = json.loads(path.read_text())
+    assert [doc[k] for k in "ifbat"] == [3, 0.5, True, [0, 1], True]
+    assert type(doc["b"]) is bool and type(doc["i"]) is int
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.write_json(path, {"x": object()}, {})
+
+
+@pytest.mark.parametrize("name, config, estimator", [
+    ("e0", {"etas": [0.2, 0.3, 0.2, 0.3]},
+     lambda law: criteria.check_e0(law, [0.2, 0.3, 0.2, 0.3], 200, 6)),
+    ("eprime1", {"phi": [0.1, 0.2, 0.1, 0.2]},
+     lambda law: criteria.check_eprime(law, [0.1, 0.2, 0.1, 0.2], 200, 6))])
+def test_criteria_e0_and_eprime_report_their_estimator(tmp_path, name, config, estimator):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "c.json"
+    assert run(["criteria", "--criterion", name, "--config", str(cfg), "--law", "uniform",
+                "--d", "2", "--replicates", "200", "--seed", "6",
+                "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    want = json.loads(json.dumps(estimator(UniformDrift(2)).to_dict(),
+                                 default=cli._json_default))
+    assert {k: doc[k] for k in want} == want

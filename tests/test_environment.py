@@ -87,6 +87,32 @@ def test_normalize_rows_rejects_nan_rows():
         normalize_rows(row)
 
 
+@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
+@pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.tag.split(":")[0])
+def test_field_layer_leaves_its_inputs_alone(law, per_walker):
+    # the field layer works in place, but only on arrays it has just made:
+    # the uniforms (contiguous, or a walk step's strided columns, with a 1.0
+    # among them), the rows, the sites and the walker ids it reads never change
+    draws = rng.stream_uniforms(rng.derive_keys(3, "alone", n=40)[:, None],
+                                np.arange(law.nvars + 1))
+    draws[0] = 1.0
+    for U in (draws[:, :law.nvars], np.ascontiguousarray(draws[:, :law.nvars])):
+        given = U.copy()
+        with np.errstate(invalid="ignore"):         # Dirichlet's NaN row at 1.0
+            rows = law.pvecs_from_uniforms(U)
+        assert np.array_equal(U, given)
+        given = rows[1:].copy()
+        normalize_rows(rows[1:])
+        assert np.array_equal(rows[1:], given)
+    seeds = rng.derive_keys(4, "alone_fields", n=60) if per_walker else 4
+    env = Environment(law, seeds)
+    X = _sites(40, law.dim)
+    ids = np.arange(59, 19, -1)
+    given = X.copy(), ids.copy()
+    env.transitions_batch(X, ids if per_walker else None)
+    assert np.array_equal(X, given[0]) and np.array_equal(ids, given[1])
+
+
 # --- simplex and determinism invariants -------------------------------------
 
 @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda l: l.tag.split(":")[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rwre import stats
+from rwre.errors import ParameterError
 
 
 def _pareto(alpha, n, rs):
@@ -140,3 +141,31 @@ def test_binomial_ci_exact_bounds():
     assert lo == pytest.approx(0.18709, abs=1e-5)
     assert hi == pytest.approx(0.81291, abs=1e-5)
     assert all(np.isnan(stats.binomial_ci(0, 0)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: stats.hill(np.array([])), "nonempty 1-d"),
+    (lambda: stats.hill(np.ones((20, 20))), "nonempty 1-d"),
+    (lambda: stats.ks_two_sample([], [1.0, 2.0]), "both samples must be nonempty"),
+    (lambda: stats.ks_two_sample([1.0], np.array([])), "both samples must be nonempty"),
+    (lambda: stats.chi_square_geometric([1, 2, 3], 0.0), "q must be positive"),
+    (lambda: stats.chi_square_geometric([1, 2, 3], -0.5), "q must be positive")])
+def test_stats_inputs_out_of_range_raise(call, match):
+    with pytest.raises(ParameterError, match=match):
+        call()
+
+
+def test_moment_verdict_between_the_bands_is_inconclusive():
+    # Pareto(2) quantiles: the Hill CI's lower end lies above alpha = 1.5 but
+    # below alpha + 0.25, the band where neither verdict holds
+    x = ((np.arange(10_000) + 0.5) / 10_000) ** -0.5
+    v, est = stats.moment_verdict(x, 1.5, k=100)
+    assert v == "inconclusive"
+    assert 1.5 < est.ci_low < 1.75
+
+
+def test_chi_square_geometric_with_no_bin_besides_the_tail():
+    # six counts at q = 0.3: the tail beyond the first bin expects
+    # 6 * 0.7 = 4.2 < 5 counts, so no bin is formed and nothing is tested
+    assert stats.chi_square_geometric([1, 2, 1, 3, 1, 1], 0.3) == (0.0, 0, 1.0)
+    assert stats.chi_square_geometric([], 0.3) == (0.0, 0, 1.0)
