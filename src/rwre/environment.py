@@ -330,8 +330,6 @@ class TableMixture:
         lens = {len(p) for _, p in ent}
         if len(lens) != 1 or next(iter(lens)) % 2 != 0:
             raise ParameterError("all components must share an even length")
-        for _, p in ent:
-            normalize_rows(np.asarray(p))
         w = np.array([w for w, _ in ent])
         object.__setattr__(self, "_cum", _frozen(np.cumsum(w / w.sum())))
         object.__setattr__(self, "_table",
