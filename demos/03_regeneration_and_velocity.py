@@ -20,7 +20,7 @@ res = walk.run_fixed_batch(env, np.zeros(2, dtype=np.int64), n, keys,
 
 ell = np.ones(2) / np.sqrt(2)
 params = rg.RegenParams(tuple(ell))
-records = [rg.extract_from_steps(res.steps[w], (0, 0), params, n)
+records = [rg.extract_from_steps(res.steps[w], (0, 0), params)
            for w in range(walks)]
 
 total = sum(r.n_certified() for r in records)

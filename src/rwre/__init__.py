@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .environment import (Dirichlet, Environment, Expl, TableMixture,
                           TrapSym, TrapTransient, UniformDrift,
-                          ellipticity_profile, sample_expl_T, sample_trap_T)
+                          ellipticity_profile, sample_trap_T)
 from .lattice import TiltedBox, UnitHypercube
 from .regeneration import (RegenParams, RegenerationRecord, direct_velocity,
                            regeneration_radii, renewal_velocity)
@@ -18,7 +18,7 @@ __all__ = [
     "__version__",
     "UnitHypercube", "TiltedBox",
     "Environment", "UniformDrift", "Expl", "TrapSym", "TrapTransient",
-    "Dirichlet", "TableMixture", "sample_expl_T", "sample_trap_T",
+    "Dirichlet", "TableMixture", "sample_trap_T",
     "ellipticity_profile",
     "RegenParams", "RegenerationRecord", "renewal_velocity",
     "direct_velocity", "regeneration_radii",

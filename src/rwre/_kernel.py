@@ -24,13 +24,13 @@ A field's compiled state is the C struct ``field_t``: the law, the base
 keys, the step hand-back margin and the site-row table (below).  The
 ``Environment`` keeps it, as a :class:`Field`, from its first run on, so
 every later run on the same field starts from the rows the earlier ones
-stored; as an ``Environment`` and its law are frozen, it is built again
-only when ``GUARD_MARGIN`` or the ``TABLE_*`` geometry differs.  A run's
-state is the C struct ``run_t``: the field it reads, the region's forms,
-the walkers' output arrays, their rows (ids, keys and sites) and the loop
-state (step and live rows).  :func:`loop` builds it as a :class:`Loop`,
-which holds its ctypes mirror and the arrays it points to, or returns
-None when numpy must step the environment.  ``rwre_until`` takes the run
+stored.  As an ``Environment`` and its law are frozen, it is built once,
+under the ``GUARD_MARGIN`` and ``TABLE_*`` values of that first run.  A
+run's state is the C struct ``run_t``: the field it reads, the region's
+forms, the walkers' output arrays, their rows (ids, keys and sites) and
+the loop state (step and live rows).  :func:`loop` builds it as a
+:class:`Loop`, which holds its ctypes mirror and the arrays it points to,
+or returns None when numpy must step the environment.  ``rwre_until`` takes the run
 and the step to stop at; between calls, numpy steps the rows that
 :meth:`Loop.rows` hands it, in place.  Each call, like each pass of
 ``walk._walk``, starts by evaluating the region where it starts.
@@ -616,12 +616,11 @@ def _address(a: np.ndarray | None) -> int | None:
 class Field:
     """The compiled state of one environment's field, which every run on it
     reads: its ``field_t`` and the base keys and site-row table that the
-    struct points to, built under the settings ``key``, and the lock that
-    lets one run at a time use the table."""
+    struct points to, and the lock that lets one run at a time use the
+    table."""
 
-    def __init__(self, env, code: int, param: float, key: tuple):
+    def __init__(self, env, code: int, param: float):
         dim = env.dim
-        self.key = key
         self.base = np.array(env._base, dtype=np.uint64, ndmin=1)
         per_walker = np.ndim(env.master_seed) > 0
         self.struct = _Field(law=code, d=env.law.d, dim=dim, nvars=env.law.nvars,
@@ -649,13 +648,10 @@ class Field:
 
 
 def _field(env, code: int, param: float) -> Field:
-    """``env``'s kept :class:`Field`, built on its first run and again
-    whenever ``GUARD_MARGIN`` or the table geometry differs (the law and
-    the base keys of a frozen ``Environment`` cannot)."""
-    key = (GUARD_MARGIN, TABLE_PER_WALKER, TABLE_SHARED, TABLE_CAP)
+    """``env``'s kept :class:`Field`, built on its first run."""
     field = env._loop_field
-    if field is None or field.key != key:
-        field = Field(env, code, param, key)
+    if field is None:
+        field = Field(env, code, param)
         object.__setattr__(env, "_loop_field", field)
     return field
 

@@ -883,14 +883,12 @@ class FrontExitEstimate:
 def tilted_box_exit(env: Environment, center: Site, beta: float, L: float,
                     vhat, walk_budget: int, runs: int,
                     master_seed: int) -> FrontExitEstimate:
-    """Quenched probability of leaving a tilted box through its front."""
+    """Quenched probability of leaving a tilted box through its front;
+    walks still inside after ``walk_budget`` >= 1 steps are censored."""
     if L < 2:
         raise ParameterError("L must be >= 2")
     center = _sites(center, "center")
     box = TiltedBox(tuple(center.tolist()), beta, L, tuple(float(v) for v in vhat))
-    if walk_budget == 0:
-        return FrontExitEstimate(float("nan"), float("nan"), float("nan"),
-                                 0, 0, runs)
     keys = walk_keys(master_seed, runs, salt="tilted_box")
     n_front, n, cens = _exit_share(env, center, keys, walk_budget, box.region,
                                    box.is_front_batch)

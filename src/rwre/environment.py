@@ -49,15 +49,6 @@ from .lattice import _frozen, _sites
 PROB_SUM_TOL = 1e-9
 
 
-def sample_expl_T(u, d: int):
-    """T = (2d+1) u^{-6d}: Pareto on [2d+1, inf) with tail exponent 1/(6d).
-
-    Then E[T^s] is finite exactly when s < 1/(6d), so the moment of order
-    1/(8d) is finite while the moment of order 1/(4d) is infinite.
-    """
-    return (2 * d + 1) * np.asarray(u, dtype=float) ** (-6 * d)
-
-
 def sample_trap_T(u, d: int):
     """T = u^{2^d} / 2: supported on (0, 1/2] with P[1/T >= n] = (2/n)^{1/2^d}."""
     return 0.5 * np.asarray(u, dtype=float) ** (1 << d)
@@ -116,7 +107,7 @@ class UniformDrift:
 
 
 class _ExplConsts(NamedTuple):
-    power: np.ndarray           # -6d, the exponent of sample_expl_T
+    power: np.ndarray           # -6d, the exponent of U in T
     scale: np.ndarray           # 2d + 1
     ndirs: np.ndarray           # 2d
     own_share: np.ndarray       # d - 1 entries share i0's half
@@ -142,7 +133,10 @@ class Expl:
     """The explicit ballistic example law.
 
     At each site, an independent direction i0 uniform on the 2d directions
-    receives probability 1/T with T = (2d+1) U^{-6d}; the remaining mass
+    receives probability 1/T with T = (2d+1) U^{-6d}, Pareto on
+    [2d+1, inf) with tail exponent 1/(6d): E[T^s] is finite exactly when
+    s < 1/(6d), so the moment of order 1/(8d) is finite while the moment
+    of order 1/(4d) is infinite.  The remaining mass
     splits so the positive directions carry 1 - eps total and the negative
     ones eps.  Requires eps in [1/(2d+1), 2d/(2d+1)] so that every entry is
     nonnegative (the endpoints touch zero only on the null event T = 2d+1),
@@ -173,7 +167,7 @@ class Expl:
         return f"expl:d={self.d}:eps={self.eps!r}"
 
     def pvecs_from_uniforms(self, U: np.ndarray) -> np.ndarray:
-        # the float operations of sample_expl_T and the half masses, per
+        # the float operations of T = (2d+1) U^{-6d} and the half masses, per
         # row; which entries take which value is read off tables indexed by
         # i0, whose row 2d repeats row 2d - 1 (i0 = 2d where U[:, 1] == 1)
         (power, scale, ndirs, own_share, at_i0, own_mass, other,

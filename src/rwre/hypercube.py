@@ -46,7 +46,7 @@ from math import comb
 import numpy as np
 
 from . import rng, stats
-from .environment import Environment, transitions_for_seeds
+from .environment import Environment, _require_one_field, transitions_for_seeds
 from .errors import ParameterError
 from .lattice import UnitHypercube, _frozen, _outward
 from .walk import run_until_batch, walk_keys
@@ -261,6 +261,7 @@ def _escape_row(A: np.ndarray, P: np.ndarray, q: np.ndarray, x: int):
 def analyze(env: Environment, cube: UnitHypercube,
             moment_order: int = 2) -> ExitAnalysis:
     """Exact analysis of one quenched cube (batch of size 1)."""
+    _require_one_field(env, "analyze")
     trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
     return analyze_transitions(trans[None], moment_order)
 
@@ -373,6 +374,7 @@ def visit_law_check(env: Environment, cube: UnitHypercube, corner: int,
     """
     if runs < 10_000:
         raise ParameterError("runs must be >= 10^4 for a stable test")
+    _require_one_field(env, "visit_law_check")
     trans = env.transitions_batch(np.asarray(cube.corners, dtype=np.int64))
     qt = float(escape_site_probs(trans, corner)[1].sum())   # one chain, one solve
     site = cube.corners[corner]

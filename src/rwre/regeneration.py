@@ -7,8 +7,8 @@ threshold, test whether the walk ever drops strictly below its level
 there; on failure raise the threshold to (running max at the drop) + a and
 repeat, on success record the time and restart the recursion there.
 
-Finite horizons cannot certify "never backtracks", so a record is
-certified only when at least horizon // 4 steps remain after it and
+A finite walk cannot certify "never backtracks", so a record of a walk of
+n steps is certified only when at least n // 4 steps remain after it and
 none of them goes below its level; trailing records that backtrack in no
 observed step but lack the margin are kept, flagged censored.
 
@@ -126,9 +126,10 @@ def extract_from_levels(l: np.ndarray, a: float,
     return times, flags
 
 
-def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
-                       horizon: int) -> RegenerationRecord:
-    """Extract the regeneration record of one recorded step-index row.
+def extract_from_steps(steps: np.ndarray, start,
+                       params: RegenParams) -> RegenerationRecord:
+    """Extract the regeneration record of one recorded step-index row
+    from ``start``, whose length must match ``params.ell``.
 
     An empty record is a valid outcome for short or backtracking walks.
     """
@@ -136,7 +137,7 @@ def extract_from_steps(steps: np.ndarray, start, params: RegenParams,
     d = positions.shape[1]
     a = params.resolved_a(d)
     l = positions @ np.asarray(params.ell, dtype=float)
-    times, flags = extract_from_levels(l, a, horizon // 4)
+    times, flags = extract_from_levels(l, a, len(steps) // 4)
     t = np.asarray(times, dtype=np.int64)
     return RegenerationRecord(t, positions[t], np.asarray(flags, dtype=bool))
 
@@ -217,7 +218,7 @@ def run_regenerations(env, keys, nsteps: int, params: RegenParams):
     params.resolved_a(d)
     res = walk.run_fixed_batch(env, np.zeros(d, dtype=np.int64), nsteps, keys,
                                record_steps=True)
-    records = [extract_from_steps(row, (0,) * d, params, nsteps)
+    records = [extract_from_steps(row, (0,) * d, params)
                for row in res.steps]
     ren = renewal_velocity(records)
     return records, ren, direct_velocity(res.final, nsteps) if ren.ok else None

@@ -30,16 +30,20 @@ arithmetic, and so every bit, is the same.
 
 Note: numpy uint64 *array* arithmetic wraps silently, which is exactly
 what we want; only scalar numpy ops would warn, and the scalar paths here
-use plain python ints instead.  So a key taken out of a vector result and
-passed to a scalar path (``derive_key``, ``Environment(law, seed)``, a CSV
-column) must first become a python int: ``keys.tolist()`` or ``int(k)``.
+use plain python ints instead.  The scalar paths turn a numpy integer
+seed into a python int themselves (``derive_key``, ``base_key`` and so
+``Environment(law, seed)``), but a key written out (a CSV column) should
+still be made a python int first: ``keys.tolist()`` or ``int(k)``.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 
 import numpy as np
+
+from .errors import ParameterError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -100,9 +104,19 @@ def string_tag(s: str) -> int:
     return h
 
 
+def _seed(master) -> int:
+    """A scalar master seed as a python int mod 2^64, so that a numpy
+    integer seed (a key taken out of a vector result) keys what the same
+    python int keys; a float or any other non-integer is a ParameterError."""
+    try:
+        return operator.index(master) & MASK64
+    except TypeError:
+        raise ParameterError(f"a seed must be an integer, got {master!r}") from None
+
+
 def derive_key(master: int, *words: int | str) -> int:
     """Derive a sub-key from a master seed and a sequence of words/tags."""
-    h = mix64(master & MASK64)
+    h = mix64(_seed(master))
     for w in words:
         h = fold(h, string_tag(w) if isinstance(w, str) else int(w))
     return h
@@ -117,7 +131,7 @@ def derive_keys(master: int, *words: int | str, n: int) -> np.ndarray:
 
 def base_key(master: int, tag: int) -> int:
     """Master seed and law tag folded once; site keys chain coordinates on."""
-    return fold(mix64(master & MASK64), tag)
+    return fold(mix64(_seed(master)), tag)
 
 
 def base_keys(masters: np.ndarray, tag: int) -> np.ndarray:

@@ -51,9 +51,9 @@ def hill(samples, k: int | None = None) -> TailIndexEstimate:
     return TailIndexEstimate(idx, idx * (1 - half), idx * (1 + half), k, n)
 
 
-def moment_verdict(samples, alpha: float,
-                   k: int | None = None) -> tuple[str, TailIndexEstimate | None]:
-    """Decide whether E[X^alpha] looks finite from a heavy-tail fit.
+def moment_verdict(samples, alpha: float) -> tuple[str, TailIndexEstimate | None]:
+    """Decide whether E[X^alpha] looks finite from a :func:`hill` fit, at
+    its default k, of the positive samples.
 
     appears-finite when the Hill CI lower bound is >= alpha + 0.25;
     appears-infinite when the CI cannot exclude a tail index <= alpha
@@ -69,7 +69,7 @@ def moment_verdict(samples, alpha: float,
     if len(x) < 30:
         return "inconclusive", None
     try:
-        est = hill(x, k)
+        est = hill(x)
     except NoTailError:
         return "moment-appears-finite", None
     except ValueError:

@@ -492,6 +492,15 @@ def test_config_laws_walk(tmp_path, spec, law):
     assert [r.split(",")[1:] for r in rows] == [[str(v) for v in f] for f in final.tolist()]
 
 
+def test_unknown_law_kind_in_a_config_is_a_parameter_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"law": {"kind": "levy", "d": 2}, "seed": 1}))
+    out = tmp_path / "w.csv"
+    assert run(["walk", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PARAM
+    assert "unknown law kind 'levy'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_ell_of_the_transient_trap_law_is_its_extra_axis():
     assert cli.default_ell(TrapTransient(2)).tolist() == [0.0, 0.0, 1.0]
     assert cli.default_ell(TrapTransient(1)).tolist() == [0.0, 1.0]

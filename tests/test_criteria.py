@@ -170,6 +170,18 @@ def test_gamma_exponents_res1():
     assert g[2] == pytest.approx(0.2 + 0.3)
 
 
+@pytest.mark.parametrize("phi", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.0, 0.4]], ids=["short", "zero"])
+def test_gamma_exponents_reject_a_bad_phi(phi):
+    with pytest.raises(ParameterError, match="phi must be a positive vector"):
+        cr.gamma_exponents(phi, 2)
+
+
+def test_eprime_policy_refuses_a_delta_no_direction_reaches():
+    # every entry of the uniform row is 1/4: no direction fires at delta 0.3
+    with pytest.raises(ParameterError, match="no direction with p"):
+        cr.discover(Environment(UniformDrift(2), 1), cr.EprimePolicy(delta=0.3))
+
+
 def test_mark_sum_formula_on_every_event():
     # the mark construction gives 2 sum(phi) - (phi(e_k) + phi(-e_k)) on A_k
     phi = np.array([0.15, 0.35, 0.25, 0.45])
@@ -586,6 +598,11 @@ def test_polynomial_condition_rejects_a_nonpositive_length(L_grid):
         cr.polynomial_condition(UniformDrift(2), (1, 0), 1.0, L_grid, 100, 10, 1)
 
 
+def test_polynomial_condition_rejects_an_exponent_below_one():
+    with pytest.raises(ParameterError, match="M must be >= 1"):
+        cr.polynomial_condition(UniformDrift(2), (1, 0), 0.5, [8], 100, 10, 1)
+
+
 def test_polynomial_condition_grid_caps():
     rep = cr.polynomial_condition(FORWARD, np.array([1.0, 0.0]), 1.0,
                                   [10.0], 500, 50, 3)
@@ -820,10 +837,11 @@ def test_tilted_box_exit_deterministic_forward():
     assert est.ci_low == pytest.approx(0.025 ** (1 / 500), rel=1e-9)
 
 
-def test_tilted_box_exit_budget_zero_all_censored():
+def test_tilted_box_exit_refuses_a_zero_budget():
+    # as polynomial_condition and slab_exit do, through run_until_batch
     env = Environment(UniformDrift(2), 1)
-    est = cr.tilted_box_exit(env, (0, 0), 0.6, 8.0, (1.0, 0.0), 0, 200, 3)
-    assert est.n_censored == 200 and np.isnan(est.p_hat)
+    with pytest.raises(ParameterError, match="horizon must be >= 1"):
+        cr.tilted_box_exit(env, (0, 0), 0.6, 8.0, (1.0, 0.0), 0, 200, 3)
 
 
 def test_tilted_box_exit_matches_independent_oracle():

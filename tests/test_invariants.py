@@ -16,7 +16,7 @@ def _inter_times(law, master, walks, nsteps, ell):
     params = rg.RegenParams(tuple(float(v) for v in ell))
     out = []
     for w in range(walks):
-        rec = rg.extract_from_steps(res.steps[w], (0,) * law.dim, params, nsteps)
+        rec = rg.extract_from_steps(res.steps[w], (0,) * law.dim, params)
         out.extend(rec.inter_times.tolist())
     return np.asarray(out, dtype=float)
 
@@ -53,7 +53,7 @@ def test_trap_tail_dominates_regeneration_tail():
         levels = np.concatenate([[0], np.cumsum(np.where(steps == 1, 1,
                                  np.where(steps == 3, -1, 0)))])
         if levels.min() >= 0:                        # rejection: 0-regen walks
-            rec = rg.extract_from_steps(steps, (0, 0), params, nsteps)
+            rec = rg.extract_from_steps(steps, (0, 0), params)
             if rec.n_certified() >= 1:
                 taus.append(int(rec.certified_times[0]))
     taus = np.asarray(taus)

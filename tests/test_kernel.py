@@ -68,9 +68,17 @@ def _assert_same(a, b):
 
 
 def _table(monkeypatch, entries):
-    """Give every site-row table ``entries`` entries per slot."""
+    """Give every site-row table built from now on ``entries`` entries per
+    slot."""
     monkeypatch.setattr(_kernel, "TABLE_PER_WALKER", entries)
     monkeypatch.setattr(_kernel, "TABLE_SHARED", entries)
+
+
+def _fresh(env):
+    """A new environment on ``env``'s field: an environment keeps the
+    compiled field of its first run, built under the ``GUARD_MARGIN`` and
+    ``TABLE_*`` values of that run, so a run under other values needs one."""
+    return Environment(env.law, env.master_seed)
 
 
 def _loops(monkeypatch):
@@ -103,7 +111,7 @@ def test_kernel_steps_equal_numpy_steps(monkeypatch, law, per_walker):
                 if entries:
                     _table(m, entries)
                 loops = _loops(m)
-                ours = _runs(env, W)
+                ours = _runs(_fresh(env), W)
             assert len(set(ours[2].steps_taken.tolist())) > 1 or W == 1
             _assert_same(ours, reference)
             assert len(loops) == 5
@@ -166,7 +174,7 @@ def test_every_dimension_instance_steps_like_numpy(monkeypatch, law, per_walker)
         m.setattr(_kernel, "GUARD_MARGIN", 0.01)
         loops = _loops(m)
         steps = _counting(m, walk, "_step_batch")
-        fixed = walk.run_fixed_batch(env, start, n, keys, checkpoints=marks)
+        fixed = walk.run_fixed_batch(_fresh(env), start, n, keys, checkpoints=marks)
     same([fixed.final, *fixed.checkpoints.values()], reference[:1 + len(marks)])
     assert len(loops) == 1 and 0 < len(steps) < n
 
@@ -216,7 +224,7 @@ def test_handed_back_steps_resume_identically(monkeypatch, margin):
                     m.setattr(_kernel, "GUARD_MARGIN", margin)
                     calls = _counting(m, walk, "_step_batch")
                     loops = _loops(m)
-                    handed_back = _runs(env, W, n)
+                    handed_back = _runs(_fresh(env), W, n)
                 _assert_same(handed_back, reference)
                 if margin == 2.0:
                     assert len(calls) == loop_steps
@@ -266,7 +274,7 @@ def test_tables_stay_within_the_cap(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(_kernel, "TABLE_CAP", cap)
                 loops = _loops(m)
-                ours = _runs(env, W, 60)
+                ours = _runs(_fresh(env), W, 60)
             _assert_same(ours, reference)
             for loop in loops:
                 if per_seed:
@@ -545,10 +553,11 @@ def test_row_blocks_step_like_numpy(monkeypatch, law, per_walker):
             with monkeypatch.context() as m:
                 if entries:
                     _table(m, entries)
-                _assert_same(_runs(env, W, 60), reference)
-    # the widest batch's field again, with a margin that hands back some
-    # steps whose first row within it lies in the second block: numpy
-    # takes exactly the steps that have such a row
+                _assert_same(_runs(_fresh(env), W, 60), reference)
+    # the widest batch's field again, kept anew under a margin that hands
+    # back some steps whose first row within it lies in the second block:
+    # numpy takes exactly the steps that have such a row
+    env = _fresh(env)
     margin, keys = 1e-4, walk.walk_keys(9, W)
     snaps = [np.zeros((W, dim), dtype=np.int64)] + [reference[0].checkpoints[t]
                                                      for t in range(1, 60)]
@@ -661,42 +670,6 @@ def test_kept_field_runs_equal_fresh_and_numpy_runs(monkeypatch, per_walker):
                 assert b is None and c is None
                 continue
             assert np.array_equal(a, b) and np.array_equal(a, c), (law, i)
-
-
-@needs_gcc
-@pytest.mark.parametrize("per_walker", [False, True], ids=["shared", "per_walker"])
-def test_tables_are_never_reused_under_other_settings(monkeypatch, per_walker):
-    # a field is rebuilt whenever GUARD_MARGIN or a TABLE_* setting differs
-    # from the one it was built under, and its rows go with it: a margin of
-    # 2 fails every Expl row's check, so its fresh table stays empty
-    W = 7
-    env = Environment(Expl(2, 0.3),
-                      rng.derive_keys(3, "walkers", n=W) if per_walker else 5)
-    settings = [{}, {"GUARD_MARGIN": 2.0}, {}, {"TABLE_PER_WALKER": 2, "TABLE_SHARED": 2},
-                {"TABLE_CAP": 2 ** 6}, {}, {}]
-    reference = _numpy_runs(monkeypatch, env, W)
-    fields = []
-    for setting in settings:
-        with monkeypatch.context() as m:
-            for name, value in setting.items():
-                m.setattr(_kernel, name, value)
-            loops = _loops(m)
-            ours = _runs(env, W)
-        _assert_same(ours, reference)
-        (field,) = {loop.field for loop in loops}
-        fields.append(field)
-        table = field.table
-        if "GUARD_MARGIN" in setting:
-            assert not table[:, 0].any()
-        elif "TABLE_CAP" in setting:
-            assert table.shape[0] == (7 * 8 if per_walker else 2 ** 6)
-        else:
-            assert table[:, 0].any()
-            per_slot = setting.get("TABLE_PER_WALKER" if per_walker else "TABLE_SHARED")
-            if per_slot:
-                assert table.shape[0] == (W if per_walker else 1) * per_slot
-    # a new field at every change of setting, and only there
-    assert len({id(f) for f in fields}) == 6 and fields[5] is fields[6]
 
 
 @st.composite

@@ -29,6 +29,12 @@ def test_unit_hypercube_structure():
         assert not cube.region(far).any()
 
 
+@pytest.mark.parametrize("site", [(2, 0, 1), (0, -1, 0)], ids=["beyond", "below"])
+def test_corner_index_refuses_a_site_off_the_cube(site):
+    with pytest.raises(ValueError, match="is not a corner of"):
+        lat.UnitHypercube((0, 0, 0)).corner_index(site)
+
+
 def test_boundary_partition_by_corner():
     # every site at L1 distance 1 from the cube is reached by exactly one
     # (corner, exit direction) pair: d exits per corner, d 2^d in all

@@ -48,9 +48,9 @@ def _forward_steps(n=40):
 
 
 def test_deterministic_forward_walk_spacing():
-    # horizon 16: the certification margin is 16 // 4 = 4 steps
+    # 16 steps: the certification margin is 16 // 4 = 4 steps
     rec = rg.extract_from_steps(_forward_steps(16), (0, 0),
-                                rg.RegenParams((1.0, 0.0), a=3.0), 16)
+                                rg.RegenParams((1.0, 0.0), a=3.0))
     assert rec.times.tolist() == [4, 8, 12, 16]    # first level above a=3
     assert np.all(rec.positions[:, 1] == 0)
     assert np.all(rec.positions[:, 0] == rec.times)
@@ -88,7 +88,7 @@ def test_ell_is_checked_before_the_first_step(monkeypatch, ell):
                              rg.RegenParams(ell))
     assert not steps
     with pytest.raises(ParameterError):
-        rg.extract_from_steps(_forward_steps(8), (0, 0), rg.RegenParams(ell, a=3.0), 8)
+        rg.extract_from_steps(_forward_steps(8), (0, 0), rg.RegenParams(ell, a=3.0))
 
 
 def test_fast_matches_reference_on_random_walks():
@@ -129,7 +129,7 @@ def test_extraction_handles_projected_lattice_levels():
     params = rg.RegenParams((float(ell[0]), float(ell[1])))
     gaps = []
     for w in range(4):
-        rec = rg.extract_from_steps(res.steps[w], (0, 0), params, 20_000)
+        rec = rg.extract_from_steps(res.steps[w], (0, 0), params)
         assert np.all(np.diff(rec.times) > 0)
         lvl = rec.positions @ ell
         assert np.all(np.diff(lvl) > 0)
@@ -147,7 +147,7 @@ def test_renewal_identity_on_expl():
                                record_steps=True)
     ell = np.ones(2) / np.sqrt(2)
     params = rg.RegenParams((float(ell[0]), float(ell[1])))
-    records = [rg.extract_from_steps(res.steps[w], (0, 0), params, n)
+    records = [rg.extract_from_steps(res.steps[w], (0, 0), params)
                for w in range(20)]
     est = rg.renewal_velocity(records)
     assert est.ok
@@ -163,6 +163,20 @@ def test_velocity_insufficient_data():
                                 np.array([False]))
     est2 = rg.renewal_velocity([rec])
     assert not est2.ok
+
+
+@pytest.mark.parametrize("blocks", [2, 31])
+def test_renewal_velocity_needs_32_blocks(blocks):
+    # blocks + 1 certified times, forward steps of 4: blocks inter-times
+    times = 4 * np.arange(1, blocks + 2)
+    rec = rg.RegenerationRecord(times, np.stack([times, 0 * times], axis=1),
+                                np.zeros(blocks + 1, dtype=bool))
+    est = rg.renewal_velocity([rec])
+    assert not est.ok and est.v is None
+    assert est.reason == f"only {blocks} blocks, need >= 32"
+    rec = rg.RegenerationRecord(4 * np.arange(1, 34), np.zeros((33, 2), dtype=np.int64),
+                                np.zeros(33, dtype=bool))
+    assert rg.renewal_velocity([rec]).ok
 
 
 @pytest.mark.filterwarnings("error")
@@ -181,7 +195,7 @@ def test_direct_velocity_needs_two_walks():
 
 def test_regeneration_radii_forward_walk():
     steps = _forward_steps(16)      # margin 16 // 4 = 4: 4, 8, 12 certified
-    rec = rg.extract_from_steps(steps, (0, 0), rg.RegenParams((1.0, 0.0), a=3.0), 16)
+    rec = rg.extract_from_steps(steps, (0, 0), rg.RegenParams((1.0, 0.0), a=3.0))
     assert rec.n_certified() == 3
     radii = rg.regeneration_radii(rec, walk.positions((0, 0), steps))
     assert np.all(radii == 4)
@@ -194,7 +208,7 @@ def test_regeneration_radii_pinned():
     n = 400
     res = walk.run_fixed_batch(Environment(Expl(2, 0.2), 11), np.zeros(2, dtype=np.int64), n,
                                walk.walk_keys(12, 1), record_steps=True)
-    rec = rg.extract_from_steps(res.steps[0], (0, 0), rg.RegenParams((2 ** -0.5, 2 ** -0.5)), n)
+    rec = rg.extract_from_steps(res.steps[0], (0, 0), rg.RegenParams((2 ** -0.5, 2 ** -0.5)))
     assert rec.certified_times.tolist() == [11, 29, 42, 53, 62, 71, 84, 95, 102, 156, 180, 189,
                                             209, 222, 246, 253, 281, 290]
     radii = rg.regeneration_radii(rec, walk.positions((0, 0), res.steps[0]))
@@ -220,7 +234,7 @@ def test_radius_tail_decays_exponentially():
     params = rg.RegenParams((1.0, 0.0))
     radii = []
     for w in range(400):
-        rec = rg.extract_from_steps(res.steps[w], (0, 0), params, n)
+        rec = rg.extract_from_steps(res.steps[w], (0, 0), params)
         if rec.n_certified() >= 1:
             radii.append(rg.regeneration_radii(
                 rec, walk.positions((0, 0), res.steps[w]))[0])
@@ -239,9 +253,9 @@ def test_radius_tail_decays_exponentially():
 
 
 def test_records_to_csv(tmp_path):
-    # horizon 8: margin 8 // 4 = 2, so tau = 4 is certified and tau = 8 is not
+    # 8 steps: margin 8 // 4 = 2, so tau = 4 is certified and tau = 8 is not
     rec = rg.extract_from_steps(_forward_steps(8), (0, 0),
-                                rg.RegenParams((1.0, 0.0), a=3.0), 8)
+                                rg.RegenParams((1.0, 0.0), a=3.0))
     path = tmp_path / "regen.csv"
     rg.records_to_csv([rec, rec], path)
     lines = path.read_text().strip().splitlines()
@@ -252,8 +266,8 @@ def test_records_to_csv(tmp_path):
 def test_records_to_csv_header_when_walk_0_has_no_regeneration(tmp_path):
     # a walk of 2 steps stays below the first ladder level: an empty record
     params = rg.RegenParams((1.0, 0.0), a=3.0)
-    empty = rg.extract_from_steps(_forward_steps(2), (0, 0), params, 2)
-    forward = rg.extract_from_steps(_forward_steps(8), (0, 0), params, 8)
+    empty = rg.extract_from_steps(_forward_steps(2), (0, 0), params)
+    forward = rg.extract_from_steps(_forward_steps(8), (0, 0), params)
     assert len(empty.times) == 0
     path = tmp_path / "regen.csv"
     rg.records_to_csv([empty, forward], path)

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from rwre import rng
+from rwre.environment import Environment, Expl
+from rwre.errors import ParameterError
 
 
 # Scalar oracles of the vectorized key and stream paths, in plain python ints.
@@ -89,3 +92,33 @@ def test_string_tag_stable():
     # pinned so key derivations never drift between runs/platforms
     assert rng.string_tag("") == 0xCBF29CE484222325
     assert rng.string_tag("a") == 0xAF63DC4C8601EC8C
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_key_what_python_ints_key():
+    # a key taken out of a vector result is a numpy integer: the scalar
+    # paths read it as the python int it equals, with no overflow warning
+    law = Expl(2, 0.2)
+    X = np.array([[0, 0], [3, -7], [-1, 2]])
+    for seed in (5, 2 ** 63 + 11, -3):
+        typed = [np.uint64(seed & rng.MASK64)]
+        if -2 ** 63 <= seed < 2 ** 63:
+            typed.append(np.int64(seed))
+        rows = Environment(law, seed).transitions_batch(X)
+        for t in typed:
+            assert rng.derive_key(t, "x", 4) == rng.derive_key(seed, "x", 4)
+            assert rng.derive_keys(t, "x", n=3).tolist() == rng.derive_keys(seed, "x", n=3).tolist()
+            assert rng.base_key(t, 9) == rng.base_key(seed, 9)
+            assert type(rng.base_key(t, 9)) is int
+            assert np.array_equal(Environment(law, t).transitions_batch(X), rows)
+    for key in rng.derive_keys(3, "w", n=4):
+        assert np.array_equal(Environment(law, key).transitions_batch(X),
+                              Environment(law, int(key)).transitions_batch(X))
+
+
+@pytest.mark.parametrize("seed", [5.0, np.float64(5), "5", None], ids=repr)
+def test_non_integer_seeds_are_parameter_errors(seed):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        rng.derive_key(seed, "x")
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        Environment(Expl(2, 0.2), seed)

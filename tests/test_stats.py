@@ -63,7 +63,7 @@ def test_moment_verdict_cases():
 def test_moment_verdict_index_at_alpha_is_infinite():
     # the moment diverges at tail index exactly alpha
     rs = np.random.RandomState(4)
-    v, _ = stats.moment_verdict(_pareto(1.0, 100_000, rs), 1.0, k=300)
+    v, _ = stats.moment_verdict(_pareto(1.0, 100_000, rs), 1.0)
     assert v == "moment-appears-infinite"
 
 
@@ -156,12 +156,12 @@ def test_stats_inputs_out_of_range_raise(call, match):
 
 
 def test_moment_verdict_between_the_bands_is_inconclusive():
-    # Pareto(2) quantiles: the Hill CI's lower end lies above alpha = 1.5 but
-    # below alpha + 0.25, the band where neither verdict holds
+    # Pareto(2) quantiles: the Hill CI's lower end (k = 100) lies above
+    # alpha = 1.5 but below alpha + 0.25, the band where neither verdict holds
     x = ((np.arange(10_000) + 0.5) / 10_000) ** -0.5
-    v, est = stats.moment_verdict(x, 1.5, k=100)
+    v, est = stats.moment_verdict(x, 1.5)
     assert v == "inconclusive"
-    assert 1.5 < est.ci_low < 1.75
+    assert est.k == 100 and 1.5 < est.ci_low < 1.75
 
 
 def test_chi_square_geometric_with_no_bin_besides_the_tail():
